@@ -12,8 +12,9 @@ lorentz   signature-pair curvature relations
 
 Exit codes: 0 pass, 1 verdict failure, 2 parse/config error, 3 numeric/domain
 error.  Point sampling uses a seeded low-discrepancy sequence for
-reproducible residual maxima;
-``KILLING3_THREADS`` caps sweep parallelism.
+reproducible residual maxima.  ``KILLING3_THREADS`` caps the thread pool
+that ``analyze``, ``verify`` and ``lorentz`` sweep their points with; it has
+no effect on the other commands.
 """
 
 from __future__ import annotations
@@ -123,6 +124,8 @@ def parse_metric_spec(text):
             params[key] = float(val)
         except ValueError:
             raise ParseError(f"non-numeric value for {key!r}: {val!r}", line=ln)
+        if not np.isfinite(params[key]):
+            raise ParseError(f"non-finite value for {key!r}: {val!r}", line=ln)
     spec = catalog(name, params)
     if signature == LORENTZIAN:
         spec = spec.with_signature(LORENTZIAN)
@@ -213,8 +216,8 @@ def _run_verify(spec, config):
 def _run_flatness(spec, config):
     pts = sample_points(config.grid, config.n_points, config.seed)
     fit = flatness_verdict(spec, pts)
-    records = [{"point": [p[0], p[1]], "cy_norm": cotton_york(spec, p).norm}
-               for p in pts]
+    records = [{"point": [p[0], p[1]], "cy_norm": float(n)}
+               for p, n in zip(pts, fit.cy_norms)]
     summary = {
         "verdict": fit.verdict, "B": fit.B, "C": fit.C,
         "fit_residual": fit.residual_max, "max_cy_norm": fit.cy_max,
@@ -414,6 +417,8 @@ def main(argv=None):
     ap = build_parser()
     try:
         ns = ap.parse_args(argv)
+        if ns.points < 1:
+            raise BadParams(f"--points must be at least 1, got {ns.points}")
         init = None
         if ns.init:
             parts = [float(x) for x in ns.init.split(",")]

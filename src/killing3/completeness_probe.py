@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from .curvature_engine import scalar_and_ric_tt
 from .errors import BlowUp, DomainError, EmptyProfile, NotUnitLength, StepFailure
 from .frame_calculus import Geometry
-from .metric_family import PHI_CUTOFF
+from .metric_family import PHI_CUTOFF, metric_components
 
 COMPLETE = "CompleteCriterion"
 INCOMPLETE = "IncompleteCriterion"
@@ -42,6 +42,17 @@ class CurvatureProfile:
     tail_oscillation: float  # spread of annulus minima across the tail quartile
     window: tuple            # (r_min, r_max, n_r, n_theta)
 
+    @classmethod
+    def from_minima(cls, radii, ring_min, n_theta):
+        """Profile from the minimum of S + Ric(T,T) at each radius (ascending radii)."""
+        inf_values = np.minimum.accumulate(ring_min[::-1])[::-1]  # suffix infima
+        tail = ring_min[-max(1, len(radii) // 4):]
+        scale = max(float(np.max(np.abs(tail))), 1.0)
+        return cls(radii=radii, inf_values=inf_values,
+                   tail_estimate=float(inf_values[-1]),
+                   tail_oscillation=float(np.ptp(tail)) / scale,
+                   window=(float(radii[0]), float(radii[-1]), len(radii), n_theta))
+
 
 def curvature_profile(spec, r_max, n_r=64, n_theta=32, r_min=None,
                       theta_range=(0.0, 2.0 * np.pi)):
@@ -53,30 +64,13 @@ def curvature_profile(spec, r_max, n_r=64, n_theta=32, r_min=None,
     rr, tt = np.meshgrid(radii, thetas, indexing="ij")
     s, ric_tt = scalar_and_ric_tt(spec, rr, tt)
     ring_min = np.min(s + ric_tt, axis=1)          # min over theta per radius
-    inf_values = np.minimum.accumulate(ring_min[::-1])[::-1]  # suffix infima
-    q = max(1, n_r // 4)
-    tail = ring_min[-q:]
-    scale = max(float(np.max(np.abs(tail))), 1.0)
-    oscillation = float(np.ptp(tail)) / scale
-    return CurvatureProfile(
-        radii=radii, inf_values=inf_values,
-        tail_estimate=float(inf_values[-1]),
-        tail_oscillation=oscillation,
-        window=(float(r_min), float(r_max), n_r, n_theta),
-    )
+    return CurvatureProfile.from_minima(radii, ring_min, n_theta)
 
 
 def synthetic_profile(radii, values):
     """Profile from given annulus values (testing / external data)."""
-    radii = np.asarray(radii, dtype=float)
-    values = np.asarray(values, dtype=float)
-    inf_values = np.minimum.accumulate(values[::-1])[::-1]
-    q = max(1, len(radii) // 4)
-    tail = values[-q:]
-    scale = max(float(np.max(np.abs(tail))), 1.0)
-    return CurvatureProfile(radii, inf_values, float(inf_values[-1]),
-                            float(np.ptp(tail)) / scale,
-                            (float(radii[0]), float(radii[-1]), len(radii), 0))
+    return CurvatureProfile.from_minima(np.asarray(radii, dtype=float),
+                                        np.asarray(values, dtype=float), 0)
 
 
 def completeness_verdict(profile, tol_zero=TOL_ZERO):
@@ -105,15 +99,10 @@ class GeodesicState:
     speed: float
 
 
-def _metric_at(spec, r, theta):
-    geo = Geometry(spec, r, theta, order=1)
-    return geo, np.array([[geo.g[a][b].value for b in range(3)] for a in range(3)])
-
-
 def make_state(spec, point, direction):
     """Unit-speed GeodesicState at (t, r, theta) = point along ``direction``."""
     t, r, theta = point
-    _, g = _metric_at(spec, r, theta)
+    g = metric_components(spec, (r, theta)).matrix()
     v = np.asarray(direction, dtype=float)
     norm = float(v @ g @ v)
     if norm <= 0.0:
@@ -197,13 +186,10 @@ def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401,
     if not sol.success:
         raise StepFailure(f"geodesic integration failed: {sol.message}")
     states = sol.y.T
-    c_vals = np.empty(len(sol.t))
-    speed_vals = np.empty(len(sol.t))
-    for i, row in enumerate(states):
-        _, g = _metric_at(spec, row[1], row[2])
-        v = row[3:]
-        c_vals[i] = g[0] @ v
-        speed_vals[i] = v @ g @ v
+    g = Geometry(spec, states[:, 1], states[:, 2], order=0).g
+    v = sol.y[3:]
+    c_vals = sum(g[0][b].value * v[b] for b in range(3))
+    speed_vals = sum(g[a][b].value * v[a] * v[b] for a in range(3) for b in range(3))
     return GeodesicTrajectory(sol.t, states, c_vals, speed_vals)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_engine import curvature_packet
+from .curvature_engine import curvature_packet, twist_data
 from .errors import EmptyGrid
 from .fields import GRID_SAMPLED
 from .frame_calculus import Geometry
@@ -64,9 +64,11 @@ def cotton_york(spec, p):
 
 def cotton_york_norms(spec, r, theta):
     """Batched Frobenius norms of the Cotton-York matrix over point arrays."""
-    geo = Geometry(spec, np.asarray(r, float), np.asarray(theta, float))
-    cy = np.asarray(geo.cotton_york_matrix)
-    return np.sqrt(np.sum(cy**2, axis=(0, 1)))
+    return _cy_norms(Geometry(spec, np.asarray(r, float), np.asarray(theta, float)))
+
+
+def _cy_norms(geo):
+    return np.sqrt(np.sum(np.asarray(geo.cotton_york_matrix) ** 2, axis=(0, 1)))
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,7 @@ class FlatnessFit:
     constant_omega: bool
     nonunique: bool         # (B, C) determined only up to a line (constant omega)
     n_points: int
+    cy_norms: np.ndarray    # ||CY|| at each grid point, in grid order
 
 
 def _is_grid_sampled(spec):
@@ -93,23 +96,16 @@ def flatness_verdict(spec, grid):
     constraint; the representative B = 0 is reported and flagged nonunique,
     and the shortcut criterion S = 3 Ric(T,T) decides flatness directly.
     """
-    grid = list(grid)
-    if not grid:
+    pts = np.asarray(list(grid), dtype=float)
+    if not len(pts):
         raise EmptyGrid("flatness_verdict needs at least one point")
-    ric_tt = np.empty(len(grid))
-    ric_t_sq = np.empty(len(grid))
-    scal = np.empty(len(grid))
-    omegas = np.empty(len(grid))
-    cy_max = 0.0
-    for i, p in enumerate(grid):
-        pk = curvature_packet(spec, p)
-        ric_tt[i] = pk.ric_of_T.t_component
-        ric_t_sq[i] = pk.ric_of_T.norm_sq
-        scal[i] = pk.scalar_S
-        omegas[i] = pk.omega
-        cy_max = max(cy_max, cotton_york(spec, p).norm)
+    geo = Geometry(spec, pts[:, 0], pts[:, 1])
+    omegas, scal, _, _, ric_t = twist_data(geo)
+    ric_tt = ric_t.t_component
+    cy_norms = _cy_norms(geo)
+    cy_max = float(np.max(cy_norms))
 
-    y = 4.0 * ric_t_sq - 3.0 * ric_tt**2
+    y = 4.0 * ric_t.norm_sq - 3.0 * ric_tt**2
     grid_sampled = _is_grid_sampled(spec)
     const_tol = CONST_OMEGA_TOL_GRID if grid_sampled else CONST_OMEGA_TOL
     omega_scale = max(1.0, float(np.max(np.abs(omegas))))
@@ -118,7 +114,7 @@ def flatness_verdict(spec, grid):
         b_fit, nonunique = 0.0, True
         c_fit = float(np.mean(y))
     else:
-        a = np.column_stack([-2.0 * ric_tt, np.ones(len(grid))])
+        a = np.column_stack([-2.0 * ric_tt, np.ones(len(pts))])
         (b_fit, c_fit), *_ = np.linalg.lstsq(a, y, rcond=None)
         nonunique = False
     residual = np.abs(y - (-2.0 * b_fit * ric_tt + c_fit))
@@ -146,7 +142,7 @@ def flatness_verdict(spec, grid):
     return FlatnessFit(B=float(b_fit), C=float(c_fit), residual_max=residual_max,
                        verdict=verdict, cy_max=float(cy_max),
                        constant_omega=constant_omega, nonunique=nonunique,
-                       n_points=len(grid))
+                       n_points=len(pts), cy_norms=cy_norms)
 
 
 def tmg_residual(spec, p):

@@ -56,10 +56,6 @@ class CurvaturePacket:
     ric_of_T: RicciOfT
 
 
-def _geometry(spec, p, order=None):
-    return Geometry(spec, p[0], p[1], order=order)
-
-
 def ricci_frame_matrix(geo):
     rf = geo.ric_frame
     return np.array([
@@ -88,18 +84,25 @@ def spectrum_closed_form(omega, scalar_s, grad_omega_sq):
     return (lam1, lam2, lam3), delta
 
 
+def twist_data(geo):
+    """(omega, S, X(omega), Y(omega), Ric(T)) values of a scalar or batched Geometry."""
+    _, x, y = geo.frame
+    w = geo.omega
+    omega = w.value
+    xw = geo.dirderiv(x, w).value
+    yw = geo.dirderiv(y, w).value
+    ric_t = RicciOfT(omega**2 / 2.0, -yw / 2.0, xw / 2.0)
+    return omega, geo.scalar.value, xw, yw, ric_t
+
+
 def curvature_packet(spec, p):
-    geo = _geometry(spec, p)
-    t, x, y = geo.frame
-    omega = float(geo.omega.value)
-    s = float(geo.scalar.value)
-    xw = float(geo.dirderiv(x, geo.omega).value)
-    yw = float(geo.dirderiv(y, geo.omega).value)
+    geo = Geometry(spec, p[0], p[1])
+    omega, s, xw, yw, ric_t = twist_data(geo)
+    omega, s, xw, yw = float(omega), float(s), float(xw), float(yw)
     grad_sq = xw**2 + yw**2
     ric_direct = ricci_frame_matrix(geo)
     ric_op = ric_operator_assembled(omega, s, xw, yw)
     spectrum, delta = spectrum_closed_form(omega, s, grad_sq)
-    ric_t = RicciOfT(omega**2 / 2.0, -yw / 2.0, xw / 2.0)
     return CurvaturePacket(
         ricci=Sym3.from_matrix(ric_direct),
         scalar_S=s,
@@ -143,20 +146,27 @@ def hamilton_inequality(spec, grid):
     Also reports the strict variant S > 2|grad omega|^2/omega^2 + omega^2
     needed when no Ricci eigenvalue may exceed the sum of the others.
     """
-    verdicts = []
-    for p in grid:
-        pk = curvature_packet(spec, p)
-        ric_tt = pk.omega**2 / 2.0
-        if abs(pk.omega) < TWIST_FLOOR or ric_tt <= 0.0:
-            raise TwistZero(f"twist vanishes at {p}; inequality undefined")
-        rhs = 2.0 * pk.ric_of_T.norm_sq / ric_tt - ric_tt
-        rhs_strict = 2.0 * pk.grad_omega_sq / pk.omega**2 + pk.omega**2
-        verdicts.append(HamiltonVerdict(
-            point=pk.point, scalar_S=pk.scalar_S, rhs=rhs,
-            holds=bool(pk.scalar_S > rhs),
-            rhs_strict=rhs_strict,
-            holds_strict=bool(pk.scalar_S > rhs_strict),
-        ))
+    grid = list(grid)
+    if not grid:
+        return [], True
+    pts = np.asarray(grid, dtype=float)
+    omega, s, xw, yw, ric_t = twist_data(Geometry(spec, pts[:, 0], pts[:, 1]))
+    ric_tt = ric_t.t_component
+    undefined = (np.abs(omega) < TWIST_FLOOR) | (ric_tt <= 0.0)
+    if np.any(undefined):
+        p = grid[int(np.argmax(undefined))]
+        raise TwistZero(f"twist vanishes at {p}; inequality undefined")
+    rhs = 2.0 * ric_t.norm_sq / ric_tt - ric_tt
+    rhs_strict = 2.0 * (xw**2 + yw**2) / omega**2 + omega**2
+    verdicts = [
+        HamiltonVerdict(
+            point=(float(r), float(th)), scalar_S=float(s[i]), rhs=float(rhs[i]),
+            holds=bool(s[i] > rhs[i]),
+            rhs_strict=float(rhs_strict[i]),
+            holds_strict=bool(s[i] > rhs_strict[i]),
+        )
+        for i, (r, th) in enumerate(pts)
+    ]
     global_ok = all(v.holds for v in verdicts)
     return verdicts, global_ok
 

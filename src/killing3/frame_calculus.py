@@ -124,14 +124,6 @@ class Geometry:
         return [[cof[b][a] * inv_det for b in range(3)] for a in range(3)]
 
     @cached_property
-    def det_g(self):
-        g, c = self.g, None
-        cof0 = g[1][1] * g[2][2] - g[1][2] * g[2][1]
-        cof1 = g[1][2] * g[2][0] - g[1][0] * g[2][2]
-        cof2 = g[1][0] * g[2][1] - g[1][1] * g[2][0]
-        return g[0][0] * cof0 + g[0][1] * cof1 + g[0][2] * cof2
-
-    @cached_property
     def gamma(self):
         """Christoffel symbols gamma[c][a][b] = Gamma^c_{ab}."""
         g, ginv = self.g, self.ginv

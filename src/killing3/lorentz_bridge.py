@@ -14,8 +14,8 @@ import numpy as np
 
 from .completeness_probe import (CurvatureProfile, completeness_verdict,
                                  curvature_profile)
+from .curvature_engine import scalar_and_ric_tt
 from .errors import AlreadyLorentzian
-from .frame_calculus import Geometry
 from .metric_family import MetricSpec, metric_components
 from .tensor_core import LORENTZIAN, RIEMANNIAN
 
@@ -49,16 +49,10 @@ def to_lorentz(spec):
                          lorentzian=spec.with_signature(LORENTZIAN))
 
 
-def lorentz_scalars(spec, r, theta):
-    """(S, Ric(T,T)) of either-signature spec, frame-component Ric(T,T)."""
-    geo = Geometry(spec, r, theta, order=2)
-    return np.asarray(geo.scalar.value), np.asarray(geo.ric_frame["TT"].value)
-
-
 def lorentz_relations_check(pair, p):
     """Residuals of Ric_L(T,T) = Ric_R(T,T) and S_L = S_R + 2 Ric_R(T,T)."""
-    s_r, ric_r = lorentz_scalars(pair.riemannian, p[0], p[1])
-    s_l, ric_l = lorentz_scalars(pair.lorentzian, p[0], p[1])
+    s_r, ric_r = scalar_and_ric_tt(pair.riemannian, p[0], p[1])
+    s_l, ric_l = scalar_and_ric_tt(pair.lorentzian, p[0], p[1])
     res_ric = float(np.max(np.abs(ric_l - ric_r)))
     res_scalar = float(np.max(np.abs(s_l - (s_r + 2.0 * ric_r))))
     return res_ric, res_scalar
@@ -75,20 +69,11 @@ def lorentz_completeness(pair, r_max, n_r=64, n_theta=32, r_min=None):
     radii = np.linspace(r_min, r_max, n_r)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     rr, tt = np.meshgrid(radii, thetas, indexing="ij")
-    s_l, ric_l = lorentz_scalars(pair.lorentzian, rr, tt)
-    s_r, ric_r = lorentz_scalars(pair.riemannian, rr, tt)
+    s_l, ric_l = scalar_and_ric_tt(pair.lorentzian, rr, tt)
+    s_r, ric_r = scalar_and_ric_tt(pair.riemannian, rr, tt)
     crit_l = s_l - ric_l
     agreement = float(np.max(np.abs(crit_l - (s_r + ric_r))))
-    ring_min = np.min(crit_l, axis=1)
-    inf_values = np.minimum.accumulate(ring_min[::-1])[::-1]
-    q = max(1, n_r // 4)
-    tail = ring_min[-q:]
-    scale = max(float(np.max(np.abs(tail))), 1.0)
-    profile = CurvatureProfile(
-        radii=radii, inf_values=inf_values, tail_estimate=float(inf_values[-1]),
-        tail_oscillation=float(np.ptp(tail)) / scale,
-        window=(float(r_min), float(r_max), n_r, n_theta),
-    )
+    profile = CurvatureProfile.from_minima(radii, np.min(crit_l, axis=1), n_theta)
     return completeness_verdict(profile), profile, agreement
 
 

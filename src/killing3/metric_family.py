@@ -171,7 +171,12 @@ def load_grid_csv(text_or_path):
         rows = list(csv.reader(io.StringIO(text_or_path)))
     if not rows or [c.strip() for c in rows[0]] != GRID_CSV_HEADER:
         raise BadParams(f"grid CSV must start with header {','.join(GRID_CSV_HEADER)}")
-    data = np.array([[float(x) for x in row] for row in rows[1:] if row])
+    try:
+        data = np.array([[float(x) for x in row] for row in rows[1:] if row])
+    except ValueError as exc:  # a non-numeric cell, or rows of unequal length
+        raise BadParams(f"grid CSV: {exc}") from None
+    if data.ndim != 2 or data.shape[1] != 5 or not np.all(np.isfinite(data)):
+        raise BadParams("grid CSV rows must hold 5 finite numbers each")
     r_nodes = np.unique(data[:, 0])
     t_nodes = np.unique(data[:, 1])
     if len(data) != len(r_nodes) * len(t_nodes):
@@ -179,8 +184,12 @@ def load_grid_csv(text_or_path):
     order = np.lexsort((data[:, 1], data[:, 0]))
     shaped = data[order].reshape(len(r_nodes), len(t_nodes), 5)
     specs = {}
-    for idx, key in ((2, "phi"), (3, "h"), (4, "k")):
-        specs[key] = fields.from_grid(r_nodes, t_nodes, shaped[:, :, idx])
+    try:
+        for idx, key in ((2, "phi"), (3, "h"), (4, "k")):
+            specs[key] = fields.from_grid(r_nodes, t_nodes, shaped[:, :, idx])
+    except ValueError as exc:  # too few nodes on an axis for the spline
+        shape = f"{len(r_nodes)}x{len(t_nodes)}"
+        raise BadParams(f"grid CSV with {shape} nodes: {exc}") from None
     return MetricSpec(specs["phi"], specs["h"], specs["k"], RIEMANNIAN, "grid", {})
 
 

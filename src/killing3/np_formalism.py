@@ -9,6 +9,7 @@ of twist and shear under conformal rescaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -308,27 +309,16 @@ class _ConformalGeometry(Geometry):
         super().__init__(spec, r, theta, order)
         self._f = f_field.jet(self.r, self.theta, self.order)
 
-    @property
+    @cached_property
     def g(self):
-        try:
-            return self._g_conf
-        except AttributeError:
-            base = Geometry.g.func(self)
-            scale = jets.exp(2.0 * self._f)
-            self._g_conf = [[scale * base[a][b] for b in range(3)]
-                            for a in range(3)]
-            return self._g_conf
+        scale = jets.exp(2.0 * self._f)
+        return [[scale * gab for gab in row] for row in Geometry.g.func(self)]
 
-    @property
+    @cached_property
     def frame(self):
-        try:
-            return self._frame_conf
-        except AttributeError:
-            scale = jets.exp(-self._f)
-            self._frame_conf = tuple(
-                [scale * comp for comp in leg] for leg in Geometry.frame.func(self)
-            )
-            return self._frame_conf
+        scale = jets.exp(-self._f)
+        return tuple([scale * comp for comp in leg]
+                     for leg in Geometry.frame.func(self))
 
 
 @dataclass(frozen=True)

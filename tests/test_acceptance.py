@@ -22,9 +22,10 @@ from killing3.cotton_york import (FLAT, NOT_FLAT, cotton_york,
                                   cotton_york_norms, flatness_verdict)
 from killing3.curvature_engine import (curvature_packet,
                                        gaussian_identity_residual,
+                                       scalar_and_ric_tt,
                                        spectrum_vs_eigensolve_residual)
 from killing3.frame_calculus import Geometry
-from killing3.lorentz_bridge import lorentz_relations_check, lorentz_scalars, to_lorentz
+from killing3.lorentz_bridge import lorentz_relations_check, to_lorentz
 from killing3.metric_family import catalog, to_grid_sampled
 from killing3.np_formalism import (conformal_rescale_check, killing_test,
                                    rotate_frame, structure_residuals)
@@ -181,7 +182,7 @@ def test_criterion_09_lorentz_bridge():
         for p in sample_points(_box_for(name), 20, 42):
             res_ric, res_s = lorentz_relations_check(pair, p)
             worst = max(worst, res_ric, res_s)
-    s_l, _ = lorentz_scalars(
+    s_l, _ = scalar_and_ric_tt(
         to_lorentz(catalog("hopf", {"R": 1.0})).lorentzian, 0.6, 0.3)
     ok = worst < 1e-8 and abs(float(s_l) - 10.0) < 1e-8
     _verdict(9, ok, f"max residual {worst:.2e}, hopf S_L = {float(s_l):.10f}, tol 1e-8")

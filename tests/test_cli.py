@@ -70,17 +70,44 @@ def test_parse_lorentzian_signature():
     assert spec.signature == "lorentzian"
 
 
-def test_parse_grid_csv(tmp_path):
+@pytest.mark.parametrize("text", ["catalog = nil\nomega0 = nan",
+                                  "catalog = hopf\nR = inf"])
+def test_parse_rejects_non_finite_with_line(tmp_path, text):
+    with pytest.raises(ParseError) as exc:
+        parse_metric_spec(text)
+    assert exc.value.line == 2
+    assert main(["analyze", "--spec", _write_spec(tmp_path, text)]) == 2
+
+
+def _grid_spec_text(tmp_path, n_r=8, n_t=8, cell="0.0"):
     from killing3.metric_family import GRID_CSV_HEADER
 
     lines = [",".join(GRID_CSV_HEADER)]
-    for r in np.linspace(0.2, 1.0, 8):
-        for t in np.linspace(0.0, 2.0, 8):
-            lines.append(f"{r},{t},1.0,0.0,0.0")
+    for r in np.linspace(0.2, 1.0, n_r):
+        for t in np.linspace(0.0, 2.0, n_t):
+            lines.append(f"{r},{t},1.0,0.0,{cell}")
     csv_path = tmp_path / "grid.csv"
     csv_path.write_text("\n".join(lines))
-    spec = parse_metric_spec(f"grid_csv = {csv_path}")
+    return f"grid_csv = {csv_path}"
+
+
+def test_parse_grid_csv(tmp_path):
+    spec = parse_metric_spec(_grid_spec_text(tmp_path))
     assert spec.name == "grid"
+
+
+@pytest.mark.parametrize("n_r, n_t, cell", [(8, 8, "abc"), (8, 8, "nan"),
+                                            (4, 8, "0.0"), (8, 4, "0.0")])
+def test_main_bad_grid_csv_exit_2(tmp_path, capsys, n_r, n_t, cell):
+    spec = _write_spec(tmp_path, _grid_spec_text(tmp_path, n_r, n_t, cell))
+    assert main(["analyze", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_grid_csv_five_nodes_accepted(tmp_path):
+    spec = _write_spec(tmp_path, _grid_spec_text(tmp_path, 5, 5))
+    assert main(["analyze", "--spec", spec, "--points", "4"]) == 0
 
 
 # -- sampling and reports -----------------------------------------------------
@@ -158,6 +185,14 @@ def test_main_bad_grid_argument(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["verify", "--spec", spec, "--grid", "junk"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_main_rejects_points_below_one(tmp_path, capsys, points):
+    spec = _write_spec(tmp_path, "catalog = flat")
+    assert main(["analyze", "--spec", spec, "--points", points]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_main_writes_output_atomically(tmp_path):

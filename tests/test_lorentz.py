@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from killing3.completeness_probe import COMPLETE
+from killing3.curvature_engine import scalar_and_ric_tt
 from killing3.errors import AlreadyLorentzian
 from killing3.lorentz_bridge import (lorentz_completeness,
-                                     lorentz_relations_check, lorentz_scalars,
+                                     lorentz_relations_check,
                                      riemannian_profile, to_lorentz)
 from killing3.metric_family import catalog, metric_components
 from killing3.tensor_core import LORENTZIAN
@@ -45,7 +46,7 @@ def test_relations_all_catalogs():
 
 def test_hopf_lorentz_scalar():
     pair = to_lorentz(catalog("hopf", {"R": 1.0}))
-    s_l, ric_l = lorentz_scalars(pair.lorentzian, 0.6, 0.3)
+    s_l, ric_l = scalar_and_ric_tt(pair.lorentzian, 0.6, 0.3)
     assert float(s_l) == pytest.approx(10.0, rel=1e-10)
     assert float(ric_l) == pytest.approx(2.0, rel=1e-10)
 
@@ -86,7 +87,7 @@ def test_quotient_gaussian_curvature_identity():
     # Gaussian curvature of the quotient = (S_L - Ric_L(T,T)) / 2
     spec = catalog("hyperbolic")
     pair = to_lorentz(spec)
-    s_l, ric_l = lorentz_scalars(pair.lorentzian, 0.8, 0.0)
+    s_l, ric_l = scalar_and_ric_tt(pair.lorentzian, 0.8, 0.0)
     gauss = -float(spec.phi.jet(0.8, 0.0).d_rr / spec.phi.value(0.8, 0.0))
     assert gauss == pytest.approx(0.5 * (float(s_l) - float(ric_l)), abs=1e-10)
 
