@@ -12,9 +12,7 @@ lorentz   signature-pair curvature relations
 
 Exit codes: 0 pass, 1 verdict failure, 2 parse/config error, 3 numeric/domain
 error.  Point sampling uses a seeded low-discrepancy sequence for
-reproducible residual maxima.  ``KILLING3_THREADS`` caps the thread pool
-that ``analyze``, ``verify`` and ``lorentz`` sweep their points with; it has
-no effect on the other commands.
+reproducible residual maxima; each sweep evaluates its points as one batch.
 """
 
 from __future__ import annotations
@@ -24,35 +22,28 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 from scipy.stats import qmc
 
 from . import lorentz_bridge as lz
 from . import np_formalism as npf
-from .cotton_york import FLAT, cotton_york, flatness_verdict
+from .cotton_york import FLAT, cy_norms, flatness_verdict
 from .completeness_probe import integrate_geodesic, make_state
 from .conformal_family import FamilyParams, build_cf_metric, solve_omega_ode
-from .curvature_engine import (curvature_packet, gaussian_identity_residual,
-                               spectrum_vs_eigensolve_residual)
-from .errors import (BadParams, Killing3Error, ParseError, UnknownCatalogName)
-from .metric_family import (CATALOG_NAMES, catalog, frame_gram_residual,
-                            load_grid_csv)
-from .tensor_core import LORENTZIAN, RIEMANNIAN
+from .curvature_engine import (gaussian_residual, ric_operator_assembled,
+                               spectrum_closed_form, twist_data)
+from .errors import (BadParams, Killing3Error, NonFinite, ParseError,
+                     UnknownCatalogName)
+from .frame_calculus import Geometry
+from .metric_family import (CATALOG_PARAMS, catalog, check_admissible,
+                            frame_gram_residual, load_grid_csv)
+from .tensor_core import LORENTZIAN, RIEMANNIAN, sym_eig3
 
 DEFAULT_GRID = (0.2, 1.2, 8, 0.0, 6.0, 8)
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-8
-
-_CATALOG_KEYS = {
-    "flat": set(),
-    "hopf": {"R"},
-    "nil": {"omega0"},
-    "hyperbolic": set(),
-    "cf_family": {"B", "C", "omega0", "sign"},
-}
 
 
 @dataclass
@@ -113,12 +104,11 @@ def parse_metric_spec(text):
     if "catalog" not in entries:
         raise ParseError("missing `catalog = <name>` (or grid_csv)")
     name, ln = entries.pop("catalog")
-    if name not in CATALOG_NAMES:
+    if name not in CATALOG_PARAMS:
         raise UnknownCatalogName(f"unknown catalog metric {name!r}")
-    allowed = _CATALOG_KEYS[name]
     params = {}
     for key, (val, ln) in entries.items():
-        if key not in allowed:
+        if key not in CATALOG_PARAMS[name]:
             raise ParseError(f"unexpected key {key!r} for catalog {name}", line=ln)
         try:
             params[key] = float(val)
@@ -142,82 +132,79 @@ def sample_points(grid, n_points, seed):
 
 
 def _max_workers():
-    env = os.environ.get("KILLING3_THREADS")
-    return max(1, int(env)) if env else min(8, os.cpu_count() or 1)
+    return 1  # the sweeps run in one thread; perfbench/run.py records this
 
 
-def _sweep(fn, points):
-    if len(points) < 4 or _max_workers() == 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        return list(pool.map(fn, points))
+def _sweep(spec, config):
+    """The command's sampled points, an (n, 2) array of (r, theta) rows.
+
+    DomainError if the metric is not defined at one of them.
+    """
+    pts = np.array(sample_points(config.grid, config.n_points, config.seed))
+    check_admissible(spec, pts[:, 0], pts[:, 1])
+    return pts
+
+
+def _records(pts, **columns):
+    """One report record per point from per-point columns."""
+    cols = {key: np.asarray(col).tolist() for key, col in columns.items()}
+    return [{"point": p, **{key: col[i] for key, col in cols.items()}}
+            for i, p in enumerate(pts.tolist())]
+
+
+def _maxima(columns):
+    return {f"max_{key}": float(np.max(col)) for key, col in columns.items()}
 
 
 # -- per-command runners -------------------------------------------------------
 
 
 def _run_analyze(spec, config):
-    def one(p):
-        pk = curvature_packet(spec, p)
-        kin = npf.kinematics(spec, p)
-        cym = cotton_york(spec, p)
-        return {
-            "point": [pk.point[0], pk.point[1]],
-            "S": pk.scalar_S,
-            "ric_TT": pk.ric_of_T.t_component,
-            "omega": pk.omega,
-            "div": kin.divergence,
-            "shear": abs(kin.shear),
-            "spectrum": list(pk.spectrum),
-            "cy_norm": cym.norm,
-        }
-
-    records = _sweep(one, sample_points(config.grid, config.n_points, config.seed))
-    summary = {
-        "max_cy_norm": max(r["cy_norm"] for r in records),
-        "max_abs_S": max(abs(r["S"]) for r in records),
-        "max_abs_omega": max(abs(r["omega"]) for r in records),
-        "n_points": len(records),
-    }
-    ok = all(np.isfinite(list(r["spectrum"]) + [r["S"], r["omega"]]).all()
-             for r in records)
-    return records, summary, ok
+    pts = _sweep(spec, config)
+    geo = Geometry(spec, pts[:, 0], pts[:, 1])
+    omega, s, xw, yw, ric_t = twist_data(geo)
+    spectrum, _ = spectrum_closed_form(omega, s, xw**2 + yw**2)
+    cy = cy_norms(geo)
+    records = _records(pts, S=s, ric_TT=ric_t.t_component, omega=omega,
+                       div=geo.div_T.value, shear=np.abs(geo.shear.value),
+                       spectrum=np.stack(spectrum, axis=-1), cy_norm=cy)
+    maxima = _maxima({"cy_norm": cy, "abs_S": np.abs(s), "abs_omega": np.abs(omega)})
+    summary = {**maxima, "n_points": len(pts)}
+    # no gate beyond finiteness, which run() checks for every command
+    return records, summary, True
 
 
 def _run_verify(spec, config):
+    if spec.signature != RIEMANNIAN:
+        raise BadParams("verify checks the Riemannian identities; run `lorentz` "
+                        "on the Riemannian spec for the Lorentzian relations")
     tol = config.tolerances.get("residual", DEFAULT_TOL)
-    pair = lz.to_lorentz(spec) if spec.signature == RIEMANNIAN else None
-
-    def one(p):
-        res = npf.structure_residuals(spec, p)
-        pk = curvature_packet(spec, p)
-        rec = {
-            "point": [float(p[0]), float(p[1])],
-            "structure": res.max_abs(),
-            "gaussian": float(gaussian_identity_residual(spec, p[0], p[1])),
-            "spectrum_agreement": spectrum_vs_eigensolve_residual(pk),
-            "gram": frame_gram_residual(spec, p),
-        }
-        if pair is not None:
-            ric_res, s_res = lz.lorentz_relations_check(pair, p)
-            rec["lorentz_ric"] = ric_res
-            rec["lorentz_scalar"] = s_res
-        return rec
-
-    records = _sweep(one, sample_points(config.grid, config.n_points, config.seed))
-    keys = [k for k in records[0] if k != "point"]
-    summary = {f"max_{k}": max(r[k] for r in records) for k in keys}
-    summary["n_points"] = len(records)
-    summary["tolerance"] = tol
-    ok = all(v < tol for k, v in summary.items() if k.startswith("max_"))
-    return records, summary, ok
+    pts = _sweep(spec, config)
+    geo = Geometry(spec, pts[:, 0], pts[:, 1])
+    omega, s, xw, yw, _ = twist_data(geo)
+    spectrum, _ = spectrum_closed_form(omega, s, xw**2 + yw**2)
+    # the Jacobi eigensolve works on one 3x3 matrix at a time
+    ric_ops = np.moveaxis(ric_operator_assembled(omega, s, xw, yw), -1, 0)
+    eigs = np.array([sym_eig3(m)[0] for m in ric_ops])
+    closed = np.sort(np.stack(spectrum, axis=-1), axis=-1)
+    ric_res, s_res = lz.lorentz_relations_check(lz.to_lorentz(spec), pts.T)
+    columns = {
+        "structure": npf.structure_residuals(spec, pts.T).max_abs(),
+        "gaussian": gaussian_residual(geo),
+        "spectrum_agreement": np.max(np.abs(closed - eigs), axis=-1),
+        "gram": [frame_gram_residual(spec, p) for p in pts],
+        "lorentz_ric": ric_res,
+        "lorentz_scalar": s_res,
+    }
+    maxima = _maxima(columns)
+    summary = {**maxima, "n_points": len(pts), "tolerance": tol}
+    return _records(pts, **columns), summary, all(v < tol for v in maxima.values())
 
 
 def _run_flatness(spec, config):
-    pts = sample_points(config.grid, config.n_points, config.seed)
+    pts = _sweep(spec, config)
     fit = flatness_verdict(spec, pts)
-    records = [{"point": [p[0], p[1]], "cy_norm": float(n)}
-               for p, n in zip(pts, fit.cy_norms)]
+    records = _records(pts, cy_norm=fit.cy_norms)
     summary = {
         "verdict": fit.verdict, "B": fit.B, "C": fit.C,
         "fit_residual": fit.residual_max, "max_cy_norm": fit.cy_max,
@@ -259,9 +246,8 @@ def _run_family(spec, config):
     sol = solve_omega_ode(params)
     built = build_cf_metric(params)
     lo, hi = built.params["r_range"]
-    box = (0.9 * lo if lo < 0 else lo, 0.9 * hi, config.grid[2],
-           config.grid[3], config.grid[4], config.grid[5])
-    pts = sample_points(box, config.n_points, config.seed)
+    box = (0.9 * lo if lo < 0 else lo, 0.9 * hi) + tuple(config.grid[2:])
+    pts = _sweep(built, replace(config, grid=box))
     fit = flatness_verdict(built, pts)
     records = [{"r": float(r), "omega": float(w), "omega_r": float(wr)}
                for r, w, wr in zip(sol.r_samples[::40], sol.omega[::40],
@@ -280,19 +266,17 @@ def _run_family(spec, config):
 def _run_lorentz(spec, config):
     tol = config.tolerances.get("residual", DEFAULT_TOL)
     pair = lz.to_lorentz(spec)
-
-    def one(p):
-        ric_res, s_res = lz.lorentz_relations_check(pair, p)
-        return {"point": [p[0], p[1]], "flip": pair.flip_residual(p),
-                "timelike": pair.timelike_residual(p),
-                "ric_TT": ric_res, "scalar": s_res}
-
-    records = _sweep(one, sample_points(config.grid, config.n_points, config.seed))
-    keys = [k for k in records[0] if k != "point"]
-    summary = {f"max_{k}": max(r[k] for r in records) for k in keys}
-    summary["n_points"] = len(records)
-    ok = all(v < tol for v in summary.values() if isinstance(v, float))
-    return records, summary, ok
+    pts = _sweep(spec, config)
+    ric_res, s_res = lz.lorentz_relations_check(pair, pts.T)
+    columns = {
+        "flip": [pair.flip_residual(p) for p in pts],
+        "timelike": [pair.timelike_residual(p) for p in pts],
+        "ric_TT": ric_res,
+        "scalar": s_res,
+    }
+    maxima = _maxima(columns)
+    summary = {**maxima, "n_points": len(pts)}
+    return _records(pts, **columns), summary, all(v < tol for v in maxima.values())
 
 
 def _expected(config, verdict):
@@ -315,7 +299,13 @@ def run(config):
     """Execute a RunConfig; returns (Report, exit_code)."""
     with open(config.spec_path) as fh:
         spec = parse_metric_spec(fh.read())
-    records, summary, ok = _RUNNERS[config.command](spec, config)
+    # an overflow shows up as a non-finite number in the report, refused below
+    with np.errstate(all="ignore"):
+        records, summary, ok = _RUNNERS[config.command](spec, config)
+    try:
+        json.dumps([records, summary], allow_nan=False)
+    except ValueError:
+        raise NonFinite(f"the {config.command} report holds non-finite numbers") from None
     report = Report(command=config.command, records=records, summary=summary,
                     verdict="pass" if ok else "fail")
     return report, (0 if ok else 1)

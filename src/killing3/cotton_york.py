@@ -64,10 +64,11 @@ def cotton_york(spec, p):
 
 def cotton_york_norms(spec, r, theta):
     """Batched Frobenius norms of the Cotton-York matrix over point arrays."""
-    return _cy_norms(Geometry(spec, np.asarray(r, float), np.asarray(theta, float)))
+    return cy_norms(Geometry(spec, np.asarray(r, float), np.asarray(theta, float)))
 
 
-def _cy_norms(geo):
+def cy_norms(geo):
+    """Frobenius norms of the Cotton-York matrix of a scalar or batched Geometry."""
     return np.sqrt(np.sum(np.asarray(geo.cotton_york_matrix) ** 2, axis=(0, 1)))
 
 
@@ -102,8 +103,8 @@ def flatness_verdict(spec, grid):
     geo = Geometry(spec, pts[:, 0], pts[:, 1])
     omegas, scal, _, _, ric_t = twist_data(geo)
     ric_tt = ric_t.t_component
-    cy_norms = _cy_norms(geo)
-    cy_max = float(np.max(cy_norms))
+    norms = cy_norms(geo)
+    cy_max = float(np.max(norms))
 
     y = 4.0 * ric_t.norm_sq - 3.0 * ric_tt**2
     grid_sampled = _is_grid_sampled(spec)
@@ -142,7 +143,7 @@ def flatness_verdict(spec, grid):
     return FlatnessFit(B=float(b_fit), C=float(c_fit), residual_max=residual_max,
                        verdict=verdict, cy_max=float(cy_max),
                        constant_omega=constant_omega, nonunique=nonunique,
-                       n_points=len(pts), cy_norms=cy_norms)
+                       n_points=len(pts), cy_norms=norms)
 
 
 def tmg_residual(spec, p):

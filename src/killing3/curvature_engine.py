@@ -124,7 +124,11 @@ def scalar_and_ric_tt(spec, r, theta):
 
 def gaussian_identity_residual(spec, r, theta):
     """| -phi_rr/phi - (S + Ric(T,T))/2 |, the quotient Gaussian-curvature law."""
-    geo = Geometry(spec, r, theta)
+    return gaussian_residual(Geometry(spec, r, theta))
+
+
+def gaussian_residual(geo):
+    """The Gaussian-curvature law residual of a scalar or batched Geometry."""
     lhs = -geo.phi.d_rr / geo.phi.value
     rhs = 0.5 * (geo.scalar.value + geo.ric_frame["TT"].value)
     return np.abs(lhs - rhs)

@@ -45,7 +45,7 @@ class PhiVanishes(Killing3Error):
     """omega_r hits zero inside the requested range, so phi would vanish."""
 
 
-class AlreadyLorentzian(Killing3Error):
+class AlreadyLorentzian(BadParams):
     """to_lorentz applied to a spec that is already Lorentzian."""
 
 

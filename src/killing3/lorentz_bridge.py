@@ -50,12 +50,13 @@ def to_lorentz(spec):
 
 
 def lorentz_relations_check(pair, p):
-    """Residuals of Ric_L(T,T) = Ric_R(T,T) and S_L = S_R + 2 Ric_R(T,T)."""
+    """Per-point residuals of Ric_L(T,T) = Ric_R(T,T) and S_L = S_R + 2 Ric_R(T,T).
+
+    ``p`` is a point (r, theta) or a pair of point arrays.
+    """
     s_r, ric_r = scalar_and_ric_tt(pair.riemannian, p[0], p[1])
     s_l, ric_l = scalar_and_ric_tt(pair.lorentzian, p[0], p[1])
-    res_ric = float(np.max(np.abs(ric_l - ric_r)))
-    res_scalar = float(np.max(np.abs(s_l - (s_r + 2.0 * ric_r))))
-    return res_ric, res_scalar
+    return np.abs(ric_l - ric_r), np.abs(s_l - (s_r + 2.0 * ric_r))
 
 
 def lorentz_completeness(pair, r_max, n_r=64, n_theta=32, r_min=None):

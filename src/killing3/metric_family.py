@@ -28,7 +28,15 @@ from .tensor_core import LORENTZIAN, RIEMANNIAN, Sym3, gram_residual
 
 PHI_CUTOFF = 1e-8
 
-CATALOG_NAMES = ("flat", "hopf", "nil", "hyperbolic", "cf_family")
+#: the parameters each catalog metric accepts, with their defaults
+CATALOG_PARAMS = {
+    "flat": {},
+    "hopf": {"R": 1.0},
+    "nil": {"omega0": 1.0},
+    "hyperbolic": {},
+    "cf_family": {"B": 0.0, "C": 1.0, "omega0": 0.0, "sign": 1},
+}
+CATALOG_NAMES = tuple(CATALOG_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -60,19 +68,23 @@ class FrameAt:
 
 
 def check_admissible(spec, r, theta):
-    phi = np.asarray(spec.phi.value(r, theta))
-    if np.any(phi <= PHI_CUTOFF):
-        raise DomainError(f"phi <= {PHI_CUTOFF} at (r, theta) near ({r}, {theta})")
-    return phi
+    """Values (phi, h, k) at a point or point arrays, if the metric is defined there."""
+    phi, h, k = (f.value(r, theta) for f in (spec.phi, spec.h, spec.k))
+    # NaN fails both tests; g_rr = 1 + k^2 and g_thth = phi^2 (1 + h^2)
+    # bound every other metric entry
+    phi_ok = phi > PHI_CUTOFF
+    ok = phi_ok & np.isfinite(1.0 + k * k + phi * phi * (1.0 + h * h))
+    if not np.all(ok):
+        rr, tt, phi_ok, ok = np.broadcast_arrays(r, theta, phi_ok, ok)
+        i = int(np.argmin(ok))
+        what = "metric entries overflow" if phi_ok.flat[i] else f"phi <= {PHI_CUTOFF}"
+        raise DomainError(f"{what} at (r, theta) = ({rr.flat[i]:.6g}, {tt.flat[i]:.6g})")
+    return phi, h, k
 
 
 def metric_components(spec, p):
     """Coordinate metric matrix at p = (r, theta), basis order (t, r, theta)."""
-    r, theta = p
-    check_admissible(spec, r, theta)
-    phi = spec.phi.value(r, theta)
-    h = spec.h.value(r, theta)
-    k = spec.k.value(r, theta)
+    phi, h, k = check_admissible(spec, *p)
     ph = phi * h
     g = np.array([
         [1.0, -k, -ph],
@@ -88,10 +100,7 @@ def metric_components(spec, p):
 def canonical_frame(spec, p):
     """The frame T = dt, X = h dt + (1/phi) dtheta, Y = k dt + dr at p."""
     r, theta = p
-    check_admissible(spec, r, theta)
-    phi = spec.phi.value(r, theta)
-    h = spec.h.value(r, theta)
-    k = spec.k.value(r, theta)
+    phi, h, k = check_admissible(spec, r, theta)
     return FrameAt(
         T=np.array([1.0, 0.0, 0.0]),
         X=np.array([h, 0.0, 1.0 / phi]),
@@ -109,15 +118,19 @@ def frame_gram_residual(spec, p):
 
 
 def catalog(name, params=None):
-    """Exact example metrics by name; see CATALOG_NAMES."""
+    """Exact example metrics by name; see CATALOG_PARAMS."""
+    if name not in CATALOG_PARAMS:
+        raise UnknownCatalogName(f"unknown catalog metric {name!r}")
     params = dict(params or {})
+    extra = set(params) - set(CATALOG_PARAMS[name])
+    if extra:
+        raise BadParams(f"unexpected parameters: {sorted(extra)}")
+    params = {**CATALOG_PARAMS[name], **params}
     if name == "flat":
-        _reject_extra(params, ())
         return MetricSpec(fields.constant(1.0), fields.constant(0.0),
                           fields.constant(0.0), RIEMANNIAN, "flat", {})
     if name == "hopf":
-        radius = float(params.pop("R", 1.0))
-        _reject_extra(params, ())
+        radius = float(params["R"])
         if radius <= 0:
             raise BadParams(f"hopf radius must be positive, got {radius}")
         # phi = (R/2) sin(2r/R); h fixed by the twist oracle: omega = +2/R
@@ -126,35 +139,20 @@ def catalog(name, params=None):
         h = fields.from_expr(lambda r, t: -jets.tan(r * (1.0 / radius)))
         return MetricSpec(phi, h, fields.constant(0.0), RIEMANNIAN, "hopf", {"R": radius})
     if name == "nil":
-        omega0 = float(params.pop("omega0", 1.0))
-        _reject_extra(params, ())
+        omega0 = float(params["omega0"])
         # h = -omega0 r gives signed twist +omega0 (same oracle as hopf)
         h = fields.from_expr(lambda r, t: r * (-omega0))
         return MetricSpec(fields.constant(1.0), h, fields.constant(0.0),
                           RIEMANNIAN, "nil", {"omega0": omega0})
     if name == "hyperbolic":
-        _reject_extra(params, ())
         phi = fields.from_expr(lambda r, t: jets.cosh(r))
         return MetricSpec(phi, fields.constant(0.0), fields.constant(0.0),
                           RIEMANNIAN, "hyperbolic", {})
-    if name == "cf_family":
-        from .conformal_family import FamilyParams, build_cf_metric
+    from .conformal_family import FamilyParams, build_cf_metric
 
-        fp = FamilyParams(
-            B=float(params.pop("B", 0.0)),
-            C=float(params.pop("C", 1.0)),
-            omega0=float(params.pop("omega0", 0.0)),
-            omega_r0_sign=int(params.pop("sign", 1)),
-        )
-        _reject_extra(params, ())
-        return build_cf_metric(fp)
-    raise UnknownCatalogName(f"unknown catalog metric {name!r}")
-
-
-def _reject_extra(params, allowed):
-    extra = set(params) - set(allowed)
-    if extra:
-        raise BadParams(f"unexpected parameters: {sorted(extra)}")
+    return build_cf_metric(FamilyParams(
+        B=float(params["B"]), C=float(params["C"]),
+        omega0=float(params["omega0"]), omega_r0_sign=int(params["sign"])))
 
 
 # -- grid-sampled input -------------------------------------------------------

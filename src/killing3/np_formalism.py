@@ -74,7 +74,7 @@ class StructureResiduals:
                 self.lie_tm, self.lie_mmbar, self.bianchi_1, self.bianchi_2,
                 self.killing_t_omega, self.killing_ric_tt, self.killing_ric_mm,
                 self.killing_ric_mmbar, self.gauge_div_y]
-        return float(max(abs(v) for v in vals))
+        return np.max([np.abs(v) for v in vals], axis=0)
 
 
 def spin_coefficients(spec, p):
@@ -102,6 +102,7 @@ def kinematics(spec, p):
 
 
 def structure_residuals(spec, p):
+    """Residual stack at p = (r, theta), a point or a pair of point arrays."""
     geo = Geometry(spec, p[0], p[1])
     t, x, y = geo.frame
     m, mbar = geo.m_leg
@@ -112,7 +113,7 @@ def structure_residuals(spec, p):
         return geo.dirderiv(u, f)
 
     def v(j):
-        return complex(np.asarray(j.value).item())
+        return j.value
 
     kap, rh, sig, ep, bet = v(kappa), v(rho), v(sigma), v(eps), v(beta)
     ric_tt = v(rf["TT"])
@@ -138,11 +139,11 @@ def structure_residuals(spec, p):
     lie1 = geo.bracket(t, m)
     lie1_rhs = [kappa * t[c] + (eps + rho.conj()) * m[c] + sigma * mbar[c]
                 for c in range(3)]
-    lie_tm = max(abs(v(lie1[c] - lie1_rhs[c])) for c in range(3))
+    lie_tm = np.max([np.abs(v(lie1[c] - lie1_rhs[c])) for c in range(3)], axis=0)
     lie2 = geo.bracket(m, mbar)
     lie2_rhs = [(rho.conj() - rho) * t[c] + beta.conj() * m[c] - beta * mbar[c]
                 for c in range(3)]
-    lie_mmbar = max(abs(v(lie2[c] - lie2_rhs[c])) for c in range(3))
+    lie_mmbar = np.max([np.abs(v(lie2[c] - lie2_rhs[c])) for c in range(3)], axis=0)
 
     bid1 = (v(dd(t, rf["Tm"])) - 0.5 * v(dd(m, rf["TT"])) + v(dd(mbar, rf["mm"]))
             - (kap * (ric_tt - ric_mmbar) + (ep + 2 * rh + np.conj(rh)) * ric_tm
@@ -161,14 +162,14 @@ def structure_residuals(spec, p):
 
     return StructureResiduals(
         s1=s1, s2=s2, s3=s3, s4=s4, s5=s5,
-        lie_tm=float(lie_tm), lie_mmbar=float(lie_mmbar),
+        lie_tm=lie_tm, lie_mmbar=lie_mmbar,
         bianchi_1=bid1, bianchi_2=bid2,
         killing_t_omega=abs(v(dd(t, w))),
         killing_ric_tt=abs(ric_tt - 0.5 * v(w)**2),
         killing_ric_mm=ric_mm,
         killing_ric_mmbar=abs(ric_mmbar - 0.5 * v(geo.scalar) + 0.25 * v(w)**2),
         gauge_div_y=abs(gauge),
-        point=(float(p[0]), float(p[1])),
+        point=(p[0], p[1]),
     )
 
 

@@ -103,19 +103,20 @@ def test_criterion_03_nil_counterexample():
 def test_criterion_04_structure_equations():
     """Structure/bracket/Bianchi residuals: < 1e-8 analytic (100 pts x 5 catalogs);
     < 1e-4 on the grid-sampled path (200x200 spline fit)."""
+    def worst(spec, pts):
+        return float(np.max(structure_residuals(spec, np.transpose(pts)).max_abs()))
+
     worst_analytic = 0.0
     for name, spec in _catalogs().items():
-        for p in sample_points(_box_for(name), 100, 42):
-            worst_analytic = max(worst_analytic,
-                                 structure_residuals(spec, p).max_abs())
+        worst_analytic = max(worst_analytic,
+                             worst(spec, sample_points(_box_for(name), 100, 42)))
     worst_grid = 0.0
     for name, spec in _catalogs().items():
         lo, hi = (-1.4, 1.4) if name == "cf_family" else (0.08, 1.5)
         gspec = to_grid_sampled(spec, np.linspace(lo, hi, 200),
                                 np.linspace(0.0, 2 * np.pi, 200))
         box = (lo + 0.15, hi - 0.15, 8, 0.3, 6.0, 8)
-        for p in sample_points(box, 12, 7):
-            worst_grid = max(worst_grid, structure_residuals(gspec, p).max_abs())
+        worst_grid = max(worst_grid, worst(gspec, sample_points(box, 12, 7)))
     ok = worst_analytic < 1e-8 and worst_grid < 1e-4
     _verdict(4, ok, f"analytic {worst_analytic:.2e} (tol 1e-8), "
                     f"grid {worst_grid:.2e} (tol 1e-4)")

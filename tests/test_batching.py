@@ -1,19 +1,27 @@
 """Batched analyses must reproduce the per-point APIs they replace.
 
-``flatness_verdict`` and ``hamilton_inequality`` evaluate their whole grid as
-one batched ``Geometry``; the per-point ``curvature_packet`` and
-``cotton_york`` stay the reference.
+``flatness_verdict``, ``hamilton_inequality`` and the ``analyze``, ``verify``
+and ``lorentz`` sweeps evaluate their whole point set as one batched
+``Geometry`` per signature; the per-point ``curvature_packet``,
+``kinematics``, ``cotton_york`` and residual functions stay the reference.
 """
 
 import numpy as np
 import pytest
 
 from killing3 import fields, jets
+from killing3.cli import _RUNNERS, RunConfig
 from killing3.cotton_york import cotton_york, flatness_verdict
-from killing3.curvature_engine import (curvature_packet, hamilton_inequality,
+from killing3.curvature_engine import (curvature_packet,
+                                       gaussian_identity_residual,
+                                       hamilton_inequality,
+                                       spectrum_vs_eigensolve_residual,
                                        twist_data)
 from killing3.frame_calculus import Geometry
-from killing3.metric_family import MetricSpec, catalog, to_grid_sampled
+from killing3.lorentz_bridge import lorentz_relations_check, to_lorentz
+from killing3.metric_family import (MetricSpec, catalog, frame_gram_residual,
+                                    to_grid_sampled)
+from killing3.np_formalism import kinematics, structure_residuals
 
 TOL = 1e-13
 
@@ -75,3 +83,40 @@ def test_hamilton_batch_matches_pointwise(name):
         assert v.holds == (pk.scalar_S > rhs)
         assert v.holds_strict == (pk.scalar_S > rhs_strict)
     assert ok == all(v.holds for v in verdicts)
+
+
+def _pointwise_record(command, spec, p):
+    """The record a sweep command reports at p, from the per-point APIs."""
+    if command == "analyze":
+        pk, kin = curvature_packet(spec, p), kinematics(spec, p)
+        return {"S": pk.scalar_S, "ric_TT": pk.ric_of_T.t_component,
+                "omega": pk.omega, "div": kin.divergence,
+                "shear": abs(kin.shear), "spectrum": list(pk.spectrum),
+                "cy_norm": cotton_york(spec, p).norm}
+    pair = to_lorentz(spec)
+    ric_res, s_res = lorentz_relations_check(pair, p)
+    if command == "verify":
+        return {"structure": structure_residuals(spec, p).max_abs(),
+                "gaussian": gaussian_identity_residual(spec, p[0], p[1]),
+                "spectrum_agreement": spectrum_vs_eigensolve_residual(
+                    curvature_packet(spec, p)),
+                "gram": frame_gram_residual(spec, p),
+                "lorentz_ric": ric_res, "lorentz_scalar": s_res}
+    return {"flip": pair.flip_residual(p), "timelike": pair.timelike_residual(p),
+            "ric_TT": ric_res, "scalar": s_res}
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "lorentz"])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_sweep_records_match_pointwise(command, name):
+    spec = SPECS[name]()
+    config = RunConfig(command=command, spec_path="",
+                       grid=(0.3, 1.1, 8, 0.0, 2 * np.pi, 8), n_points=12)
+    records, _, _ = _RUNNERS[command](spec, config)
+    assert len(records) == 12
+    for rec in records:
+        p = tuple(rec.pop("point"))
+        ref = _pointwise_record(command, spec, p)
+        assert rec.keys() == ref.keys()
+        for key, value in ref.items():
+            _close(rec[key], value)

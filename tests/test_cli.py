@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -208,10 +209,30 @@ def test_main_writes_output_atomically(tmp_path):
     assert not list(tmp_path.glob(".killing3-*"))
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("KILLING3_THREADS", "1")
-    spec = _write_spec(tmp_path, "catalog = hyperbolic")
-    assert main(["verify", "--spec", spec, "--points", "8"]) == 0
+@pytest.mark.parametrize("command", ["analyze", "verify", "flatness", "lorentz"])
+@pytest.mark.parametrize("text", ["catalog = nil\nomega0 = 1e200",
+                                  "catalog = hopf\nR = 1e-300",
+                                  "catalog = nil\nomega0 = 1e150"])
+def test_main_overflowing_metric_exit_3(tmp_path, capsys, command, text):
+    # finite parameters whose metric or curvature overflows: a one-line
+    # numeric error, never a NaN report, a traceback or a RuntimeWarning
+    spec = _write_spec(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--spec", spec, "--points", "8"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("killing3: ") and len(err.strip().splitlines()) == 1
+
+
+def test_verify_rejects_lorentzian_spec(tmp_path, capsys):
+    spec = _write_spec(tmp_path, "catalog = nil\nomega0 = 1\nsignature = lorentzian")
+    assert main(["verify", "--spec", spec, "--points", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "`lorentz`" in err and len(err.strip().splitlines()) == 1
+    assert main(["lorentz", "--spec", spec, "--points", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "already Lorentzian" in err and len(err.strip().splitlines()) == 1
 
 
 def test_family_command(tmp_path):
