@@ -12,6 +12,7 @@ import numpy as np
 from killing3.cli import sample_points
 from killing3.cotton_york import cotton_york, flatness_verdict
 from killing3.curvature_engine import curvature_packet
+from killing3.frame_calculus import Geometry
 from killing3.metric_family import catalog
 
 MODELS = [
@@ -31,8 +32,9 @@ def main():
 
     for name, params, point in MODELS:
         spec = catalog(name, params)
-        pk = curvature_packet(spec, point)
-        cy = cotton_york(spec, point)
+        geo = Geometry(spec, *point)
+        pk = curvature_packet(geo)
+        cy = cotton_york(geo)
         box = (-1.2, 1.2, 8, 0.0, 6.0, 8) if name == "cf_family" \
             else (0.2, 1.2, 8, 0.0, 6.0, 8)
         fit = flatness_verdict(spec, sample_points(box, args.points, seed=42))

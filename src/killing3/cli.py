@@ -27,19 +27,19 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 from scipy.stats import qmc
 
-from . import lorentz_bridge as lz
-from . import np_formalism as npf
-from .cotton_york import FLAT, cy_norms, flatness_verdict
+from .cotton_york import FLAT, cotton_york, flatness_verdict
 from .completeness_probe import integrate_geodesic, make_state
 from .conformal_family import FamilyParams, build_cf_metric, solve_omega_ode
-from .curvature_engine import (gaussian_residual, ric_operator_assembled,
-                               spectrum_closed_form, twist_data)
+from .curvature_engine import (curvature_packet, gaussian_identity_residual,
+                               spectrum_vs_eigensolve_residual)
 from .errors import (BadParams, Killing3Error, NonFinite, ParseError,
                      UnknownCatalogName)
 from .frame_calculus import Geometry
+from .lorentz_bridge import lorentz_relations_check, to_lorentz
 from .metric_family import (CATALOG_PARAMS, catalog, check_admissible,
                             frame_gram_residual, load_grid_csv)
-from .tensor_core import LORENTZIAN, RIEMANNIAN, sym_eig3
+from .np_formalism import kinematics, structure_residuals
+from .tensor_core import LORENTZIAN, RIEMANNIAN
 
 DEFAULT_GRID = (0.2, 1.2, 8, 0.0, 6.0, 8)
 DEFAULT_SEED = 42
@@ -162,13 +162,13 @@ def _maxima(columns):
 def _run_analyze(spec, config):
     pts = _sweep(spec, config)
     geo = Geometry(spec, pts[:, 0], pts[:, 1])
-    omega, s, xw, yw, ric_t = twist_data(geo)
-    spectrum, _ = spectrum_closed_form(omega, s, xw**2 + yw**2)
-    cy = cy_norms(geo)
-    records = _records(pts, S=s, ric_TT=ric_t.t_component, omega=omega,
-                       div=geo.div_T.value, shear=np.abs(geo.shear.value),
-                       spectrum=np.stack(spectrum, axis=-1), cy_norm=cy)
-    maxima = _maxima({"cy_norm": cy, "abs_S": np.abs(s), "abs_omega": np.abs(omega)})
+    pk, kin = curvature_packet(geo), kinematics(geo)
+    cy = cotton_york(geo).norm
+    records = _records(pts, S=pk.scalar_S, ric_TT=pk.ric_of_T.t_component,
+                       omega=pk.omega, div=kin.divergence, shear=np.abs(kin.shear),
+                       spectrum=np.stack(pk.spectrum, axis=-1), cy_norm=cy)
+    maxima = _maxima({"cy_norm": cy, "abs_S": np.abs(pk.scalar_S),
+                      "abs_omega": np.abs(pk.omega)})
     summary = {**maxima, "n_points": len(pts)}
     # no gate beyond finiteness, which run() checks for every command
     return records, summary, True
@@ -181,18 +181,12 @@ def _run_verify(spec, config):
     tol = config.tolerances.get("residual", DEFAULT_TOL)
     pts = _sweep(spec, config)
     geo = Geometry(spec, pts[:, 0], pts[:, 1])
-    omega, s, xw, yw, _ = twist_data(geo)
-    spectrum, _ = spectrum_closed_form(omega, s, xw**2 + yw**2)
-    # the Jacobi eigensolve works on one 3x3 matrix at a time
-    ric_ops = np.moveaxis(ric_operator_assembled(omega, s, xw, yw), -1, 0)
-    eigs = np.array([sym_eig3(m)[0] for m in ric_ops])
-    closed = np.sort(np.stack(spectrum, axis=-1), axis=-1)
-    ric_res, s_res = lz.lorentz_relations_check(lz.to_lorentz(spec), pts.T)
+    ric_res, s_res = lorentz_relations_check(geo)
     columns = {
-        "structure": npf.structure_residuals(spec, pts.T).max_abs(),
-        "gaussian": gaussian_residual(geo),
-        "spectrum_agreement": np.max(np.abs(closed - eigs), axis=-1),
-        "gram": [frame_gram_residual(spec, p) for p in pts],
+        "structure": structure_residuals(geo).max_abs(),
+        "gaussian": gaussian_identity_residual(geo),
+        "spectrum_agreement": spectrum_vs_eigensolve_residual(curvature_packet(geo)),
+        "gram": frame_gram_residual(spec, pts.T),
         "lorentz_ric": ric_res,
         "lorentz_scalar": s_res,
     }
@@ -265,12 +259,12 @@ def _run_family(spec, config):
 
 def _run_lorentz(spec, config):
     tol = config.tolerances.get("residual", DEFAULT_TOL)
-    pair = lz.to_lorentz(spec)
+    pair = to_lorentz(spec)
     pts = _sweep(spec, config)
-    ric_res, s_res = lz.lorentz_relations_check(pair, pts.T)
+    ric_res, s_res = lorentz_relations_check(Geometry(spec, pts[:, 0], pts[:, 1]))
     columns = {
-        "flip": [pair.flip_residual(p) for p in pts],
-        "timelike": [pair.timelike_residual(p) for p in pts],
+        "flip": pair.flip_residual(pts.T),
+        "timelike": pair.timelike_residual(pts.T),
         "ric_TT": ric_res,
         "scalar": s_res,
     }
@@ -369,6 +363,9 @@ def _parse_grid(text):
             "grid must look like rmin:rmax:nr,tmin:tmax:nt")
     if grid[2] < 2 or grid[5] < 2:
         raise argparse.ArgumentTypeError("grid counts must be >= 2")
+    r_min, r_max, _, t_min, t_max, _ = grid
+    if not (np.all(np.isfinite(grid)) and r_min < r_max and t_min < t_max):
+        raise argparse.ArgumentTypeError("grid bounds must be finite with min < max")
     return grid
 
 
@@ -379,11 +376,19 @@ def _parse_tol(items):
             raise argparse.ArgumentTypeError(f"--tol expects NAME=VAL, got {item!r}")
         name, _, val = item.partition("=")
         tols[name] = float(val)
+        if not np.isfinite(tols[name]):
+            raise argparse.ArgumentTypeError(f"--tol {name} must be finite, got {val!r}")
     return tols
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one stderr line and exit 2, like every other refused input
+        self.exit(2, f"killing3: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="killing3",
         description="Numerical toolkit for 3-metrics with a unit Killing field.")
     ap.add_argument("command", choices=sorted(_RUNNERS))
@@ -409,11 +414,15 @@ def main(argv=None):
         ns = ap.parse_args(argv)
         if ns.points < 1:
             raise BadParams(f"--points must be at least 1, got {ns.points}")
+        if ns.seed < 0:
+            raise BadParams(f"--seed must be non-negative, got {ns.seed}")
+        if not (np.isfinite(ns.length) and ns.length != 0.0):
+            raise BadParams(f"--length must be finite and nonzero, got {ns.length}")
         init = None
         if ns.init:
             parts = [float(x) for x in ns.init.split(",")]
-            if len(parts) != 6:
-                raise BadParams("--init needs 6 comma-separated numbers")
+            if len(parts) != 6 or not np.all(np.isfinite(parts)):
+                raise BadParams("--init needs 6 finite comma-separated numbers")
             init = tuple(parts)
         config = RunConfig(
             command=ns.command, spec_path=ns.spec, grid=ns.grid,

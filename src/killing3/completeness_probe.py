@@ -130,11 +130,6 @@ class GeodesicTrajectory:
         self.max_c_drift = float(np.max(self.c_drift))
         self.max_speed_drift = float(np.max(self.speed_drift))
 
-    def final_state(self):
-        t, r, theta, vt, vr, vth = self.states[-1]
-        return GeodesicState(t, r, theta, np.array([vt, vr, vth]),
-                             self.c_values[-1], self.speed_values[-1])
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

@@ -15,6 +15,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from . import fields
+from .curvature_engine import twist_data
 from .errors import (EnergyDriftExceeded, InadmissibleParams, PhiVanishes,
                      StepFailure)
 from .fields import ScalarField
@@ -205,11 +206,8 @@ def build_cf_metric(params, r_span=None):
     return spec
 
 
-def wpde_residual(spec, p, B, C):
-    """|4 |Ric(T)|^2 - 3 Ric(T,T)^2 + 2B Ric(T,T) - C| at p."""
-    from .curvature_engine import curvature_packet
-
-    pk = curvature_packet(spec, p)
-    ric_tt = pk.ric_of_T.t_component
-    return float(abs(4.0 * pk.ric_of_T.norm_sq - 3.0 * ric_tt**2
-                     + 2.0 * B * ric_tt - C))
+def wpde_residual(geo, B, C):
+    """|4 |Ric(T)|^2 - 3 Ric(T,T)^2 + 2B Ric(T,T) - C| at the points of geo."""
+    ric_t = twist_data(geo)[4]
+    ric_tt = ric_t.t_component
+    return np.abs(4.0 * ric_t.norm_sq - 3.0 * ric_tt**2 + 2.0 * B * ric_tt - C)

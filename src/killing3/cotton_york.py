@@ -40,36 +40,29 @@ CONST_OMEGA_TOL_GRID = 1e-6
 class CottonYorkMatrix:
     c: Sym3
     point: tuple
-    raw: np.ndarray  # the un-symmetrized 3x3 column assembly
+    raw: np.ndarray  # the un-symmetrized 3x3 column assembly, shape (3, 3) + batch
 
     @property
     def symmetry_residual(self):
-        return float(np.max(np.abs(self.raw - self.raw.T)))
+        return np.max(np.abs(self.raw - np.swapaxes(self.raw, 0, 1)), axis=(0, 1))
 
     @property
     def trace_residual(self):
-        return float(abs(np.trace(self.raw)))
+        return np.abs(np.trace(self.raw))
 
     @property
     def norm(self):
-        return float(np.sqrt(np.sum(self.raw**2)))
+        return np.sqrt(np.sum(self.raw**2, axis=(0, 1)))
 
 
-def cotton_york(spec, p):
-    geo = Geometry(spec, p[0], p[1])
+def cotton_york(geo):
     raw = np.asarray(geo.cotton_york_matrix, dtype=float)
-    return CottonYorkMatrix(c=Sym3.from_matrix(raw),
-                            point=(float(p[0]), float(p[1])), raw=raw)
+    return CottonYorkMatrix(c=Sym3.from_matrix(raw), point=(geo.r, geo.theta), raw=raw)
 
 
 def cotton_york_norms(spec, r, theta):
     """Batched Frobenius norms of the Cotton-York matrix over point arrays."""
-    return cy_norms(Geometry(spec, np.asarray(r, float), np.asarray(theta, float)))
-
-
-def cy_norms(geo):
-    """Frobenius norms of the Cotton-York matrix of a scalar or batched Geometry."""
-    return np.sqrt(np.sum(np.asarray(geo.cotton_york_matrix) ** 2, axis=(0, 1)))
+    return cotton_york(Geometry(spec, r, theta)).norm
 
 
 @dataclass(frozen=True)
@@ -103,7 +96,7 @@ def flatness_verdict(spec, grid):
     geo = Geometry(spec, pts[:, 0], pts[:, 1])
     omegas, scal, _, _, ric_t = twist_data(geo)
     ric_tt = ric_t.t_component
-    norms = cy_norms(geo)
+    norms = cotton_york(geo).norm
     cy_max = float(np.max(norms))
 
     y = 4.0 * ric_t.norm_sq - 3.0 * ric_tt**2
@@ -146,9 +139,8 @@ def flatness_verdict(spec, grid):
                        n_points=len(pts), cy_norms=norms)
 
 
-def tmg_residual(spec, p):
+def tmg_residual(geo):
     """Frobenius distance from CY to the traceless Ricci tensor (frame components)."""
-    cy = cotton_york(spec, p)
-    pk = curvature_packet(spec, p)
-    traceless = pk.ricci.matrix() - (pk.scalar_S / 3.0) * np.eye(3)
-    return float(np.sqrt(np.sum((cy.raw - traceless) ** 2)))
+    pk = curvature_packet(geo)
+    traceless = pk.ricci.matrix() - np.multiply.outer(np.eye(3), pk.scalar_S / 3.0)
+    return np.sqrt(np.sum((cotton_york(geo).raw - traceless) ** 2, axis=(0, 1)))

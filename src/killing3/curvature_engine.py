@@ -1,4 +1,8 @@
-"""Christoffel symbols, curvature, the Ricci operator and its closed-form spectrum."""
+"""Christoffel symbols, curvature, the Ricci operator and its closed-form spectrum.
+
+The point-level analyses take a ``Geometry``, one point or a batch, and return
+values of its batch shape: a one-point call is a view of the batched one.
+"""
 
 from __future__ import annotations
 
@@ -34,9 +38,9 @@ def riemann(spec, p):
 class RicciOfT:
     """Ricci operator applied to T, components in the frame {T, X, Y}."""
 
-    t_component: float
-    x_component: float
-    y_component: float
+    t_component: np.ndarray
+    x_component: np.ndarray
+    y_component: np.ndarray
 
     @property
     def norm_sq(self):
@@ -45,14 +49,16 @@ class RicciOfT:
 
 @dataclass(frozen=True)
 class CurvaturePacket:
+    """Curvature data of a Geometry; every value has the geometry's batch shape."""
+
     ricci: Sym3           # directly computed Ricci bilinear, frame components
-    scalar_S: float
+    scalar_S: np.ndarray
     ric_operator: Sym3    # assembled from (omega, S, X(omega), Y(omega))
     spectrum: tuple       # (lam1, lam2, lam3) closed forms, lam1 >= lam2
-    delta: float
-    point: tuple
-    omega: float
-    grad_omega_sq: float
+    delta: np.ndarray
+    point: tuple          # (r, theta)
+    omega: np.ndarray
+    grad_omega_sq: np.ndarray
     ric_of_T: RicciOfT
 
 
@@ -95,42 +101,39 @@ def twist_data(geo):
     return omega, geo.scalar.value, xw, yw, ric_t
 
 
-def curvature_packet(spec, p):
-    geo = Geometry(spec, p[0], p[1])
+def curvature_packet(geo):
     omega, s, xw, yw, ric_t = twist_data(geo)
-    omega, s, xw, yw = float(omega), float(s), float(xw), float(yw)
     grad_sq = xw**2 + yw**2
-    ric_direct = ricci_frame_matrix(geo)
-    ric_op = ric_operator_assembled(omega, s, xw, yw)
     spectrum, delta = spectrum_closed_form(omega, s, grad_sq)
     return CurvaturePacket(
-        ricci=Sym3.from_matrix(ric_direct),
+        ricci=Sym3.from_matrix(ricci_frame_matrix(geo)),
         scalar_S=s,
-        ric_operator=Sym3.from_matrix(ric_op),
-        spectrum=tuple(float(v) for v in spectrum),
-        delta=float(delta),
-        point=(float(p[0]), float(p[1])),
+        ric_operator=Sym3.from_matrix(ric_operator_assembled(omega, s, xw, yw)),
+        spectrum=spectrum,
+        delta=delta,
+        point=(geo.r, geo.theta),
         omega=omega,
         grad_omega_sq=grad_sq,
         ric_of_T=ric_t,
     )
 
 
+def ricci_tt(geo):
+    """Ric(T, T) values of a scalar or batched Geometry."""
+    t = geo.frame[0]
+    return geo.ric_form(t, t).value
+
+
 def scalar_and_ric_tt(spec, r, theta):
     """Batch evaluation of (S, Ric(T,T)) over point arrays (profile sweeps)."""
     geo = Geometry(spec, r, theta, order=2)
-    return np.asarray(geo.scalar.value), np.asarray(geo.ric_frame["TT"].value)
+    return np.asarray(geo.scalar.value), np.asarray(ricci_tt(geo))
 
 
-def gaussian_identity_residual(spec, r, theta):
+def gaussian_identity_residual(geo):
     """| -phi_rr/phi - (S + Ric(T,T))/2 |, the quotient Gaussian-curvature law."""
-    return gaussian_residual(Geometry(spec, r, theta))
-
-
-def gaussian_residual(geo):
-    """The Gaussian-curvature law residual of a scalar or batched Geometry."""
     lhs = -geo.phi.d_rr / geo.phi.value
-    rhs = 0.5 * (geo.scalar.value + geo.ric_frame["TT"].value)
+    rhs = 0.5 * (geo.scalar.value + ricci_tt(geo))
     return np.abs(lhs - rhs)
 
 
@@ -176,6 +179,9 @@ def hamilton_inequality(spec, grid):
 
 
 def spectrum_vs_eigensolve_residual(packet):
-    """Multiset distance between the closed-form spectrum and sym_eig3(Ham1)."""
-    lams, _ = sym_eig3(packet.ric_operator.matrix())
-    return float(np.max(np.abs(np.sort(np.asarray(packet.spectrum)) - lams)))
+    """Multiset distance between the closed-form spectrum and sym_eig3(Ham1), per point."""
+    closed = np.sort(np.stack(packet.spectrum, axis=-1), axis=-1)
+    # the Jacobi eigensolve works on one 3x3 matrix at a time
+    mats = np.moveaxis(packet.ric_operator.matrix(), (0, 1), (-2, -1))
+    eigs = np.array([sym_eig3(m)[0] for m in mats.reshape(-1, 3, 3)])
+    return np.max(np.abs(closed - eigs.reshape(closed.shape)), axis=-1)

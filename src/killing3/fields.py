@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 
 from . import jets
-from .errors import JetOrderError
+from .errors import DomainError, JetOrderError
 from .jets import INDEX, K, MAX_ORDER, Jet2
 
 ANALYTIC = "analytic"
@@ -75,6 +75,7 @@ def from_grid(r_nodes, theta_nodes, values, max_order=MAX_ORDER):
 
     A quintic spline supplies all partials up to order 3 directly; finite
     differencing an interpolant loses too much precision at third order.
+    Outside the closed node box the spline would extrapolate: DomainError.
     """
     r_nodes = np.asarray(r_nodes, dtype=float)
     theta_nodes = np.asarray(theta_nodes, dtype=float)
@@ -91,6 +92,13 @@ def from_grid(r_nodes, theta_nodes, values, max_order=MAX_ORDER):
         shape = np.broadcast_shapes(r.shape, theta.shape)
         rb = np.broadcast_to(r, shape).ravel()
         tb = np.broadcast_to(theta, shape).ravel()
+        inside = ((rb >= r_nodes[0]) & (rb <= r_nodes[-1])
+                  & (tb >= theta_nodes[0]) & (tb <= theta_nodes[-1]))
+        if not np.all(inside):  # NaN fails too
+            i = int(np.argmin(inside))
+            raise DomainError(f"(r, theta) = ({rb[i]:.6g}, {tb[i]:.6g}) outside the grid box "
+                              f"[{r_nodes[0]:.6g}, {r_nodes[-1]:.6g}] x "
+                              f"[{theta_nodes[0]:.6g}, {theta_nodes[-1]:.6g}]")
         c = np.zeros((K,) + shape)
         for k, (i, j) in enumerate(INDEX):
             if i + j <= order:

@@ -264,13 +264,6 @@ class Geometry:
         return (eps_t * self.ip(self.cov(t, y), t)
                 + self.ip(self.cov(x, y), x) + self.ip(self.cov(y, y), y))
 
-    @cached_property
-    def div_X(self):
-        t, x, y = self.frame
-        eps_t = -1.0 if self.spec.signature == LORENTZIAN else 1.0
-        return (eps_t * self.ip(self.cov(t, x), t)
-                + self.ip(self.cov(x, x), x) + self.ip(self.cov(y, x), y))
-
     # -- spin coefficients ----------------------------------------------------
 
     @cached_property
@@ -291,20 +284,19 @@ class Geometry:
 
     @cached_property
     def ric_frame(self):
+        """Ricci bilinear on the frame; the m-leg entries follow by bilinearity."""
         t, x, y = self.frame
-        m, mbar = self.m_leg
+        tx, ty = self.ric_form(t, x), self.ric_form(t, y)
+        xx, yy, xy = self.ric_form(x, x), self.ric_form(y, y), self.ric_form(x, y)
+        # m = (X - iY)/sqrt(2)
         return {
-            "TT": self.ric_form(t, t),
-            "TX": self.ric_form(t, x),
-            "TY": self.ric_form(t, y),
-            "XX": self.ric_form(x, x),
-            "YY": self.ric_form(y, y),
-            "XY": self.ric_form(x, y),
-            "Tm": self.ric_form(t, m),
-            "Tmbar": self.ric_form(t, mbar),
-            "mm": self.ric_form(m, m),
-            "mbarmbar": self.ric_form(mbar, mbar),
-            "mmbar": self.ric_form(m, mbar),
+            "TT": self.ric_form(t, t), "TX": tx, "TY": ty,
+            "XX": xx, "YY": yy, "XY": xy,
+            "Tm": (tx + (-1j) * ty) * (1.0 / _SQRT2),
+            "Tmbar": (tx + 1j * ty) * (1.0 / _SQRT2),
+            "mm": (xx - yy + (-2j) * xy) * 0.5,
+            "mbarmbar": (xx - yy + 2j * xy) * 0.5,
+            "mmbar": (xx + yy) * 0.5,
         }
 
     # -- derived scalars for the Cotton-York block ----------------------------

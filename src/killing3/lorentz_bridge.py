@@ -14,9 +14,10 @@ import numpy as np
 
 from .completeness_probe import (CurvatureProfile, completeness_verdict,
                                  curvature_profile)
-from .curvature_engine import scalar_and_ric_tt
+from .curvature_engine import ricci_tt, scalar_and_ric_tt
 from .errors import AlreadyLorentzian
-from .metric_family import MetricSpec, metric_components
+from .frame_calculus import Geometry
+from .metric_family import MetricSpec, check_admissible, metric_components
 from .tensor_core import LORENTZIAN, RIEMANNIAN
 
 
@@ -26,20 +27,18 @@ class SignaturePair:
     lorentzian: MetricSpec
 
     def flip_residual(self, p):
-        """Componentwise residual of g_L = g_R - 2 (T^b x T^b) at p."""
+        """Componentwise residual of g_L = g_R - 2 (T^b x T^b) at p (or point arrays)."""
         g_r = metric_components(self.riemannian, p).matrix()
         g_l = metric_components(self.lorentzian, p).matrix()
-        r, theta = p
-        phi = self.riemannian.phi.value(r, theta)
-        h = self.riemannian.h.value(r, theta)
-        k = self.riemannian.k.value(r, theta)
-        tb = np.array([1.0, -k, -phi * h])
-        return float(np.max(np.abs(g_l - (g_r - 2.0 * np.outer(tb, tb)))))
+        phi, h, k = check_admissible(self.riemannian, *p)
+        tb = np.array([np.ones_like(phi), -k, -phi * h])
+        flip = g_r - 2.0 * np.einsum("a...,b...->ab...", tb, tb)
+        return np.max(np.abs(g_l - flip), axis=(0, 1))
 
     def timelike_residual(self, p):
-        """|g_L(T, T) + 1| at p."""
+        """|g_L(T, T) + 1| at p (or point arrays)."""
         g_l = metric_components(self.lorentzian, p).matrix()
-        return float(abs(g_l[0, 0] + 1.0))
+        return np.abs(g_l[0, 0] + 1.0)
 
 
 def to_lorentz(spec):
@@ -49,13 +48,14 @@ def to_lorentz(spec):
                          lorentzian=spec.with_signature(LORENTZIAN))
 
 
-def lorentz_relations_check(pair, p):
-    """Per-point residuals of Ric_L(T,T) = Ric_R(T,T) and S_L = S_R + 2 Ric_R(T,T).
+def lorentz_relations_check(geo):
+    """Residuals of Ric_L(T,T) = Ric_R(T,T) and S_L = S_R + 2 Ric_R(T,T) at geo's points.
 
-    ``p`` is a point (r, theta) or a pair of point arrays.
+    ``geo`` is Riemannian; its Lorentzian partner is built at the same points.
     """
-    s_r, ric_r = scalar_and_ric_tt(pair.riemannian, p[0], p[1])
-    s_l, ric_l = scalar_and_ric_tt(pair.lorentzian, p[0], p[1])
+    partner = Geometry(to_lorentz(geo.spec).lorentzian, geo.r, geo.theta, order=geo.order)
+    s_r, s_l = geo.scalar.value, partner.scalar.value
+    ric_r, ric_l = ricci_tt(geo), ricci_tt(partner)
     return np.abs(ric_l - ric_r), np.abs(s_l - (s_r + 2.0 * ric_r))
 
 

@@ -68,7 +68,7 @@ class FrameAt:
 
 
 def check_admissible(spec, r, theta):
-    """Values (phi, h, k) at a point or point arrays, if the metric is defined there."""
+    """Values (phi, h, k), broadcast to each other, if the metric is defined at the point(s)."""
     phi, h, k = (f.value(r, theta) for f in (spec.phi, spec.h, spec.k))
     # NaN fails both tests; g_rr = 1 + k^2 and g_thth = phi^2 (1 + h^2)
     # bound every other metric entry
@@ -79,32 +79,34 @@ def check_admissible(spec, r, theta):
         i = int(np.argmin(ok))
         what = "metric entries overflow" if phi_ok.flat[i] else f"phi <= {PHI_CUTOFF}"
         raise DomainError(f"{what} at (r, theta) = ({rr.flat[i]:.6g}, {tt.flat[i]:.6g})")
-    return phi, h, k
+    return np.broadcast_arrays(phi, h, k)
 
 
 def metric_components(spec, p):
-    """Coordinate metric matrix at p = (r, theta), basis order (t, r, theta)."""
+    """Coordinate metric matrix at p = (r, theta) (or point arrays), basis order (t, r, theta)."""
     phi, h, k = check_admissible(spec, *p)
     ph = phi * h
+    one = np.ones_like(phi)
     g = np.array([
-        [1.0, -k, -ph],
+        [one, -k, -ph],
         [-k, 1.0 + k**2, ph * k],
         [-ph, ph * k, phi**2 * (1.0 + h**2)],
     ])
     if spec.signature == LORENTZIAN:
-        tb = np.array([1.0, -k, -ph])  # T-flat covector of the Riemannian partner
-        g = g - 2.0 * np.outer(tb, tb)
+        tb = np.array([one, -k, -ph])  # T-flat covector of the Riemannian partner
+        g = g - 2.0 * np.einsum("a...,b...->ab...", tb, tb)
     return Sym3.from_matrix(g)
 
 
 def canonical_frame(spec, p):
-    """The frame T = dt, X = h dt + (1/phi) dtheta, Y = k dt + dr at p."""
+    """The frame T = dt, X = h dt + (1/phi) dtheta, Y = k dt + dr at p (or point arrays)."""
     r, theta = p
     phi, h, k = check_admissible(spec, r, theta)
+    one, zero = np.ones_like(phi), np.zeros_like(phi)
     return FrameAt(
-        T=np.array([1.0, 0.0, 0.0]),
-        X=np.array([h, 0.0, 1.0 / phi]),
-        Y=np.array([k, 1.0, 0.0]),
+        T=np.array([one, zero, zero]),
+        X=np.array([h, zero, 1.0 / phi]),
+        Y=np.array([k, one, zero]),
         point=(r, theta),
     )
 

@@ -23,11 +23,11 @@ UNIT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SpinCoefficients:
-    kappa: complex
-    rho: complex
-    sigma: complex
-    epsilon: complex
-    beta: complex
+    kappa: np.ndarray
+    rho: np.ndarray
+    sigma: np.ndarray
+    epsilon: np.ndarray
+    beta: np.ndarray
     point: tuple
 
     @property
@@ -42,9 +42,9 @@ class SpinCoefficients:
 
 @dataclass(frozen=True)
 class KinematicData:
-    divergence: float
-    shear: complex          # sigma1 + i sigma2
-    twist: float
+    divergence: np.ndarray
+    shear: np.ndarray       # sigma1 + i sigma2
+    twist: np.ndarray
     d_matrix: np.ndarray    # endomorphism v -> nabla_v T on span{X, Y}: D[i][j] = <nabla_{e_j} T, e_i>
     point: tuple
 
@@ -58,15 +58,15 @@ class StructureResiduals:
     s3: complex
     s4: complex
     s5: complex
-    lie_tm: float           # [T, m] bracket law, max component residual
-    lie_mmbar: float        # [m, mbar] bracket law
+    lie_tm: np.ndarray      # [T, m] bracket law, max component residual
+    lie_mmbar: np.ndarray   # [m, mbar] bracket law
     bianchi_1: complex
     bianchi_2: complex
-    killing_t_omega: float          # T(omega) = 0
-    killing_ric_tt: float           # Ric(T,T) = omega^2/2
+    killing_t_omega: np.ndarray     # T(omega) = 0
+    killing_ric_tt: np.ndarray      # Ric(T,T) = omega^2/2
     killing_ric_mm: complex         # Ric(m,m) = 0
-    killing_ric_mmbar: float        # Ric(m,mbar) = S/2 - omega^2/4
-    gauge_div_y: float              # Y(div Y) + (div Y)^2 + (S + omega^2/2)/2
+    killing_ric_mmbar: np.ndarray   # Ric(m,mbar) = S/2 - omega^2/4
+    gauge_div_y: np.ndarray         # Y(div Y) + (div Y)^2 + (S + omega^2/2)/2
     point: tuple
 
     def max_abs(self):
@@ -77,33 +77,28 @@ class StructureResiduals:
         return np.max([np.abs(v) for v in vals], axis=0)
 
 
-def spin_coefficients(spec, p):
-    geo = Geometry(spec, p[0], p[1])
+def spin_coefficients(geo):
     kappa, rho, sigma, eps, beta = geo.spin
     return SpinCoefficients(
-        kappa=complex(kappa.value), rho=complex(rho.value),
-        sigma=complex(sigma.value), epsilon=complex(eps.value),
-        beta=complex(beta.value), point=(float(p[0]), float(p[1])),
+        kappa=kappa.value, rho=rho.value, sigma=sigma.value,
+        epsilon=eps.value, beta=beta.value, point=(geo.r, geo.theta),
     )
 
 
-def kinematics(spec, p):
-    """Divergence, shear, twist and the D-matrix of T at p."""
-    geo = Geometry(spec, p[0], p[1])
-    div = float(geo.div_T.value)
-    sh = complex(geo.shear.value)
-    tw = float(geo.omega.value)
+def kinematics(geo):
+    """Divergence, shear, twist and the D-matrix of T; D has shape (2, 2) + batch."""
+    div = geo.div_T.value
+    sh = geo.shear.value
+    tw = geo.omega.value
     s1, s2 = sh.real, sh.imag
-    d = (0.5 * div * np.eye(2)
-         + np.array([[-s1, s2], [s2, s1]])
-         + np.array([[0.0, tw / 2.0], [-tw / 2.0, 0.0]]))
+    d = np.array([[0.5 * div - s1, s2 + tw / 2.0],
+                  [s2 - tw / 2.0, 0.5 * div + s1]])
     return KinematicData(divergence=div, shear=sh, twist=tw, d_matrix=d,
-                         point=(float(p[0]), float(p[1])))
+                         point=(geo.r, geo.theta))
 
 
-def structure_residuals(spec, p):
-    """Residual stack at p = (r, theta), a point or a pair of point arrays."""
-    geo = Geometry(spec, p[0], p[1])
+def structure_residuals(geo):
+    """Residual stack at the points of a scalar or batched Geometry."""
     t, x, y = geo.frame
     m, mbar = geo.m_leg
     kappa, rho, sigma, eps, beta = geo.spin
@@ -169,7 +164,7 @@ def structure_residuals(spec, p):
         killing_ric_mm=ric_mm,
         killing_ric_mmbar=abs(ric_mmbar - 0.5 * v(geo.scalar) + 0.25 * v(w)**2),
         gauge_div_y=abs(gauge),
-        point=(p[0], p[1]),
+        point=(geo.r, geo.theta),
     )
 
 

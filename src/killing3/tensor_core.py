@@ -95,14 +95,15 @@ def gram_residual(frame, g, signature=RIEMANNIAN):
     """Max deviation of g(e_i, e_j) from the signature's Gram matrix.
 
     ``frame`` is a sequence of three vectors in the coordinate basis; ``g`` is
-    the metric matrix at the same point.
+    the metric matrix at the same point.  Trailing batch axes of both are
+    carried through, giving one residual per point.
     """
     if isinstance(g, Sym3):
         g = g.matrix()
     e = np.asarray(frame, dtype=float)
     g = np.asarray(g, dtype=float)
-    gram = e @ g @ e.T
-    return float(np.max(np.abs(gram - GRAM[signature])))
+    gram = np.einsum("ia...,ab...,jb...->...ij", e, g, e)
+    return np.max(np.abs(gram - GRAM[signature]), axis=(-2, -1))
 
 
 class Riemann4:

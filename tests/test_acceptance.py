@@ -59,7 +59,7 @@ def test_criterion_01_hopf_values():
     for radius in (1.0, 2.0, 0.5):
         spec = catalog("hopf", {"R": radius})
         t0 = time.perf_counter()
-        pk = curvature_packet(spec, (0.4 * radius, 0.7))
+        pk = curvature_packet(Geometry(spec, 0.4 * radius, 0.7))
         elapsed = time.perf_counter() - t0
         worst = max(worst,
                     abs(pk.ric_of_T.t_component - 2.0 / radius**2) * radius**2 / 2,
@@ -90,8 +90,8 @@ def test_criterion_02_hopf_conformally_flat_32x32():
 def test_criterion_03_nil_counterexample():
     """nil omega0=1: S = -1/2, CY = diag(-1, 1/2, 1/2) to 1e-8, NotFlat."""
     spec = catalog("nil", {"omega0": 1.0})
-    pk = curvature_packet(spec, (0.7, 0.2))
-    cy = cotton_york(spec, (0.7, 0.2))
+    pk = curvature_packet(Geometry(spec, 0.7, 0.2))
+    cy = cotton_york(Geometry(spec, 0.7, 0.2))
     cy_err = float(np.max(np.abs(cy.raw - np.diag([-1.0, 0.5, 0.5]))))
     fit = flatness_verdict(spec, sample_points(GRID_BOX, 16, 42))
     ok = (abs(pk.scalar_S + 0.5) < 1e-8 and cy_err < 1e-8
@@ -104,7 +104,7 @@ def test_criterion_04_structure_equations():
     """Structure/bracket/Bianchi residuals: < 1e-8 analytic (100 pts x 5 catalogs);
     < 1e-4 on the grid-sampled path (200x200 spline fit)."""
     def worst(spec, pts):
-        return float(np.max(structure_residuals(spec, np.transpose(pts)).max_abs()))
+        return float(np.max(structure_residuals(Geometry(spec, *np.transpose(pts))).max_abs()))
 
     worst_analytic = 0.0
     for name, spec in _catalogs().items():
@@ -129,7 +129,7 @@ def test_criterion_05_gaussian_identity():
         pts = sample_points(_box_for(name), 50, 42)
         r = np.array([p[0] for p in pts])
         th = np.array([p[1] for p in pts])
-        worst = max(worst, float(np.max(gaussian_identity_residual(spec, r, th))))
+        worst = max(worst, float(np.max(gaussian_identity_residual(Geometry(spec, r, th)))))
     _verdict(5, worst < 1e-8, f"max residual {worst:.2e}, tol 1e-8")
 
 
@@ -139,8 +139,8 @@ def test_criterion_06_spectrum_agreement():
     for name, spec in _catalogs().items():
         for p in sample_points(_box_for(name), 100, 42):
             worst = max(worst,
-                        spectrum_vs_eigensolve_residual(curvature_packet(spec, p)))
-    pk = curvature_packet(catalog("hopf", {"R": 1.0}), (0.6, 0.3))
+                        spectrum_vs_eigensolve_residual(curvature_packet(Geometry(spec, *p))))
+    pk = curvature_packet(Geometry(catalog("hopf", {"R": 1.0}), 0.6, 0.3))
     hopf_err = float(np.max(np.abs(np.asarray(pk.spectrum) - 2.0)))
     ok = worst < 1e-9 and hopf_err < 1e-9
     _verdict(6, ok, f"max multiset dist {worst:.2e}, hopf (2,2,2) err "
@@ -156,7 +156,7 @@ def test_criterion_07_cy_structural_invariants():
     for spec in specs:
         box = CF_BOX if spec.name == "cf_family" else GRID_BOX
         for p in sample_points(box, 25, 42):
-            cy = cotton_york(spec, p)
+            cy = cotton_york(Geometry(spec, *p))
             worst = max(worst, cy.symmetry_residual, cy.trace_residual)
     _verdict(7, worst < 1e-9, f"max symmetry/trace residual {worst:.2e}, tol 1e-9")
 
@@ -179,9 +179,8 @@ def test_criterion_09_lorentz_bridge():
     """|S_L - S_R - 2Ric_R(T,T)|, |Ric_L - Ric_R| < 1e-8 on all catalogs; hopf S_L = 10."""
     worst = 0.0
     for name, spec in _catalogs().items():
-        pair = to_lorentz(spec)
         for p in sample_points(_box_for(name), 20, 42):
-            res_ric, res_s = lorentz_relations_check(pair, p)
+            res_ric, res_s = lorentz_relations_check(Geometry(spec, *p))
             worst = max(worst, res_ric, res_s)
     s_l, _ = scalar_and_ric_tt(
         to_lorentz(catalog("hopf", {"R": 1.0})).lorentzian, 0.6, 0.3)

@@ -1,11 +1,15 @@
+import io
 import json
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from killing3.cli import (RunConfig, build_parser, load_jsonl_report, main,
-                          parse_metric_spec, render_report, run, sample_points)
+from killing3.cli import (_RUNNERS, RunConfig, build_parser, load_jsonl_report,
+                          main, parse_metric_spec, render_report, run,
+                          sample_points)
 from killing3.errors import BadParams, ParseError, UnknownCatalogName
 
 
@@ -28,8 +32,9 @@ def test_parse_hopf_with_comment_and_params():
     assert spec.name == "hopf"
     assert spec.params["R"] == 2.0
     from killing3.curvature_engine import curvature_packet
+    from killing3.frame_calculus import Geometry
 
-    pk = curvature_packet(spec, (0.6, 0.1))
+    pk = curvature_packet(Geometry(spec, 0.6, 0.1))
     assert pk.ric_of_T.t_component == pytest.approx(0.5, rel=1e-10)
     assert pk.scalar_S == pytest.approx(1.5, rel=1e-10)
 
@@ -108,7 +113,22 @@ def test_main_bad_grid_csv_exit_2(tmp_path, capsys, n_r, n_t, cell):
 
 def test_grid_csv_five_nodes_accepted(tmp_path):
     spec = _write_spec(tmp_path, _grid_spec_text(tmp_path, 5, 5))
-    assert main(["analyze", "--spec", spec, "--points", "4"]) == 0
+    assert main(["analyze", "--spec", spec, "--points", "4",
+                 "--grid", "0.2:1.0:5,0:2:5"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--grid", "1.5:2.0:8,0:6:8"],
+    ["geodesic"],
+])
+def test_grid_field_outside_nodes_exit_3(tmp_path, capsys, argv):
+    # the CSV spans r in [0.2, 1.0], theta in [0, 2]: the analyze box lies
+    # outside it, and the geodesic leaves it; the spline must not extrapolate
+    spec = _write_spec(tmp_path, _grid_spec_text(tmp_path))
+    assert main(argv[:1] + ["--spec", spec, "--points", "4"] + argv[1:]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert ("DomainError" if argv[0] == "analyze" else "BlowUp") in err
 
 
 # -- sampling and reports -----------------------------------------------------
@@ -194,6 +214,62 @@ def test_main_rejects_points_below_one(tmp_path, capsys, points):
     assert main(["analyze", "--spec", spec, "--points", points]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def _exit_code(argv):
+    """main(argv)'s exit code; argparse refusals exit through SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("analyze", ["--grid", "1.2:0.2:8,0:6:8"]),
+    ("geodesic", ["--length", "nan"]),
+    ("geodesic", ["--length", "inf"]),
+    ("verify", ["--tol", "residual=nan"]),
+    ("analyze", ["--seed", "-1"]),
+    ("geodesic", ["--init", "0,0.5,0,nan,1,0"]),
+])
+def test_main_rejects_bad_flag_values(tmp_path, capsys, command, flags):
+    spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
+    assert _exit_code([command, "--spec", spec, "--points", "4"] + flags) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+_VALUES = st.sampled_from(["0", "0.2", "1.2", "6", "-1", "1e-9", "nan", "inf", "-inf"])
+# boxes inside, across and outside the R = 2 hopf domain r in (0, pi), then any box
+_GRIDS = st.one_of(
+    st.sampled_from(["0.2:1.2:8,0:6:8", "0:0.5:2,-1:1:8", "3:7:8,0:6:8",
+                     "1.2:0.2:8,0:6:8", "0.5:0.5:8,0:6:8", "nan:1:8,0:6:8",
+                     "0.2:inf:8,0:6:8", "0.2:1.2:0,0:6:8"]),
+    st.tuples(_VALUES, _VALUES, _VALUES, _VALUES).map(
+        lambda b: "{}:{}:8,{}:{}:8".format(*b)))
+_LENGTHS = st.sampled_from(["1", "0.5", "-0.5", "0", "nan", "inf", "-inf"])
+_TOLS = st.tuples(st.sampled_from(["residual", "drift"]), _VALUES).map("=".join)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"--{name}={v}"]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(_RUNNERS)), grid=_flag("grid", _GRIDS),
+       length=_flag("length", _LENGTHS), tol=_flag("tol", _TOLS),
+       points=_flag("points", st.integers(-1, 4).map(str)))
+def test_cli_contract_fuzz(tmp_path_factory, command, grid, length, tol, points):
+    """Any flag values: exit 0-3, at most one stderr line, never a traceback."""
+    spec = tmp_path_factory.getbasetemp() / "fuzz_hopf.spec"
+    spec.write_text("catalog = hopf\nR = 2\n")
+    argv = [command, "--spec", str(spec), "--points", "4", "--length", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = _exit_code(argv + grid + length + tol + points)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().strip().splitlines()) <= 1
 
 
 def test_main_writes_output_atomically(tmp_path):

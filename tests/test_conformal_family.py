@@ -74,7 +74,7 @@ def test_build_cf_metric_scalar_curvature_law():
         spec = build_cf_metric(FamilyParams(B=B, C=C))
         sol = solve_omega_ode(FamilyParams(B=B, C=C))
         for r in (0.2, 0.6, -0.4):
-            pk = curvature_packet(spec, (r, 1.0))
+            pk = curvature_packet(Geometry(spec, r, 1.0))
             w = sol._eval(r)[0].item()
             assert pk.scalar_S == pytest.approx(2.5 * w**2 + 2.0 * B, abs=1e-7)
             assert pk.omega == pytest.approx(w, abs=1e-9)
@@ -88,9 +88,9 @@ def test_build_rejects_zero_omega_r():
 def test_wpde_residual_values():
     spec = catalog("cf_family", {"B": 0.0, "C": 1.0})
     for p in [(0.3, 0.7), (-0.9, 2.0), (1.2, 4.4)]:
-        assert wpde_residual(spec, p, 0.0, 1.0) < 1e-8
-    assert wpde_residual(catalog("hopf", {"R": 1.0}), (0.5, 0.1), 0.0, 4.0) < 1e-10
-    assert wpde_residual(catalog("flat"), (0.5, 0.1), 0.0, 0.0) < 1e-14
+        assert wpde_residual(Geometry(spec, *p), 0.0, 1.0) < 1e-8
+    assert wpde_residual(Geometry(catalog("hopf", {"R": 1.0}), 0.5, 0.1), 0.0, 4.0) < 1e-10
+    assert wpde_residual(Geometry(catalog("flat"), 0.5, 0.1), 0.0, 0.0) < 1e-14
 
 
 def test_grad_omega_identity():
@@ -98,7 +98,7 @@ def test_grad_omega_identity():
     B, C = 0.2, 1.3
     spec = build_cf_metric(FamilyParams(B=B, C=C))
     for r in (0.1, 0.5, -0.6):
-        pk = curvature_packet(spec, (r, 0.3))
+        pk = curvature_packet(Geometry(spec, r, 0.3))
         assert pk.grad_omega_sq == pytest.approx(
             C - pk.omega**4 / 4.0 - B * pk.omega**2, abs=1e-8)
 

@@ -5,6 +5,7 @@ from killing3.cotton_york import (FLAT, NOT_FLAT, cotton_york,
                                   cotton_york_norms, flatness_verdict,
                                   tmg_residual)
 from killing3.errors import EmptyGrid
+from killing3.frame_calculus import Geometry
 from killing3.metric_family import catalog, to_grid_sampled
 
 POINTS = [(0.35, 0.4), (0.8, 2.1), (1.1, 5.0)]
@@ -19,17 +20,17 @@ def _point_grid(n=16, r_lo=0.25, r_hi=1.2):
 def test_hopf_cotton_york_vanishes():
     spec = catalog("hopf", {"R": 1.0})
     for p in POINTS:
-        assert cotton_york(spec, p).norm < 1e-12
+        assert cotton_york(Geometry(spec, *p)).norm < 1e-12
 
 
 def test_flat_cotton_york_vanishes():
     spec = catalog("flat")
-    assert cotton_york(spec, (0.5, 0.5)).norm == pytest.approx(0.0, abs=1e-14)
+    assert cotton_york(Geometry(spec, 0.5, 0.5)).norm == pytest.approx(0.0, abs=1e-14)
 
 
 def test_nil_cotton_york_matrix():
     spec = catalog("nil", {"omega0": 1.0})
-    cy = cotton_york(spec, (0.7, 0.2))
+    cy = cotton_york(Geometry(spec, 0.7, 0.2))
     np.testing.assert_allclose(cy.raw, np.diag([-1.0, 0.5, 0.5]), atol=1e-12)
     assert cy.norm == pytest.approx(np.sqrt(1.5), rel=1e-12)
 
@@ -40,7 +41,7 @@ def test_symmetry_and_trace_emerge():
              catalog("cf_family", {"B": 0.0, "C": 1.0})]
     for spec in specs:
         for p in POINTS:
-            cy = cotton_york(spec, p)
+            cy = cotton_york(Geometry(spec, *p))
             assert cy.symmetry_residual < 1e-9
             assert cy.trace_residual < 1e-9
 
@@ -51,7 +52,7 @@ def test_batched_norms_match_pointwise():
     th = np.array([0.0, 1.0, 2.0])
     norms = cotton_york_norms(spec, r, th)
     for i in range(3):
-        assert norms[i] == pytest.approx(cotton_york(spec, (r[i], th[i])).norm,
+        assert norms[i] == pytest.approx(cotton_york(Geometry(spec, r[i], th[i])).norm,
                                          rel=1e-12)
 
 
@@ -124,12 +125,12 @@ def test_grid_sampled_tolerance_path():
 
 def test_tmg_residual_einstein_metrics():
     # Einstein metrics with CY = 0 satisfy the TMG condition exactly
-    assert tmg_residual(catalog("flat"), (0.5, 0.5)) < 1e-13
-    assert tmg_residual(catalog("hopf", {"R": 1.0}), (0.6, 0.1)) < 1e-12
+    assert tmg_residual(Geometry(catalog("flat"), 0.5, 0.5)) < 1e-13
+    assert tmg_residual(Geometry(catalog("hopf", {"R": 1.0}), 0.6, 0.1)) < 1e-12
 
 
 def test_tmg_residual_nil_nonzero():
     # CY - traceless Ricci for nil: diag(-1,1/2,1/2) - diag(2/3,-1/3,-1/3)
-    res = tmg_residual(catalog("nil", {"omega0": 1.0}), (0.5, 0.2))
+    res = tmg_residual(Geometry(catalog("nil", {"omega0": 1.0}), 0.5, 0.2))
     expected = np.sqrt((5.0 / 3.0) ** 2 + 2 * (5.0 / 6.0) ** 2)
     assert res == pytest.approx(expected, rel=1e-10)

@@ -6,6 +6,7 @@ from killing3.curvature_engine import (christoffels, curvature_packet,
                                        hamilton_inequality, riemann,
                                        spectrum_vs_eigensolve_residual)
 from killing3.errors import TwistZero
+from killing3.frame_calculus import Geometry
 from killing3.metric_family import catalog
 from oracles import fd_christoffels, fd_ricci, fd_scalar
 
@@ -49,7 +50,7 @@ def test_riemann_symmetries(catalogs):
 def test_ricci_against_fd_oracle(catalogs):
     for name, spec in catalogs.items():
         for p in POINTS[:2]:
-            pk = curvature_packet(spec, p)
+            pk = curvature_packet(Geometry(spec, *p))
             s_fd = fd_scalar(spec, p[0], p[1])
             assert pk.scalar_S == pytest.approx(s_fd, abs=5e-6), name
 
@@ -89,7 +90,7 @@ def test_nil_sectional_curvature():
 
 
 def test_packet_values_hopf():
-    pk = curvature_packet(catalog("hopf", {"R": 1.0}), (np.pi / 4, 0.3))
+    pk = curvature_packet(Geometry(catalog("hopf", {"R": 1.0}), np.pi / 4, 0.3))
     assert pk.omega == pytest.approx(2.0, rel=1e-12)
     assert pk.scalar_S == pytest.approx(6.0, rel=1e-12)
     assert pk.ric_of_T.t_component == pytest.approx(2.0, rel=1e-12)
@@ -98,7 +99,7 @@ def test_packet_values_hopf():
 
 
 def test_packet_values_nil():
-    pk = curvature_packet(catalog("nil", {"omega0": 1.0}), (0.7, 0.2))
+    pk = curvature_packet(Geometry(catalog("nil", {"omega0": 1.0}), 0.7, 0.2))
     assert pk.scalar_S == pytest.approx(-0.5, abs=1e-12)
     assert sorted(pk.spectrum) == pytest.approx([-0.5, -0.5, 0.5], abs=1e-12)
     assert pk.spectrum[0] >= pk.spectrum[1]  # closed-form ordering
@@ -107,7 +108,7 @@ def test_packet_values_nil():
 def test_ric_operator_matches_direct_ricci(catalogs):
     for name, spec in catalogs.items():
         for p in POINTS:
-            pk = curvature_packet(spec, p)
+            pk = curvature_packet(Geometry(spec, *p))
             np.testing.assert_allclose(
                 pk.ric_operator.matrix(), pk.ricci.matrix(), atol=1e-10,
                 err_msg=f"{name} at {p}")
@@ -116,22 +117,22 @@ def test_ric_operator_matches_direct_ricci(catalogs):
 def test_spectrum_closed_form_vs_eigensolve(catalogs):
     for spec in catalogs.values():
         for p in POINTS:
-            pk = curvature_packet(spec, p)
+            pk = curvature_packet(Geometry(spec, *p))
             assert spectrum_vs_eigensolve_residual(pk) < 1e-9
 
 
 def test_ric_of_t_norm():
     # |Ric(T)|^2 = (omega^4 + |grad omega|^2) / 4
     spec = catalog("nil", {"omega0": 1.0})
-    pk = curvature_packet(spec, (0.4, 0.9))
+    pk = curvature_packet(Geometry(spec, 0.4, 0.9))
     assert pk.ric_of_T.norm_sq == pytest.approx(
         0.25 * (pk.omega**4 + pk.grad_omega_sq), rel=1e-12)
 
 
 def test_gaussian_identity(catalogs):
     for spec in catalogs.values():
-        res = gaussian_identity_residual(spec, np.array([0.4, 0.8, 1.2]),
-                                         np.array([0.0, 2.0, 4.0]))
+        res = gaussian_identity_residual(Geometry(spec, np.array([0.4, 0.8, 1.2]),
+                                                  np.array([0.0, 2.0, 4.0])))
         assert np.max(res) < 1e-10
 
 

@@ -4,6 +4,7 @@ import pytest
 from killing3.completeness_probe import COMPLETE
 from killing3.curvature_engine import scalar_and_ric_tt
 from killing3.errors import AlreadyLorentzian
+from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import (lorentz_completeness,
                                      lorentz_relations_check,
                                      riemannian_profile, to_lorentz)
@@ -29,6 +30,12 @@ def test_to_lorentz_rejects_lorentzian():
         to_lorentz(pair.lorentzian)
 
 
+def test_relations_check_rejects_lorentzian_geometry():
+    pair = to_lorentz(catalog("nil", {"omega0": 1.0}))
+    with pytest.raises(AlreadyLorentzian):
+        lorentz_relations_check(Geometry(pair.lorentzian, 0.5, 1.0))
+
+
 def test_flat_is_minkowski():
     pair = to_lorentz(catalog("flat"))
     g = metric_components(pair.lorentzian, (0.5, 1.0)).matrix()
@@ -39,7 +46,7 @@ def test_relations_all_catalogs():
     for name in CATALOGS:
         pair = to_lorentz(catalog(name))
         for p in POINTS:
-            res_ric, res_scalar = lorentz_relations_check(pair, p)
+            res_ric, res_scalar = lorentz_relations_check(Geometry(pair.riemannian, *p))
             assert res_ric < 1e-10, name
             assert res_scalar < 1e-10, name
 
@@ -54,7 +61,7 @@ def test_hopf_lorentz_scalar():
 def test_cf_family_relations():
     pair = to_lorentz(catalog("cf_family", {"B": 0.0, "C": 1.0}))
     for p in [(0.3, 0.7), (-0.9, 2.0)]:
-        res_ric, res_scalar = lorentz_relations_check(pair, p)
+        res_ric, res_scalar = lorentz_relations_check(Geometry(pair.riemannian, *p))
         assert res_ric < 1e-7
         assert res_scalar < 1e-7
 

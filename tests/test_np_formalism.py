@@ -3,6 +3,7 @@ import pytest
 
 from killing3 import fields, jets
 from killing3.errors import EmptyGrid, NotUnitLength
+from killing3.frame_calculus import Geometry
 from killing3.metric_family import MetricSpec, catalog
 from killing3.np_formalism import (conformal_rescale_check, killing_test,
                                    kinematics, rotate_frame,
@@ -12,7 +13,7 @@ POINTS = [(0.35, 0.4), (0.8, 2.1), (1.1, 5.0)]
 
 
 def test_hopf_spin_coefficients():
-    sc = spin_coefficients(catalog("hopf", {"R": 1.0}), (np.pi / 4, 0.3))
+    sc = spin_coefficients(Geometry(catalog("hopf", {"R": 1.0}), np.pi / 4, 0.3))
     assert sc.kappa == pytest.approx(0.0, abs=1e-13)
     assert sc.sigma == pytest.approx(0.0, abs=1e-13)
     assert sc.rho == pytest.approx(-1.0j, abs=1e-12)
@@ -23,7 +24,7 @@ def test_hopf_spin_coefficients():
 
 def test_hyperbolic_beta():
     # beta = -(i / sqrt 2) tanh r at r = 1
-    sc = spin_coefficients(catalog("hyperbolic"), (1.0, 0.0))
+    sc = spin_coefficients(Geometry(catalog("hyperbolic"), 1.0, 0.0))
     assert sc.beta == pytest.approx(-1j * np.tanh(1.0) / np.sqrt(2.0), abs=1e-12)
     assert sc.rho == pytest.approx(0.0, abs=1e-13)
 
@@ -33,7 +34,7 @@ def test_killing_gauge_relations():
     for name in ("flat", "hopf", "nil", "hyperbolic"):
         spec = catalog(name)
         for p in POINTS:
-            sc = spin_coefficients(spec, p)
+            sc = spin_coefficients(Geometry(spec, *p))
             assert abs(sc.kappa) < 1e-12
             assert abs(sc.sigma) < 1e-12
             assert sc.rho == pytest.approx(-0.5j * sc.twist, abs=1e-12)
@@ -41,7 +42,7 @@ def test_killing_gauge_relations():
 
 
 def test_kinematics_d_matrix():
-    kin = kinematics(catalog("hopf", {"R": 1.0}), (0.5, 0.2))
+    kin = kinematics(Geometry(catalog("hopf", {"R": 1.0}), 0.5, 0.2))
     assert kin.twist == pytest.approx(2.0, rel=1e-12)
     assert kin.divergence == pytest.approx(0.0, abs=1e-12)
     assert abs(kin.shear) < 1e-12
@@ -52,7 +53,7 @@ def test_structure_residuals_all_catalogs():
     for name in ("flat", "hopf", "nil", "hyperbolic"):
         spec = catalog(name)
         for p in POINTS:
-            res = structure_residuals(spec, p)
+            res = structure_residuals(Geometry(spec, *p))
             assert res.max_abs() < 1e-12, (name, p)
 
 
@@ -62,10 +63,10 @@ def test_structure_residuals_fail_on_wrong_sign():
     flipped = MetricSpec(spec.phi,
                          fields.from_expr(lambda r, t: r * 1.0),  # h = +r
                          spec.k, spec.signature, "nil_flipped", {})
-    res = structure_residuals(flipped, (0.7, 0.2))
+    res = structure_residuals(Geometry(flipped, 0.7, 0.2))
     # the Killing-lemma identities still hold (any t-independent h is Killing),
     # but the twist flips sign, which the rho/epsilon gauge values must track
-    sc = spin_coefficients(flipped, (0.7, 0.2))
+    sc = spin_coefficients(Geometry(flipped, 0.7, 0.2))
     assert sc.twist == pytest.approx(-1.0, rel=1e-12)
     assert res.max_abs() < 1e-12
 
@@ -110,7 +111,7 @@ def test_rotation_laws_seeded_angles():
         rot = rotate_frame(spec, (0.8, 0.4), angle)
         assert rot.max_law_residual() < 1e-9
         # rho is frame-invariant
-        base = spin_coefficients(spec, (0.8, 0.4))
+        base = spin_coefficients(Geometry(spec, 0.8, 0.4))
         assert rot.coefficients.rho == pytest.approx(base.rho, abs=1e-12)
 
 
