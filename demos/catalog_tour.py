@@ -37,7 +37,8 @@ def main():
         cy = cotton_york(geo)
         box = (-1.2, 1.2, 8, 0.0, 6.0, 8) if name == "cf_family" \
             else (0.2, 1.2, 8, 0.0, 6.0, 8)
-        fit = flatness_verdict(spec, sample_points(box, args.points, seed=42))
+        sweep = np.transpose(sample_points(box, args.points, seed=42))
+        fit = flatness_verdict(Geometry(spec, *sweep))
         print(f"== {name} {params or ''}")
         print(f"   S = {pk.scalar_S:+.6f}   Ric(T,T) = {pk.ric_of_T.t_component:+.6f}"
               f"   omega = {pk.omega:+.6f}")

@@ -14,6 +14,7 @@ from killing3.cli import sample_points
 from killing3.conformal_family import (FamilyParams, build_cf_metric,
                                        solve_omega_ode)
 from killing3.cotton_york import flatness_verdict
+from killing3.frame_calculus import Geometry
 
 
 def main():
@@ -36,7 +37,7 @@ def main():
     spec = build_cf_metric(params)
     r_lo, r_hi = spec.params["r_range"]
     box = (0.9 * r_lo, 0.9 * r_hi, 8, 0.0, 6.0, 8)
-    fit = flatness_verdict(spec, sample_points(box, 32, seed=42))
+    fit = flatness_verdict(Geometry(spec, *np.transpose(sample_points(box, 32, seed=42))))
     print(f"verdict: {fit.verdict}   max ||CY|| = {fit.cy_max:.3e}")
     print(f"recovered (B, C) = ({fit.B:+.6f}, {fit.C:+.6f})"
           f"   fit residual = {fit.residual_max:.3e}")

@@ -30,7 +30,7 @@ from .curvature_engine import (CurvaturePacket, RicciOfT, christoffels,
 from .errors import Killing3Error
 from .fields import ScalarField, constant, from_expr, from_grid
 from .frame_calculus import Geometry
-from .jets import Jet2, ScalarJet
+from .jets import Jet2
 from .lorentz_bridge import (SignaturePair, lorentz_completeness,
                              lorentz_relations_check, to_lorentz)
 from .metric_family import (FrameAt, MetricSpec, canonical_frame, catalog,
@@ -39,8 +39,8 @@ from .np_formalism import (KinematicData, SpinCoefficients, StructureResiduals,
                            conformal_rescale_check, killing_test, kinematics,
                            rotate_frame, spin_coefficients,
                            structure_residuals)
-from .tensor_core import (LORENTZIAN, RIEMANNIAN, Riemann4, Sym3,
-                          gram_residual, sym_eig3)
+from .tensor_core import (LORENTZIAN, RIEMANNIAN, Riemann4, gram_residual,
+                          sym_eig3)
 
 __version__ = "0.1.0"
 
@@ -49,8 +49,8 @@ __all__ = [
     "FlatnessFit", "FrameAt", "GeodesicState", "GeodesicTrajectory",
     "Geometry", "Jet2", "Killing3Error", "KinematicData", "LORENTZIAN",
     "MetricSpec", "OmegaSolution", "RIEMANNIAN", "RicciOfT", "Riemann4",
-    "ScalarField", "ScalarJet", "SignaturePair", "SpinCoefficients",
-    "StructureResiduals", "Sym3", "build_cf_metric", "canonical_frame",
+    "ScalarField", "SignaturePair", "SpinCoefficients",
+    "StructureResiduals", "build_cf_metric", "canonical_frame",
     "catalog", "christoffels", "completeness_verdict",
     "conformal_rescale_check", "constant", "cotton_york", "curvature_packet",
     "curvature_profile", "flatness_verdict", "from_expr", "from_grid",

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 from scipy.stats import qmc
 
-from .cotton_york import FLAT, cotton_york, flatness_verdict
+from .cotton_york import (FLAT, INCONCLUSIVE, NOT_FLAT, cotton_york,
+                          flatness_verdict)
 from .completeness_probe import integrate_geodesic, make_state
 from .conformal_family import FamilyParams, build_cf_metric, solve_omega_ode
 from .curvature_engine import (curvature_packet, gaussian_identity_residual,
@@ -44,6 +45,8 @@ from .tensor_core import LORENTZIAN, RIEMANNIAN
 DEFAULT_GRID = (0.2, 1.2, 8, 0.0, 6.0, 8)
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-8
+TOLERANCE_NAMES = ("residual", "drift")
+VERDICTS = (FLAT, NOT_FLAT, INCONCLUSIVE)
 
 
 @dataclass
@@ -197,7 +200,7 @@ def _run_verify(spec, config):
 
 def _run_flatness(spec, config):
     pts = _sweep(spec, config)
-    fit = flatness_verdict(spec, pts)
+    fit = flatness_verdict(Geometry(spec, pts[:, 0], pts[:, 1]))
     records = _records(pts, cy_norm=fit.cy_norms)
     summary = {
         "verdict": fit.verdict, "B": fit.B, "C": fit.C,
@@ -242,7 +245,7 @@ def _run_family(spec, config):
     lo, hi = built.params["r_range"]
     box = (0.9 * lo if lo < 0 else lo, 0.9 * hi) + tuple(config.grid[2:])
     pts = _sweep(built, replace(config, grid=box))
-    fit = flatness_verdict(built, pts)
+    fit = flatness_verdict(Geometry(built, pts[:, 0], pts[:, 1]))
     records = [{"r": float(r), "omega": float(w), "omega_r": float(wr)}
                for r, w, wr in zip(sol.r_samples[::40], sol.omega[::40],
                                    sol.omega_r[::40])]
@@ -375,6 +378,9 @@ def _parse_tol(items):
         if "=" not in item:
             raise argparse.ArgumentTypeError(f"--tol expects NAME=VAL, got {item!r}")
         name, _, val = item.partition("=")
+        if name not in TOLERANCE_NAMES:
+            raise argparse.ArgumentTypeError(
+                f"--tol name must be one of {', '.join(TOLERANCE_NAMES)}, got {name!r}")
         tols[name] = float(val)
         if not np.isfinite(tols[name]):
             raise argparse.ArgumentTypeError(f"--tol {name} must be finite, got {val!r}")
@@ -416,6 +422,8 @@ def main(argv=None):
             raise BadParams(f"--points must be at least 1, got {ns.points}")
         if ns.seed < 0:
             raise BadParams(f"--seed must be non-negative, got {ns.seed}")
+        if ns.expect is not None and ns.expect.lower() not in {v.lower() for v in VERDICTS}:
+            raise BadParams(f"--expect must be one of {', '.join(VERDICTS)}, got {ns.expect!r}")
         if not (np.isfinite(ns.length) and ns.length != 0.0):
             raise BadParams(f"--length must be finite and nonzero, got {ns.length}")
         init = None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .curvature_engine import scalar_and_ric_tt
+from .curvature_engine import christoffels, scalar_and_ric_tt
 from .errors import BlowUp, DomainError, EmptyProfile, NotUnitLength, StepFailure
 from .frame_calculus import Geometry
 from .metric_family import PHI_CUTOFF, metric_components
@@ -102,8 +102,11 @@ class GeodesicState:
 def make_state(spec, point, direction):
     """Unit-speed GeodesicState at (t, r, theta) = point along ``direction``."""
     t, r, theta = point
-    g = metric_components(spec, (r, theta)).matrix()
+    g = metric_components(spec, (r, theta))
+    # divide by a power of two near the largest |entry| (exact) so the g-norm
+    # of a huge or tiny direction neither overflows nor underflows
     v = np.asarray(direction, dtype=float)
+    v = np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])
     norm = float(v @ g @ v)
     if norm <= 0.0:
         raise NotUnitLength("direction has non-positive g-norm")
@@ -154,13 +157,9 @@ def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401,
         # trial steps may overshoot the numeric range; inf/nan accelerations
         # just make the controller shrink the step, so silence the warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            geo = Geometry(spec, r, theta, order=1)
+            gam = christoffels(Geometry(spec, r, theta, order=1))
             v = y[3:]
-            acc = np.empty(3)
-            for c in range(3):
-                gam = np.array([[geo.gamma[c][a][b].value for b in range(3)]
-                                for a in range(3)])
-                acc[c] = -v @ gam @ v
+            acc = np.array([-v @ gam[c] @ v for c in range(3)])
         return np.concatenate([v, acc])
 
     def domain_exit(_, y):
@@ -200,7 +199,7 @@ def integrate_quotient_geodesic(spec, init2d, length, step_tol=1e-10,
         r, theta, vr, vth = y
         with np.errstate(over="ignore", invalid="ignore"):
             j = spec.phi.jet(r, theta, 1)
-            phi, phi_r, phi_th = float(j.value), float(j.d_r), float(j.d_theta)
+            phi, phi_r, phi_th = float(j.value), float(j.d(1, 0)), float(j.d(0, 1))
             ar = phi * phi_r * vth**2
             ath = -2.0 * (phi_r / phi) * vr * vth - (phi_th / phi) * vth**2
         return [vr, vth, ar, ath]

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_engine import curvature_packet, twist_data
+from .curvature_engine import ricci_frame_matrix, twist_data
 from .errors import EmptyGrid
 from .fields import GRID_SAMPLED
 from .frame_calculus import Geometry
-from .tensor_core import Sym3
 
 FLAT = "Flat"
 NOT_FLAT = "NotFlat"
@@ -38,7 +37,6 @@ CONST_OMEGA_TOL_GRID = 1e-6
 
 @dataclass(frozen=True)
 class CottonYorkMatrix:
-    c: Sym3
     point: tuple
     raw: np.ndarray  # the un-symmetrized 3x3 column assembly, shape (3, 3) + batch
 
@@ -57,7 +55,7 @@ class CottonYorkMatrix:
 
 def cotton_york(geo):
     raw = np.asarray(geo.cotton_york_matrix, dtype=float)
-    return CottonYorkMatrix(c=Sym3.from_matrix(raw), point=(geo.r, geo.theta), raw=raw)
+    return CottonYorkMatrix(point=(geo.r, geo.theta), raw=raw)
 
 
 def cotton_york_norms(spec, r, theta):
@@ -75,32 +73,32 @@ class FlatnessFit:
     constant_omega: bool
     nonunique: bool         # (B, C) determined only up to a line (constant omega)
     n_points: int
-    cy_norms: np.ndarray    # ||CY|| at each grid point, in grid order
+    cy_norms: np.ndarray    # ||CY|| at each point, of the geometry's batch shape
 
 
 def _is_grid_sampled(spec):
     return any(f.provenance == GRID_SAMPLED for f in (spec.phi, spec.h, spec.k))
 
 
-def flatness_verdict(spec, grid):
+def flatness_verdict(geo):
     """Fit the flatness constants (B, C) and combine with the CY norm sweep.
 
     The identity fitted is 4|Ric(T)|^2 = 3 Ric(T,T)^2 - 2B Ric(T,T) + C over
-    the grid.  For constant twist the identity degenerates to one linear
-    constraint; the representative B = 0 is reported and flagged nonunique,
-    and the shortcut criterion S = 3 Ric(T,T) decides flatness directly.
+    the points of ``geo``.  For constant twist the identity degenerates to one
+    linear constraint; the representative B = 0 is reported and flagged
+    nonunique, and the shortcut criterion S = 3 Ric(T,T) decides flatness
+    directly.
     """
-    pts = np.asarray(list(grid), dtype=float)
-    if not len(pts):
+    n_points = np.size(geo.r)
+    if not n_points:
         raise EmptyGrid("flatness_verdict needs at least one point")
-    geo = Geometry(spec, pts[:, 0], pts[:, 1])
     omegas, scal, _, _, ric_t = twist_data(geo)
     ric_tt = ric_t.t_component
     norms = cotton_york(geo).norm
     cy_max = float(np.max(norms))
 
     y = 4.0 * ric_t.norm_sq - 3.0 * ric_tt**2
-    grid_sampled = _is_grid_sampled(spec)
+    grid_sampled = _is_grid_sampled(geo.spec)
     const_tol = CONST_OMEGA_TOL_GRID if grid_sampled else CONST_OMEGA_TOL
     omega_scale = max(1.0, float(np.max(np.abs(omegas))))
     constant_omega = float(np.ptp(omegas)) < const_tol * omega_scale
@@ -108,8 +106,8 @@ def flatness_verdict(spec, grid):
         b_fit, nonunique = 0.0, True
         c_fit = float(np.mean(y))
     else:
-        a = np.column_stack([-2.0 * ric_tt, np.ones(len(pts))])
-        (b_fit, c_fit), *_ = np.linalg.lstsq(a, y, rcond=None)
+        a = np.column_stack([-2.0 * np.ravel(ric_tt), np.ones(n_points)])
+        (b_fit, c_fit), *_ = np.linalg.lstsq(a, np.ravel(y), rcond=None)
         nonunique = False
     residual = np.abs(y - (-2.0 * b_fit * ric_tt + c_fit))
     residual_max = float(np.max(residual))
@@ -136,11 +134,10 @@ def flatness_verdict(spec, grid):
     return FlatnessFit(B=float(b_fit), C=float(c_fit), residual_max=residual_max,
                        verdict=verdict, cy_max=float(cy_max),
                        constant_omega=constant_omega, nonunique=nonunique,
-                       n_points=len(pts), cy_norms=norms)
+                       n_points=n_points, cy_norms=norms)
 
 
 def tmg_residual(geo):
     """Frobenius distance from CY to the traceless Ricci tensor (frame components)."""
-    pk = curvature_packet(geo)
-    traceless = pk.ricci.matrix() - np.multiply.outer(np.eye(3), pk.scalar_S / 3.0)
+    traceless = ricci_frame_matrix(geo) - np.multiply.outer(np.eye(3), geo.scalar.value / 3.0)
     return np.sqrt(np.sum((cotton_york(geo).raw - traceless) ** 2, axis=(0, 1)))

@@ -12,24 +12,22 @@ import numpy as np
 
 from .errors import TwistZero
 from .frame_calculus import Geometry
-from .tensor_core import Riemann4, Sym3, sym_eig3
+from .tensor_core import Riemann4, sym_eig3
 
 TWIST_FLOOR = 1e-12
 
 
-def christoffels(spec, p):
-    """Gamma^c_{ab} values at p, indexed [c][a][b], coordinates (t, r, theta)."""
-    geo = Geometry(spec, p[0], p[1], order=1)
+def christoffels(geo):
+    """Gamma^c_{ab} values indexed [c][a][b] + batch, coordinates (t, r, theta)."""
     gam = geo.gamma
     return np.array([[[gam[c][a][b].value for b in range(3)] for a in range(3)]
                      for c in range(3)])
 
 
-def riemann(spec, p):
-    """Fully covariant curvature tensor R(e_a, e_b, e_c, e_d) in coordinates."""
-    geo = Geometry(spec, p[0], p[1], order=2)
+def riemann(geo):
+    """Fully covariant curvature tensor R(e_a, e_b, e_c, e_d) in coordinates, per point."""
     low = geo.riem_low
-    comp = np.array([[[[low[a][b][c] [w].value for w in range(3)] for c in range(3)]
+    comp = np.array([[[[low[a][b][c][w].value for w in range(3)] for c in range(3)]
                       for b in range(3)] for a in range(3)])
     return Riemann4(comp, basis="coordinate")
 
@@ -51,10 +49,9 @@ class RicciOfT:
 class CurvaturePacket:
     """Curvature data of a Geometry; every value has the geometry's batch shape."""
 
-    ricci: Sym3           # directly computed Ricci bilinear, frame components
     scalar_S: np.ndarray
-    ric_operator: Sym3    # assembled from (omega, S, X(omega), Y(omega))
-    spectrum: tuple       # (lam1, lam2, lam3) closed forms, lam1 >= lam2
+    ric_operator: np.ndarray  # (3, 3) + batch, from (omega, S, X(omega), Y(omega))
+    spectrum: tuple           # (lam1, lam2, lam3) closed forms, lam1 >= lam2
     delta: np.ndarray
     point: tuple          # (r, theta)
     omega: np.ndarray
@@ -106,9 +103,8 @@ def curvature_packet(geo):
     grad_sq = xw**2 + yw**2
     spectrum, delta = spectrum_closed_form(omega, s, grad_sq)
     return CurvaturePacket(
-        ricci=Sym3.from_matrix(ricci_frame_matrix(geo)),
         scalar_S=s,
-        ric_operator=Sym3.from_matrix(ric_operator_assembled(omega, s, xw, yw)),
+        ric_operator=ric_operator_assembled(omega, s, xw, yw),
         spectrum=spectrum,
         delta=delta,
         point=(geo.r, geo.theta),
@@ -132,56 +128,48 @@ def scalar_and_ric_tt(spec, r, theta):
 
 def gaussian_identity_residual(geo):
     """| -phi_rr/phi - (S + Ric(T,T))/2 |, the quotient Gaussian-curvature law."""
-    lhs = -geo.phi.d_rr / geo.phi.value
+    lhs = -geo.phi.d(2, 0) / geo.phi.value
     rhs = 0.5 * (geo.scalar.value + ricci_tt(geo))
     return np.abs(lhs - rhs)
 
 
 @dataclass(frozen=True)
 class HamiltonVerdict:
+    """The inequality at each point of a Geometry; values have its batch shape."""
+
     point: tuple
-    scalar_S: float
-    rhs: float
-    holds: bool
-    rhs_strict: float
-    holds_strict: bool
+    scalar_S: np.ndarray
+    rhs: np.ndarray
+    holds: np.ndarray
+    rhs_strict: np.ndarray
+    holds_strict: np.ndarray
 
 
-def hamilton_inequality(spec, grid):
-    """Positivity test S > 2|Ric(T)|^2 / Ric(T,T) - Ric(T,T) per grid point.
+def hamilton_inequality(geo):
+    """Positivity test S > 2|Ric(T)|^2 / Ric(T,T) - Ric(T,T) at geo's points.
 
     Also reports the strict variant S > 2|grad omega|^2/omega^2 + omega^2
     needed when no Ricci eigenvalue may exceed the sum of the others.
+    Returns the HamiltonVerdict and whether the inequality holds everywhere.
     """
-    grid = list(grid)
-    if not grid:
-        return [], True
-    pts = np.asarray(grid, dtype=float)
-    omega, s, xw, yw, ric_t = twist_data(Geometry(spec, pts[:, 0], pts[:, 1]))
+    omega, s, xw, yw, ric_t = twist_data(geo)
     ric_tt = ric_t.t_component
     undefined = (np.abs(omega) < TWIST_FLOOR) | (ric_tt <= 0.0)
     if np.any(undefined):
-        p = grid[int(np.argmax(undefined))]
+        p = geo.point_at(int(np.argmax(undefined)))
         raise TwistZero(f"twist vanishes at {p}; inequality undefined")
     rhs = 2.0 * ric_t.norm_sq / ric_tt - ric_tt
     rhs_strict = 2.0 * (xw**2 + yw**2) / omega**2 + omega**2
-    verdicts = [
-        HamiltonVerdict(
-            point=(float(r), float(th)), scalar_S=float(s[i]), rhs=float(rhs[i]),
-            holds=bool(s[i] > rhs[i]),
-            rhs_strict=float(rhs_strict[i]),
-            holds_strict=bool(s[i] > rhs_strict[i]),
-        )
-        for i, (r, th) in enumerate(pts)
-    ]
-    global_ok = all(v.holds for v in verdicts)
-    return verdicts, global_ok
+    verdict = HamiltonVerdict(point=(geo.r, geo.theta), scalar_S=s, rhs=rhs,
+                              holds=s > rhs, rhs_strict=rhs_strict,
+                              holds_strict=s > rhs_strict)
+    return verdict, bool(np.all(verdict.holds))
 
 
 def spectrum_vs_eigensolve_residual(packet):
     """Multiset distance between the closed-form spectrum and sym_eig3(Ham1), per point."""
     closed = np.sort(np.stack(packet.spectrum, axis=-1), axis=-1)
     # the Jacobi eigensolve works on one 3x3 matrix at a time
-    mats = np.moveaxis(packet.ric_operator.matrix(), (0, 1), (-2, -1))
+    mats = np.moveaxis(packet.ric_operator, (0, 1), (-2, -1))
     eigs = np.array([sym_eig3(m)[0] for m in mats.reshape(-1, 3, 3)])
     return np.max(np.abs(closed - eigs.reshape(closed.shape)), axis=-1)

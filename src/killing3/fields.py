@@ -26,7 +26,7 @@ GRID_SAMPLED = "grid"
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Evaluator mapping (r, theta) to a ScalarJet of the declared max order."""
+    """Evaluator mapping (r, theta) to a Jet2 of the declared max order."""
 
     jet_fn: Callable = field(repr=False)
     max_order: int = MAX_ORDER

@@ -40,6 +40,11 @@ class Geometry:
         if np.any(self.phi.value <= PHI_CUTOFF):
             raise DomainError("phi at or below degeneracy cutoff")
 
+    def point_at(self, i):
+        """The (r, theta) point at flat index i of the batch."""
+        r, theta = np.broadcast_arrays(self.r, self.theta)
+        return float(r.flat[i]), float(theta.flat[i])
+
     # -- jet helpers --------------------------------------------------------
 
     def zero(self, order=None):
@@ -271,8 +276,10 @@ class Geometry:
         """kappa, rho, sigma, epsilon, beta of the frame {T, m, mbar} (jets)."""
         if self.spec.signature == LORENTZIAN:
             raise DomainError("spin coefficients are defined for the Riemannian case")
-        t, _, _ = self.frame
-        m, mbar = self.m_leg
+        return self.spin_of(self.frame[0], *self.m_leg)
+
+    def spin_of(self, t, m, mbar):
+        """kappa, rho, sigma, epsilon, beta of a frame {t, m, mbar} (jets)."""
         kappa = -self.ip(self.cov(t, t), m)
         rho = -self.ip(self.cov(mbar, t), m)
         sigma = -self.ip(self.cov(m, t), m)

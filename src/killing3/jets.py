@@ -88,42 +88,6 @@ class Jet2:
     def value(self):
         return self.coeffs[0]
 
-    @property
-    def d_r(self):
-        return self.d(1, 0)
-
-    @property
-    def d_theta(self):
-        return self.d(0, 1)
-
-    @property
-    def d_rr(self):
-        return self.d(2, 0)
-
-    @property
-    def d_rtheta(self):
-        return self.d(1, 1)
-
-    @property
-    def d_thetatheta(self):
-        return self.d(0, 2)
-
-    @property
-    def d_rrr(self):
-        return self.d(3, 0)
-
-    @property
-    def d_rrtheta(self):
-        return self.d(2, 1)
-
-    @property
-    def d_rthetatheta(self):
-        return self.d(1, 2)
-
-    @property
-    def d_thetathetatheta(self):
-        return self.d(0, 3)
-
     # -- differentiation ----------------------------------------------------
 
     def deriv(self, slot):
@@ -198,10 +162,6 @@ class Jet2:
 
     def __repr__(self):
         return f"Jet2(order={self.order}, value={self.value!r})"
-
-
-#: spec-facing alias: a scalar value with its partials up to the declared order
-ScalarJet = Jet2
 
 
 def variables(r, theta, order=MAX_ORDER):

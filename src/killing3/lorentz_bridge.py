@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completeness_probe import (CurvatureProfile, completeness_verdict,
-                                 curvature_profile)
+from .completeness_probe import CurvatureProfile, completeness_verdict
 from .curvature_engine import ricci_tt, scalar_and_ric_tt
 from .errors import AlreadyLorentzian
 from .frame_calculus import Geometry
@@ -28,8 +27,8 @@ class SignaturePair:
 
     def flip_residual(self, p):
         """Componentwise residual of g_L = g_R - 2 (T^b x T^b) at p (or point arrays)."""
-        g_r = metric_components(self.riemannian, p).matrix()
-        g_l = metric_components(self.lorentzian, p).matrix()
+        g_r = metric_components(self.riemannian, p)
+        g_l = metric_components(self.lorentzian, p)
         phi, h, k = check_admissible(self.riemannian, *p)
         tb = np.array([np.ones_like(phi), -k, -phi * h])
         flip = g_r - 2.0 * np.einsum("a...,b...->ab...", tb, tb)
@@ -37,7 +36,7 @@ class SignaturePair:
 
     def timelike_residual(self, p):
         """|g_L(T, T) + 1| at p (or point arrays)."""
-        g_l = metric_components(self.lorentzian, p).matrix()
+        g_l = metric_components(self.lorentzian, p)
         return np.abs(g_l[0, 0] + 1.0)
 
 
@@ -77,7 +76,3 @@ def lorentz_completeness(pair, r_max, n_r=64, n_theta=32, r_min=None):
     profile = CurvatureProfile.from_minima(radii, np.min(crit_l, axis=1), n_theta)
     return completeness_verdict(profile), profile, agreement
 
-
-def riemannian_profile(pair, r_max, n_r=64, n_theta=32, r_min=None):
-    """The Riemannian-side criterion profile, for side-by-side comparison."""
-    return curvature_profile(pair.riemannian, r_max, n_r, n_theta, r_min)

@@ -24,7 +24,7 @@ import numpy as np
 from . import fields, jets
 from .errors import BadParams, DomainError, UnknownCatalogName
 from .fields import ScalarField
-from .tensor_core import LORENTZIAN, RIEMANNIAN, Sym3, gram_residual
+from .tensor_core import LORENTZIAN, RIEMANNIAN, gram_residual
 
 PHI_CUTOFF = 1e-8
 
@@ -83,7 +83,7 @@ def check_admissible(spec, r, theta):
 
 
 def metric_components(spec, p):
-    """Coordinate metric matrix at p = (r, theta) (or point arrays), basis order (t, r, theta)."""
+    """Coordinate metric matrix at p = (r, theta), shape (3, 3) + batch, basis (t, r, theta)."""
     phi, h, k = check_admissible(spec, *p)
     ph = phi * h
     one = np.ones_like(phi)
@@ -95,7 +95,7 @@ def metric_components(spec, p):
     if spec.signature == LORENTZIAN:
         tb = np.array([one, -k, -ph])  # T-flat covector of the Riemannian partner
         g = g - 2.0 * np.einsum("a...,b...->ab...", tb, tb)
-    return Sym3.from_matrix(g)
+    return g
 
 
 def canonical_frame(spec, p):

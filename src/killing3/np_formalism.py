@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
+from .curvature_engine import christoffels
 from .errors import EmptyGrid, NotUnitLength
 from .frame_calculus import Geometry
 from .tensor_core import LORENTZIAN
@@ -170,10 +171,10 @@ def structure_residuals(geo):
 
 @dataclass(frozen=True)
 class KillingReport:
-    """Numerical Killing/geodesic/shear audit of a unit field over a grid."""
+    """Numerical Killing/geodesic/shear audit of a unit field over a Geometry's points."""
 
     max_lie_residual: float
-    max_geodesic: float     # max |nabla_T T|
+    max_geodesic: float     # max |nabla_V V|
     max_divergence: float
     max_shear: float
     n_points: int
@@ -183,68 +184,57 @@ class KillingReport:
         return self.max_lie_residual < 1e-8
 
 
-def killing_test(spec, grid, components=None, tol_unit=UNIT_TOL):
-    """Audit a vector field V (default: T) over a grid of (r, theta) points.
+def _values(rows):
+    """Value array, shape (3, 3) + batch, of a 3x3 nest of jets."""
+    return np.array([[x.value for x in row] for row in rows])
+
+
+def killing_test(geo, components=None):
+    """Audit a vector field V (default: T) at the points of a Geometry.
 
     ``components`` is an optional triple of ScalarFields giving V in the
-    coordinate basis (t, r, theta); V must be unit length.  Returns the max
-    Lie-derivative residual of the metric along V plus the kinematic scalars.
+    coordinate basis (t, r, theta).  V must be unit length, and unit timelike
+    (|V|^2 = -1) on a Lorentzian spec.  Returns the max Lie-derivative
+    residual of the metric along V plus the max kinematic scalars, from
+    basis-free identities: div V = tr nabla V, and |sigma|^2 is half the
+    squared norm of the trace-free part of sym(nabla V) on the complement of V.
     """
-    grid = list(grid)
-    if not grid:
-        raise EmptyGrid("killing_test needs at least one grid point")
-    max_lie = max_geo = max_div = max_shear = 0.0
-    for p in grid:
-        geo = Geometry(spec, p[0], p[1], order=2)
-        if components is None:
-            vjet = list(geo.frame[0])
-        else:
-            vjet = [f.jet(geo.r, geo.theta, 2) for f in components]
-        norm = geo.ip(vjet, vjet).value
-        eps = -1.0 if (spec.signature == LORENTZIAN and norm < 0) else 1.0
-        if abs(norm - eps) > tol_unit:
-            raise NotUnitLength(f"|V|^2 = {norm} at {p}")
-        g = geo.g
-        cov_basis = []  # nabla_{e_a} V for coordinate directions e_a
-        for a in range(3):
-            e = [geo.one() if c == a else geo.zero() for c in range(3)]
-            cov_basis.append(geo.cov(e, vjet))
-        lie = 0.0
-        for a in range(3):
-            for b in range(3):
-                la = sum((g[c][b] * cov_basis[a][c]).value for c in range(3))
-                lb = sum((g[c][a] * cov_basis[b][c]).value for c in range(3))
-                lie = max(lie, float(abs(la + lb)))
-        acc = geo.cov(vjet, vjet)
-        geo_norm = np.sqrt(abs(geo.ip(acc, acc).value))
-        # orthonormal complement of V, Gram-Schmidt over the canonical frame
-        # (skipping any leg nearly parallel to V or to an earlier leg)
-        basis = []
-        for cand in geo.frame:
-            u = [cand[c] - eps * geo.ip(cand, vjet) * vjet[c] for c in range(3)]
-            for prev in basis:
-                u = [u[c] - geo.ip(u, prev) * prev[c] for c in range(3)]
-            nsq = geo.ip(u, u)
-            if abs(float(nsq.value)) < 1e-6:
-                continue
-            n = jets.sqrt(nsq)
-            basis.append([u[c] / n for c in range(3)])
-            if len(basis) == 2:
-                break
-        u1, u2 = basis
-        cv1 = geo.cov(u1, vjet)
-        cv2 = geo.cov(u2, vjet)
-        d11 = geo.ip(cv1, u1).value
-        d22 = geo.ip(cv2, u2).value
-        d12 = geo.ip(cv1, u2).value
-        d21 = geo.ip(cv2, u1).value
-        div = float(d11 + d22)
-        shear = float(np.hypot(0.5 * (d22 - d11), 0.5 * (d12 + d21)))
-        max_lie = max(max_lie, lie)
-        max_geo = max(max_geo, float(geo_norm))
-        max_div = max(max_div, abs(div))
-        max_shear = max(max_shear, shear)
-    return KillingReport(max_lie, max_geo, max_div, max_shear, len(grid))
+    n_points = int(np.size(geo.r))
+    if not n_points:
+        raise EmptyGrid("killing_test needs at least one point")
+    if components is None:
+        vjet = geo.frame[0]
+    else:
+        vjet = [f.jet(geo.r, geo.theta, geo.order) for f in components]
+    eps = -1.0 if geo.spec.signature == LORENTZIAN else 1.0
+    norm = geo.ip(vjet, vjet).value
+    off = ~(np.abs(norm - eps) <= UNIT_TOL)  # NaN is off too
+    if np.any(off):
+        i = int(np.argmax(off))
+        raise NotUnitLength(f"|V|^2 = {np.ravel(norm)[i]} at {geo.point_at(i)}, "
+                            f"expected {eps}")
+    g, ginv = _values(geo.g), _values(geo.ginv)
+    v = np.array([c.value for c in vjet])
+    # nabla[c, a] = (nabla_a V)^c = d_a V^c + Gamma^c_ab V^b
+    nabla = (np.array([[geo.d(a, c).value for a in range(3)] for c in vjet])
+             + np.einsum("cab...,b...->ca...", christoffels(geo), v))
+    b = np.einsum("bc...,ca...->ab...", g, nabla)  # B_ab = g(nabla_a V, e_b)
+    lie = np.max(np.abs(b + np.swapaxes(b, 0, 1)), axis=(0, 1))
+    acc = np.einsum("ca...,a...->c...", nabla, v)
+    geodesic = np.sqrt(np.abs(np.einsum("a...,ab...,b...->...", acc, g, acc)))
+    div = np.einsum("cc...->...", nabla)
+    # P^a_b projects onto the complement of V, where the metric is h = g - eps V V
+    v_low = np.einsum("ab...,b...->a...", g, v)
+    proj = np.eye(3).reshape((3, 3) + (1,) * np.ndim(div)) - eps * np.einsum(
+        "a...,b...->ab...", v, v_low)
+    b_perp = np.einsum("ca...,db...,cd...->ab...", proj, proj, b)
+    h_low = g - eps * np.einsum("a...,b...->ab...", v_low, v_low)
+    h_up = ginv - eps * np.einsum("a...,b...->ab...", v, v)
+    tf = 0.5 * (b_perp + np.swapaxes(b_perp, 0, 1)) - 0.5 * div * h_low
+    shear_sq = 0.5 * np.einsum("ac...,bd...,ab...,cd...->...", h_up, h_up, tf, tf)
+    return KillingReport(float(np.max(lie)), float(np.max(geodesic)),
+                         float(np.max(np.abs(div))),
+                         float(np.max(np.sqrt(np.maximum(shear_sq, 0.0)))), n_points)
 
 
 @dataclass(frozen=True)
@@ -255,10 +245,10 @@ class RotatedFrame:
     law_residuals: dict
 
     def max_law_residual(self):
-        return float(max(abs(v) for v in self.law_residuals.values()))
+        return np.max([np.abs(v) for v in self.law_residuals.values()], axis=0)
 
 
-def rotate_frame(spec, p, angle_field):
+def rotate_frame(geo, angle_field):
     """Recompute spin coefficients in the rotated frame m* = e^{i theta} m.
 
     ``angle_field`` is a ScalarField giving the rotation angle over (r, theta).
@@ -266,34 +256,25 @@ def rotate_frame(spec, p, angle_field):
     transformation laws (kappa scales by the phase, sigma by its square,
     rho is invariant, epsilon and beta pick up derivative terms).
     """
-    geo = Geometry(spec, p[0], p[1])
     t, _, _ = geo.frame
-    m, mbar = geo.m_leg
+    m, _ = geo.m_leg
     th = angle_field.jet(geo.r, geo.theta, geo.order)
     phase = jets.exp(1j * th)
     ms = [phase * m[c] for c in range(3)]
-    msbar = [ms[c].conj() for c in range(3)]
-    kappa_s = -geo.ip(geo.cov(t, t), ms)
-    rho_s = -geo.ip(geo.cov(msbar, t), ms)
-    sigma_s = -geo.ip(geo.cov(ms, t), ms)
-    eps_s = geo.ip(geo.cov(t, ms), msbar)
-    beta_s = geo.ip(geo.cov(ms, ms), msbar)
-    kappa, rho, sigma, eps, beta = geo.spin
-
-    def v(j):
-        return complex(np.asarray(j.value).item())
-
-    ph = v(phase)
+    kappa_s, rho_s, sigma_s, eps_s, beta_s = (
+        j.value for j in geo.spin_of(t, ms, [c.conj() for c in ms]))
+    kappa, rho, sigma, eps, beta = (j.value for j in geo.spin)
+    ph = phase.value
     laws = {
-        "kappa": v(kappa_s) - ph * v(kappa),
-        "rho": v(rho_s) - v(rho),
-        "sigma": v(sigma_s) - ph**2 * v(sigma),
-        "epsilon": v(eps_s) - (v(eps) + 1j * v(geo.dirderiv(t, th))),
-        "beta": v(beta_s) - ph * (v(beta) + 1j * v(geo.dirderiv(m, th))),
+        "kappa": kappa_s - ph * kappa,
+        "rho": rho_s - rho,
+        "sigma": sigma_s - ph**2 * sigma,
+        "epsilon": eps_s - (eps + 1j * geo.dirderiv(t, th).value),
+        "beta": beta_s - ph * (beta + 1j * geo.dirderiv(m, th).value),
     }
     coeffs = SpinCoefficients(
-        kappa=v(kappa_s), rho=v(rho_s), sigma=v(sigma_s),
-        epsilon=v(eps_s), beta=v(beta_s), point=(float(p[0]), float(p[1])),
+        kappa=kappa_s, rho=rho_s, sigma=sigma_s, epsilon=eps_s, beta=beta_s,
+        point=(geo.r, geo.theta),
     )
     return RotatedFrame(coefficients=coeffs, law_residuals=laws)
 
@@ -319,25 +300,22 @@ class _ConformalGeometry(Geometry):
 
 @dataclass(frozen=True)
 class ConformalCheck:
-    omega: float
-    omega_rescaled: float
-    shear: complex
-    shear_rescaled: complex
-    residual_omega: float
-    residual_shear: float
+    omega: np.ndarray
+    omega_rescaled: np.ndarray
+    shear: np.ndarray
+    shear_rescaled: np.ndarray
+    residual_omega: np.ndarray
+    residual_shear: np.ndarray
 
 
-def conformal_rescale_check(spec, f_field, p):
+def conformal_rescale_check(geo, f_field):
     """Verify twist and shear scale by e^{-f} under g -> e^{2f} g, T -> e^{-f} T."""
-    geo = Geometry(spec, p[0], p[1])
-    conf = _ConformalGeometry(spec, p[0], p[1], f_field)
-    fval = float(f_field.value(p[0], p[1]))
-    w = float(geo.omega.value)
-    w_t = float(conf.omega.value)
-    sh = complex(geo.shear.value)
-    sh_t = complex(conf.shear.value)
+    conf = _ConformalGeometry(geo.spec, geo.r, geo.theta, f_field, geo.order)
+    scale = np.exp(-f_field.value(geo.r, geo.theta))
+    w, w_t = geo.omega.value, conf.omega.value
+    sh, sh_t = geo.shear.value, conf.shear.value
     return ConformalCheck(
         omega=w, omega_rescaled=w_t, shear=sh, shear_rescaled=sh_t,
-        residual_omega=abs(w_t - np.exp(-fval) * w),
-        residual_shear=abs(sh_t - np.exp(-fval) * sh),
+        residual_omega=np.abs(w_t - scale * w),
+        residual_shear=np.abs(sh_t - scale * sh),
     )

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonFinite
@@ -18,37 +16,6 @@ GRAM = {
 }
 
 
-@dataclass(frozen=True)
-class Sym3:
-    """Symmetric 3x3 matrix stored by its 6 independent entries."""
-
-    a00: float
-    a11: float
-    a22: float
-    a01: float
-    a02: float
-    a12: float
-
-    @staticmethod
-    def from_matrix(m):
-        m = np.asarray(m, dtype=float)
-        return Sym3(m[0, 0], m[1, 1], m[2, 2],
-                    0.5 * (m[0, 1] + m[1, 0]),
-                    0.5 * (m[0, 2] + m[2, 0]),
-                    0.5 * (m[1, 2] + m[2, 1]))
-
-    def matrix(self):
-        return np.array([
-            [self.a00, self.a01, self.a02],
-            [self.a01, self.a11, self.a12],
-            [self.a02, self.a12, self.a22],
-        ])
-
-    @property
-    def trace(self):
-        return self.a00 + self.a11 + self.a22
-
-
 def sym_eig3(m):
     """Eigenvalues (ascending) and eigenvectors of a symmetric 3x3 matrix.
 
@@ -57,8 +24,6 @@ def sym_eig3(m):
     which lose half the digits at a double root).  Eigenvectors are the
     accumulated rotations, hence orthonormal by construction.
     """
-    if isinstance(m, Sym3):
-        m = m.matrix()
     m = np.asarray(m, dtype=float)
     if not np.all(np.isfinite(m)):
         raise NonFinite("matrix has non-finite entries")
@@ -98,8 +63,6 @@ def gram_residual(frame, g, signature=RIEMANNIAN):
     the metric matrix at the same point.  Trailing batch axes of both are
     carried through, giving one residual per point.
     """
-    if isinstance(g, Sym3):
-        g = g.matrix()
     e = np.asarray(frame, dtype=float)
     g = np.asarray(g, dtype=float)
     gram = np.einsum("ia...,ab...,jb...->...ij", e, g, e)
@@ -109,14 +72,16 @@ def gram_residual(frame, g, signature=RIEMANNIAN):
 class Riemann4:
     """Covariant curvature tensor R(e_a, e_b, e_c, e_d) in a declared basis.
 
-    The constructor accepts the full 3x3x3x3 component array and records the
-    residuals of the index symmetries and the first Bianchi identity, which
-    hold by construction for tensors produced by the curvature engine.
+    The constructor accepts the 3x3x3x3 component array, with optional trailing
+    batch axes, and records the residuals of the index symmetries and the
+    first Bianchi identity, which hold by construction for tensors produced by
+    the curvature engine.  Each residual reduces over the four index axes
+    only, giving one value per point.
     """
 
     def __init__(self, components, basis="coordinate"):
         comp = np.asarray(components, dtype=float)
-        if comp.shape != (3, 3, 3, 3):
+        if comp.shape[:4] != (3, 3, 3, 3):
             raise ValueError("Riemann4 expects a 3x3x3x3 array")
         if not np.all(np.isfinite(comp)):
             raise NonFinite("curvature components not finite")
@@ -126,17 +91,19 @@ class Riemann4:
     def __getitem__(self, idx):
         return self.components[idx]
 
+    def _max_abs(self, x):
+        return np.max(np.abs(x), axis=(0, 1, 2, 3))
+
     def antisymmetry_residual(self):
         c = self.components
-        r1 = np.max(np.abs(c + np.swapaxes(c, 0, 1)))
-        r2 = np.max(np.abs(c + np.swapaxes(c, 2, 3)))
-        return float(max(r1, r2))
+        return np.maximum(self._max_abs(c + np.swapaxes(c, 0, 1)),
+                          self._max_abs(c + np.swapaxes(c, 2, 3)))
 
     def pair_symmetry_residual(self):
         c = self.components
-        return float(np.max(np.abs(c - np.transpose(c, (2, 3, 0, 1)))))
+        return self._max_abs(c - np.einsum("cdab...->abcd...", c))
 
     def first_bianchi_residual(self):
         c = self.components
-        cyc = c + np.einsum("acdb->abcd", c) + np.einsum("adbc->abcd", c)
-        return float(np.max(np.abs(cyc)))
+        cyc = c + np.einsum("acdb...->abcd...", c) + np.einsum("adbc...->abcd...", c)
+        return self._max_abs(cyc)

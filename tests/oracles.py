@@ -13,7 +13,7 @@ from killing3.metric_family import metric_components
 
 
 def fd_metric(spec, r, theta):
-    return metric_components(spec, (r, theta)).matrix()
+    return metric_components(spec, (r, theta))
 
 
 def fd_christoffels(spec, r, theta, step=1e-5):

@@ -93,7 +93,7 @@ def test_criterion_03_nil_counterexample():
     pk = curvature_packet(Geometry(spec, 0.7, 0.2))
     cy = cotton_york(Geometry(spec, 0.7, 0.2))
     cy_err = float(np.max(np.abs(cy.raw - np.diag([-1.0, 0.5, 0.5]))))
-    fit = flatness_verdict(spec, sample_points(GRID_BOX, 16, 42))
+    fit = flatness_verdict(Geometry(spec, *np.transpose(sample_points(GRID_BOX, 16, 42))))
     ok = (abs(pk.scalar_S + 0.5) < 1e-8 and cy_err < 1e-8
           and fit.verdict == NOT_FLAT)
     _verdict(3, ok, f"S {pk.scalar_S:.12f}, CY err {cy_err:.2e}, "
@@ -137,9 +137,9 @@ def test_criterion_06_spectrum_agreement():
     """Closed-form spectrum vs direct eigensolve to 1e-9 over 100 points/catalog."""
     worst = 0.0
     for name, spec in _catalogs().items():
-        for p in sample_points(_box_for(name), 100, 42):
-            worst = max(worst,
-                        spectrum_vs_eigensolve_residual(curvature_packet(Geometry(spec, *p))))
+        geo = Geometry(spec, *np.transpose(sample_points(_box_for(name), 100, 42)))
+        worst = max(worst,
+                    float(np.max(spectrum_vs_eigensolve_residual(curvature_packet(geo)))))
     pk = curvature_packet(Geometry(catalog("hopf", {"R": 1.0}), 0.6, 0.3))
     hopf_err = float(np.max(np.abs(np.asarray(pk.spectrum) - 2.0)))
     ok = worst < 1e-9 and hopf_err < 1e-9
@@ -155,9 +155,9 @@ def test_criterion_07_cy_structural_invariants():
     worst = 0.0
     for spec in specs:
         box = CF_BOX if spec.name == "cf_family" else GRID_BOX
-        for p in sample_points(box, 25, 42):
-            cy = cotton_york(Geometry(spec, *p))
-            worst = max(worst, cy.symmetry_residual, cy.trace_residual)
+        cy = cotton_york(Geometry(spec, *np.transpose(sample_points(box, 25, 42))))
+        worst = max(worst, float(np.max(cy.symmetry_residual)),
+                    float(np.max(cy.trace_residual)))
     _verdict(7, worst < 1e-9, f"max symmetry/trace residual {worst:.2e}, tol 1e-9")
 
 
@@ -166,7 +166,7 @@ def test_criterion_08_theorem3_round_trip():
     energy drift < 1e-8 over 10 periods."""
     sol = solve_omega_ode(FamilyParams(B=0.0, C=1.0), min_periods=10.0)
     spec = catalog("cf_family", {"B": 0.0, "C": 1.0})
-    fit = flatness_verdict(spec, sample_points(CF_BOX, 32, 42))
+    fit = flatness_verdict(Geometry(spec, *np.transpose(sample_points(CF_BOX, 32, 42))))
     ok = (sol.span >= 10.0 * sol.period and sol.energy_drift < 1e-8
           and fit.cy_max < 1e-6 and abs(fit.B) < 1e-4
           and abs(fit.C - 1.0) < 1e-4 and fit.verdict == FLAT)
@@ -223,17 +223,17 @@ def test_criterion_11_completeness_criterion():
 def test_criterion_12_killing_characterization():
     """All four residuals < 1e-9 on catalog T fields; jointly > 1e-4 on a
     perturbed non-Killing unit field."""
-    pts = [(0.4, 0.3), (0.8, 2.0), (1.2, 5.5)]
+    pts = np.transpose([(0.4, 0.3), (0.8, 2.0), (1.2, 5.5)])
     worst = 0.0
     for name in ("flat", "hopf", "nil", "hyperbolic"):
-        rep = killing_test(catalog(name), pts)
+        rep = killing_test(Geometry(catalog(name), *pts))
         worst = max(worst, rep.max_lie_residual, rep.max_geodesic,
                     rep.max_divergence, rep.max_shear)
     # perturbed field: unit-normalized T + 0.3 X on the hyperbolic catalog
     eps, n = 0.3, np.sqrt(1.0 + 0.3**2)
     comps = [fields.constant(1.0 / n), fields.constant(0.0),
              fields.from_expr(lambda r, t: (eps / n) / jets.cosh(r))]
-    bad = killing_test(catalog("hyperbolic"), pts, components=comps)
+    bad = killing_test(Geometry(catalog("hyperbolic"), *pts), components=comps)
     # "jointly": the Lie-derivative residual and the kinematic triple must
     # detect the failure together, not just one side of the equivalence
     kin = max(bad.max_geodesic, bad.max_divergence, bad.max_shear)
@@ -253,8 +253,8 @@ def test_criterion_13_conformal_rescaling():
             a, b = rng.normal(scale=0.5, size=2)
             f = fields.from_expr(lambda r, t, a=a, b=b:
                                  a * jets.sin(r) + b * jets.cos(t))
-            cc = conformal_rescale_check(spec, f, (0.7, 1.1))
-            worst = max(worst, cc.residual_omega, cc.residual_shear)
+            cc = conformal_rescale_check(Geometry(spec, 0.7, 1.1), f)
+            worst = max(worst, float(cc.residual_omega), float(cc.residual_shear))
     _verdict(13, worst < 1e-8, f"max law residual {worst:.2e}, tol 1e-8")
 
 
@@ -267,6 +267,6 @@ def test_criterion_14_gauge_rotation():
         angle = fields.from_expr(lambda r, t, a=a, b=b, c=c:
                                  a * r + b * jets.sin(t) + c * jets.cos(r) * t)
         for name in ("hopf", "nil", "hyperbolic"):
-            rot = rotate_frame(catalog(name), (0.8, 0.4), angle)
-            worst = max(worst, rot.max_law_residual())
+            rot = rotate_frame(Geometry(catalog(name), 0.8, 0.4), angle)
+            worst = max(worst, float(rot.max_law_residual()))
     _verdict(14, worst < 1e-9, f"max law residual {worst:.2e}, tol 1e-9")

@@ -4,8 +4,8 @@ Every point-level analysis takes a ``Geometry`` and returns values of its
 batch shape, so a sweep over n points builds one batched ``Geometry`` per
 signature and the same function called on a one-point ``Geometry`` is the
 per-point view.  These tests hold the batched columns to the width-1 calls
-at 1e-13, for the analyses themselves, for ``flatness_verdict`` and
-``hamilton_inequality`` (which take a grid), and for the ``analyze``,
+at 1e-13, for the analyses themselves, for the reductions over the points
+(``flatness_verdict`` and ``killing_test``), and for the ``analyze``,
 ``verify`` and ``lorentz`` sweep records; they also count the ``Geometry``
 builds of each sweep.
 """
@@ -19,16 +19,17 @@ from killing3 import fields, jets
 from killing3.cli import _RUNNERS, RunConfig
 from killing3.conformal_family import wpde_residual
 from killing3.cotton_york import cotton_york, flatness_verdict, tmg_residual
-from killing3.curvature_engine import (curvature_packet,
+from killing3.curvature_engine import (christoffels, curvature_packet,
                                        gaussian_identity_residual,
-                                       hamilton_inequality,
+                                       hamilton_inequality, riemann,
                                        spectrum_vs_eigensolve_residual,
                                        twist_data)
 from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import lorentz_relations_check, to_lorentz
 from killing3.metric_family import (MetricSpec, catalog, frame_gram_residual,
                                     to_grid_sampled)
-from killing3.np_formalism import (kinematics, spin_coefficients,
+from killing3.np_formalism import (conformal_rescale_check, killing_test,
+                                   kinematics, rotate_frame, spin_coefficients,
                                    structure_residuals)
 
 TOL = 1e-13
@@ -60,6 +61,21 @@ def _close(batched, pointwise):
     np.testing.assert_allclose(batched, pointwise, rtol=TOL, atol=TOL)
 
 
+ANGLE = fields.from_expr(lambda r, t: 0.7 * jets.sin(r) + 0.4 * jets.cos(t) + 0.2 * r * t)
+CONFORMAL_F = fields.from_expr(lambda r, t: 0.3 * r + 0.2 * jets.sin(t))
+
+
+def _riemann(geo):
+    r4 = riemann(geo)
+    return (r4.components, r4.antisymmetry_residual(), r4.pair_symmetry_residual(),
+            r4.first_bianchi_residual())
+
+
+def _rotate_frame(geo):
+    rot = rotate_frame(geo, ANGLE)
+    return rot, rot.max_law_residual()
+
+
 ANALYSES = {
     "curvature_packet": curvature_packet,
     "kinematics": kinematics,
@@ -72,6 +88,11 @@ ANALYSES = {
     "lorentz_relations_check": lorentz_relations_check,
     "spectrum_vs_eigensolve_residual":
         lambda geo: spectrum_vs_eigensolve_residual(curvature_packet(geo)),
+    "christoffels": christoffels,
+    "riemann": _riemann,
+    "rotate_frame": _rotate_frame,
+    "conformal_rescale_check": lambda geo: conformal_rescale_check(geo, CONFORMAL_F),
+    "hamilton_inequality": lambda geo: hamilton_inequality(geo)[0],
 }
 
 
@@ -82,6 +103,8 @@ def _leaves(result):
                 for leaf in _leaves(getattr(result, f.name))]
     if isinstance(result, tuple):
         return [leaf for item in result for leaf in _leaves(item)]
+    if isinstance(result, dict):
+        return [leaf for item in result.values() for leaf in _leaves(item)]
     return [np.asarray(result)]
 
 
@@ -103,8 +126,9 @@ def test_analyses_batch_matches_width_one(name):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_flatness_batch_matches_pointwise(name):
     spec, pts = SPECS[name](), _points()
-    fit = flatness_verdict(spec, pts)
+    fit = flatness_verdict(Geometry(spec, *np.transpose(pts)))
     _close(fit.cy_norms, [cotton_york(Geometry(spec, *p)).norm for p in pts])
+    _close(fit.cy_norms, [flatness_verdict(Geometry(spec, *p)).cy_norms for p in pts])
     assert fit.cy_max == max(fit.cy_norms)
 
     packets = [curvature_packet(Geometry(spec, *p)) for p in pts]
@@ -119,18 +143,41 @@ def test_flatness_batch_matches_pointwise(name):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_hamilton_batch_matches_pointwise(name):
     spec, pts = SPECS[name](), _points()
-    verdicts, ok = hamilton_inequality(spec, pts)
-    assert len(verdicts) == len(pts)
-    for v, p in zip(verdicts, pts):
+    verdict, ok = hamilton_inequality(Geometry(spec, *np.transpose(pts)))
+    assert verdict.holds.shape == (len(pts),)
+    for i, p in enumerate(pts):
         pk = curvature_packet(Geometry(spec, *p))
         ric_tt = pk.omega**2 / 2.0
         rhs = 2.0 * pk.ric_of_T.norm_sq / ric_tt - ric_tt
         rhs_strict = 2.0 * pk.grad_omega_sq / pk.omega**2 + pk.omega**2
-        assert v.point == p
-        _close([v.scalar_S, v.rhs, v.rhs_strict], [pk.scalar_S, rhs, rhs_strict])
-        assert v.holds == (pk.scalar_S > rhs)
-        assert v.holds_strict == (pk.scalar_S > rhs_strict)
-    assert ok == all(v.holds for v in verdicts)
+        assert (verdict.point[0][i], verdict.point[1][i]) == p
+        _close([verdict.scalar_S[i], verdict.rhs[i], verdict.rhs_strict[i]],
+               [pk.scalar_S, rhs, rhs_strict])
+        assert verdict.holds[i] == (pk.scalar_S > rhs)
+        assert verdict.holds_strict[i] == (pk.scalar_S > rhs_strict)
+    assert ok == all(verdict.holds)
+
+
+def _tilted_field(spec):
+    """Components of (T + 0.3 X) / |T + 0.3 X|: unit, and not Killing."""
+    n = np.sqrt(1.09)
+    return [fields.ScalarField(lambda r, t, o: (1.0 + 0.3 * spec.h.jet(r, t, o)) * (1.0 / n)),
+            fields.constant(0.0),
+            fields.ScalarField(lambda r, t, o: (0.3 / n) / spec.phi.jet(r, t, o))]
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_killing_test_batch_matches_width_one(name, tilted):
+    spec, pts = SPECS[name](), _points()
+    comps = _tilted_field(spec) if tilted else None
+    report = killing_test(Geometry(spec, *np.transpose(pts)), comps)
+    singles = [killing_test(Geometry(spec, *p), comps) for p in pts]
+    assert report.n_points == len(pts) and {s.n_points for s in singles} == {1}
+    for key in ("max_lie_residual", "max_geodesic", "max_divergence", "max_shear"):
+        _close(getattr(report, key), max(getattr(s, key) for s in singles))
+    if tilted:
+        assert report.max_lie_residual > 1e-4 and report.max_shear > 1e-4
 
 
 def _pointwise_record(command, spec, p):
@@ -174,10 +221,8 @@ def test_sweep_records_match_pointwise(command, name):
             _close(rec[key], value)
 
 
-@pytest.mark.parametrize("command, builds",
-                         [("analyze", 1), ("verify", 2), ("lorentz", 2)])
-def test_sweep_geometry_builds(monkeypatch, command, builds):
-    """One Geometry per signature: the Riemannian sweep, plus its Lorentzian partner."""
+def _count_builds(monkeypatch):
+    """A list that grows by one on each Geometry build."""
     count = []
     init = Geometry.__init__
 
@@ -186,5 +231,19 @@ def test_sweep_geometry_builds(monkeypatch, command, builds):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Geometry, "__init__", counting_init)
+    return count
+
+
+@pytest.mark.parametrize("command, builds",
+                         [("analyze", 1), ("verify", 2), ("lorentz", 2), ("flatness", 1)])
+def test_sweep_geometry_builds(monkeypatch, command, builds):
+    """One Geometry per signature: the Riemannian sweep, plus its Lorentzian partner."""
+    count = _count_builds(monkeypatch)
     _RUNNERS[command](SPECS["hopf"](), _sweep_config(command))
     assert len(count) == builds
+
+
+def test_killing_test_geometry_builds(monkeypatch):
+    count = _count_builds(monkeypatch)
+    report = killing_test(Geometry(SPECS["hopf"](), *np.transpose(_points())))
+    assert report.n_points == 12 and len(count) == 1

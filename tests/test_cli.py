@@ -184,6 +184,8 @@ def test_main_flatness_expect_mismatch(tmp_path):
                  "--expect", "Flat"]) == 1
     assert main(["flatness", "--spec", spec, "--points", "8",
                  "--expect", "NotFlat"]) == 0
+    assert main(["flatness", "--spec", spec, "--points", "8",
+                 "--expect", "notflat"]) == 0
 
 
 def test_main_parse_error_exit_2(tmp_path, capsys):
@@ -199,6 +201,22 @@ def test_main_domain_error_exit_3(tmp_path):
     code = main(["geodesic", "--spec", spec, "--length", "5",
                  "--init", "0,1.0,0,0,1,0"])
     assert code == 3
+
+
+@pytest.mark.parametrize("direction", ["1e300,1,0", "1e-300,1e-300,0"])
+def test_geodesic_huge_or_tiny_direction_runs(tmp_path, capsys, direction):
+    # the normalisation of such a direction overflowed or underflowed (exit 3)
+    spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
+    assert main(["geodesic", "--spec", spec, "--length", "1",
+                 "--init", f"0,0.5,0,{direction}"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_geodesic_zero_direction_exit_3(tmp_path, capsys):
+    spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
+    assert main(["geodesic", "--spec", spec, "--init", "0,0.5,0,0,0,0"]) == 3
+    err = capsys.readouterr().err
+    assert "non-positive g-norm" in err and len(err.strip().splitlines()) == 1
 
 
 def test_main_bad_grid_argument(tmp_path, capsys):
@@ -231,6 +249,8 @@ def _exit_code(argv):
     ("verify", ["--tol", "residual=nan"]),
     ("analyze", ["--seed", "-1"]),
     ("geodesic", ["--init", "0,0.5,0,nan,1,0"]),
+    ("verify", ["--tol", "bogus=1"]),
+    ("flatness", ["--expect", "Flta"]),
 ])
 def test_main_rejects_bad_flag_values(tmp_path, capsys, command, flags):
     spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")

@@ -111,7 +111,7 @@ def test_quotient_curvature_profile():
     for r in (0.2, -0.3):
         geo = Geometry(spec, r, 0.0)
         w = sol._eval(r)[0].item()
-        lhs = -float(geo.phi.d_rr / geo.phi.value)
+        lhs = -float(geo.phi.d(2, 0) / geo.phi.value)
         assert lhs == pytest.approx(B + 1.5 * w**2, abs=1e-7)
 
 
@@ -122,11 +122,11 @@ def test_h_theta_freedom_stays_flat():
     spec = build_cf_metric(FamilyParams(B=0.0, C=1.0, h_theta=h))
     grid = [(-0.8 + 1.6 * u, 6.2 * v)
             for u, v in np.random.default_rng(2).random((12, 2))]
-    fit = flatness_verdict(spec, grid)
+    fit = flatness_verdict(Geometry(spec, *np.transpose(grid)))
     assert fit.verdict == FLAT
 
 
 def test_omega_theta_independent():
     spec = build_cf_metric(FamilyParams(B=0.0, C=1.0))
     geo = Geometry(spec, 0.5, 1.0)
-    assert abs(float(geo.omega.d_theta)) < 1e-12
+    assert abs(float(geo.omega.d(0, 1))) < 1e-12

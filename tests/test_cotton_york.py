@@ -12,9 +12,9 @@ POINTS = [(0.35, 0.4), (0.8, 2.1), (1.1, 5.0)]
 
 
 def _point_grid(n=16, r_lo=0.25, r_hi=1.2):
-    rng = np.random.default_rng(5)
-    return [(r_lo + (r_hi - r_lo) * u, 2 * np.pi * v)
-            for u, v in rng.random((n, 2))]
+    """(r, theta) arrays of n seeded points."""
+    u, v = np.random.default_rng(5).random((n, 2)).T
+    return r_lo + (r_hi - r_lo) * u, 2 * np.pi * v
 
 
 def test_hopf_cotton_york_vanishes():
@@ -57,7 +57,7 @@ def test_batched_norms_match_pointwise():
 
 
 def test_flatness_verdict_hopf():
-    fit = flatness_verdict(catalog("hopf", {"R": 1.0}), _point_grid())
+    fit = flatness_verdict(Geometry(catalog("hopf", {"R": 1.0}), *_point_grid()))
     assert fit.verdict == FLAT
     assert fit.constant_omega and fit.nonunique
     # constant-omega representative: B = 0, C = omega^4 / 4 = 4
@@ -66,14 +66,14 @@ def test_flatness_verdict_hopf():
 
 
 def test_flatness_verdict_nil():
-    fit = flatness_verdict(catalog("nil", {"omega0": 1.0}), _point_grid())
+    fit = flatness_verdict(Geometry(catalog("nil", {"omega0": 1.0}), *_point_grid()))
     assert fit.verdict == NOT_FLAT
     assert fit.cy_max == pytest.approx(np.sqrt(1.5), rel=1e-10)
 
 
 def test_flatness_verdict_cf_family():
     spec = catalog("cf_family", {"B": 0.0, "C": 1.0})
-    fit = flatness_verdict(spec, _point_grid(r_lo=-1.2, r_hi=1.2))
+    fit = flatness_verdict(Geometry(spec, *_point_grid(r_lo=-1.2, r_hi=1.2)))
     assert fit.verdict == FLAT
     assert not fit.constant_omega
     assert fit.B == pytest.approx(0.0, abs=1e-6)
@@ -83,21 +83,21 @@ def test_flatness_verdict_cf_family():
 
 def test_flatness_verdict_empty():
     with pytest.raises(EmptyGrid):
-        flatness_verdict(catalog("flat"), [])
+        flatness_verdict(Geometry(catalog("flat"), [], []))
 
 
 def test_constant_omega_shortcut_equivalence():
     # hopf: S = 3 Ric(T,T) (6 = 3*2) -> Flat; nil: -1/2 vs 3/2 -> NotFlat
-    hopf_fit = flatness_verdict(catalog("hopf", {"R": 2.0}), _point_grid())
+    hopf_fit = flatness_verdict(Geometry(catalog("hopf", {"R": 2.0}), *_point_grid()))
     assert hopf_fit.verdict == FLAT
-    nil_fit = flatness_verdict(catalog("nil", {"omega0": 2.0}), _point_grid())
+    nil_fit = flatness_verdict(Geometry(catalog("nil", {"omega0": 2.0}), *_point_grid()))
     assert nil_fit.verdict == NOT_FLAT
 
 
 def test_twist_free_product_is_flat():
     # hyperbolic-plane x R: CY = 0 with S = -2, so the constant-twist
     # criterion S = 3 Ric(T,T) must not be applied when omega = 0
-    fit = flatness_verdict(catalog("hyperbolic"), _point_grid())
+    fit = flatness_verdict(Geometry(catalog("hyperbolic"), *_point_grid()))
     assert fit.verdict == FLAT
     assert fit.cy_max < 1e-12
 
@@ -110,7 +110,7 @@ def test_twist_free_nonconstant_s_not_flat():
     spec = MetricSpec(phi=fields.from_expr(lambda r, t: 1.0 + 0.3 * r * r * r),
                       h=fields.constant(0.0), k=fields.constant(0.0),
                       name="warp")
-    fit = flatness_verdict(spec, _point_grid())
+    fit = flatness_verdict(Geometry(spec, *_point_grid()))
     assert fit.verdict == NOT_FLAT
     assert fit.cy_max > 1e-3
 
@@ -119,7 +119,7 @@ def test_grid_sampled_tolerance_path():
     spec = catalog("hopf", {"R": 1.0})
     gspec = to_grid_sampled(spec, np.linspace(0.15, 1.35, 120),
                             np.linspace(0.0, 2 * np.pi, 40))
-    fit = flatness_verdict(gspec, _point_grid(n=10, r_lo=0.3, r_hi=1.1))
+    fit = flatness_verdict(Geometry(gspec, *_point_grid(n=10, r_lo=0.3, r_hi=1.1)))
     assert fit.verdict == FLAT  # grid tolerance 1e-4 absorbs spline noise
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from killing3.curvature_engine import (christoffels, curvature_packet,
                                        gaussian_identity_residual,
-                                       hamilton_inequality, riemann,
-                                       spectrum_vs_eigensolve_residual)
+                                       hamilton_inequality, ricci_frame_matrix,
+                                       riemann, spectrum_vs_eigensolve_residual)
 from killing3.errors import TwistZero
 from killing3.frame_calculus import Geometry
 from killing3.metric_family import catalog
@@ -26,7 +26,7 @@ def catalogs():
 def test_christoffels_match_fd_oracle(catalogs):
     for name, spec in catalogs.items():
         for p in POINTS:
-            gam = christoffels(spec, p)
+            gam = christoffels(Geometry(spec, *p))
             oracle = fd_christoffels(spec, p[0], p[1])
             np.testing.assert_allclose(gam, oracle, atol=5e-9,
                                        err_msg=f"{name} at {p}")
@@ -34,14 +34,14 @@ def test_christoffels_match_fd_oracle(catalogs):
 
 def test_hyperbolic_christoffel_value():
     spec = catalog("hyperbolic")
-    gam = christoffels(spec, (1.0, 0.0))
+    gam = christoffels(Geometry(spec, 1.0, 0.0))
     # Gamma^r_theta,theta = -phi phi_r = -cosh(1) sinh(1)
     assert gam[1, 2, 2] == pytest.approx(-np.cosh(1.0) * np.sinh(1.0), rel=1e-12)
 
 
 def test_riemann_symmetries(catalogs):
     for spec in catalogs.values():
-        r4 = riemann(spec, (0.7, 1.2))
+        r4 = riemann(Geometry(spec, 0.7, 1.2))
         assert r4.antisymmetry_residual() < 1e-11
         assert r4.pair_symmetry_residual() < 1e-11
         assert r4.first_bianchi_residual() < 1e-11
@@ -56,20 +56,16 @@ def test_ricci_against_fd_oracle(catalogs):
 
 
 def test_hopf_sectional_curvature():
-    # unit round sphere: R(X,Y,Y,X) = 1 in the orthonormal frame
-    spec = catalog("hopf", {"R": 1.0})
-    from killing3.frame_calculus import Geometry
-
-    geo = Geometry(spec, 0.6, 0.1)
-    t, x, y = geo.frame
-    low = geo.riem_low
-    sec = 0.0
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for w in range(3):
-                    sec += (low[a][b][c][w] * x[a] * y[b] * y[c] * x[w]).value
-    assert sec == pytest.approx(1.0, abs=1e-12)
+    # round sphere of radius R: every frame plane has curvature 1/R^2
+    for radius in (1.0, 2.0):
+        spec = catalog("hopf", {"R": radius})
+        geo = Geometry(spec, radius * np.array([0.3, 0.6, 1.1]), np.array([0.1, 2.0, 4.5]))
+        comp = riemann(geo).components
+        e = np.array([[leg[c].value for c in range(3)] for leg in geo.frame])  # T, X, Y
+        for a, b in [(1, 2), (0, 1), (0, 2)]:  # R(X,Y,Y,X), R(T,X,X,T), R(T,Y,Y,T)
+            sec = np.einsum("abcw...,a...,b...,c...,w...->...",
+                            comp, e[a], e[b], e[b], e[a])
+            np.testing.assert_allclose(sec, 1.0 / radius**2, rtol=0, atol=1e-12)
 
 
 def test_nil_sectional_curvature():
@@ -90,12 +86,13 @@ def test_nil_sectional_curvature():
 
 
 def test_packet_values_hopf():
-    pk = curvature_packet(Geometry(catalog("hopf", {"R": 1.0}), np.pi / 4, 0.3))
+    geo = Geometry(catalog("hopf", {"R": 1.0}), np.pi / 4, 0.3)
+    pk = curvature_packet(geo)
     assert pk.omega == pytest.approx(2.0, rel=1e-12)
     assert pk.scalar_S == pytest.approx(6.0, rel=1e-12)
     assert pk.ric_of_T.t_component == pytest.approx(2.0, rel=1e-12)
     np.testing.assert_allclose(pk.spectrum, [2.0, 2.0, 2.0], atol=1e-11)
-    np.testing.assert_allclose(pk.ricci.matrix(), 2.0 * np.eye(3), atol=1e-11)
+    np.testing.assert_allclose(ricci_frame_matrix(geo), 2.0 * np.eye(3), atol=1e-11)
 
 
 def test_packet_values_nil():
@@ -108,9 +105,9 @@ def test_packet_values_nil():
 def test_ric_operator_matches_direct_ricci(catalogs):
     for name, spec in catalogs.items():
         for p in POINTS:
-            pk = curvature_packet(Geometry(spec, *p))
+            geo = Geometry(spec, *p)
             np.testing.assert_allclose(
-                pk.ric_operator.matrix(), pk.ricci.matrix(), atol=1e-10,
+                curvature_packet(geo).ric_operator, ricci_frame_matrix(geo), atol=1e-10,
                 err_msg=f"{name} at {p}")
 
 
@@ -137,18 +134,18 @@ def test_gaussian_identity(catalogs):
 
 
 def test_hamilton_inequality_hopf_vs_nil():
-    verdicts, ok = hamilton_inequality(catalog("hopf", {"R": 1.0}),
-                                       [(0.5, 0.1), (0.9, 2.0)])
-    assert ok and all(v.holds and v.holds_strict for v in verdicts)
+    verdict, ok = hamilton_inequality(Geometry(catalog("hopf", {"R": 1.0}),
+                                               [0.5, 0.9], [0.1, 2.0]))
+    assert ok and np.all(verdict.holds) and np.all(verdict.holds_strict)
     # nil fails the strict variant: S = -1/2 < omega^2 = 1
-    verdicts, ok = hamilton_inequality(catalog("nil", {"omega0": 1.0}),
-                                       [(0.5, 0.1)])
-    assert not verdicts[0].holds_strict
+    verdict, ok = hamilton_inequality(Geometry(catalog("nil", {"omega0": 1.0}),
+                                               0.5, 0.1))
+    assert not verdict.holds_strict
 
 
 def test_hamilton_requires_twist():
     with pytest.raises(TwistZero):
-        hamilton_inequality(catalog("flat"), [(0.5, 0.1)])
+        hamilton_inequality(Geometry(catalog("flat"), 0.5, 0.1))
 
 
 def test_fd_ricci_cross_check_hopf():
@@ -157,5 +154,5 @@ def test_fd_ricci_cross_check_hopf():
     from killing3.metric_family import metric_components
 
     # round metric: Ric = 2 g in coordinates
-    g = metric_components(spec, (0.6, 0.3)).matrix()
+    g = metric_components(spec, (0.6, 0.3))
     np.testing.assert_allclose(ric, 2.0 * g, atol=1e-5)

@@ -62,7 +62,7 @@ def test_deriv_shifts_coefficients():
     fr = f.deriv("r")
     assert fr.order == 2
     assert fr.value == pytest.approx(np.cos(1.1), abs=1e-14)
-    assert fr.d_rr == pytest.approx(-np.cos(1.1), abs=1e-14)
+    assert fr.d(2, 0) == pytest.approx(-np.cos(1.1), abs=1e-14)
 
 
 def test_batch_coefficients():
@@ -117,5 +117,5 @@ def test_tan_third_derivative():
     # exact: 4 sec^2 tan^2 + 2 sec^4
     x2 = np.tan(x)**2
     sec2 = 1.0 + x2
-    assert t.d_rrr == pytest.approx(4 * sec2 * x2 + 2 * sec2**2, rel=1e-12)
-    assert t.d_rrr == pytest.approx(fd, rel=2e-3)
+    assert t.d(3, 0) == pytest.approx(4 * sec2 * x2 + 2 * sec2**2, rel=1e-12)
+    assert t.d(3, 0) == pytest.approx(fd, rel=2e-3)

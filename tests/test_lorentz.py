@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from killing3.completeness_probe import COMPLETE
+from killing3.completeness_probe import COMPLETE, curvature_profile
 from killing3.curvature_engine import scalar_and_ric_tt
 from killing3.errors import AlreadyLorentzian
 from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import (lorentz_completeness,
-                                     lorentz_relations_check,
-                                     riemannian_profile, to_lorentz)
+                                     lorentz_relations_check, to_lorentz)
 from killing3.metric_family import catalog, metric_components
 from killing3.tensor_core import LORENTZIAN
 
@@ -38,7 +37,7 @@ def test_relations_check_rejects_lorentzian_geometry():
 
 def test_flat_is_minkowski():
     pair = to_lorentz(catalog("flat"))
-    g = metric_components(pair.lorentzian, (0.5, 1.0)).matrix()
+    g = metric_components(pair.lorentzian, (0.5, 1.0))
     np.testing.assert_allclose(g, np.diag([-1.0, 1.0, 1.0]), atol=1e-15)
 
 
@@ -70,7 +69,8 @@ def test_lorentz_killing_field():
     from killing3.np_formalism import killing_test
 
     pair = to_lorentz(catalog("nil", {"omega0": 1.0}))
-    report = killing_test(pair.lorentzian, POINTS)  # T is unit timelike
+    r, theta = np.transpose(POINTS)
+    report = killing_test(Geometry(pair.lorentzian, r, theta))  # T is unit timelike
     assert report.max_lie_residual < 1e-9
 
 
@@ -85,7 +85,7 @@ def test_completeness_agreement():
         assert profile.tail_estimate == pytest.approx(expected_tail, abs=1e-8)
         if name != "hopf":
             assert verdict == COMPLETE
-        rprof = riemannian_profile(pair, r_max)
+        rprof = curvature_profile(pair.riemannian, r_max)
         np.testing.assert_allclose(rprof.inf_values, profile.inf_values,
                                    atol=1e-8)
 
@@ -95,7 +95,7 @@ def test_quotient_gaussian_curvature_identity():
     spec = catalog("hyperbolic")
     pair = to_lorentz(spec)
     s_l, ric_l = scalar_and_ric_tt(pair.lorentzian, 0.8, 0.0)
-    gauss = -float(spec.phi.jet(0.8, 0.0).d_rr / spec.phi.value(0.8, 0.0))
+    gauss = -float(spec.phi.jet(0.8, 0.0).d(2, 0) / spec.phi.value(0.8, 0.0))
     assert gauss == pytest.approx(0.5 * (float(s_l) - float(ric_l)), abs=1e-10)
 
 

@@ -36,14 +36,14 @@ def test_bad_params():
 
 def test_flat_metric_is_euclidean():
     spec = catalog("flat")
-    g = metric_components(spec, (0.4, 1.0)).matrix()
+    g = metric_components(spec, (0.4, 1.0))
     np.testing.assert_allclose(g, np.eye(3), atol=1e-15)
 
 
 def test_hopf_metric_components():
     # R=1 at r = pi/4: phi = 1/2, h = -1, so g_ttheta = -phi h = +1/2
     spec = catalog("hopf", {"R": 1.0})
-    g = metric_components(spec, (np.pi / 4, 0.0)).matrix()
+    g = metric_components(spec, (np.pi / 4, 0.0))
     expected = np.array([
         [1.0, 0.0, 0.5],
         [0.0, 1.0, 0.0],
@@ -55,7 +55,7 @@ def test_hopf_metric_components():
 def test_nil_metric_components():
     # omega0 = 1 at r = 2: phi = 1, h = -2
     spec = catalog("nil", {"omega0": 1.0})
-    g = metric_components(spec, (2.0, 0.3)).matrix()
+    g = metric_components(spec, (2.0, 0.3))
     expected = np.array([
         [1.0, 0.0, 2.0],
         [0.0, 1.0, 0.0],
@@ -110,7 +110,7 @@ def test_any_profile_triple_gives_unit_killing_T(r, theta, hc, kc):
     )
     from killing3.np_formalism import killing_test
 
-    report = killing_test(spec, [(r, theta)])
+    report = killing_test(Geometry(spec, r, theta))
     assert report.max_lie_residual < 1e-10
     assert report.max_geodesic < 1e-10
 
@@ -151,6 +151,6 @@ def test_to_grid_sampled_matches_analytic():
     t_nodes = np.linspace(0.0, 6.3, 24)
     gspec = to_grid_sampled(spec, r_nodes, t_nodes)
     for p in [(0.5, 1.0), (1.3, 4.0)]:
-        a = metric_components(spec, p).matrix()
-        b = metric_components(gspec, p).matrix()
+        a = metric_components(spec, p)
+        b = metric_components(gspec, p)
         np.testing.assert_allclose(a, b, atol=1e-7)

@@ -4,6 +4,7 @@ import pytest
 from killing3 import fields, jets
 from killing3.errors import EmptyGrid, NotUnitLength
 from killing3.frame_calculus import Geometry
+from killing3.lorentz_bridge import to_lorentz
 from killing3.metric_family import MetricSpec, catalog
 from killing3.np_formalism import (conformal_rescale_check, killing_test,
                                    kinematics, rotate_frame,
@@ -72,23 +73,46 @@ def test_structure_residuals_fail_on_wrong_sign():
 
 
 def test_killing_test_on_catalog_T():
-    report = killing_test(catalog("hyperbolic"), POINTS)
+    report = killing_test(Geometry(catalog("hyperbolic"), *np.transpose(POINTS)))
     assert report.is_killing
     assert report.max_geodesic < 1e-12
     assert report.max_divergence < 1e-12
     assert report.max_shear < 1e-12
 
 
+def test_killing_test_radial_field_closed_form():
+    # V = d/dr on dt^2 + dr^2 + cosh(r)^2 dtheta^2: unit and geodesic, with
+    # div V = tanh r, |sigma| = tanh(r)/2 and (L_V g)_thth = sinh 2r
+    comps = [fields.constant(0.0), fields.constant(1.0), fields.constant(0.0)]
+    r = np.array([0.3, 0.8, 1.4])
+    report = killing_test(Geometry(catalog("hyperbolic"), r, [0.2, 3.0, 5.0]),
+                          components=comps)
+    assert report.n_points == 3
+    assert report.max_divergence == pytest.approx(np.tanh(1.4), rel=1e-13)
+    assert report.max_shear == pytest.approx(np.tanh(1.4) / 2.0, rel=1e-13)
+    assert report.max_lie_residual == pytest.approx(np.sinh(2.8), rel=1e-13)
+    assert report.max_geodesic == pytest.approx(0.0, abs=1e-13)
+
+
+def test_killing_test_lorentzian_needs_unit_timelike():
+    # d/dr is unit but spacelike for the Lorentzian partner: refused, naming
+    # the first point (it reported divergence 0 and shear 0 before)
+    comps = [fields.constant(0.0), fields.constant(1.0), fields.constant(0.0)]
+    geo = Geometry(to_lorentz(catalog("hyperbolic")).lorentzian, [0.3, 0.8], [0.2, 3.0])
+    with pytest.raises(NotUnitLength, match=r"\(0\.3, 0\.2\)"):
+        killing_test(geo, components=comps)
+
+
 def test_killing_test_rejects_non_unit():
     spec = catalog("flat")
     comps = [fields.constant(2.0), fields.constant(0.0), fields.constant(0.0)]
     with pytest.raises(NotUnitLength):
-        killing_test(spec, [(0.5, 0.1)], components=comps)
+        killing_test(Geometry(spec, 0.5, 0.1), components=comps)
 
 
 def test_killing_test_empty_grid():
     with pytest.raises(EmptyGrid):
-        killing_test(catalog("flat"), [])
+        killing_test(Geometry(catalog("flat"), [], []))
 
 
 def test_killing_test_detects_non_killing_field():
@@ -96,7 +120,7 @@ def test_killing_test_detects_non_killing_field():
     spec = catalog("hyperbolic")
     comps = [fields.constant(0.0), fields.constant(0.0),
              fields.from_expr(lambda r, t: 1.0 / jets.cosh(r))]
-    report = killing_test(spec, [(0.5, 0.2), (1.0, 1.0)], components=comps)
+    report = killing_test(Geometry(spec, [0.5, 1.0], [0.2, 1.0]), components=comps)
     assert not report.is_killing
     assert report.max_lie_residual > 1e-4
 
@@ -108,7 +132,7 @@ def test_rotation_laws_seeded_angles():
         a, b, c = rng.normal(size=3)
         angle = fields.from_expr(
             lambda r, t, a=a, b=b, c=c: a * jets.sin(r) + b * jets.cos(t) + c * r * t)
-        rot = rotate_frame(spec, (0.8, 0.4), angle)
+        rot = rotate_frame(Geometry(spec, 0.8, 0.4), angle)
         assert rot.max_law_residual() < 1e-9
         # rho is frame-invariant
         base = spin_coefficients(Geometry(spec, 0.8, 0.4))
@@ -123,13 +147,13 @@ def test_conformal_rescaling_laws():
             a, b = rng.normal(scale=0.4, size=2)
             f = fields.from_expr(
                 lambda r, t, a=a, b=b: a * r + b * jets.sin(t))
-            cc = conformal_rescale_check(spec, f, (0.7, 1.3))
+            cc = conformal_rescale_check(Geometry(spec, 0.7, 1.3), f)
             assert cc.residual_omega < 1e-10
             assert cc.residual_shear < 1e-10
 
 
 def test_conformal_rescaling_preserves_twist_free():
     f = fields.from_expr(lambda r, t: 0.5 * r)
-    cc = conformal_rescale_check(catalog("hyperbolic"), f, (0.9, 0.1))
+    cc = conformal_rescale_check(Geometry(catalog("hyperbolic"), 0.9, 0.1), f)
     assert cc.omega == pytest.approx(0.0, abs=1e-13)
     assert cc.omega_rescaled == pytest.approx(0.0, abs=1e-13)

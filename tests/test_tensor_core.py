@@ -5,15 +5,8 @@ from hypothesis import strategies as st
 
 from killing3.errors import NonFinite
 from killing3.tensor_core import (GRAM, LORENTZIAN, RIEMANNIAN, Riemann4,
-                                  Sym3, gram_residual, sym_eig3)
+                                  gram_residual, sym_eig3)
 from oracles import bisect_eigenvalues
-
-
-def test_sym3_roundtrip():
-    m = np.array([[1.0, 2.0, 3.0], [2.0, 5.0, 6.0], [3.0, 6.0, 9.0]])
-    s = Sym3.from_matrix(m)
-    np.testing.assert_array_equal(s.matrix(), m)
-    assert s.trace == 15.0
 
 
 def test_sym_eig3_simple():
@@ -90,6 +83,18 @@ def test_riemann4_symmetries_on_constant_curvature():
     assert r4.antisymmetry_residual() < 1e-14
     assert r4.pair_symmetry_residual() < 1e-14
     assert r4.first_bianchi_residual() < 1e-14
+
+
+def test_riemann4_residuals_per_point():
+    # trailing batch axes: one residual per point, the index axes reduced
+    good = _constant_curvature_riemann(1.0)
+    bad = good.copy()
+    bad[0, 1, 0, 1] += 0.5
+    r4 = Riemann4(np.stack([good, bad], axis=-1))
+    assert r4.antisymmetry_residual().shape == (2,)
+    assert r4.antisymmetry_residual()[0] == 0.0 and r4.antisymmetry_residual()[1] == 0.5
+    assert r4.pair_symmetry_residual()[0] == 0.0
+    assert r4.first_bianchi_residual()[1] == 0.5
 
 
 def test_riemann4_shape_and_finite_checks():
