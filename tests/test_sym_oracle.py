@@ -1,0 +1,87 @@
+"""The jet pipeline against the symbolic oracle of ``sym_oracle``.
+
+One batched Geometry per metric is held to the sympy derivation at 1e-12,
+relative to the scale of each quantity: Christoffel symbols, S, Ric(T, T),
+the twist, the Ricci tensor on the frame {T, X, Y} and the Cotton-York norm,
+plus S and Ric(T, T) of each Lorentzian partner.
+"""
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from killing3 import fields, jets
+from killing3.cotton_york import cotton_york
+from killing3.curvature_engine import christoffels, ricci_frame_matrix, ricci_tt
+from killing3.frame_calculus import Geometry
+from killing3.metric_family import MetricSpec, catalog
+from killing3.tensor_core import LORENTZIAN
+from sym_oracle import Derivation, r, theta
+
+RTOL = 1e-12
+
+
+def _theta_triple_spec():
+    return MetricSpec(
+        fields.from_expr(lambda r, t: jets.sin(r) * (1.0 + jets.cos(t) * 0.2)),
+        fields.from_expr(lambda r, t: r * r * (1.0 / 3.0) + jets.sin(t) * (1.0 / 7.0)),
+        fields.from_expr(lambda r, t: jets.cos(r) * jets.sin(t) * 0.2),
+        name="theta_triple")
+
+
+#: name -> (spec factory, the same (phi, h, k) in sympy)
+CASES = {
+    "hopf": (lambda: catalog("hopf", {"R": 2.0}), (sp.sin(r), -sp.tan(r / 2), 0)),
+    "nil": (lambda: catalog("nil", {"omega0": 1.0}), (1, -r, 0)),
+    "hyperbolic": (lambda: catalog("hyperbolic"), (sp.cosh(r), 0, 0)),
+    "theta_triple": (_theta_triple_spec,
+                     (sp.sin(r) * (1 + sp.cos(theta) / 5), r**2 / 3 + sp.sin(theta) / 7,
+                      sp.cos(r) * sp.sin(theta) / 5)),
+}
+
+_rng = np.random.default_rng(11)
+R_PTS = _rng.uniform(0.3, 2.6, 12)
+THETA_PTS = _rng.uniform(0.0, 2.0 * np.pi, 12)
+
+
+@pytest.fixture(scope="module")
+def riemannian():
+    return Derivation(eta=1)
+
+
+@pytest.fixture(scope="module")
+def lorentzian():
+    return Derivation(eta=-1, cotton_york=False)
+
+
+def _assert_close(actual, expected, what):
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=RTOL * scale, err_msg=what)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_geometry_matches_sympy(riemannian, name):
+    make_spec, triple = CASES[name]
+    geo = Geometry(make_spec(), R_PTS, THETA_PTS)
+    oracle = riemannian.at(triple, R_PTS, THETA_PTS)
+    _assert_close(christoffels(geo), oracle["gamma"], f"{name} Gamma")
+    _assert_close(geo.scalar.value, oracle["scalar"], f"{name} S")
+    _assert_close(ricci_tt(geo), oracle["ric_tt"], f"{name} Ric(T,T)")
+    _assert_close(geo.omega.value, oracle["omega"], f"{name} omega")
+    _assert_close(ricci_frame_matrix(geo), oracle["ric_frame"], f"{name} Ricci on the frame")
+    _assert_close(cotton_york(geo).norm, oracle["cy_norm"], f"{name} |CY|")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_lorentzian_partner_matches_sympy(lorentzian, name):
+    make_spec, triple = CASES[name]
+    geo = Geometry(make_spec().with_signature(LORENTZIAN), R_PTS, THETA_PTS)
+    oracle = lorentzian.at(triple, R_PTS, THETA_PTS)
+    _assert_close(geo.scalar.value, oracle["scalar"], f"{name} S_L")
+    _assert_close(ricci_tt(geo), oracle["ric_tt"], f"{name} Ric_L(T,T)")
+
+
+def test_nil_cotton_york_norm_is_exact(riemannian):
+    # nil with omega0 = 1 has |CY| = sqrt(3/2) at every point
+    oracle = riemannian.at(CASES["nil"][1], [0.7], [0.2])
+    assert oracle["cy_norm"][0] == pytest.approx(np.sqrt(1.5), rel=1e-15)
