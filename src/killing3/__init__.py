@@ -4,8 +4,9 @@ The canonical metric is g = (T^b)^2 + dr^2 + phi^2 dtheta^2 in coordinates
 (t, r, theta) with T = d/dt the Killing field; every metric in the package is
 specified by the scalar profile triple (phi, h, k).  Modules:
 
-* ``jets`` / ``fields``     exact derivative-carrying scalar evaluation
-* ``tensor_core``           3x3 symmetric eigensolves, Gram audits, Riemann storage
+* ``jets`` / ``fields``     exact derivative-carrying scalar and tensor jets
+* ``frame_calculus``        the batched Geometry: metric, connection, Ricci, frame data
+* ``tensor_core``           Gram audits, Riemann storage
 * ``metric_family``         the (phi, h, k) spec, catalog metrics, CSV grids
 * ``curvature_engine``      Christoffels, curvature, Ricci-operator spectrum
 * ``np_formalism``          spin coefficients, kinematics, structure equations
@@ -39,8 +40,7 @@ from .np_formalism import (KinematicData, SpinCoefficients, StructureResiduals,
                            conformal_rescale_check, killing_test, kinematics,
                            rotate_frame, spin_coefficients,
                            structure_residuals)
-from .tensor_core import (LORENTZIAN, RIEMANNIAN, Riemann4, gram_residual,
-                          sym_eig3)
+from .tensor_core import LORENTZIAN, RIEMANNIAN, Riemann4, gram_residual
 
 __version__ = "0.1.0"
 
@@ -59,5 +59,5 @@ __all__ = [
     "lorentz_completeness", "lorentz_relations_check", "make_state",
     "metric_components", "projection_residual", "riemann", "rotate_frame",
     "solve_omega_ode", "spin_coefficients", "structure_residuals",
-    "sym_eig3", "tmg_residual", "to_lorentz", "wpde_residual",
+    "tmg_residual", "to_lorentz", "wpde_residual",
 ]

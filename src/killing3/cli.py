@@ -47,6 +47,10 @@ DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-8
 TOLERANCE_NAMES = ("residual", "drift")
 VERDICTS = (FLAT, NOT_FLAT, INCONCLUSIVE)
+#: the command-specific flags and tolerances each command reads
+READS = {"analyze": set(), "verify": {"--tol residual"}, "flatness": {"--expect"},
+         "geodesic": {"--tol drift", "--length", "--init"}, "family": {"--expect"},
+         "lorentz": {"--tol residual"}}
 
 
 @dataclass
@@ -408,8 +412,8 @@ def build_parser():
     ap.add_argument("--expect", help="fail (exit 1) unless the verdict matches")
     ap.add_argument("--points", type=int, default=64,
                     help="number of sampled points for sweeps")
-    ap.add_argument("--length", type=float, default=20.0,
-                    help="affine length for geodesic runs")
+    ap.add_argument("--length", type=float,
+                    help="affine length for geodesic runs (default 20)")
     ap.add_argument("--init", help="geodesic start: t,r,theta,vt,vr,vtheta")
     return ap
 
@@ -424,7 +428,7 @@ def main(argv=None):
             raise BadParams(f"--seed must be non-negative, got {ns.seed}")
         if ns.expect is not None and ns.expect.lower() not in {v.lower() for v in VERDICTS}:
             raise BadParams(f"--expect must be one of {', '.join(VERDICTS)}, got {ns.expect!r}")
-        if not (np.isfinite(ns.length) and ns.length != 0.0):
+        if ns.length is not None and not (np.isfinite(ns.length) and ns.length != 0.0):
             raise BadParams(f"--length must be finite and nonzero, got {ns.length}")
         init = None
         if ns.init:
@@ -432,11 +436,18 @@ def main(argv=None):
             if len(parts) != 6 or not np.all(np.isfinite(parts)):
                 raise BadParams("--init needs 6 finite comma-separated numbers")
             init = tuple(parts)
+        tols = _parse_tol(ns.tol)
+        given = {f"--tol {name}" for name in tols} | {
+            flag for flag, val in (("--expect", ns.expect), ("--length", ns.length),
+                                   ("--init", ns.init)) if val is not None}
+        unread = sorted(given - READS[ns.command])
+        if unread:
+            raise BadParams(f"{ns.command} does not read {', '.join(unread)}")
         config = RunConfig(
             command=ns.command, spec_path=ns.spec, grid=ns.grid,
-            tolerances=_parse_tol(ns.tol), out=ns.out, fmt=ns.format,
+            tolerances=tols, out=ns.out, fmt=ns.format,
             seed=ns.seed, expect=ns.expect, n_points=ns.points,
-            length=ns.length, init=init,
+            length=RunConfig.length if ns.length is None else ns.length, init=init,
         )
     except (argparse.ArgumentTypeError, BadParams, ValueError) as exc:
         print(f"killing3: {exc}", file=sys.stderr)
@@ -444,7 +455,8 @@ def main(argv=None):
 
     try:
         report, code = run(config)
-    except (ParseError, UnknownCatalogName, BadParams, FileNotFoundError) as exc:
+    except (ParseError, UnknownCatalogName, BadParams, OSError, UnicodeDecodeError) as exc:
+        # OSError and UnicodeDecodeError come from reading the spec or grid file
         print(f"killing3: {exc}", file=sys.stderr)
         return 2
     except Killing3Error as exc:

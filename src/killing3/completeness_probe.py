@@ -180,10 +180,10 @@ def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401,
     if not sol.success:
         raise StepFailure(f"geodesic integration failed: {sol.message}")
     states = sol.y.T
-    g = Geometry(spec, states[:, 1], states[:, 2], order=0).g
+    g = Geometry(spec, states[:, 1], states[:, 2], order=0).g.value
     v = sol.y[3:]
-    c_vals = sum(g[0][b].value * v[b] for b in range(3))
-    speed_vals = sum(g[a][b].value * v[a] * v[b] for a in range(3) for b in range(3))
+    c_vals = np.einsum("b...,b...->...", g[0], v)
+    speed_vals = np.einsum("ab...,a...,b...->...", g, v, v)
     return GeodesicTrajectory(sol.t, states, c_vals, speed_vals)
 
 

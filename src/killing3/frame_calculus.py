@@ -1,10 +1,12 @@
 """Shared jet pipeline: metric, connection, curvature and frame data at points.
 
 Everything is computed through exact jet arithmetic from the (phi, h, k)
-fields, so all derived quantities (Christoffel symbols, Riemann/Ricci
-curvature, spin coefficients, twist, Cotton-York entries) carry correct
-partial derivatives to the available order.  Coordinates are ordered
-(t, r, theta); all scalars are t-independent by construction.
+fields, so all derived quantities (Christoffel symbols, Ricci curvature,
+spin coefficients, twist, Cotton-York entries) carry correct partial
+derivatives to the available order.  Each tensor is one tensor-valued jet,
+and each step from metric to Christoffels to Ricci to S is one or two
+``contract`` products.  Coordinates are ordered (t, r, theta); all scalars
+are t-independent by construction.
 
 The frame used throughout is the canonical one:
 T = dt, X = h dt + (1/phi) dtheta, Y = k dt + dr, with the complex leg
@@ -18,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, JetOrderError
-from .jets import Jet2
+from .jets import Jet2, contract, stack
 from .metric_family import PHI_CUTOFF
 from .tensor_core import LORENTZIAN
 
@@ -26,12 +28,18 @@ _SQRT2 = np.sqrt(2.0)
 
 
 class Geometry:
-    """All frame/curvature data of a metric spec at one point or a batch."""
+    """All frame/curvature data of a metric spec at one point or a batch.
+
+    Tensors are tensor-valued jets indexed in coordinates (t, r, theta): ``g``
+    and ``ginv`` are [a][b], ``gamma`` is [c][a][b] = Gamma^c_{ab}, ``ric`` is
+    [b][c]; frame legs are rank-1 jets.
+    """
 
     def __init__(self, spec, r, theta, order=None):
         self.spec = spec
-        self.r = np.asarray(r, dtype=float)
-        self.theta = np.asarray(theta, dtype=float)
+        # one batch shape for every jet, so that tensor jets stack without broadcasting
+        self.r, self.theta = np.broadcast_arrays(np.asarray(r, dtype=float),
+                                                 np.asarray(theta, dtype=float))
         avail = min(spec.phi.max_order, spec.h.max_order, spec.k.max_order)
         self.order = avail if order is None else min(order, avail)
         self.phi = spec.phi.jet(self.r, self.theta, self.order)
@@ -39,110 +47,68 @@ class Geometry:
         self.k = spec.k.jet(self.r, self.theta, self.order)
         if np.any(self.phi.value <= PHI_CUTOFF):
             raise DomainError("phi at or below degeneracy cutoff")
+        self._eta = -1.0 if spec.signature == LORENTZIAN else 1.0
 
     def point_at(self, i):
         """The (r, theta) point at flat index i of the batch."""
-        r, theta = np.broadcast_arrays(self.r, self.theta)
-        return float(r.flat[i]), float(theta.flat[i])
+        return float(self.r.flat[i]), float(self.theta.flat[i])
 
     # -- jet helpers --------------------------------------------------------
 
-    def zero(self, order=None):
-        return Jet2.constant(0.0, self.order if order is None else order,
-                             batch_like=self.r)
+    def _constant(self, value):
+        return Jet2.constant(value, self.order, batch_like=self.r)
 
-    def one(self, order=None):
-        return Jet2.constant(1.0, self.order if order is None else order,
-                             batch_like=self.r)
-
-    def d(self, a, f):
-        """Coordinate partial of a scalar jet; a in (0=t, 1=r, 2=theta)."""
-        if a == 0:
-            return self.zero(f.order - 1)
-        return f.deriv("r" if a == 1 else "theta")
+    def grad(self, f):
+        """Coordinate partials of a jet of any rank, a new first axis (t, r, theta)."""
+        fr = f.deriv("r")  # d/dt is zero: every field is t-independent
+        return stack([Jet2(np.zeros_like(fr.coeffs), fr.order), fr, f.deriv("theta")])
 
     def dirderiv(self, u, f):
-        """Directional derivative U(f) for a vector of component jets."""
-        out = u[1] * self.d(1, f)
-        out = out + u[2] * self.d(2, f)
-        # u[0] multiplies d/dt f = 0 for t-independent scalars
-        return out
+        """Directional derivative U(f) of a jet of any rank; u is a rank-1 jet."""
+        idx = "bcde"[:f.coeffs.ndim - self.phi.coeffs.ndim]
+        return contract(f"a,a{idx}->{idx}", u, self.grad(f))
 
     def bracket(self, u, v):
-        return [
-            self.dirderiv(u, v[c]) - self.dirderiv(v, u[c])
-            for c in range(3)
-        ]
+        return self.dirderiv(u, v) - self.dirderiv(v, u)
 
     def ip(self, u, v):
         """Metric pairing g(U, V); bilinear (not hermitian) on complex jets."""
-        g = self.g
-        out = None
-        for a in range(3):
-            for b in range(3):
-                term = g[a][b] * u[a] * v[b]
-                out = term if out is None else out + term
-        return out
+        return contract("a,a->", u, contract("ab,b->a", self.g, v))
 
     def cov(self, u, v):
-        """Covariant derivative (nabla_U V)^c as component jets."""
-        gam = self.gamma
-        out = []
-        for c in range(3):
-            acc = self.dirderiv(u, v[c])
-            for a in range(3):
-                for b in range(3):
-                    acc = acc + u[a] * gam[c][a][b] * v[b]
-            out.append(acc)
-        return out
+        """Covariant derivative (nabla_U V)^c = U(V^c) + Gamma^c_ab U^a V^b."""
+        return self.dirderiv(u, v) + contract("cb,b->c", contract("a,cab->cb", u, self.gamma), v)
 
     # -- metric and connection ---------------------------------------------
 
+    def _triangular(self, top, corner):
+        """The matrix jet [top, [0, 1, 0], [0, 0, corner]]."""
+        zero, one = self._constant(0.0), self._constant(1.0)
+        return stack([stack(top), stack([zero, one, zero]), stack([zero, zero, corner])])
+
     @cached_property
     def g(self):
-        phi, h, k = self.phi, self.h, self.k
-        ph = phi * h
-        one = self.one()
-        g = [
-            [one, -k, -ph],
-            [-k, one + k * k, ph * k],
-            [-ph, ph * k, phi * phi * (one + h * h)],
-        ]
-        if self.spec.signature == LORENTZIAN:
-            tb = [one, -k, -ph]
-            g = [[g[a][b] - 2.0 * tb[a] * tb[b] for b in range(3)] for a in range(3)]
-        return g
+        """g = E^T eta E, eta = diag(+-1, 1, 1), for the triangular coframe
+        E = [[1, -k, -phi h], [0, 1, 0], [0, 0, phi]]."""
+        top = [self._constant(1.0), -self.k, -(self.phi * self.h)]
+        e = self._triangular(top, self.phi)
+        return contract("ia,ib->ab", self._triangular([c * self._eta for c in top], self.phi), e)
 
     @cached_property
     def ginv(self):
-        g = self.g
-        cof = [[None] * 3 for _ in range(3)]
-        for a in range(3):
-            for b in range(3):
-                i1, i2 = [x for x in range(3) if x != a]
-                j1, j2 = [x for x in range(3) if x != b]
-                minor = g[i1][j1] * g[i2][j2] - g[i1][j2] * g[i2][j1]
-                cof[a][b] = minor if (a + b) % 2 == 0 else -minor
-        det = g[0][0] * cof[0][0] + g[0][1] * cof[0][1] + g[0][2] * cof[0][2]
-        inv_det = 1.0 / det
-        # adjugate is the transpose of the cofactor matrix
-        return [[cof[b][a] * inv_det for b in range(3)] for a in range(3)]
+        """g^-1 = F eta F^T with F = E^-1 = [[1, k, h], [0, 1, 0], [0, 0, 1/phi]]."""
+        one, inv_phi = self._constant(1.0), 1.0 / self.phi
+        f = self._triangular([one, self.k, self.h], inv_phi)
+        eta_f = self._triangular([one * self._eta, self.k, self.h], inv_phi)
+        return contract("ai,bi->ab", eta_f, f)
 
     @cached_property
     def gamma(self):
         """Christoffel symbols gamma[c][a][b] = Gamma^c_{ab}."""
-        g, ginv = self.g, self.ginv
-        dg = [[[self.d(a, g[b][c]) for c in range(3)] for b in range(3)] for a in range(3)]
-        gam = [[[None] * 3 for _ in range(3)] for _ in range(3)]
-        for c in range(3):
-            for a in range(3):
-                for b in range(3):
-                    acc = None
-                    for d_ in range(3):
-                        term = ginv[c][d_] * (dg[a][d_][b] + dg[b][d_][a] - dg[d_][a][b])
-                        acc = term if acc is None else acc + term
-                    gam[c][a][b] = acc * 0.5
-        return gam
+        dg = self.grad(self.g)               # d_e g_ab at [e][a][b]
+        t1 = dg.einsum("adb->dab")           # d_a g_db at [d][a][b]
+        low = (t1 + t1.einsum("dba->dab") - dg) * 0.5
+        return contract("cd,dab->cab", self.ginv, low)
 
     # -- curvature ----------------------------------------------------------
 
@@ -150,101 +116,56 @@ class Geometry:
     def riem_ud(self):
         """R^d_{c a b}: R(e_a, e_b) e_c = R^d_{cab} e_d, stored [d][c][a][b]."""
         gam = self.gamma
-        dgam = [[[[self.d(a, gam[d][b][c]) for c in range(3)] for b in range(3)]
-                 for a in range(3)] for d in range(3)]
-        out = [[[[None] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
-        for d_ in range(3):
-            for c in range(3):
-                for a in range(3):
-                    for b in range(3):
-                        acc = dgam[d_][a][b][c] - dgam[d_][b][a][c]
-                        for e in range(3):
-                            acc = acc + gam[d_][a][e] * gam[e][b][c]
-                            acc = acc - gam[d_][b][e] * gam[e][a][c]
-                        out[d_][c][a][b] = acc
-        return out
+        # d_a Gamma^d_bc + Gamma^d_ae Gamma^e_bc, antisymmetrised in (a, b)
+        half = self.grad(gam).einsum("adbc->dcab") + contract("dae,ebc->dcab", gam, gam)
+        return half - half.einsum("dcab->dcba")
 
     @cached_property
     def riem_low(self):
         """Fully covariant R(e_a, e_b, e_c, e_w), stored [a][b][c][w]."""
-        up, g = self.riem_ud, self.g
-        out = [[[[None] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    for w in range(3):
-                        acc = None
-                        for d_ in range(3):
-                            term = g[d_][w] * up[d_][c][a][b]
-                            acc = term if acc is None else acc + term
-                        out[a][b][c][w] = acc
-        return out
+        return contract("dw,dcab->abcw", self.g, self.riem_ud)
 
     @cached_property
     def ric(self):
-        """Ricci tensor ric[b][c] = Ric(e_b, e_c) in coordinates."""
-        up = self.riem_ud
-        out = [[None] * 3 for _ in range(3)]
-        for b in range(3):
-            for c in range(3):
-                acc = None
-                for a in range(3):
-                    term = up[a][c][a][b]
-                    acc = term if acc is None else acc + term
-                out[b][c] = acc
-        return out
+        """Ricci tensor ric[b][c] = d_a G^a_bc - d_b G^a_ac + G^a_ae G^e_bc - G^a_be G^e_ac."""
+        gam = self.gamma
+        trace = gam.einsum("aac->c")         # Gamma^a_ac
+        return (self.grad(gam).einsum("aabc->bc") - self.grad(trace)
+                + contract("e,ebc->bc", trace, gam) - contract("abe,eac->bc", gam, gam))
 
     @cached_property
     def scalar(self):
-        ric, ginv = self.ric, self.ginv
-        acc = None
-        for b in range(3):
-            for c in range(3):
-                term = ginv[b][c] * ric[b][c]
-                acc = term if acc is None else acc + term
-        return acc
+        return contract("bc,bc->", self.ginv, self.ric)
 
     def ric_form(self, u, v):
-        ric = self.ric
-        acc = None
-        for a in range(3):
-            for b in range(3):
-                term = ric[a][b] * u[a] * v[b]
-                acc = term if acc is None else acc + term
-        return acc
+        return contract("a,a->", u, contract("ab,b->a", self.ric, v))
 
     # -- canonical frame -----------------------------------------------------
 
     @cached_property
     def frame(self):
-        zero, one = self.zero(), self.one()
-        t = [one, zero, zero]
-        x = [self.h + zero, zero, 1.0 / self.phi]
-        y = [self.k + zero, one, zero]
-        return t, x, y
+        """Rank-1 jets T = d_t, X = h d_t + d_theta / phi, Y = k d_t + d_r."""
+        zero, one = self._constant(0.0), self._constant(1.0)
+        return (stack([one, zero, zero]), stack([self.h, zero, 1.0 / self.phi]),
+                stack([self.k, one, zero]))
 
     @cached_property
     def m_leg(self):
         _, x, y = self.frame
-        m = [(x[c] + (-1j) * y[c]) * (1.0 / _SQRT2) for c in range(3)]
-        mbar = [(x[c] + 1j * y[c]) * (1.0 / _SQRT2) for c in range(3)]
-        return m, mbar
+        return (x + (-1j) * y) * (1.0 / _SQRT2), (x + 1j * y) * (1.0 / _SQRT2)
 
     # -- kinematics of the frame field T -------------------------------------
 
     @cached_property
     def cov_T(self):
-        t, _, _ = self.frame
-        return {
-            "T": self.cov(t, t),
-            "X": self.cov(self.frame[1], t),
-            "Y": self.cov(self.frame[2], t),
-        }
+        """nabla_X T and nabla_Y T."""
+        _, x, y = self.frame
+        return self.cov(x, self.frame[0]), self.cov(y, self.frame[0])
 
     @cached_property
     def div_T(self):
         _, x, y = self.frame
-        return self.ip(self.cov_T["X"], x) + self.ip(self.cov_T["Y"], y)
+        return self.ip(self.cov_T[0], x) + self.ip(self.cov_T[1], y)
 
     @cached_property
     def omega(self):
@@ -256,17 +177,14 @@ class Geometry:
     def shear(self):
         """Complex shear sigma1 + i sigma2 of T for the canonical frame."""
         _, x, y = self.frame
-        dxTx = self.ip(self.cov_T["X"], x)
-        dyTy = self.ip(self.cov_T["Y"], y)
-        dxTy = self.ip(self.cov_T["X"], y)
-        dyTx = self.ip(self.cov_T["Y"], x)
-        return (dyTy - dxTx) * 0.5 + 0.5j * (dyTx + dxTy)
+        xt, yt = self.cov_T
+        return ((self.ip(yt, y) - self.ip(xt, x)) * 0.5
+                + 0.5j * (self.ip(yt, x) + self.ip(xt, y)))
 
     @cached_property
     def div_Y(self):
         t, x, y = self.frame
-        eps_t = -1.0 if self.spec.signature == LORENTZIAN else 1.0
-        return (eps_t * self.ip(self.cov(t, y), t)
+        return (self._eta * self.ip(self.cov(t, y), t)
                 + self.ip(self.cov(x, y), x) + self.ip(self.cov(y, y), y))
 
     # -- spin coefficients ----------------------------------------------------
@@ -292,42 +210,34 @@ class Geometry:
     @cached_property
     def ric_frame(self):
         """Ricci bilinear on the frame; the m-leg entries follow by bilinearity."""
-        t, x, y = self.frame
-        tx, ty = self.ric_form(t, x), self.ric_form(t, y)
-        xx, yy, xy = self.ric_form(x, x), self.ric_form(y, y), self.ric_form(x, y)
+        legs = stack(self.frame)  # [i][a]: leg i of T, X, Y
+        rf = contract("ib,jb->ij", contract("ia,ab->ib", legs, self.ric), legs)
+        tx, ty, xx, yy, xy = rf[0, 1], rf[0, 2], rf[1, 1], rf[2, 2], rf[1, 2]
         # m = (X - iY)/sqrt(2)
-        return {
-            "TT": self.ric_form(t, t), "TX": tx, "TY": ty,
-            "XX": xx, "YY": yy, "XY": xy,
-            "Tm": (tx + (-1j) * ty) * (1.0 / _SQRT2),
-            "Tmbar": (tx + 1j * ty) * (1.0 / _SQRT2),
-            "mm": (xx - yy + (-2j) * xy) * 0.5,
-            "mbarmbar": (xx - yy + 2j * xy) * 0.5,
-            "mmbar": (xx + yy) * 0.5,
-        }
+        return {"TT": rf[0, 0], "TX": tx, "TY": ty, "XX": xx, "YY": yy, "XY": xy,
+                "Tm": (tx + (-1j) * ty) * (1.0 / _SQRT2),
+                "Tmbar": (tx + 1j * ty) * (1.0 / _SQRT2),
+                "mm": (xx - yy + (-2j) * xy) * 0.5,
+                "mbarmbar": (xx - yy + 2j * xy) * 0.5,
+                "mmbar": (xx + yy) * 0.5}
 
     # -- derived scalars for the Cotton-York block ----------------------------
 
     @cached_property
     def omega_derivs(self):
-        t, x, y = self.frame
+        _, x, y = self.frame
         w = self.omega
         if w.order < 2:
             raise JetOrderError("Cotton-York needs twist jets to order 2")
-        xw = self.dirderiv(x, w)
-        yw = self.dirderiv(y, w)
-        return {
-            "X": xw, "Y": yw,
-            "XX": self.dirderiv(x, xw).value,
-            "YY": self.dirderiv(y, yw).value,
-            "YX": self.dirderiv(y, xw).value,
-            "XY": self.dirderiv(x, yw).value,
-        }
+        xw, yw = self.dirderiv(x, w), self.dirderiv(y, w)
+        return {"X": xw, "Y": yw,
+                "XX": self.dirderiv(x, xw).value, "YY": self.dirderiv(y, yw).value,
+                "YX": self.dirderiv(y, xw).value, "XY": self.dirderiv(x, yw).value}
 
     @cached_property
     def cotton_york_matrix(self):
         """CY values against {T, X, Y}; shape (3, 3) + batch."""
-        t, x, y = self.frame
+        _, x, y = self.frame
         s = self.scalar
         if s.order < 1:
             raise JetOrderError("Cotton-York needs scalar-curvature jets to order 1")
@@ -356,6 +266,4 @@ class Geometry:
             0.5 * (od["XY"] - xw * dy),
             0.375 * w3 - 0.25 * sv * w - 0.5 * yw * dy - 0.5 * od["XX"],
         ]
-        return np.array([c1, c2, c3]).transpose(
-            (1, 0) + tuple(range(2, 2 + np.ndim(w)))
-        )
+        return np.swapaxes(np.array([c1, c2, c3]), 0, 1)

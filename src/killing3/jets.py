@@ -6,12 +6,18 @@ quantity assembled from analytic metric data -- Christoffel symbols, curvature,
 spin coefficients, Cotton-York entries -- inherits machine-precision
 derivatives without numerical differentiation.
 
-Coefficients may be scalars or numpy arrays (a batch of points evaluated at
-once), and may be real or complex.
+The coefficient array is ``(coefficient, *tensor axes, *batch axes)``: a jet
+may hold a tensor of any rank (Taylor arithmetic on tensor-valued
+coefficients), over a batch of points evaluated at once, real or complex.
+Every product of two jets, scalar or tensor, goes through one Leibniz kernel:
+``contract`` gathers the nonzero terms of the product rule, truncated to the
+result's order, makes one ``np.einsum`` over the tensor indices and sums the
+terms of each output coefficient with ``np.add.reduceat``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -26,29 +32,76 @@ K = len(INDEX)
 _POS = {ij: k for k, ij in enumerate(INDEX)}
 
 
-def _build_mul_table():
-    # (fg)^(i,j) = sum C(i,a) C(j,b) f^(a,b) g^(i-a, j-b)
-    m = np.zeros((K, K, K))
-    for ko, (i, j) in enumerate(INDEX):
-        for ka, (a, b) in enumerate(INDEX):
-            if a <= i and b <= j:
-                kb = _POS[(i - a, j - b)]
-                m[ko, ka, kb] = comb(i, a) * comb(j, b)
-    return m
+#: coefficients a jet of order n carries: 1, 3, 6, 10
+NCOEFFS = [(n + 1) * (n + 2) // 2 for n in range(MAX_ORDER + 1)]
 
 
-_MUL = _build_mul_table()
+def _leibniz_terms(order):
+    """Gather indices, weights and group starts of the order-n product rule.
 
-# index shifts implementing d/dr and d/dtheta on the coefficient vector
-_SHIFT_R = [_POS.get((i + 1, j), -1) for (i, j) in INDEX]
-_SHIFT_T = [_POS.get((i, j + 1), -1) for (i, j) in INDEX]
+    (fg)^(i,j) = sum C(i,a) C(j,b) f^(a,b) g^(i-a, j-b); the terms of each
+    output coefficient are consecutive and start at ``starts``.
+    """
+    left, right, weight, starts = [], [], [], []
+    for i, j in INDEX[:NCOEFFS[order]]:
+        starts.append(len(left))
+        for a in range(i + 1):
+            for b in range(j + 1):
+                left.append(_POS[(a, b)])
+                right.append(_POS[(i - a, j - b)])
+                weight.append(comb(i, a) * comb(j, b))
+    return np.array(left), np.array(right), np.array(weight, dtype=float), np.array(starts)
+
+
+_TERMS = [_leibniz_terms(n) for n in range(MAX_ORDER + 1)]
+
+
+@lru_cache(maxsize=None)
+def _einsum_spec(subscripts):
+    # "Z" is the Leibniz term axis, "..." the batch axes
+    inputs, out = subscripts.split("->")
+    left, right = inputs.split(",")
+    return f"Z,Z{left}...,Z{right}...->Z{out}..."
+
+
+_SCALAR = _einsum_spec(",->")
+
+
+def _product(spec, a, b):
+    order = min(a.order, b.order)
+    left, right, weight, starts = _TERMS[order]
+    terms = np.einsum(spec, weight, a.coeffs[left], b.coeffs[right])
+    return Jet2(np.add.reduceat(terms, starts, axis=0), order)
+
+
+def contract(subscripts, a, b):
+    """Product of two tensor-valued jets, contracted over their tensor indices.
+
+    ``subscripts`` names the tensor axes only, as in ``np.einsum`` with
+    lowercase letters, e.g. ``"ab,b->a"`` for a matrix times a vector; the
+    coefficient and batch axes are implicit.  The result has the lower order.
+    """
+    return _product(_einsum_spec(subscripts), a, b)
+
+
+def stack(parts):
+    """Jet of one rank more from equally shaped jets; the new axis is the first tensor axis."""
+    order = min(p.order for p in parts)
+    return Jet2(np.concatenate([p.coeffs[:NCOEFFS[order], np.newaxis] for p in parts], axis=1),
+                order)
+
+
+# index shifts implementing d/dr and d/dtheta on the coefficients of order < 3
+_SHIFT = {"r": np.array([_POS[(i + 1, j)] for i, j in INDEX[:NCOEFFS[MAX_ORDER - 1]]]),
+          "theta": np.array([_POS[(i, j + 1)] for i, j in INDEX[:NCOEFFS[MAX_ORDER - 1]]])}
 
 
 class Jet2:
-    """Value and partial derivatives of a scalar at a point of the (r, theta) plane.
+    """Value and partial derivatives of a scalar or tensor over the (r, theta) plane.
 
-    ``coeffs[k]`` holds the derivative for multi-index ``INDEX[k]``; entries with
-    total order above ``order`` are not meaningful and are guarded by :meth:`d`.
+    ``coeffs[k]`` holds the derivative for multi-index ``INDEX[k]``, for k below
+    ``NCOEFFS[order]``; any further rows are not meaningful and are guarded by
+    :meth:`d`.  The tensor axes, if any, follow the coefficient axis.
     """
 
     __slots__ = ("coeffs", "order")
@@ -64,7 +117,8 @@ class Jet2:
         value = np.asarray(value)
         if batch_like is not None:
             value = np.broadcast_to(value, np.shape(batch_like)).copy()
-        c = np.zeros((K,) + value.shape, dtype=value.dtype if value.dtype.kind in "fc" else float)
+        c = np.zeros((NCOEFFS[order],) + value.shape,
+                     dtype=value.dtype if value.dtype.kind in "fc" else float)
         c[0] = value
         return Jet2(c, order)
 
@@ -72,8 +126,8 @@ class Jet2:
     def variable(value, slot, order=MAX_ORDER):
         """Coordinate jet: slot 'r' or 'theta'."""
         j = Jet2.constant(np.asarray(value, dtype=float), order)
-        k = _POS[(1, 0)] if slot == "r" else _POS[(0, 1)]
-        j.coeffs[k] = 1.0
+        if order > 0:
+            j.coeffs[_POS[(1, 0)] if slot == "r" else _POS[(0, 1)]] = 1.0
         return j
 
     # -- accessors ----------------------------------------------------------
@@ -88,18 +142,23 @@ class Jet2:
     def value(self):
         return self.coeffs[0]
 
+    def __getitem__(self, index):
+        """The jet of one tensor component or slice, e.g. ``g[0, 1]``."""
+        return Jet2(self.coeffs[(slice(None),) + np.index_exp[index]], self.order)
+
+    def einsum(self, subscripts):
+        """A linear map of the tensor axes (transpose, trace), e.g. ``"aab->b"``."""
+        inputs, out = subscripts.split("->")
+        return Jet2(np.einsum(f"Z{inputs}...->Z{out}...", self.coeffs), self.order)
+
     # -- differentiation ----------------------------------------------------
 
     def deriv(self, slot):
         """The jet of df/dr or df/dtheta; one order lower."""
         if self.order < 1:
             raise JetOrderError("cannot differentiate an order-0 jet")
-        shift = _SHIFT_R if slot == "r" else _SHIFT_T
-        c = np.zeros_like(self.coeffs)
-        for k, ks in enumerate(shift):
-            if ks >= 0:
-                c[k] = self.coeffs[ks]
-        return Jet2(c, self.order - 1)
+        order = self.order - 1
+        return Jet2(self.coeffs[_SHIFT[slot][:NCOEFFS[order]]], order)
 
     # -- ring operations ----------------------------------------------------
 
@@ -119,8 +178,10 @@ class Jet2:
 
     def __add__(self, other):
         other = self._coerce(other)
-        a, b = self._align(self.coeffs, other.coeffs)
-        return Jet2(a + b, min(self.order, other.order))
+        order = min(self.order, other.order)
+        n = NCOEFFS[order]
+        a, b = self._align(self.coeffs[:n], other.coeffs[:n])
+        return Jet2(a + b, order)
 
     __radd__ = __add__
 
@@ -136,8 +197,7 @@ class Jet2:
     def __mul__(self, other):
         if not isinstance(other, Jet2):
             return Jet2(self.coeffs * np.asarray(other), self.order)
-        c = np.einsum("oab,a...,b...->o...", _MUL, self.coeffs, other.coeffs)
-        return Jet2(c, min(self.order, other.order))
+        return _product(_SCALAR, self, other)
 
     __rmul__ = __mul__
 
@@ -214,7 +274,8 @@ def exp(f):
 def log(f):
     u = _fluctuation(f)
     u2 = u * u
-    return np.log(f.value) + u - u2 * 0.5 + u2 * u * (1.0 / 3.0)
+    # the jet on the left: an ndarray on the left would make an object array of jets
+    return u - u2 * 0.5 + u2 * u * (1.0 / 3.0) + np.log(f.value)
 
 
 def sin(f):

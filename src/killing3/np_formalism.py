@@ -132,14 +132,15 @@ def structure_residuals(geo):
           - (abs(sig)**2 - abs(rh)**2 - 2 * abs(bet)**2
              + (rh - np.conj(rh)) * ep - ric_mmbar + 0.5 * ric_tt))
 
-    lie1 = geo.bracket(t, m)
-    lie1_rhs = [kappa * t[c] + (eps + rho.conj()) * m[c] + sigma * mbar[c]
-                for c in range(3)]
-    lie_tm = np.max([np.abs(v(lie1[c] - lie1_rhs[c])) for c in range(3)], axis=0)
-    lie2 = geo.bracket(m, mbar)
-    lie2_rhs = [(rho.conj() - rho) * t[c] + beta.conj() * m[c] - beta * mbar[c]
-                for c in range(3)]
-    lie_mmbar = np.max([np.abs(v(lie2[c] - lie2_rhs[c])) for c in range(3)], axis=0)
+    def combo(a, b, c):
+        """a T + b m + c mbar for scalar jets a, b, c."""
+        return (jets.contract(",a->a", a, t) + jets.contract(",a->a", b, m)
+                + jets.contract(",a->a", c, mbar))
+
+    lie1 = geo.bracket(t, m) - combo(kappa, eps + rho.conj(), sigma)
+    lie_tm = np.max(np.abs(v(lie1)), axis=0)
+    lie2 = geo.bracket(m, mbar) - combo(rho.conj() - rho, beta.conj(), -beta)
+    lie_mmbar = np.max(np.abs(v(lie2)), axis=0)
 
     bid1 = (v(dd(t, rf["Tm"])) - 0.5 * v(dd(m, rf["TT"])) + v(dd(mbar, rf["mm"]))
             - (kap * (ric_tt - ric_mmbar) + (ep + 2 * rh + np.conj(rh)) * ric_tm
@@ -184,11 +185,6 @@ class KillingReport:
         return self.max_lie_residual < 1e-8
 
 
-def _values(rows):
-    """Value array, shape (3, 3) + batch, of a 3x3 nest of jets."""
-    return np.array([[x.value for x in row] for row in rows])
-
-
 def killing_test(geo, components=None):
     """Audit a vector field V (default: T) at the points of a Geometry.
 
@@ -205,7 +201,7 @@ def killing_test(geo, components=None):
     if components is None:
         vjet = geo.frame[0]
     else:
-        vjet = [f.jet(geo.r, geo.theta, geo.order) for f in components]
+        vjet = jets.stack([f.jet(geo.r, geo.theta, geo.order) for f in components])
     eps = -1.0 if geo.spec.signature == LORENTZIAN else 1.0
     norm = geo.ip(vjet, vjet).value
     off = ~(np.abs(norm - eps) <= UNIT_TOL)  # NaN is off too
@@ -213,10 +209,9 @@ def killing_test(geo, components=None):
         i = int(np.argmax(off))
         raise NotUnitLength(f"|V|^2 = {np.ravel(norm)[i]} at {geo.point_at(i)}, "
                             f"expected {eps}")
-    g, ginv = _values(geo.g), _values(geo.ginv)
-    v = np.array([c.value for c in vjet])
+    g, ginv, v = geo.g.value, geo.ginv.value, vjet.value
     # nabla[c, a] = (nabla_a V)^c = d_a V^c + Gamma^c_ab V^b
-    nabla = (np.array([[geo.d(a, c).value for a in range(3)] for c in vjet])
+    nabla = (np.swapaxes(geo.grad(vjet).value, 0, 1)
              + np.einsum("cab...,b...->ca...", christoffels(geo), v))
     b = np.einsum("bc...,ca...->ab...", g, nabla)  # B_ab = g(nabla_a V, e_b)
     lie = np.max(np.abs(b + np.swapaxes(b, 0, 1)), axis=(0, 1))
@@ -260,9 +255,8 @@ def rotate_frame(geo, angle_field):
     m, _ = geo.m_leg
     th = angle_field.jet(geo.r, geo.theta, geo.order)
     phase = jets.exp(1j * th)
-    ms = [phase * m[c] for c in range(3)]
-    kappa_s, rho_s, sigma_s, eps_s, beta_s = (
-        j.value for j in geo.spin_of(t, ms, [c.conj() for c in ms]))
+    ms = jets.contract(",a->a", phase, m)
+    kappa_s, rho_s, sigma_s, eps_s, beta_s = (j.value for j in geo.spin_of(t, ms, ms.conj()))
     kappa, rho, sigma, eps, beta = (j.value for j in geo.spin)
     ph = phase.value
     laws = {
@@ -288,14 +282,16 @@ class _ConformalGeometry(Geometry):
 
     @cached_property
     def g(self):
-        scale = jets.exp(2.0 * self._f)
-        return [[scale * gab for gab in row] for row in Geometry.g.func(self)]
+        return jets.contract(",ab->ab", jets.exp(2.0 * self._f), Geometry.g.func(self))
+
+    @cached_property
+    def ginv(self):
+        return jets.contract(",ab->ab", jets.exp(-2.0 * self._f), Geometry.ginv.func(self))
 
     @cached_property
     def frame(self):
         scale = jets.exp(-self._f)
-        return tuple([scale * comp for comp in leg]
-                     for leg in Geometry.frame.func(self))
+        return tuple(jets.contract(",a->a", scale, leg) for leg in Geometry.frame.func(self))
 
 
 @dataclass(frozen=True)

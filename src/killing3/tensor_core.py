@@ -1,4 +1,4 @@
-"""Fixed-size 3x3 tensor utilities: symmetric eigensolves, Gram audits, Riemann storage."""
+"""Fixed-size 3x3 tensor utilities: Gram audits and Riemann storage."""
 
 from __future__ import annotations
 
@@ -14,46 +14,6 @@ GRAM = {
     RIEMANNIAN: np.diag([1.0, 1.0, 1.0]),
     LORENTZIAN: np.diag([-1.0, 1.0, 1.0]),
 }
-
-
-def sym_eig3(m):
-    """Eigenvalues (ascending) and eigenvectors of a symmetric 3x3 matrix.
-
-    Cyclic Jacobi rotations: backward stable, so repeated eigenvalues come
-    out to machine precision (unlike characteristic-polynomial methods,
-    which lose half the digits at a double root).  Eigenvectors are the
-    accumulated rotations, hence orthonormal by construction.
-    """
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise NonFinite("matrix has non-finite entries")
-    a = 0.5 * (m + m.T)
-    v = np.eye(3)
-    norm = max(1.0, np.sqrt(np.sum(a * a)))
-
-    for _ in range(30):
-        off = np.sqrt(a[0, 1]**2 + a[0, 2]**2 + a[1, 2]**2)
-        if off <= 1e-15 * norm:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p, q]
-            if abs(apq) <= 1e-18 * norm:
-                continue
-            # rotation angle zeroing a[p, q], smaller-root formula for stability
-            tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-            t = np.sign(tau) / (abs(tau) + np.hypot(tau, 1.0)) if tau != 0 else 1.0
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            rot = np.eye(3)
-            rot[p, p] = rot[q, q] = c
-            rot[p, q], rot[q, p] = s, -s
-            a = rot.T @ a @ rot
-            a = 0.5 * (a + a.T)
-            v = v @ rot
-
-    lams = np.diag(a).copy()
-    order = np.argsort(lams)
-    return lams[order], v[:, order]
 
 
 def gram_residual(frame, g, signature=RIEMANNIAN):

@@ -85,10 +85,12 @@ def bisect_eigenvalues(m, lo=None, hi=None, tol=1e-12):
     m = 0.5 * (m + m.T)
     # reflect (m10, m20) onto (r, 0): exact one-step tridiagonalization
     x = m[1:, 0]
-    nx = np.linalg.norm(x)
+    nx = np.hypot(x[0], x[1])
     if nx > 0.0:
-        v = x.copy()
-        v[0] += (1.0 if x[0] >= 0 else -1.0) * nx
+        # v from the unit vector x / |x|: for a tiny x, v.v would underflow to
+        # a subnormal and the reflection would not be orthogonal
+        v = x / nx
+        v[0] += 1.0 if x[0] >= 0 else -1.0
         h2 = np.eye(2) - 2.0 * np.outer(v, v) / np.dot(v, v)
         house = np.eye(3)
         house[1:, 1:] = h2

@@ -251,10 +251,38 @@ def _exit_code(argv):
     ("geodesic", ["--init", "0,0.5,0,nan,1,0"]),
     ("verify", ["--tol", "bogus=1"]),
     ("flatness", ["--expect", "Flta"]),
+    # flags the command never reads
+    ("analyze", ["--expect", "NotFlat"]),
+    ("lorentz", ["--expect", "Flat"]),
+    ("verify", ["--tol", "drift=1e-30"]),
+    ("geodesic", ["--tol", "residual=1e-6"]),
+    ("analyze", ["--length", "5"]),
+    ("analyze", ["--init", "0,0.5,0,1,0,0"]),
 ])
 def test_main_rejects_bad_flag_values(tmp_path, capsys, command, flags):
     spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
     assert _exit_code([command, "--spec", spec, "--points", "4"] + flags) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "geodesic"])
+def test_analyze_and_geodesic_accept_seed_and_points(tmp_path, command):
+    spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
+    argv = [command, "--spec", spec, "--points", "4", "--seed", "7"]
+    assert _exit_code(argv + (["--length", "0.5"] if command == "geodesic" else [])) == 0
+
+
+@pytest.mark.parametrize("case", ["spec_not_utf8", "spec_is_directory", "grid_is_directory"])
+def test_main_rejects_unreadable_spec_or_grid(tmp_path, capsys, case):
+    if case == "spec_not_utf8":
+        spec = tmp_path / "m.spec"
+        spec.write_bytes(b"\xff\xfecatalog = flat\n")
+    elif case == "spec_is_directory":
+        spec = tmp_path
+    else:
+        spec = _write_spec(tmp_path, f"grid_csv = {tmp_path}")
+    assert _exit_code(["analyze", "--spec", str(spec), "--points", "4"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
@@ -283,7 +311,9 @@ def test_cli_contract_fuzz(tmp_path_factory, command, grid, length, tol, points)
     """Any flag values: exit 0-3, at most one stderr line, never a traceback."""
     spec = tmp_path_factory.getbasetemp() / "fuzz_hopf.spec"
     spec.write_text("catalog = hopf\nR = 2\n")
-    argv = [command, "--spec", str(spec), "--points", "4", "--length", "1"]
+    argv = [command, "--spec", str(spec), "--points", "4"]
+    if command == "geodesic":
+        argv += ["--length", "1"]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = _exit_code(argv + grid + length + tol + points)

@@ -1,14 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from killing3.curvature_engine import (christoffels, curvature_packet,
                                        gaussian_identity_residual,
                                        hamilton_inequality, ricci_frame_matrix,
-                                       riemann, spectrum_vs_eigensolve_residual)
-from killing3.errors import TwistZero
+                                       ric_operator_assembled, riemann,
+                                       spectrum_closed_form,
+                                       spectrum_vs_eigensolve_residual)
+from killing3.errors import NonFinite, TwistZero
 from killing3.frame_calculus import Geometry
 from killing3.metric_family import catalog
-from oracles import fd_christoffels, fd_ricci, fd_scalar
+from oracles import bisect_eigenvalues, fd_christoffels, fd_ricci, fd_scalar
 
 POINTS = [(0.35, 0.4), (0.8, 2.1), (1.1, 5.0)]
 
@@ -116,6 +122,28 @@ def test_spectrum_closed_form_vs_eigensolve(catalogs):
         for p in POINTS:
             pk = curvature_packet(Geometry(spec, *p))
             assert spectrum_vs_eigensolve_residual(pk) < 1e-9
+
+
+def test_spectrum_residual_rejects_non_finite():
+    pk = curvature_packet(Geometry(catalog("nil"), 0.4, 0.9))
+    with pytest.raises(NonFinite):
+        spectrum_vs_eigensolve_residual(replace(pk, ric_operator=np.full((3, 3), np.nan)))
+
+
+def test_bisection_oracle_with_tiny_householder_vector():
+    # (m10, m20) ~ 2e-160: formed from the raw column, v.v is a subnormal
+    tiny = 1.98e-160
+    m = np.array([[0.0, tiny, tiny], [tiny, 0.0, 1.0], [tiny, 1.0, 0.0]])
+    np.testing.assert_allclose(bisect_eigenvalues(m), np.linalg.eigvalsh(m), atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4))
+def test_closed_form_spectrum_against_bisection_oracle(entries):
+    omega, s, x_omega, y_omega = entries
+    lams, _ = spectrum_closed_form(omega, s, x_omega**2 + y_omega**2)
+    oracle = bisect_eigenvalues(ric_operator_assembled(omega, s, x_omega, y_omega))
+    np.testing.assert_allclose(oracle, np.sort(lams), atol=1e-8)
 
 
 def test_ric_of_t_norm():

@@ -1,3 +1,6 @@
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 from killing3 import jets
 from killing3.errors import JetOrderError
-from killing3.jets import Jet2, variables
+from killing3.jets import INDEX, Jet2, contract, variables
 
 FD_STEP = 1e-5
 
@@ -108,6 +111,16 @@ def test_reciprocal_and_sqrt_consistency(r, theta):
     np.testing.assert_allclose(sq.coeffs, f.coeffs, atol=1e-11)
 
 
+def test_log_of_a_batch():
+    r = np.array([0.5, 1.5, 3.0])
+    jr, _ = variables(r, np.zeros(3))
+    out = jets.log(jr)
+    assert isinstance(out, Jet2)
+    np.testing.assert_allclose(out.value, np.log(r), rtol=1e-15)
+    np.testing.assert_allclose(out.d(1, 0), 1.0 / r, rtol=1e-14)
+    np.testing.assert_allclose(out.d(3, 0), 2.0 / r**3, rtol=1e-13)
+
+
 def test_tan_third_derivative():
     x = 0.4
     jr, _ = variables(x, 0.0)
@@ -119,3 +132,91 @@ def test_tan_third_derivative():
     sec2 = 1.0 + x2
     assert t.d(3, 0) == pytest.approx(4 * sec2 * x2 + 2 * sec2**2, rel=1e-12)
     assert t.d(3, 0) == pytest.approx(fd, rel=2e-3)
+
+
+# -- the Leibniz product kernel ------------------------------------------------
+
+#: tensor subscripts over operand ranks 0, 1 and 2
+SUBSCRIPTS = [",->", ",a->a", "ab,->ab", "a,a->", "a,b->ab", "ab,b->a", "ab,bc->ac", "ab,ab->"]
+BATCHES = [(), (5,), (2, 3)]
+
+
+def _rank(subscripts):
+    left, right = subscripts.split("->")[0].split(",")
+    return len(left), len(right)
+
+
+def _random_jet(rng, order, rank, batch, complex_):
+    shape = (10,) + (3,) * rank + batch
+    c = rng.normal(size=shape)
+    if complex_:
+        c = c + 1j * rng.normal(size=shape)
+    return Jet2(c, order)
+
+
+def _leibniz_reference(subscripts, a, b):
+    """Coefficients of the product by a nested loop over the Leibniz rule."""
+    order = min(a.order, b.order)
+    inputs, out = subscripts.split("->")
+    left, right = inputs.split(",")
+    spec = f"{left}...,{right}...->{out}..."
+    pos = {ij: k for k, ij in enumerate(INDEX)}
+    rows = []
+    for i, j in INDEX:
+        if i + j > order:
+            break
+        acc = 0.0
+        for p in range(i + 1):
+            for q in range(j + 1):
+                acc = acc + comb(i, p) * comb(j, q) * np.einsum(
+                    spec, a.coeffs[pos[(p, q)]], b.coeffs[pos[(i - p, j - q)]])
+        rows.append(acc)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("subscripts", SUBSCRIPTS)
+def test_contract_matches_leibniz_loop(subscripts, complex_):
+    rng = np.random.default_rng(len(subscripts) + 7 * complex_)
+    rank_a, rank_b = _rank(subscripts)
+    for order_a, order_b, batch in itertools.product(range(4), range(4), BATCHES):
+        a = _random_jet(rng, order_a, rank_a, batch, complex_)
+        b = _random_jet(rng, order_b, rank_b, batch, complex_)
+        out = contract(subscripts, a, b)
+        ref = _leibniz_reference(subscripts, a, b)
+        assert out.order == min(order_a, order_b)
+        assert out.coeffs.shape == ref.shape
+        np.testing.assert_allclose(out.coeffs, ref, rtol=1e-13, atol=1e-12)
+        if subscripts == ",->":
+            np.testing.assert_allclose((a * b).coeffs, ref, rtol=1e-13, atol=1e-12)
+
+
+def test_scalar_product_broadcasts_a_constant_against_a_batch():
+    rng = np.random.default_rng(3)
+    a = _random_jet(rng, 3, 0, (), False)
+    b = _random_jet(rng, 3, 0, (2, 3), True)
+    np.testing.assert_allclose((a * b).coeffs, _leibniz_reference(",->", a, b),
+                               rtol=1e-13, atol=1e-12)
+
+
+@pytest.mark.parametrize("subscripts", SUBSCRIPTS)
+def test_lower_order_product_is_a_truncation(subscripts):
+    rng = np.random.default_rng(5)
+    rank_a, rank_b = _rank(subscripts)
+    a = _random_jet(rng, 3, rank_a, (4,), True)
+    b = _random_jet(rng, 3, rank_b, (4,), False)
+    full = contract(subscripts, a, b)
+    for order, n in enumerate((1, 3, 6, 10)):
+        part = contract(subscripts, Jet2(a.coeffs, order), Jet2(b.coeffs, order))
+        assert part.order == order and part.coeffs.shape[0] == n
+        np.testing.assert_allclose(part.coeffs, full.coeffs[:n], rtol=1e-15, atol=1e-14)
+
+
+def test_tensor_jet_indexing_and_linear_maps():
+    rng = np.random.default_rng(9)
+    m = _random_jet(rng, 2, 2, (5,), False)
+    np.testing.assert_array_equal(m[1, 2].coeffs, m.coeffs[:, 1, 2])
+    np.testing.assert_array_equal(m.einsum("ab->ba").coeffs, np.swapaxes(m.coeffs, 1, 2))
+    np.testing.assert_allclose(m.einsum("aa->").coeffs, np.trace(m.coeffs, axis1=1, axis2=2))
+    parts = [m[0], m[1], m[2]]
+    np.testing.assert_array_equal(jets.stack(parts).coeffs, m.coeffs[:6])
