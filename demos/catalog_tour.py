@@ -35,8 +35,7 @@ def main():
         geo = Geometry(spec, *point)
         pk = curvature_packet(geo)
         cy = cotton_york(geo)
-        box = (-1.2, 1.2, 8, 0.0, 6.0, 8) if name == "cf_family" \
-            else (0.2, 1.2, 8, 0.0, 6.0, 8)
+        box = (-1.2, 1.2, 0.0, 6.0) if name == "cf_family" else (0.2, 1.2, 0.0, 6.0)
         sweep = np.transpose(sample_points(box, args.points, seed=42))
         fit = flatness_verdict(Geometry(spec, *sweep))
         print(f"== {name} {params or ''}")

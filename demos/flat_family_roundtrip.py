@@ -25,7 +25,7 @@ def main():
     args = ap.parse_args()
 
     params = FamilyParams(B=args.B, C=args.C, omega0=args.omega0)
-    sol = solve_omega_ode(params, min_periods=10.0)
+    sol = solve_omega_ode(params)
     print(f"params: B = {params.B}, C = {params.C}, omega(0) = {params.omega0}")
     print(f"energy E = C + B^2 = {params.energy:.6f}")
     if sol.turning_points.size:
@@ -36,7 +36,7 @@ def main():
 
     spec = build_cf_metric(params)
     r_lo, r_hi = spec.params["r_range"]
-    box = (0.9 * r_lo, 0.9 * r_hi, 8, 0.0, 6.0, 8)
+    box = (0.9 * r_lo, 0.9 * r_hi, 0.0, 6.0)
     fit = flatness_verdict(Geometry(spec, *np.transpose(sample_points(box, 32, seed=42))))
     print(f"verdict: {fit.verdict}   max ||CY|| = {fit.cy_max:.3e}")
     print(f"recovered (B, C) = ({fit.B:+.6f}, {fit.C:+.6f})"

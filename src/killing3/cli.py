@@ -11,8 +11,9 @@ family    twist-ODE solve + built metric + flatness audit
 lorentz   signature-pair curvature relations
 
 Exit codes: 0 pass, 1 verdict failure, 2 parse/config error, 3 numeric/domain
-error.  Point sampling uses a seeded low-discrepancy sequence for
-reproducible residual maxima; each sweep evaluates its points as one batch.
+error.  A sweep samples --points points from a seeded low-discrepancy
+sequence in the box --grid rmin:rmax,tmin:tmax, for reproducible residual
+maxima, and evaluates them as one batch.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .metric_family import (CATALOG_PARAMS, catalog, check_admissible,
 from .np_formalism import kinematics, structure_residuals
 from .tensor_core import LORENTZIAN, RIEMANNIAN
 
-DEFAULT_GRID = (0.2, 1.2, 8, 0.0, 6.0, 8)
+#: the sampling box (r_min, r_max, theta_min, theta_max)
+DEFAULT_GRID = (0.2, 1.2, 0.0, 6.0)
 DEFAULT_SEED = 42
 DEFAULT_TOL = 1e-8
 TOLERANCE_NAMES = ("residual", "drift")
@@ -131,7 +133,7 @@ def parse_metric_spec(text):
 
 def sample_points(grid, n_points, seed):
     """Seeded low-discrepancy points inside the (r, theta) grid box."""
-    r_min, r_max, _, t_min, t_max, _ = grid
+    r_min, r_max, t_min, t_max = grid
     sampler = qmc.Halton(d=2, scramble=True, seed=seed)
     u = sampler.random(n_points)
     pts = qmc.scale(u, [r_min, t_min], [r_max, t_max])
@@ -217,7 +219,7 @@ def _run_flatness(spec, config):
 
 def _run_geodesic(spec, config):
     tol = config.tolerances.get("drift", DEFAULT_TOL)
-    r_min, r_max, _, t_min, _, _ = config.grid
+    r_min, r_max, t_min, _ = config.grid
     if config.init is not None:
         t0, r0, th0, vt, vr, vth = config.init
         state = make_state(spec, (t0, r0, th0), (vt, vr, vth))
@@ -360,17 +362,11 @@ def _write_atomic(path, text):
 
 def _parse_grid(text):
     try:
-        r_part, t_part = text.split(",")
-        r_min, r_max, n_r = r_part.split(":")
-        t_min, t_max, n_t = t_part.split(":")
-        grid = (float(r_min), float(r_max), int(n_r),
-                float(t_min), float(t_max), int(n_t))
+        (r_min, r_max), (t_min, t_max) = (map(float, part.split(":"))
+                                          for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "grid must look like rmin:rmax:nr,tmin:tmax:nt")
-    if grid[2] < 2 or grid[5] < 2:
-        raise argparse.ArgumentTypeError("grid counts must be >= 2")
-    r_min, r_max, _, t_min, t_max, _ = grid
+        raise argparse.ArgumentTypeError("grid must look like rmin:rmax,tmin:tmax") from None
+    grid = (r_min, r_max, t_min, t_max)
     if not (np.all(np.isfinite(grid)) and r_min < r_max and t_min < t_max):
         raise argparse.ArgumentTypeError("grid bounds must be finite with min < max")
     return grid
@@ -404,7 +400,7 @@ def build_parser():
     ap.add_argument("command", choices=sorted(_RUNNERS))
     ap.add_argument("--spec", required=True, help="metric spec file")
     ap.add_argument("--grid", type=_parse_grid, default=DEFAULT_GRID,
-                    metavar="rmin:rmax:nr,tmin:tmax:nt")
+                    metavar="rmin:rmax,tmin:tmax")
     ap.add_argument("--tol", action="append", metavar="NAME=VAL")
     ap.add_argument("--format", choices=("text", "jsonl"), default="text")
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -30,6 +30,8 @@ INCONCLUSIVE = "Inconclusive"
 VERDICT_NOTE = "criterion evaluation on R^3 hypothesis"
 
 TOL_ZERO = 1e-6
+#: the largest |speed - 1| a geodesic may start with
+UNIT_TOL = 1e-8
 #: relative oscillation of the tail quartile beyond which no verdict is given
 OSCILLATION_TOL = 0.2
 
@@ -41,6 +43,13 @@ class CurvatureProfile:
     tail_estimate: float
     tail_oscillation: float  # spread of annulus minima across the tail quartile
     window: tuple            # (r_min, r_max, n_r, n_theta)
+
+    @staticmethod
+    def mesh(r_max, n_r, n_theta):
+        """Radii r_max/n_r .. r_max and the (radius, theta) mesh of a profile sweep."""
+        radii = np.linspace(r_max / n_r, r_max, n_r)
+        thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+        return (radii, *np.meshgrid(radii, thetas, indexing="ij"))
 
     @classmethod
     def from_minima(cls, radii, ring_min, n_theta):
@@ -54,14 +63,9 @@ class CurvatureProfile:
                    window=(float(radii[0]), float(radii[-1]), len(radii), n_theta))
 
 
-def curvature_profile(spec, r_max, n_r=64, n_theta=32, r_min=None,
-                      theta_range=(0.0, 2.0 * np.pi)):
+def curvature_profile(spec, r_max, n_r=64, n_theta=32):
     """Running infima of S + Ric(T,T) over annuli |p| >= r on a sample grid."""
-    if r_min is None:
-        r_min = r_max / n_r
-    radii = np.linspace(r_min, r_max, n_r)
-    thetas = np.linspace(theta_range[0], theta_range[1], n_theta, endpoint=False)
-    rr, tt = np.meshgrid(radii, thetas, indexing="ij")
+    radii, rr, tt = CurvatureProfile.mesh(r_max, n_r, n_theta)
     s, ric_tt = scalar_and_ric_tt(spec, rr, tt)
     ring_min = np.min(s + ric_tt, axis=1)          # min over theta per radius
     return CurvatureProfile.from_minima(radii, ring_min, n_theta)
@@ -73,15 +77,15 @@ def synthetic_profile(radii, values):
                                         np.asarray(values, dtype=float), 0)
 
 
-def completeness_verdict(profile, tol_zero=TOL_ZERO):
+def completeness_verdict(profile):
     """Criterion verdict; see VERDICT_NOTE for the standing hypothesis."""
     if len(np.atleast_1d(profile.radii)) == 0:
         raise EmptyProfile("empty curvature profile")
     if profile.tail_oscillation > OSCILLATION_TOL:
         return INCONCLUSIVE
-    if profile.tail_estimate <= tol_zero:
+    if profile.tail_estimate <= TOL_ZERO:
         return COMPLETE
-    if profile.tail_estimate > 10.0 * tol_zero:
+    if profile.tail_estimate > 10.0 * TOL_ZERO:
         return INCOMPLETE
     return INCONCLUSIVE
 
@@ -142,14 +146,38 @@ class GeodesicTrajectory:
                             self.c_drift[i], self.speed_drift[i]])
 
 
-def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401,
-                       unit_tol=1e-8):
+def _integrate(spec, rhs, y0, length, step_tol, n_samples, what, at):
+    """The one DOP853 solve of a geodesic; ``y[at:at + 2]`` is its (r, theta).
+
+    A terminal event stops it where phi falls to 10 PHI_CUTOFF; leaving the
+    domain is BlowUp, a failed step StepFailure.
+    """
+
+    def domain_exit(_, y):
+        return float(spec.phi.value(y[at], y[at + 1])) - 10.0 * PHI_CUTOFF
+
+    domain_exit.terminal = True
+    try:
+        sol = solve_ivp(rhs, (0.0, length), y0, method="DOP853", rtol=step_tol,
+                        atol=step_tol * 1e-2, t_eval=np.linspace(0.0, length, n_samples),
+                        events=domain_exit)
+    except DomainError as exc:
+        # a trial step crossed the degeneracy cutoff before the event fired
+        raise BlowUp(f"{what} left the admissible domain: {exc}") from exc
+    if sol.status == 1:
+        raise BlowUp(f"{what} left the admissible domain at s = {sol.t_events[0][0]}")
+    if not sol.success:
+        raise StepFailure(f"{what} integration failed: {sol.message}")
+    return sol
+
+
+def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401):
     """Integrate the geodesic equation in (t, r, theta); see GeodesicTrajectory.
 
-    ``init`` must be (approximately) unit speed; build it with make_state.
+    ``init`` must be unit speed to UNIT_TOL; build it with make_state.
     theta runs on the universal cover (unbounded) during integration.
     """
-    if abs(init.speed - 1.0) > unit_tol:
+    if abs(init.speed - 1.0) > UNIT_TOL:
         raise NotUnitLength(f"initial speed {init.speed} is not 1")
 
     def rhs(_, y):
@@ -162,23 +190,8 @@ def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401,
             acc = np.array([-v @ gam[c] @ v for c in range(3)])
         return np.concatenate([v, acc])
 
-    def domain_exit(_, y):
-        return float(spec.phi.value(y[1], y[2])) - 10.0 * PHI_CUTOFF
-
-    domain_exit.terminal = True
-
     y0 = np.array([init.t, init.r, init.theta, *init.velocities])
-    s_eval = np.linspace(0.0, length, n_samples)
-    try:
-        sol = solve_ivp(rhs, (0.0, length), y0, method="DOP853", rtol=step_tol,
-                        atol=step_tol * 1e-2, t_eval=s_eval, events=domain_exit)
-    except DomainError as exc:
-        # a trial step crossed the degeneracy cutoff before the event fired
-        raise BlowUp(f"geodesic left the admissible domain: {exc}") from exc
-    if sol.status == 1:
-        raise BlowUp(f"geodesic left the admissible domain at s = {sol.t_events[0][0]}")
-    if not sol.success:
-        raise StepFailure(f"geodesic integration failed: {sol.message}")
+    sol = _integrate(spec, rhs, y0, length, step_tol, n_samples, "geodesic", 1)
     states = sol.y.T
     g = Geometry(spec, states[:, 1], states[:, 2], order=0).g.value
     v = sol.y[3:]
@@ -204,22 +217,8 @@ def integrate_quotient_geodesic(spec, init2d, length, step_tol=1e-10,
             ath = -2.0 * (phi_r / phi) * vr * vth - (phi_th / phi) * vth**2
         return [vr, vth, ar, ath]
 
-    def domain_exit(_, y):
-        return float(spec.phi.value(y[0], y[1])) - 10.0 * PHI_CUTOFF
-
-    domain_exit.terminal = True
-
-    s_eval = np.linspace(0.0, length, n_samples)
-    try:
-        sol = solve_ivp(rhs, (0.0, length), list(init2d), method="DOP853",
-                        rtol=step_tol, atol=step_tol * 1e-2, t_eval=s_eval,
-                        events=domain_exit)
-    except DomainError as exc:
-        raise BlowUp(f"quotient geodesic left the domain: {exc}") from exc
-    if sol.status == 1:
-        raise BlowUp(f"quotient geodesic left the domain at s = {sol.t_events[0][0]}")
-    if not sol.success:
-        raise StepFailure(f"quotient integration failed: {sol.message}")
+    sol = _integrate(spec, rhs, list(init2d), length, step_tol, n_samples,
+                     "quotient geodesic", 0)
     return sol.t, sol.y.T
 
 

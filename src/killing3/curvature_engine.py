@@ -24,7 +24,7 @@ def christoffels(geo):
 
 def riemann(geo):
     """Fully covariant curvature tensor R(e_a, e_b, e_c, e_d) in coordinates, per point."""
-    return Riemann4(geo.riem_low.value, basis="coordinate")
+    return Riemann4(geo.riem_low.value)
 
 
 @dataclass(frozen=True)

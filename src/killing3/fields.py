@@ -26,19 +26,14 @@ GRID_SAMPLED = "grid"
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Evaluator mapping (r, theta) to a Jet2 of the declared max order."""
+    """Evaluator mapping (r, theta) to a Jet2 of order up to MAX_ORDER."""
 
     jet_fn: Callable = field(repr=False)
-    max_order: int = MAX_ORDER
     provenance: str = ANALYTIC
 
-    def jet(self, r, theta, order=None):
-        if order is None:
-            order = self.max_order
-        if order > self.max_order:
-            raise JetOrderError(
-                f"order {order} requested from a max_order={self.max_order} field"
-            )
+    def jet(self, r, theta, order=MAX_ORDER):
+        if order > MAX_ORDER:
+            raise JetOrderError(f"order {order} requested, above MAX_ORDER = {MAX_ORDER}")
         j = self.jet_fn(r, theta, order)
         j.order = order
         return j
@@ -50,7 +45,7 @@ class ScalarField:
         return self.value(r, theta)
 
 
-def from_expr(expr, max_order=MAX_ORDER):
+def from_expr(expr):
     """Analytic field from a jet expression, e.g. ``lambda r, t: jets.sin(r) * t``."""
 
     def jet_fn(r, theta, order):
@@ -60,17 +55,17 @@ def from_expr(expr, max_order=MAX_ORDER):
             out = Jet2.constant(np.asarray(out, dtype=float), order, batch_like=jr.value)
         return out
 
-    return ScalarField(jet_fn, max_order, ANALYTIC)
+    return ScalarField(jet_fn, ANALYTIC)
 
 
-def constant(value, max_order=MAX_ORDER):
+def constant(value):
     def jet_fn(r, theta, order):
         return Jet2.constant(float(value), order, batch_like=np.asarray(r, dtype=float))
 
-    return ScalarField(jet_fn, max_order, ANALYTIC)
+    return ScalarField(jet_fn, ANALYTIC)
 
 
-def from_grid(r_nodes, theta_nodes, values, max_order=MAX_ORDER):
+def from_grid(r_nodes, theta_nodes, values):
     """Grid-sampled field; ``values[i, j]`` at ``(r_nodes[i], theta_nodes[j])``.
 
     A quintic spline supplies all partials up to order 3 directly; finite
@@ -82,7 +77,7 @@ def from_grid(r_nodes, theta_nodes, values, max_order=MAX_ORDER):
     values = np.asarray(values, dtype=float)
     kx = min(5, len(r_nodes) - 1)
     ky = min(5, len(theta_nodes) - 1)
-    if kx < max_order + 1 or ky < max_order + 1:
+    if kx < MAX_ORDER + 1 or ky < MAX_ORDER + 1:
         raise ValueError("grid too coarse for the requested jet order")
     spline = RectBivariateSpline(r_nodes, theta_nodes, values, kx=kx, ky=ky, s=0)
 
@@ -105,7 +100,7 @@ def from_grid(r_nodes, theta_nodes, values, max_order=MAX_ORDER):
                 c[k] = spline.ev(rb, tb, dx=i, dy=j).reshape(shape)
         return Jet2(c, order)
 
-    return ScalarField(jet_fn, max_order, GRID_SAMPLED)
+    return ScalarField(jet_fn, GRID_SAMPLED)
 
 
 def sample_to_grid(field_like, r_nodes, theta_nodes):

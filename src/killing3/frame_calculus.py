@@ -10,7 +10,9 @@ are t-independent by construction.
 
 The frame used throughout is the canonical one:
 T = dt, X = h dt + (1/phi) dtheta, Y = k dt + dr, with the complex leg
-m = (X - iY)/sqrt(2).
+m = (X - iY)/sqrt(2).  The frame connection C_ijk = g(nabla_{e_i} e_j, e_k)
+gives the divergences, the shear and the spin coefficients as index reads;
+the twist stays on the Lie bracket, independent of the Christoffel symbols.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, JetOrderError
-from .jets import Jet2, contract, stack
+from .jets import MAX_ORDER, NCOEFFS, Jet2, contract, stack
 from .metric_family import PHI_CUTOFF
 from .tensor_core import LORENTZIAN
 
@@ -40,8 +42,7 @@ class Geometry:
         # one batch shape for every jet, so that tensor jets stack without broadcasting
         self.r, self.theta = np.broadcast_arrays(np.asarray(r, dtype=float),
                                                  np.asarray(theta, dtype=float))
-        avail = min(spec.phi.max_order, spec.h.max_order, spec.k.max_order)
-        self.order = avail if order is None else min(order, avail)
+        self.order = MAX_ORDER if order is None else min(order, MAX_ORDER)
         self.phi = spec.phi.jet(self.r, self.theta, self.order)
         self.h = spec.h.jet(self.r, self.theta, self.order)
         self.k = spec.k.jet(self.r, self.theta, self.order)
@@ -75,10 +76,6 @@ class Geometry:
         """Metric pairing g(U, V); bilinear (not hermitian) on complex jets."""
         return contract("a,a->", u, contract("ab,b->a", self.g, v))
 
-    def cov(self, u, v):
-        """Covariant derivative (nabla_U V)^c = U(V^c) + Gamma^c_ab U^a V^b."""
-        return self.dirderiv(u, v) + contract("cb,b->c", contract("a,cab->cb", u, self.gamma), v)
-
     # -- metric and connection ---------------------------------------------
 
     def _triangular(self, top, corner):
@@ -109,6 +106,19 @@ class Geometry:
         t1 = dg.einsum("adb->dab")           # d_a g_db at [d][a][b]
         low = (t1 + t1.einsum("dba->dab") - dg) * 0.5
         return contract("cd,dab->cab", self.ginv, low)
+
+    def nabla(self, v):
+        """(nabla_a V)^c = d_a V^c + Gamma^c_ab V^b at [a][c], or [j][a][c] for vectors [j][c]."""
+        j = "j"[:v.coeffs.ndim - self.phi.coeffs.ndim - 1]
+        return self.grad(v).einsum(f"a{j}c->{j}ac") + contract(f"cab,{j}b->{j}ac", self.gamma, v)
+
+    def connection_of(self, legs):
+        """C[i][j][k] = g(nabla_{e_i} e_j, e_k) of three real or complex legs."""
+        e = stack(legs)                                   # [i][a]: leg i
+        nab = self.nabla(e)                               # [j][a][c]
+        e = Jet2(e.coeffs[:NCOEFFS[nab.order]], nab.order)  # no higher order than C has
+        dual = contract("ka,ab->kb", e, self.g)           # g(e_k, .)
+        return contract("ia,jak->ijk", e, contract("jac,kc->jak", nab, dual))
 
     # -- curvature ----------------------------------------------------------
 
@@ -154,18 +164,17 @@ class Geometry:
         _, x, y = self.frame
         return (x + (-1j) * y) * (1.0 / _SQRT2), (x + 1j * y) * (1.0 / _SQRT2)
 
-    # -- kinematics of the frame field T -------------------------------------
+    # -- the frame connection, and what it gives ------------------------------
 
     @cached_property
-    def cov_T(self):
-        """nabla_X T and nabla_Y T."""
-        _, x, y = self.frame
-        return self.cov(x, self.frame[0]), self.cov(y, self.frame[0])
+    def connection(self):
+        """C[i][j][k] = g(nabla_{e_i} e_j, e_k) of the frame (T, X, Y)."""
+        return self.connection_of(self.frame)
 
     @cached_property
     def div_T(self):
-        _, x, y = self.frame
-        return self.ip(self.cov_T[0], x) + self.ip(self.cov_T[1], y)
+        c = self.connection
+        return c[1, 0, 1] + c[2, 0, 2]
 
     @cached_property
     def omega(self):
@@ -176,18 +185,13 @@ class Geometry:
     @cached_property
     def shear(self):
         """Complex shear sigma1 + i sigma2 of T for the canonical frame."""
-        _, x, y = self.frame
-        xt, yt = self.cov_T
-        return ((self.ip(yt, y) - self.ip(xt, x)) * 0.5
-                + 0.5j * (self.ip(yt, x) + self.ip(xt, y)))
+        c = self.connection
+        return (c[2, 0, 2] - c[1, 0, 1]) * 0.5 + 0.5j * (c[2, 0, 1] + c[1, 0, 2])
 
     @cached_property
     def div_Y(self):
-        t, x, y = self.frame
-        return (self._eta * self.ip(self.cov(t, y), t)
-                + self.ip(self.cov(x, y), x) + self.ip(self.cov(y, y), y))
-
-    # -- spin coefficients ----------------------------------------------------
+        c = self.connection
+        return self._eta * c[0, 2, 0] + c[1, 2, 1] + c[2, 2, 2]
 
     @cached_property
     def spin(self):
@@ -198,12 +202,8 @@ class Geometry:
 
     def spin_of(self, t, m, mbar):
         """kappa, rho, sigma, epsilon, beta of a frame {t, m, mbar} (jets)."""
-        kappa = -self.ip(self.cov(t, t), m)
-        rho = -self.ip(self.cov(mbar, t), m)
-        sigma = -self.ip(self.cov(m, t), m)
-        eps = self.ip(self.cov(t, m), mbar)
-        beta = self.ip(self.cov(m, m), mbar)
-        return kappa, rho, sigma, eps, beta
+        c = self.connection_of((t, m, mbar))
+        return -c[0, 0, 1], -c[2, 0, 1], -c[1, 0, 1], c[0, 1, 2], c[1, 1, 2]
 
     # -- Ricci in the frame ---------------------------------------------------
 

@@ -58,17 +58,13 @@ def lorentz_relations_check(geo):
     return np.abs(ric_l - ric_r), np.abs(s_l - (s_r + 2.0 * ric_r))
 
 
-def lorentz_completeness(pair, r_max, n_r=64, n_theta=32, r_min=None):
+def lorentz_completeness(pair, r_max, n_r=64, n_theta=32):
     """Verdict from the Lorentzian-form criterion S_L - Ric_L(T,T).
 
     Also reports the max pointwise disagreement with the Riemannian-form
     quantity S_R + Ric_R(T,T), which should vanish identically.
     """
-    if r_min is None:
-        r_min = r_max / n_r
-    radii = np.linspace(r_min, r_max, n_r)
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    rr, tt = np.meshgrid(radii, thetas, indexing="ij")
+    radii, rr, tt = CurvatureProfile.mesh(r_max, n_r, n_theta)
     s_l, ric_l = scalar_and_ric_tt(pair.lorentzian, rr, tt)
     s_r, ric_r = scalar_and_ric_tt(pair.riemannian, rr, tt)
     crit_l = s_l - ric_l

@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
-from .curvature_engine import christoffels
 from .errors import EmptyGrid, NotUnitLength
 from .frame_calculus import Geometry
 from .tensor_core import LORENTZIAN
@@ -210,12 +209,10 @@ def killing_test(geo, components=None):
         raise NotUnitLength(f"|V|^2 = {np.ravel(norm)[i]} at {geo.point_at(i)}, "
                             f"expected {eps}")
     g, ginv, v = geo.g.value, geo.ginv.value, vjet.value
-    # nabla[c, a] = (nabla_a V)^c = d_a V^c + Gamma^c_ab V^b
-    nabla = (np.swapaxes(geo.grad(vjet).value, 0, 1)
-             + np.einsum("cab...,b...->ca...", christoffels(geo), v))
-    b = np.einsum("bc...,ca...->ab...", g, nabla)  # B_ab = g(nabla_a V, e_b)
+    nabla = geo.nabla(vjet).value  # nabla[a, c] = (nabla_a V)^c
+    b = np.einsum("bc...,ac...->ab...", g, nabla)  # B_ab = g(nabla_a V, e_b)
     lie = np.max(np.abs(b + np.swapaxes(b, 0, 1)), axis=(0, 1))
-    acc = np.einsum("ca...,a...->c...", nabla, v)
+    acc = np.einsum("ac...,a...->c...", nabla, v)
     geodesic = np.sqrt(np.abs(np.einsum("a...,ab...,b...->...", acc, g, acc)))
     div = np.einsum("cc...->...", nabla)
     # P^a_b projects onto the complement of V, where the metric is h = g - eps V V

@@ -30,7 +30,7 @@ def gram_residual(frame, g, signature=RIEMANNIAN):
 
 
 class Riemann4:
-    """Covariant curvature tensor R(e_a, e_b, e_c, e_d) in a declared basis.
+    """Covariant curvature tensor R(e_a, e_b, e_c, e_d) in coordinates.
 
     The constructor accepts the 3x3x3x3 component array, with optional trailing
     batch axes, and records the residuals of the index symmetries and the
@@ -39,14 +39,13 @@ class Riemann4:
     only, giving one value per point.
     """
 
-    def __init__(self, components, basis="coordinate"):
+    def __init__(self, components):
         comp = np.asarray(components, dtype=float)
         if comp.shape[:4] != (3, 3, 3, 3):
             raise ValueError("Riemann4 expects a 3x3x3x3 array")
         if not np.all(np.isfinite(comp)):
             raise NonFinite("curvature components not finite")
         self.components = comp
-        self.basis = basis
 
     def __getitem__(self, idx):
         return self.components[idx]

@@ -30,8 +30,8 @@ from killing3.metric_family import catalog, to_grid_sampled
 from killing3.np_formalism import (conformal_rescale_check, killing_test,
                                    rotate_frame, structure_residuals)
 
-GRID_BOX = (0.25, 1.3, 8, 0.0, 6.28, 8)
-CF_BOX = (-1.3, 1.3, 8, 0.0, 6.28, 8)
+GRID_BOX = (0.25, 1.3, 0.0, 6.28)
+CF_BOX = (-1.3, 1.3, 0.0, 6.28)
 
 
 def _box_for(name):
@@ -115,7 +115,7 @@ def test_criterion_04_structure_equations():
         lo, hi = (-1.4, 1.4) if name == "cf_family" else (0.08, 1.5)
         gspec = to_grid_sampled(spec, np.linspace(lo, hi, 200),
                                 np.linspace(0.0, 2 * np.pi, 200))
-        box = (lo + 0.15, hi - 0.15, 8, 0.3, 6.0, 8)
+        box = (lo + 0.15, hi - 0.15, 0.3, 6.0)
         worst_grid = max(worst_grid, worst(gspec, sample_points(box, 12, 7)))
     ok = worst_analytic < 1e-8 and worst_grid < 1e-4
     _verdict(4, ok, f"analytic {worst_analytic:.2e} (tol 1e-8), "
@@ -164,7 +164,7 @@ def test_criterion_07_cy_structural_invariants():
 def test_criterion_08_theorem3_round_trip():
     """cf_family(0,1,0): ||CY|| < 1e-6, fitted (B,C) within 1e-4 of (0,1),
     energy drift < 1e-8 over 10 periods."""
-    sol = solve_omega_ode(FamilyParams(B=0.0, C=1.0), min_periods=10.0)
+    sol = solve_omega_ode(FamilyParams(B=0.0, C=1.0))
     spec = catalog("cf_family", {"B": 0.0, "C": 1.0})
     fit = flatness_verdict(Geometry(spec, *np.transpose(sample_points(CF_BOX, 32, 42))))
     ok = (sol.span >= 10.0 * sol.period and sol.energy_drift < 1e-8

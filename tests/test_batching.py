@@ -204,7 +204,7 @@ def _pointwise_record(command, spec, p):
 
 def _sweep_config(command):
     return RunConfig(command=command, spec_path="",
-                     grid=(0.3, 1.1, 8, 0.0, 2 * np.pi, 8), n_points=12)
+                     grid=(0.3, 1.1, 0.0, 2 * np.pi), n_points=12)
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify", "lorentz"])

@@ -11,6 +11,7 @@ from killing3.cli import (_RUNNERS, RunConfig, build_parser, load_jsonl_report,
                           main, parse_metric_spec, render_report, run,
                           sample_points)
 from killing3.errors import BadParams, ParseError, UnknownCatalogName
+from killing3.metric_family import CATALOG_PARAMS
 
 
 def _write_spec(tmp_path, text, name="m.spec"):
@@ -114,11 +115,11 @@ def test_main_bad_grid_csv_exit_2(tmp_path, capsys, n_r, n_t, cell):
 def test_grid_csv_five_nodes_accepted(tmp_path):
     spec = _write_spec(tmp_path, _grid_spec_text(tmp_path, 5, 5))
     assert main(["analyze", "--spec", spec, "--points", "4",
-                 "--grid", "0.2:1.0:5,0:2:5"]) == 0
+                 "--grid", "0.2:1.0,0:2"]) == 0
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "--grid", "1.5:2.0:8,0:6:8"],
+    ["analyze", "--grid", "1.5:2.0,0:6"],
     ["geodesic"],
 ])
 def test_grid_field_outside_nodes_exit_3(tmp_path, capsys, argv):
@@ -135,7 +136,7 @@ def test_grid_field_outside_nodes_exit_3(tmp_path, capsys, argv):
 
 
 def test_sample_points_deterministic():
-    grid = (0.2, 1.2, 8, 0.0, 6.0, 8)
+    grid = (0.2, 1.2, 0.0, 6.0)
     a = sample_points(grid, 32, seed=42)
     b = sample_points(grid, 32, seed=42)
     c = sample_points(grid, 32, seed=43)
@@ -226,6 +227,14 @@ def test_main_bad_grid_argument(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_grid_with_point_counts_names_the_box_form(tmp_path, capsys):
+    # the sampling box has no point counts: --points sets how many points
+    spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
+    assert _exit_code(["analyze", "--spec", spec, "--grid", "0.2:1.2:8,0:6:8"]) == 2
+    err = capsys.readouterr().err
+    assert "rmin:rmax,tmin:tmax" in err and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("points", ["0", "-3"])
 def test_main_rejects_points_below_one(tmp_path, capsys, points):
     spec = _write_spec(tmp_path, "catalog = flat")
@@ -243,7 +252,7 @@ def _exit_code(argv):
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("analyze", ["--grid", "1.2:0.2:8,0:6:8"]),
+    ("analyze", ["--grid", "1.2:0.2,0:6"]),
     ("geodesic", ["--length", "nan"]),
     ("geodesic", ["--length", "inf"]),
     ("verify", ["--tol", "residual=nan"]),
@@ -290,11 +299,10 @@ def test_main_rejects_unreadable_spec_or_grid(tmp_path, capsys, case):
 _VALUES = st.sampled_from(["0", "0.2", "1.2", "6", "-1", "1e-9", "nan", "inf", "-inf"])
 # boxes inside, across and outside the R = 2 hopf domain r in (0, pi), then any box
 _GRIDS = st.one_of(
-    st.sampled_from(["0.2:1.2:8,0:6:8", "0:0.5:2,-1:1:8", "3:7:8,0:6:8",
-                     "1.2:0.2:8,0:6:8", "0.5:0.5:8,0:6:8", "nan:1:8,0:6:8",
-                     "0.2:inf:8,0:6:8", "0.2:1.2:0,0:6:8"]),
+    st.sampled_from(["0.2:1.2,0:6", "0:0.5,-1:1", "3:7,0:6", "1.2:0.2,0:6",
+                     "0.5:0.5,0:6", "nan:1,0:6", "0.2:inf,0:6", "0.2:1.2:8,0:6:8"]),
     st.tuples(_VALUES, _VALUES, _VALUES, _VALUES).map(
-        lambda b: "{}:{}:8,{}:{}:8".format(*b)))
+        lambda b: "{}:{},{}:{}".format(*b)))
 _LENGTHS = st.sampled_from(["1", "0.5", "-0.5", "0", "nan", "inf", "-inf"])
 _TOLS = st.tuples(st.sampled_from(["residual", "drift"]), _VALUES).map("=".join)
 
@@ -317,6 +325,44 @@ def test_cli_contract_fuzz(tmp_path_factory, command, grid, length, tol, points)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = _exit_code(argv + grid + length + tol + points)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().strip().splitlines()) <= 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "family"])
+@pytest.mark.parametrize("text", ["catalog = cf_family\nB = 1e200",
+                                  "catalog = cf_family\nC = 1e300"])
+def test_cf_family_overflowing_or_huge_energy_exit_2(tmp_path, capsys, command, text):
+    # B^2 overflows a float power, and C = 1e300 would put ~1e76 periods
+    # into the twist solve's span
+    spec = _write_spec(tmp_path, text)
+    assert main([command, "--spec", spec, "--points", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "InadmissibleParams" not in err and "Traceback" not in err
+    assert err.startswith("killing3: C + B^2") and len(err.strip().splitlines()) == 1
+
+
+_SPEC_VALUES = st.sampled_from(["0", "1", "-1", "0.3", "1e-300", "1e200", "-1e200", "1e300",
+                                "nan", "inf", "lorentzian"])
+# each catalog's own keys, plus one it does not know and the signature
+_SPEC_TEXTS = st.sampled_from(sorted(CATALOG_PARAMS) + ["klein"]).flatmap(
+    lambda name: st.tuples(st.just(name), st.dictionaries(
+        st.sampled_from(sorted(CATALOG_PARAMS.get(name, {})) + ["signature", "wibble"]),
+        _SPEC_VALUES, max_size=3)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(text=_SPEC_TEXTS)
+def test_spec_text_contract_fuzz(tmp_path_factory, text):
+    """Any spec text: exit 0-3, at most one stderr line, never a traceback."""
+    spec = tmp_path_factory.getbasetemp() / "fuzz_text.spec"
+    name, entries = text
+    spec.write_text("\n".join([f"catalog = {name}"]
+                              + [f"{key} = {val}" for key, val in entries.items()]))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = _exit_code(["analyze", "--spec", str(spec), "--points", "2"])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().strip().splitlines()) <= 1
@@ -365,7 +411,7 @@ def test_family_command(tmp_path):
     spec = _write_spec(tmp_path,
                        "catalog = cf_family\nB = 0\nC = 1\nomega0 = 0\nsign = 1")
     assert main(["family", "--spec", spec, "--points", "8",
-                 "--grid", "0.1:1.0:4,0:6:4", "--expect", "Flat"]) == 0
+                 "--grid", "0.1:1.0,0:6", "--expect", "Flat"]) == 0
 
 
 def test_lorentz_command(tmp_path):

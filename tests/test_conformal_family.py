@@ -17,6 +17,12 @@ def test_admissibility_rejection():
         FamilyParams(B=0.0, C=0.1, omega0=2.0)
     with pytest.raises(InadmissibleParams):
         FamilyParams(B=0.0, C=1.0, omega_r0_sign=0)
+    # C + B^2 or the potential at omega0 not finite, or C + B^2 above 1e6
+    for params in [{"B": 1e200, "C": 1.0}, {"B": 0.0, "C": 1.0, "omega0": 1e200},
+                   {"B": -1e308, "C": 1.0, "omega0": 1e200}, {"B": 0.0, "C": 1e300},
+                   {"B": 0.0, "C": 1.0001e6}]:
+        with pytest.raises(InadmissibleParams):
+            FamilyParams(**params)
 
 
 def test_zero_energy_rest_solution():
@@ -33,16 +39,36 @@ def test_turning_points_B0_C1():
     assert sol.energy_drift < 1e-8
 
 
-def test_period_against_quadrature_oracle():
+def _quadrature_period_b0_c1():
     # T = 4 * int_0^{sqrt 2} domega / sqrt(C - omega^4 / 4) for B = 0, C = 1
-    sol = solve_omega_ode(FamilyParams(B=0.0, C=1.0))
     integrand = lambda w: 1.0 / np.sqrt(1.0 - w**4 / 4.0)
     period, _ = quad(integrand, 0.0, np.sqrt(2.0) * (1 - 1e-12), limit=200)
-    assert sol.period == pytest.approx(4.0 * period, rel=1e-6)
+    return 4.0 * period
+
+
+def test_period_against_quadrature_oracle():
+    sol = solve_omega_ode(FamilyParams(B=0.0, C=1.0))
+    assert sol.period == pytest.approx(_quadrature_period_b0_c1(), rel=1e-6)
+
+
+def test_period_scaling_law_B0():
+    # omega -> lambda omega(lambda r) maps C to lambda^4 C at B = 0: P(C) = P(1) C^(-1/4)
+    sol = solve_omega_ode(FamilyParams(B=0.0, C=1e4))
+    assert sol.period == pytest.approx(_quadrature_period_b0_c1() / 10.0, rel=1e-6)
+    # every turning point is found: consecutive ones are half a period apart
+    np.testing.assert_allclose(np.diff(sol.turning_points), sol.period / 2.0, rtol=1e-8)
+    assert sol.turning_points[-1] - sol.turning_points[0] > 2.0 * sol.span - sol.period
+
+
+def test_turning_point_at_origin_counted_once():
+    # omega0 = sqrt(2) is a turning point: both solves start on it
+    sol = solve_omega_ode(FamilyParams(B=0.0, C=1.0, omega0=np.sqrt(2.0)))
+    assert np.count_nonzero(sol.turning_points == 0.0) == 1
+    np.testing.assert_allclose(np.diff(sol.turning_points), sol.period / 2.0, rtol=1e-8)
 
 
 def test_energy_over_ten_periods():
-    sol = solve_omega_ode(FamilyParams(B=0.0, C=1.0), min_periods=10.0)
+    sol = solve_omega_ode(FamilyParams(B=0.0, C=1.0))
     assert sol.span >= 10.0 * sol.period
     assert sol.energy_drift < 1e-8
 

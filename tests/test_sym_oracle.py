@@ -3,7 +3,8 @@
 One batched Geometry per metric is held to the sympy derivation at 1e-12,
 relative to the scale of each quantity: Christoffel symbols, S, Ric(T, T),
 the twist, the Ricci tensor on the frame {T, X, Y} and the Cotton-York norm,
-plus S and Ric(T, T) of each Lorentzian partner.
+plus S and Ric(T, T) of each Lorentzian partner, and the Lorentz relations
+between the two signatures on every oracle metric.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from killing3 import fields, jets
 from killing3.cotton_york import cotton_york
 from killing3.curvature_engine import christoffels, ricci_frame_matrix, ricci_tt
 from killing3.frame_calculus import Geometry
+from killing3.lorentz_bridge import lorentz_relations_check
 from killing3.metric_family import MetricSpec, catalog
 from killing3.tensor_core import LORENTZIAN
 from sym_oracle import Derivation, r, theta
@@ -79,6 +81,15 @@ def test_lorentzian_partner_matches_sympy(lorentzian, name):
     oracle = lorentzian.at(triple, R_PTS, THETA_PTS)
     _assert_close(geo.scalar.value, oracle["scalar"], f"{name} S_L")
     _assert_close(ricci_tt(geo), oracle["ric_tt"], f"{name} Ric_L(T,T)")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_lorentz_relations_on_oracle_metrics(name):
+    # Ric_L(T,T) = Ric_R(T,T) and S_L = S_R + 2 Ric_R(T,T), with no oracle needed
+    geo = Geometry(CASES[name][0](), R_PTS, THETA_PTS)
+    scale = max(1.0, float(np.max(np.abs(geo.scalar.value))), float(np.max(np.abs(ricci_tt(geo)))))
+    ric_res, s_res = lorentz_relations_check(geo)
+    assert np.max(ric_res) <= RTOL * scale and np.max(s_res) <= RTOL * scale
 
 
 def test_nil_cotton_york_norm_is_exact(riemannian):
