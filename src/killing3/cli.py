@@ -37,7 +37,7 @@ from .curvature_engine import (curvature_packet, gaussian_identity_residual,
 from .errors import (BadParams, Killing3Error, NonFinite, ParseError,
                      UnknownCatalogName)
 from .frame_calculus import Geometry
-from .lorentz_bridge import lorentz_relations_check, to_lorentz
+from .lorentz_bridge import flip_residual, lorentz_relations_check, timelike_residual, to_lorentz
 from .metric_family import (CATALOG_PARAMS, catalog, check_admissible,
                             frame_gram_residual, load_grid_csv)
 from .np_formalism import kinematics, structure_residuals
@@ -270,10 +270,12 @@ def _run_lorentz(spec, config):
     tol = config.tolerances.get("residual", DEFAULT_TOL)
     pair = to_lorentz(spec)
     pts = _sweep(spec, config)
-    ric_res, s_res = lorentz_relations_check(Geometry(spec, pts[:, 0], pts[:, 1]))
+    geo = Geometry(spec, pts[:, 0], pts[:, 1])
+    partner = Geometry(pair.lorentzian, geo.r, geo.theta)
+    ric_res, s_res = lorentz_relations_check(geo, partner)
     columns = {
-        "flip": pair.flip_residual(pts.T),
-        "timelike": pair.timelike_residual(pts.T),
+        "flip": flip_residual(geo, partner),
+        "timelike": timelike_residual(partner),
         "ric_TT": ric_res,
         "scalar": s_res,
     }

@@ -18,11 +18,12 @@ from .curvature_engine import twist_data
 from .errors import (EnergyDriftExceeded, InadmissibleParams, PhiVanishes,
                      StepFailure)
 from .fields import ScalarField
-from .jets import INDEX, K, Jet2
+from .jets import INDEX, NCOEFFS, Jet2
 from .tensor_core import RIEMANNIAN
 
 ENERGY_TOL = 1e-8
-#: the largest C + B^2 admitted: the periods in the span grow as (C + B^2)^(1/4)
+#: the largest C + B^2, and B^2, admitted: the periods in the span grow as
+#: (C + B^2)^(1/4), and inside a well of B < 0 as sqrt(-B) whatever C + B^2 is
 MAX_ENERGY = 1e6
 #: the fewest periods the two-sided span must hold
 MIN_PERIODS = 10
@@ -41,9 +42,10 @@ class FamilyParams:
     def __post_init__(self):
         if self.omega_r0_sign not in (1, -1):
             raise InadmissibleParams("omega_r0_sign must be +1 or -1")
-        if not (self.energy <= MAX_ENERGY and np.isfinite(self.potential(self.omega0))):
-            raise InadmissibleParams(f"C + B^2 = {self.energy} must be at most {MAX_ENERGY}, "
-                                     "and the potential at omega0 finite")
+        if not (self.energy <= MAX_ENERGY and self.B * self.B <= MAX_ENERGY
+                and np.isfinite(self.potential(self.omega0))):
+            raise InadmissibleParams(f"C + B^2 = {self.energy} and B^2 = {self.B * self.B} must "
+                                     f"be at most {MAX_ENERGY}, and the potential at omega0 finite")
         if self.energy < self.potential(self.omega0) - 1e-14:
             raise InadmissibleParams(f"C + B^2 = {self.energy} below the potential "
                                      f"{self.potential(self.omega0)} at omega0: no real omega_r(0)")
@@ -108,20 +110,19 @@ class OmegaSolution:
         wrrrr = -0.5 * wrr * (3.0 * w**2 + b2) - 3.0 * w * wr**2
         return w, wr, wrr, wrrr, wrrrr
 
-    def _jet_from_stack(self, r, theta, order, shift):
-        shape = np.broadcast_shapes(np.shape(r), np.shape(theta))
-        stack = self._stack(np.broadcast_to(r, shape))
-        c = np.zeros((K,) + shape)
-        for k, (i, j) in enumerate(INDEX):
-            if j == 0 and i + shift < len(stack):
+    def _jet_from_stack(self, r, order, shift):
+        stack = self._stack(r)
+        c = np.zeros((NCOEFFS[order],) + r.shape)
+        for k, (i, j) in enumerate(INDEX[:NCOEFFS[order]]):
+            if j == 0:
                 c[k] = stack[i + shift]
         return Jet2(c, order)
 
     def omega_field(self):
-        return ScalarField(lambda r, t, o: self._jet_from_stack(r, t, o, 0))
+        return ScalarField(lambda r, t, o: self._jet_from_stack(r, o, 0))
 
     def omega_r_field(self):
-        return ScalarField(lambda r, t, o: self._jet_from_stack(r, t, o, 1))
+        return ScalarField(lambda r, t, o: self._jet_from_stack(r, o, 1))
 
 
 def solve_omega_ode(params):

@@ -84,11 +84,8 @@ def spectrum_closed_form(omega, scalar_s, grad_omega_sq):
 
 def twist_data(geo):
     """(omega, S, X(omega), Y(omega), Ric(T)) values of a scalar or batched Geometry."""
-    _, x, y = geo.frame
-    w = geo.omega
-    omega = w.value
-    xw = geo.dirderiv(x, w).value
-    yw = geo.dirderiv(y, w).value
+    omega = geo.omega.value
+    xw, yw = (d.value for d in geo.omega_xy)
     ric_t = RicciOfT(omega**2 / 2.0, -yw / 2.0, xw / 2.0)
     return omega, geo.scalar.value, xw, yw, ric_t
 
@@ -110,9 +107,8 @@ def curvature_packet(geo):
 
 
 def ricci_tt(geo):
-    """Ric(T, T) values of a scalar or batched Geometry."""
-    t = geo.frame[0]
-    return geo.ric_form(t, t).value
+    """Ric(T, T) values of a scalar or batched Geometry; T = d_t."""
+    return geo.ric.value[0, 0]
 
 
 def scalar_and_ric_tt(spec, r, theta):

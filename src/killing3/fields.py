@@ -18,7 +18,7 @@ from scipy.interpolate import RectBivariateSpline
 
 from . import jets
 from .errors import DomainError, JetOrderError
-from .jets import INDEX, K, MAX_ORDER, Jet2
+from .jets import INDEX, MAX_ORDER, NCOEFFS, Jet2
 
 ANALYTIC = "analytic"
 GRID_SAMPLED = "grid"
@@ -34,9 +34,12 @@ class ScalarField:
     def jet(self, r, theta, order=MAX_ORDER):
         if order > MAX_ORDER:
             raise JetOrderError(f"order {order} requested, above MAX_ORDER = {MAX_ORDER}")
+        # one batch shape for every jet the field's expression makes
+        r, theta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
         j = self.jet_fn(r, theta, order)
-        j.order = order
-        return j
+        if j.order < order:
+            raise JetOrderError(f"field gave an order-{j.order} jet for order {order}")
+        return Jet2(j.coeffs[:NCOEFFS[order]], order)
 
     def value(self, r, theta):
         return self.jet(r, theta, 0).value
@@ -60,7 +63,7 @@ def from_expr(expr):
 
 def constant(value):
     def jet_fn(r, theta, order):
-        return Jet2.constant(float(value), order, batch_like=np.asarray(r, dtype=float))
+        return Jet2.constant(float(value), order, batch_like=r)
 
     return ScalarField(jet_fn, ANALYTIC)
 
@@ -82,11 +85,7 @@ def from_grid(r_nodes, theta_nodes, values):
     spline = RectBivariateSpline(r_nodes, theta_nodes, values, kx=kx, ky=ky, s=0)
 
     def jet_fn(r, theta, order):
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        shape = np.broadcast_shapes(r.shape, theta.shape)
-        rb = np.broadcast_to(r, shape).ravel()
-        tb = np.broadcast_to(theta, shape).ravel()
+        rb, tb = r.ravel(), theta.ravel()
         inside = ((rb >= r_nodes[0]) & (rb <= r_nodes[-1])
                   & (tb >= theta_nodes[0]) & (tb <= theta_nodes[-1]))
         if not np.all(inside):  # NaN fails too
@@ -94,10 +93,9 @@ def from_grid(r_nodes, theta_nodes, values):
             raise DomainError(f"(r, theta) = ({rb[i]:.6g}, {tb[i]:.6g}) outside the grid box "
                               f"[{r_nodes[0]:.6g}, {r_nodes[-1]:.6g}] x "
                               f"[{theta_nodes[0]:.6g}, {theta_nodes[-1]:.6g}]")
-        c = np.zeros((K,) + shape)
-        for k, (i, j) in enumerate(INDEX):
-            if i + j <= order:
-                c[k] = spline.ev(rb, tb, dx=i, dy=j).reshape(shape)
+        c = np.empty((NCOEFFS[order],) + r.shape)
+        for k, (i, j) in enumerate(INDEX[:NCOEFFS[order]]):
+            c[k] = spline.ev(rb, tb, dx=i, dy=j).reshape(r.shape)
         return Jet2(c, order)
 
     return ScalarField(jet_fn, GRID_SAMPLED)

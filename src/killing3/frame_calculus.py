@@ -8,8 +8,11 @@ and each step from metric to Christoffels to Ricci to S is one or two
 ``contract`` products.  Coordinates are ordered (t, r, theta); all scalars
 are t-independent by construction.
 
-The frame used throughout is the canonical one:
-T = dt, X = h dt + (1/phi) dtheta, Y = k dt + dr, with the complex leg
+One coframe E = [[1, -k, -phi h], [0, 1, 0], [0, 0, phi]] and its inverse F,
+built once per Geometry, give g = E^T eta E, g^-1 = F eta F^T and the frame;
+eta = diag(+-1, 1, 1), and the Lorentzian partner flips only its first sign.
+The frame is the one dual to E, T = d_t, X = h d_t + (1/phi) d_theta and
+Y = k d_t + d_r (columns 0, 2, 1 of F), with the complex leg
 m = (X - iY)/sqrt(2).  The frame connection C_ijk = g(nabla_{e_i} e_j, e_k)
 gives the divergences, the shear and the spin coefficients as index reads;
 the twist stays on the Lie bracket, independent of the Christoffel symbols.
@@ -22,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, JetOrderError
-from .jets import MAX_ORDER, NCOEFFS, Jet2, contract, stack
+from .jets import MAX_ORDER, NCOEFFS, Jet2, contract, reciprocal, stack
 from .metric_family import PHI_CUTOFF
 from .tensor_core import LORENTZIAN
 
@@ -56,9 +59,6 @@ class Geometry:
 
     # -- jet helpers --------------------------------------------------------
 
-    def _constant(self, value):
-        return Jet2.constant(value, self.order, batch_like=self.r)
-
     def grad(self, f):
         """Coordinate partials of a jet of any rank, a new first axis (t, r, theta)."""
         fr = f.deriv("r")  # d/dt is zero: every field is t-independent
@@ -78,26 +78,34 @@ class Geometry:
 
     # -- metric and connection ---------------------------------------------
 
-    def _triangular(self, top, corner):
-        """The matrix jet [top, [0, 1, 0], [0, 0, corner]]."""
-        zero, one = self._constant(0.0), self._constant(1.0)
-        return stack([stack(top), stack([zero, one, zero]), stack([zero, zero, corner])])
+    def _eta_axis(self):
+        """diag(eta) along one tensor axis, broadcast over the batch axes."""
+        return np.array([self._eta, 1.0, 1.0]).reshape((3,) + (1,) * self.r.ndim)
+
+    @cached_property
+    def coframe(self):
+        """Matrix jets E = [[1, -k, -phi h], [0, 1, 0], [0, 0, phi]] and
+        F = E^-1 = [[1, k, h], [0, 1, 0], [0, 0, 1/phi]]."""
+        e = np.zeros((NCOEFFS[self.order], 3, 3) + self.r.shape)
+        f = np.zeros_like(e)
+        e[0, 0, 0] = e[0, 1, 1] = f[0, 0, 0] = f[0, 1, 1] = 1.0
+        e[:, 0, 1], e[:, 2, 2] = -self.k.coeffs, self.phi.coeffs
+        e[:, 0, 2] = -(self.phi * self.h).coeffs
+        f[:, 0, 1], f[:, 0, 2] = self.k.coeffs, self.h.coeffs
+        f[:, 2, 2] = reciprocal(self.phi).coeffs
+        return Jet2(e, self.order), Jet2(f, self.order)
 
     @cached_property
     def g(self):
-        """g = E^T eta E, eta = diag(+-1, 1, 1), for the triangular coframe
-        E = [[1, -k, -phi h], [0, 1, 0], [0, 0, phi]]."""
-        top = [self._constant(1.0), -self.k, -(self.phi * self.h)]
-        e = self._triangular(top, self.phi)
-        return contract("ia,ib->ab", self._triangular([c * self._eta for c in top], self.phi), e)
+        """g = E^T eta E."""
+        e = self.coframe[0]
+        return contract("ia,ib->ab", e * self._eta_axis()[:, np.newaxis], e)
 
     @cached_property
     def ginv(self):
-        """g^-1 = F eta F^T with F = E^-1 = [[1, k, h], [0, 1, 0], [0, 0, 1/phi]]."""
-        one, inv_phi = self._constant(1.0), 1.0 / self.phi
-        f = self._triangular([one, self.k, self.h], inv_phi)
-        eta_f = self._triangular([one * self._eta, self.k, self.h], inv_phi)
-        return contract("ai,bi->ab", eta_f, f)
+        """g^-1 = F eta F^T."""
+        f = self.coframe[1]
+        return contract("ai,bi->ab", f * self._eta_axis(), f)
 
     @cached_property
     def gamma(self):
@@ -147,17 +155,13 @@ class Geometry:
     def scalar(self):
         return contract("bc,bc->", self.ginv, self.ric)
 
-    def ric_form(self, u, v):
-        return contract("a,a->", u, contract("ab,b->a", self.ric, v))
-
     # -- canonical frame -----------------------------------------------------
 
     @cached_property
     def frame(self):
-        """Rank-1 jets T = d_t, X = h d_t + d_theta / phi, Y = k d_t + d_r."""
-        zero, one = self._constant(0.0), self._constant(1.0)
-        return (stack([one, zero, zero]), stack([self.h, zero, 1.0 / self.phi]),
-                stack([self.k, one, zero]))
+        """Rank-1 jets T = d_t, X = h d_t + d_theta / phi, Y = k d_t + d_r: columns 0, 2, 1 of F."""
+        f = self.coframe[1]
+        return f[:, 0], f[:, 2], f[:, 1]
 
     @cached_property
     def m_leg(self):
@@ -224,12 +228,17 @@ class Geometry:
     # -- derived scalars for the Cotton-York block ----------------------------
 
     @cached_property
+    def omega_xy(self):
+        """Jets of X(omega) and Y(omega)."""
+        _, x, y = self.frame
+        return self.dirderiv(x, self.omega), self.dirderiv(y, self.omega)
+
+    @cached_property
     def omega_derivs(self):
         _, x, y = self.frame
-        w = self.omega
-        if w.order < 2:
+        if self.omega.order < 2:
             raise JetOrderError("Cotton-York needs twist jets to order 2")
-        xw, yw = self.dirderiv(x, w), self.dirderiv(y, w)
+        xw, yw = self.omega_xy
         return {"X": xw, "Y": yw,
                 "XX": self.dirderiv(x, xw).value, "YY": self.dirderiv(y, yw).value,
                 "YX": self.dirderiv(y, xw).value, "XY": self.dirderiv(x, yw).value}

@@ -13,6 +13,10 @@ Every product of two jets, scalar or tensor, goes through one Leibniz kernel:
 ``contract`` gathers the nonzero terms of the product rule, truncated to the
 result's order, makes one ``np.einsum`` over the tensor indices and sums the
 terms of each output coefficient with ``np.add.reduceat``.
+
+A jet of order n carries exactly ``NCOEFFS[n]`` coefficient rows.  Adding a
+number, or an array of the jet's batch shape, shifts the value row only; no
+constant jet is built for it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ MAX_ORDER = 3
 
 #: multi-indices (i, j) meaning d^{i+j} f / dr^i dtheta^j, total order <= 3
 INDEX = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
-K = len(INDEX)
 _POS = {ij: k for k, ij in enumerate(INDEX)}
 
 
@@ -99,12 +102,14 @@ _SHIFT = {"r": np.array([_POS[(i + 1, j)] for i, j in INDEX[:NCOEFFS[MAX_ORDER -
 class Jet2:
     """Value and partial derivatives of a scalar or tensor over the (r, theta) plane.
 
-    ``coeffs[k]`` holds the derivative for multi-index ``INDEX[k]``, for k below
-    ``NCOEFFS[order]``; any further rows are not meaningful and are guarded by
-    :meth:`d`.  The tensor axes, if any, follow the coefficient axis.
+    ``coeffs[k]`` holds the derivative for multi-index ``INDEX[k]``, one row for
+    each k below ``NCOEFFS[order]``.  The tensor axes, if any, follow the
+    coefficient axis.
     """
 
     __slots__ = ("coeffs", "order")
+    # an ndarray on the left defers to the jet's reflected operators
+    __array_ufunc__ = None
 
     def __init__(self, coeffs, order=MAX_ORDER):
         self.coeffs = np.asarray(coeffs)
@@ -123,7 +128,7 @@ class Jet2:
         return Jet2(c, order)
 
     @staticmethod
-    def variable(value, slot, order=MAX_ORDER):
+    def variable(value, slot, order):
         """Coordinate jet: slot 'r' or 'theta'."""
         j = Jet2.constant(np.asarray(value, dtype=float), order)
         if order > 0:
@@ -162,26 +167,15 @@ class Jet2:
 
     # -- ring operations ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Jet2):
-            return other
-        return Jet2.constant(np.asarray(other), MAX_ORDER)
-
-    @staticmethod
-    def _align(a, b):
-        # pad trailing batch axes so (10,) constants broadcast against (10, ...)
-        while a.ndim < b.ndim:
-            a = a[(...,) + (np.newaxis,)]
-        while b.ndim < a.ndim:
-            b = b[(...,) + (np.newaxis,)]
-        return a, b
-
     def __add__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, Jet2):
+            # a number or a batch-shaped array shifts the value row
+            c = self.coeffs.astype(np.result_type(self.coeffs, other))
+            c[0] += other
+            return Jet2(c, self.order)
         order = min(self.order, other.order)
         n = NCOEFFS[order]
-        a, b = self._align(self.coeffs[:n], other.coeffs[:n])
-        return Jet2(a + b, order)
+        return Jet2(self.coeffs[:n] + other.coeffs[:n], order)
 
     __radd__ = __add__
 
@@ -189,10 +183,10 @@ class Jet2:
         return Jet2(-self.coeffs, self.order)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
@@ -207,7 +201,7 @@ class Jet2:
         return self * reciprocal(other)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * reciprocal(self)
+        return reciprocal(self) * other
 
     def conj(self):
         return Jet2(np.conj(self.coeffs), self.order)
@@ -238,11 +232,7 @@ def compose(f, derivs):
     u = Jet2(f.coeffs.copy(), f.order)
     u.coeffs[0] = np.zeros_like(u.coeffs[0])
     u2 = u * u
-    out = Jet2.constant(derivs[0], f.order, batch_like=f.value) + u * derivs[1]
-    out = out + u2 * (derivs[2] / 2.0)
-    out = out + (u2 * u) * (derivs[3] / 6.0)
-    out.order = f.order
-    return out
+    return u * derivs[1] + derivs[0] + u2 * (derivs[2] / 2.0) + (u2 * u) * (derivs[3] / 6.0)
 
 
 def _fluctuation(f):
@@ -274,7 +264,6 @@ def exp(f):
 def log(f):
     u = _fluctuation(f)
     u2 = u * u
-    # the jet on the left: an ndarray on the left would make an object array of jets
     return u - u2 * 0.5 + u2 * u * (1.0 / 3.0) + np.log(f.value)
 
 

@@ -16,7 +16,7 @@ from .completeness_probe import CurvatureProfile, completeness_verdict
 from .curvature_engine import ricci_tt, scalar_and_ric_tt
 from .errors import AlreadyLorentzian
 from .frame_calculus import Geometry
-from .metric_family import MetricSpec, check_admissible, metric_components
+from .metric_family import MetricSpec
 from .tensor_core import LORENTZIAN, RIEMANNIAN
 
 
@@ -24,20 +24,6 @@ from .tensor_core import LORENTZIAN, RIEMANNIAN
 class SignaturePair:
     riemannian: MetricSpec
     lorentzian: MetricSpec
-
-    def flip_residual(self, p):
-        """Componentwise residual of g_L = g_R - 2 (T^b x T^b) at p (or point arrays)."""
-        g_r = metric_components(self.riemannian, p)
-        g_l = metric_components(self.lorentzian, p)
-        phi, h, k = check_admissible(self.riemannian, *p)
-        tb = np.array([np.ones_like(phi), -k, -phi * h])
-        flip = g_r - 2.0 * np.einsum("a...,b...->ab...", tb, tb)
-        return np.max(np.abs(g_l - flip), axis=(0, 1))
-
-    def timelike_residual(self, p):
-        """|g_L(T, T) + 1| at p (or point arrays)."""
-        g_l = metric_components(self.lorentzian, p)
-        return np.abs(g_l[0, 0] + 1.0)
 
 
 def to_lorentz(spec):
@@ -47,12 +33,26 @@ def to_lorentz(spec):
                          lorentzian=spec.with_signature(LORENTZIAN))
 
 
-def lorentz_relations_check(geo):
+def flip_residual(geo, partner):
+    """Max |g_L - (g_R - 2 T^b x T^b)| per point, T^b = g_R(T, .), g_L the partner's E^T eta E."""
+    g_r = geo.g.value
+    flip = g_r - 2.0 * np.einsum("a...,b...->ab...", g_r[0], g_r[0])
+    return np.max(np.abs(partner.g.value - flip), axis=(0, 1))
+
+
+def timelike_residual(partner):
+    """|g_L(T, T) + 1| at the partner's points."""
+    return np.abs(partner.g.value[0, 0] + 1.0)
+
+
+def lorentz_relations_check(geo, partner=None):
     """Residuals of Ric_L(T,T) = Ric_R(T,T) and S_L = S_R + 2 Ric_R(T,T) at geo's points.
 
-    ``geo`` is Riemannian; its Lorentzian partner is built at the same points.
+    ``geo`` is Riemannian; its Lorentzian ``partner`` is built at the same
+    points unless given.
     """
-    partner = Geometry(to_lorentz(geo.spec).lorentzian, geo.r, geo.theta, order=geo.order)
+    if partner is None:
+        partner = Geometry(to_lorentz(geo.spec).lorentzian, geo.r, geo.theta, order=geo.order)
     s_r, s_l = geo.scalar.value, partner.scalar.value
     ric_r, ric_l = ricci_tt(geo), ricci_tt(partner)
     return np.abs(ric_l - ric_r), np.abs(s_l - (s_r + 2.0 * ric_r))

@@ -25,7 +25,8 @@ from killing3.curvature_engine import (christoffels, curvature_packet,
                                        spectrum_vs_eigensolve_residual,
                                        twist_data)
 from killing3.frame_calculus import Geometry
-from killing3.lorentz_bridge import lorentz_relations_check, to_lorentz
+from killing3.lorentz_bridge import (flip_residual, lorentz_relations_check,
+                                     timelike_residual, to_lorentz)
 from killing3.metric_family import (MetricSpec, catalog, frame_gram_residual,
                                     to_grid_sampled)
 from killing3.np_formalism import (conformal_rescale_check, killing_test,
@@ -189,7 +190,8 @@ def _pointwise_record(command, spec, p):
                 "omega": pk.omega, "div": kin.divergence,
                 "shear": abs(kin.shear), "spectrum": list(pk.spectrum),
                 "cy_norm": cotton_york(geo).norm}
-    ric_res, s_res = lorentz_relations_check(geo)
+    partner = Geometry(to_lorentz(spec).lorentzian, *p)
+    ric_res, s_res = lorentz_relations_check(geo, partner)
     if command == "verify":
         return {"structure": structure_residuals(geo).max_abs(),
                 "gaussian": gaussian_identity_residual(geo),
@@ -197,8 +199,7 @@ def _pointwise_record(command, spec, p):
                     curvature_packet(geo)),
                 "gram": frame_gram_residual(spec, p),
                 "lorentz_ric": ric_res, "lorentz_scalar": s_res}
-    pair = to_lorentz(spec)
-    return {"flip": pair.flip_residual(p), "timelike": pair.timelike_residual(p),
+    return {"flip": flip_residual(geo, partner), "timelike": timelike_residual(partner),
             "ric_TT": ric_res, "scalar": s_res}
 
 

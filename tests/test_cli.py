@@ -332,10 +332,13 @@ def test_cli_contract_fuzz(tmp_path_factory, command, grid, length, tol, points)
 
 @pytest.mark.parametrize("command", ["analyze", "family"])
 @pytest.mark.parametrize("text", ["catalog = cf_family\nB = 1e200",
-                                  "catalog = cf_family\nC = 1e300"])
+                                  "catalog = cf_family\nC = 1e300",
+                                  "catalog = cf_family\nB = -1e4\nC = -99999999\n"
+                                  "omega0 = 141.42135623730951"])
 def test_cf_family_overflowing_or_huge_energy_exit_2(tmp_path, capsys, command, text):
-    # B^2 overflows a float power, and C = 1e300 would put ~1e76 periods
-    # into the twist solve's span
+    # B^2 overflows a float power, C = 1e300 would put ~1e76 periods into the
+    # twist solve's span, and the well of B = -1e4 (C + B^2 = 1) ~4500 turning
+    # points, 15 s of solving
     spec = _write_spec(tmp_path, text)
     assert main([command, "--spec", spec, "--points", "2"]) == 2
     err = capsys.readouterr().err

@@ -17,10 +17,12 @@ def test_admissibility_rejection():
         FamilyParams(B=0.0, C=0.1, omega0=2.0)
     with pytest.raises(InadmissibleParams):
         FamilyParams(B=0.0, C=1.0, omega_r0_sign=0)
-    # C + B^2 or the potential at omega0 not finite, or C + B^2 above 1e6
+    # C + B^2 or the potential at omega0 not finite, C + B^2 above 1e6, or a
+    # well of B < -1e3, whose period 2 pi / sqrt(-2B) shrinks whatever C + B^2 is
     for params in [{"B": 1e200, "C": 1.0}, {"B": 0.0, "C": 1.0, "omega0": 1e200},
                    {"B": -1e308, "C": 1.0, "omega0": 1e200}, {"B": 0.0, "C": 1e300},
-                   {"B": 0.0, "C": 1.0001e6}]:
+                   {"B": 0.0, "C": 1.0001e6},
+                   {"B": -1e4, "C": -99999999.0, "omega0": 141.42135623730951}]:
         with pytest.raises(InadmissibleParams):
             FamilyParams(**params)
 

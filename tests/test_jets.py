@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killing3 import jets
+from killing3 import fields, jets
+from killing3.conformal_family import FamilyParams, solve_omega_ode
 from killing3.errors import JetOrderError
-from killing3.jets import INDEX, Jet2, contract, variables
+from killing3.jets import INDEX, MAX_ORDER, NCOEFFS, Jet2, contract, variables
 
 FD_STEP = 1e-5
 
@@ -220,3 +221,50 @@ def test_tensor_jet_indexing_and_linear_maps():
     np.testing.assert_allclose(m.einsum("aa->").coeffs, np.trace(m.coeffs, axis1=1, axis2=2))
     parts = [m[0], m[1], m[2]]
     np.testing.assert_array_equal(jets.stack(parts).coeffs, m.coeffs[:6])
+
+
+# -- jet invariants ------------------------------------------------------------
+
+R_NODES, THETA_NODES = np.linspace(0.1, 1.3, 8), np.linspace(-0.5, 2.5, 8)
+
+
+def _fields():
+    omega = solve_omega_ode(FamilyParams(B=0.0, C=1.0))
+    return {"analytic": fields.from_expr(sample_expr), "constant": fields.constant(2.5),
+            "grid": fields.sample_to_grid(fields.from_expr(sample_expr), R_NODES, THETA_NODES),
+            "cf omega": omega.omega_field(), "cf omega_r": omega.omega_r_field()}
+
+
+def test_field_jets_carry_ncoeffs_rows():
+    r, theta = np.array([0.4, 0.9, 1.2]), np.array([0.3, -0.2, 2.0])
+    for name, field in _fields().items():
+        for order in range(MAX_ORDER + 1):
+            j = field.jet(r, theta, order)
+            assert j.order == order and j.coeffs.shape == (NCOEFFS[order], 3), (name, order)
+            assert field.jet(0.5, theta, order).coeffs.shape == (NCOEFFS[order], 3), name
+
+
+def test_field_jet_truncates_a_higher_order_and_refuses_a_lower_one():
+    r, theta = np.array([0.4, 0.9]), np.array([0.3, 1.0])
+    full = fields.ScalarField(lambda r, t, o: sample_expr(*variables(r, t, MAX_ORDER)))
+    j = full.jet(r, theta, 1)
+    assert j.order == 1
+    np.testing.assert_array_equal(j.coeffs, full.jet(r, theta, MAX_ORDER).coeffs[:3])
+    short = fields.ScalarField(lambda r, t, o: sample_expr(*variables(r, t, o)).deriv("r"))
+    with pytest.raises(JetOrderError):
+        short.jet(r, theta, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["real", "complex", "batch"]), st.floats(-3.0, 3.0),
+       st.floats(-3.0, 3.0), st.integers(0, MAX_ORDER))
+def test_a_number_or_batch_array_shifts_only_the_value_row(kind, a, b, order):
+    r, theta = np.array([0.4, 0.9, 1.3]), np.array([0.3, -1.2, 2.0])
+    f = sample_expr(*variables(r, theta, order))
+    c = {"real": a, "complex": complex(a, b), "batch": a * r + b}[kind]
+    for out, value, sign in [(f + c, f.value + c, 1), (c + f, c + f.value, 1),
+                             (f - c, f.value - c, 1), (c - f, c - f.value, -1)]:
+        assert out.order == order and out.coeffs.shape == f.coeffs.shape
+        assert np.iscomplexobj(out.coeffs) == (kind == "complex")
+        np.testing.assert_array_equal(out.value, value)
+        np.testing.assert_array_equal(out.coeffs[1:], sign * f.coeffs[1:])

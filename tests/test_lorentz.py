@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from killing3 import cli
 from killing3.completeness_probe import COMPLETE, curvature_profile
 from killing3.curvature_engine import scalar_and_ric_tt
 from killing3.errors import AlreadyLorentzian
 from killing3.frame_calculus import Geometry
-from killing3.lorentz_bridge import (lorentz_completeness,
-                                     lorentz_relations_check, to_lorentz)
+from killing3.lorentz_bridge import (flip_residual, lorentz_completeness,
+                                     lorentz_relations_check, timelike_residual,
+                                     to_lorentz)
 from killing3.metric_family import catalog, metric_components
 from killing3.tensor_core import LORENTZIAN
 
@@ -19,8 +21,29 @@ def test_to_lorentz_flip_invariants():
     for name in CATALOGS:
         pair = to_lorentz(catalog(name))
         for p in POINTS:
-            assert pair.flip_residual(p) < 1e-12
-            assert pair.timelike_residual(p) < 1e-12
+            geo, partner = Geometry(pair.riemannian, *p), Geometry(pair.lorentzian, *p)
+            assert flip_residual(geo, partner) < 1e-12
+            assert timelike_residual(partner) < 1e-12
+
+
+class _Unflipped(Geometry):
+    """Treats every spec as Riemannian: eta = +1 whatever the signature."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._eta = 1.0
+
+
+def test_lorentz_flip_column_sees_an_unflipped_partner(monkeypatch):
+    # a partner that keeps g_R misses the flip by 2 T^b_t T^b_t = 2 at every
+    # point (hopf R = 2 has |phi h| < 1 on this grid); a flip column computed
+    # from the flip formula itself would still read 0
+    monkeypatch.setattr(cli, "Geometry", _Unflipped)
+    config = cli.RunConfig(command="lorentz", spec_path="",
+                           grid=(0.3, 1.1, 0.0, 2 * np.pi), n_points=12)
+    records, summary, ok = cli._RUNNERS["lorentz"](catalog("hopf", {"R": 2.0}), config)
+    np.testing.assert_allclose([rec["flip"] for rec in records], 2.0, rtol=1e-12)
+    assert summary["max_timelike"] == pytest.approx(2.0) and not ok
 
 
 def test_to_lorentz_rejects_lorentzian():
