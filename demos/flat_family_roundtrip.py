@@ -7,6 +7,7 @@ in.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from killing3.cli import sample_points
 from killing3.conformal_family import (FamilyParams, build_cf_metric,
                                        solve_omega_ode)
 from killing3.cotton_york import flatness_verdict
+from killing3.errors import PhiVanishes
 from killing3.frame_calculus import Geometry
 
 
@@ -30,11 +32,18 @@ def main():
     print(f"energy E = C + B^2 = {params.energy:.6f}")
     if sol.turning_points.size:
         print(f"turning points: {np.round(sol.turning_points, 6)}")
+    if sol.period is None:
+        # the rest point and the separatrix do not close
+        print(f"energy drift over |r| <= {sol.span:g}: {sol.energy_drift:.3e}")
+    else:
         print(f"period: {sol.period:.6f}")
-    print(f"energy drift over {sol.span / sol.period:.1f} periods: "
-          f"{sol.energy_drift:.3e}")
+        print(f"energy drift over {sol.span / sol.period:.1f} periods: "
+              f"{sol.energy_drift:.3e}")
 
-    spec = build_cf_metric(params)
+    try:
+        spec = build_cf_metric(params)
+    except PhiVanishes as exc:
+        sys.exit(f"no metric: {exc}")
     r_lo, r_hi = spec.params["r_range"]
     box = (0.9 * r_lo, 0.9 * r_hi, 0.0, 6.0)
     fit = flatness_verdict(Geometry(spec, *np.transpose(sample_points(box, 32, seed=42))))

@@ -1,6 +1,7 @@
 """Conformally flat metrics from the twist ODE omega_rr = -omega(omega^2 + 2B)/2.
 
-The solutions live on the energy surface omega_r^2 + (omega^2 + 2B)^2/4 = C + B^2;
+The solutions live on the energy surface omega_r^2 + (omega^2 + 2B)^2/4 = C + B^2
+of an undamped Duffing oscillator, in closed form by Jacobi elliptic functions;
 the metric profile is phi = h(theta) * omega_r on a monotone arc of omega, and the
 scalar curvature then satisfies S = (5/2) omega^2 + 2B.  Flatness of the
 resulting Cotton-York matrix is the round-trip check.
@@ -8,17 +9,18 @@ resulting Cotton-York matrix is the round-trip check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  (unused: perfbench/tracer.py patches it)
+from scipy.special import ellipj, ellipk, ellipkinc
 
 from . import fields
 from .curvature_engine import twist_data
-from .errors import (EnergyDriftExceeded, InadmissibleParams, PhiVanishes,
-                     StepFailure)
+from .errors import EnergyDriftExceeded, InadmissibleParams, PhiVanishes
 from .fields import ScalarField
 from .jets import INDEX, NCOEFFS, Jet2
+from .metric_family import PHI_CUTOFF, MetricSpec
 from .tensor_core import RIEMANNIAN
 
 ENERGY_TOL = 1e-8
@@ -27,8 +29,9 @@ ENERGY_TOL = 1e-8
 MAX_ENERGY = 1e6
 #: the fewest periods the two-sided span must hold
 MIN_PERIODS = 10
-_RTOL = 1e-12
-_ATOL = 1e-14
+#: orbits with 1 - m below this are taken as the separatrix m = 1: scipy's ellipj
+#: loses every digit above m = 1 - 1e-10, and |C| < 4e-9 B^2 there is inside ENERGY_TOL
+SEPARATRIX_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,12 +69,11 @@ class FamilyParams:
 
 
 class OmegaSolution:
-    """Dense solution of the twist ODE with derivative stack and diagnostics."""
+    """The twist ODE's solution, ``evaluate(r) -> (omega, omega_r)``, with diagnostics."""
 
-    def __init__(self, params, sol_pos, sol_neg, span, turning_points):
+    def __init__(self, params, evaluate, span, turning_points, period):
         self.params = params
-        self._sol_pos = sol_pos
-        self._sol_neg = sol_neg
+        self._evaluate = evaluate
         self.span = span
         self.r_samples = np.linspace(-span, span, 2001)
         self.omega, self.omega_r, self.omega_rr, self.omega_rrr, _ = self._stack(self.r_samples)
@@ -81,23 +83,10 @@ class OmegaSolution:
         if self.energy_drift > ENERGY_TOL:
             raise EnergyDriftExceeded(f"energy drift {self.energy_drift:.3e} exceeds {ENERGY_TOL}")
         self.turning_points = turning_points
-        gaps = np.diff(self.turning_points)
-        self.period = 2.0 * float(np.mean(gaps)) if len(gaps) else None
+        self.period = period
 
     def _eval(self, r):
-        r = np.asarray(r, dtype=float)
-        flat = np.atleast_1d(r).ravel()
-        out = np.empty((2,) + flat.shape)
-        neg = flat < 0
-        if self._sol_neg is None and self._sol_pos is None:
-            out[0] = self.params.omega0
-            out[1] = 0.0
-        else:
-            if neg.any():
-                out[:, neg] = self._sol_neg(flat[neg])
-            if (~neg).any():
-                out[:, ~neg] = self._sol_pos(flat[~neg])
-        return out.reshape((2,) + r.shape)
+        return np.stack(self._evaluate(np.asarray(r, dtype=float)))
 
     # -- metric-profile fields -----------------------------------------------
 
@@ -126,49 +115,63 @@ class OmegaSolution:
 
 
 def solve_omega_ode(params):
-    """Integrate the twist ODE both ways from r = 0 with energy monitoring.
+    """The twist ODE's solution through (omega0, omega_r0) in closed form (DLMF 22.19).
 
-    The turning points (omega_r = 0) are events of the same two solves, located
-    on their dense output; the span grows to hold MIN_PERIODS periods.
+    With E = C + B^2, omega_r^2 = (alpha - omega^2)(omega^2 - beta) / 4 for alpha, beta =
+    2(+-sqrt E - B).  C > 0: omega = a cn(lam r + u0 | m), a^2 = alpha, lam^2 = sqrt E,
+    m = alpha / (alpha - beta), period 4K/lam.  C < 0 < E, B < 0: omega = +-a dn(lam r + u0 | m)
+    in the well of omega0, lam = a/2, m = (alpha - beta) / alpha, period 2K/lam; its m = 1
+    limit C = 0 is the sech separatrix, with no period.  Otherwise omega rests at omega0.
     """
+    B, C, E = params.B, params.C, params.energy
     w0, wr0 = params.omega0, params.omega_r0
-    if wr0 == 0.0 and params.potential(w0) == params.energy and \
-            w0 * (w0**2 + 2.0 * params.B) == 0.0:
-        # equilibrium: omega stays at omega0 forever
-        return OmegaSolution(params, None, None, 50.0, np.array([]))
+    swings = False
+    if E > 0.0 and (C > 0.0 or B < 0.0):
+        s = np.sqrt(E) + abs(B)
+        # each root in the form without cancellation: alpha beta = -4C
+        alpha, beta = (2.0 * C / s, -2.0 * s) if B > 0.0 else (2.0 * s, -2.0 * C / s)
+        m = alpha / (alpha - beta) if C > 0.0 else (alpha - beta) / alpha
+        m = 1.0 if 1.0 - m < SEPARATRIX_GAP else m
+        swings = C > 0.0 and m < 1.0
+    if not (swings or (B < 0.0 < E and w0 != 0.0)):
+        return OmegaSolution(params, lambda r: (np.full_like(r, w0), 0.0 * r), 50.0, np.empty(0), None)
+    if swings:
+        # cos am(u0) = omega0 / a and sin am(u0) = -omega_r0 / (a lam dn(u0))
+        lam, amp = E ** 0.25, np.sqrt(alpha)
+        am0 = np.arctan2(-wr0 / (lam * np.sqrt((w0 * w0 - beta) / (alpha - beta))), w0)
+    else:
+        # cos 2am(u0) = (omega0^2 + 2B) / (2 sqrt E) and sin 2am(u0) = -+omega_r0 / sqrt E
+        amp = np.sign(w0) * np.sqrt(alpha)
+        lam = 0.5 * abs(amp)
+        am0 = 0.5 * np.arctan2(-np.sign(w0) * wr0, 0.5 * (w0 * w0 + 2.0 * B))
+    u0, K = ellipkinc(am0, m), ellipk(m)
+    half = 2.0 * K if swings else K  # the advance of u from one turning point to the next
 
-    def rhs(_, y):
-        return [y[1], -0.5 * y[0] * (y[0]**2 + 2.0 * params.B)]
+    def evaluate(r):
+        u = lam * r + u0
+        # u mod the period 4K; on the separatrix (K = inf), sech 300 is already 1e-130
+        sn, cn, dn, _ = ellipj(np.mod(u, 4.0 * K) if m < 1.0 else np.clip(u, -300.0, 300.0), m)
+        f, g = (cn, dn) if swings else (dn, m * cn)
+        return amp * f, -amp * lam * sn * g
 
-    def turning(_, y):
-        return y[1]
-
-    def integrate(span):
-        sols, events = [], []
-        for end in (span, -span):
-            sol = solve_ivp(rhs, (0.0, end), [w0, wr0], method="DOP853",
-                            rtol=_RTOL, atol=_ATOL, dense_output=True, events=turning)
-            if not sol.success:
-                raise StepFailure(f"twist ODE integration failed: {sol.message}")
-            sols.append(sol.sol)
-            events.append(sol.t_events[0])
-        # sorted; a turning point at r = 0 is found by both solves and kept once
-        return OmegaSolution(params, sols[0], sols[1], span, np.unique(np.concatenate(events)))
-
-    out = integrate(50.0)
-    if out.period and MIN_PERIODS * out.period > out.span:
-        out = integrate(1.05 * MIN_PERIODS * out.period)
-    return out
+    period = 2.0 * half / lam if m < 1.0 else None
+    span = 1.05 * MIN_PERIODS * period if period and MIN_PERIODS * period > 50.0 else 50.0
+    if m < 1.0:  # the zeros of sn, or of sn cn in a well
+        j = np.arange(np.ceil((u0 - lam * span) / half), np.floor((u0 + lam * span) / half) + 1)
+    turning = (j * half - u0) / lam if m < 1.0 else np.array([-u0 / lam])
+    return OmegaSolution(params, evaluate, span, turning[np.abs(turning) <= span], period)
 
 
 def build_cf_metric(params):
-    """MetricSpec with phi = h(theta) omega_r on a monotone arc around r = 0."""
+    """MetricSpec with phi = h(theta) omega_r on a monotone arc around r = 0, each side
+    0.95 of the way to a turning point or to where omega_r falls to PHI_CUTOFF."""
     sol = solve_omega_ode(params)
-    if abs(params.omega_r0) == 0.0:
-        raise PhiVanishes("omega_r(0) = 0: phi would vanish at the base point")
+    if abs(params.omega_r0) <= PHI_CUTOFF:
+        raise PhiVanishes(f"|omega_r(0)| <= {PHI_CUTOFF}: phi would vanish at the base point")
     tp = sol.turning_points
-    lo = 0.95 * max(tp[tp < 0], default=-sol.span)
-    hi = 0.95 * min(tp[tp > 0], default=sol.span)
+    alive = sol.r_samples[sol.omega_r * params.omega_r0_sign > PHI_CUTOFF]
+    lo = 0.95 * max(tp[tp < 0], default=alive.min(initial=0.0))
+    hi = 0.95 * min(tp[tp > 0], default=alive.max(initial=0.0))
     wr_lo, wr_hi = sol._eval([lo, hi])[1]
     if wr_lo * params.omega_r0 <= 0.0 or wr_hi * params.omega_r0 <= 0.0:
         raise PhiVanishes(f"omega_r changes sign inside r range ({lo}, {hi})")
@@ -186,13 +189,10 @@ def build_cf_metric(params):
         w = omega_f.jet(r, theta, order)
         return -(w * w) / (2.0 * omega_r_f.jet(r, theta, order))
 
-    from .metric_family import MetricSpec
-
     meta = {"B": params.B, "C": params.C, "omega0": params.omega0,
             "sign": params.omega_r0_sign, "r_range": (float(lo), float(hi))}
-    spec = MetricSpec(ScalarField(phi_jet), ScalarField(h_frame_jet),
+    return MetricSpec(ScalarField(phi_jet), ScalarField(h_frame_jet),
                       fields.constant(0.0), RIEMANNIAN, "cf_family", meta)
-    return spec
 
 
 def wpde_residual(geo, B, C):

@@ -38,7 +38,7 @@ class InadmissibleParams(BadParams):
 
 
 class EnergyDriftExceeded(Killing3Error):
-    """ODE step control failed to keep the conserved energy within tolerance."""
+    """The twist ODE's solution left its energy surface by more than the tolerance."""
 
 
 class PhiVanishes(Killing3Error):

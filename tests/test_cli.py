@@ -417,6 +417,18 @@ def test_family_command(tmp_path):
                  "--grid", "0.1:1.0,0:6", "--expect", "Flat"]) == 0
 
 
+def test_family_on_the_separatrix(tmp_path):
+    # B = -1, C = 0 through omega0 = 1 is homoclinic: one turning point, no period
+    spec = _write_spec(tmp_path, "catalog = cf_family\nB = -1\nC = 0\nomega0 = 1")
+    report, code = run(RunConfig(command="family", spec_path=spec))
+    assert code == 0
+    summary = json.loads(render_report(report, "jsonl").splitlines()[-1])["summary"]
+    assert summary["period"] is None and summary["n_turning_points"] == 1
+    assert summary["verdict"] == "Flat"
+    assert summary["B_fit"] == pytest.approx(-1.0, abs=1e-6)
+    assert summary["C_fit"] == pytest.approx(0.0, abs=1e-6)
+
+
 def test_lorentz_command(tmp_path):
     spec = _write_spec(tmp_path, "catalog = nil\nomega0 = 1")
     assert main(["lorentz", "--spec", spec, "--points", "8"]) == 0

@@ -1,6 +1,8 @@
+import time
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from killing3.conformal_family import (FamilyParams, build_cf_metric,
                                        solve_omega_ode, wpde_residual)
@@ -81,6 +83,97 @@ def test_single_well_confinement_B_negative():
     params = FamilyParams(B=-1.0, C=-0.5, omega0=np.sqrt(2.0))
     sol = solve_omega_ode(params)
     assert np.min(sol.omega) > 0.0  # never crosses the barrier at omega = 0
+
+
+def _dop853(params, r):
+    """(omega, omega_r) at r from DOP853 runs each way from (omega0, omega_r0)."""
+    def rhs(_, y):
+        return [y[1], -0.5 * y[0] * (y[0]**2 + 2.0 * params.B)]
+
+    out = np.empty((2, r.size))
+    for side in (r < 0.0, r >= 0.0):
+        end = r[side][np.argmax(np.abs(r[side]))]
+        sol = solve_ivp(rhs, (0.0, end), [params.omega0, params.omega_r0], method="DOP853",
+                        rtol=1e-12, atol=1e-14, dense_output=True)
+        assert sol.success
+        out[:, side] = sol.sol(r[side])
+    return out
+
+
+# (B, C, omega0, sign of omega_r0, reach of the oracle comparison); the oracle
+# leaves the separatrix's saddle at omega = 0 after a few e-folds, so that case
+# compares over |r| <= 10 only
+_REGIMES = {
+    "cn": (0.3, 1.0, 0.7, -1, None),
+    "cn-negative": (0.3, 1.0, -1.1, 1, None),
+    "cn-above-the-barrier": (-1.0, 0.5, 0.2, 1, None),
+    "dn-right-well": (-1.0, -0.5, 1.2, 1, None),
+    "dn-left-well": (-1.0, -0.5, -1.6, -1, None),
+    "separatrix": (-1.0, 0.0, 1.0, 1, 10.0),
+    "rest": (0.0, 0.0, 0.0, 1, None),
+    "rest-at-well-bottom": (-1.0, -1.0, np.sqrt(2.0), 1, None),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+def test_closed_form_against_dop853_oracle(regime):
+    B, C, omega0, sign, reach = _REGIMES[regime]
+    params = FamilyParams(B=B, C=C, omega0=omega0, omega_r0_sign=sign)
+    sol = solve_omega_ode(params)
+    inside = np.abs(sol.r_samples) <= (reach or sol.span)
+    oracle = _dop853(params, sol.r_samples[inside])
+    np.testing.assert_allclose(sol.omega[inside], oracle[0], rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose(sol.omega_r[inside], oracle[1], rtol=0.0, atol=1e-8)
+    assert sol.energy_drift <= 1e-13
+    np.testing.assert_allclose(np.diff(sol.turning_points), (sol.period or 0.0) / 2.0,
+                               rtol=1e-8)
+    np.testing.assert_allclose(sol._eval(sol.turning_points)[1], 0.0, atol=1e-12)
+    if sol.period is not None:
+        assert sol.span >= 10.0 * sol.period
+
+
+def test_separatrix_is_homoclinic():
+    # B = -1, C = 0: omega = 2 sech(r - r_peak) peaks once at omega = 2 and never returns
+    sol = solve_omega_ode(FamilyParams(B=-1.0, C=0.0, omega0=1.0))
+    assert sol.period is None
+    (peak,) = sol.turning_points
+    assert sol._eval(peak)[0] == pytest.approx(2.0, rel=1e-14)
+    np.testing.assert_allclose(sol.omega, 2.0 / np.cosh(sol.r_samples - peak),
+                               rtol=1e-12)
+
+
+def test_separatrix_metric_stays_above_phi_cutoff():
+    from killing3.cotton_york import FLAT, flatness_verdict
+    from killing3.metric_family import PHI_CUTOFF
+
+    # the tail without a turning point lies at r < 0 for omega0 = 1, at r > 0 for -1
+    for omega0 in (1.0, -1.0):
+        params = FamilyParams(B=-1.0, C=0.0, omega0=omega0)
+        spec = build_cf_metric(params)
+        lo, hi = spec.params["r_range"]
+        assert (lo < -10.0) == (omega0 > 0.0) and (hi > 10.0) == (omega0 < 0.0)
+        r = np.linspace(lo, hi, 2001)
+        assert np.min(solve_omega_ode(params)._eval(r)[1]) > PHI_CUTOFF
+        fit = flatness_verdict(Geometry(spec, np.linspace(0.9 * lo, 0.9 * hi, 16),
+                                        np.linspace(0.0, 6.0, 16)))
+        assert fit.verdict == FLAT
+        assert fit.B == pytest.approx(-1.0, abs=1e-6) and fit.C == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("B, C, omega0, n_turning", [(0.0, 1e6, 0.0, 852),
+                                                     (-1e3, 1.0 - 1e6, np.sqrt(2e3), 1424)])
+def test_extreme_admitted_params_are_fast(B, C, omega0, n_turning):
+    # the largest admitted energy, and the deepest admitted well
+    params = FamilyParams(B=B, C=C, omega0=omega0)
+    start = time.perf_counter()
+    sol = solve_omega_ode(params)
+    solved = time.perf_counter()
+    build_cf_metric(params)
+    built = time.perf_counter()
+    assert solved - start < 0.5 and built - solved < 0.5
+    assert len(sol.turning_points) == n_turning
+    np.testing.assert_allclose(np.diff(sol.turning_points), sol.period / 2.0, rtol=1e-8)
+    assert sol.turning_points[-1] - sol.turning_points[0] > 2.0 * sol.span - sol.period
 
 
 def test_ode_derivative_stack_consistency():

@@ -12,6 +12,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("argv", [["catalog_tour.py", "--points", "4"],
                                   ["flat_family_roundtrip.py"],
+                                  # the separatrix: one turning point and no period
+                                  ["flat_family_roundtrip.py", "--B", "-1", "--C", "0",
+                                   "--omega0", "1"],
                                   ["geodesic_drift.py", "--length", "2"]])
 def test_demo_runs(argv):
     env = dict(os.environ)
