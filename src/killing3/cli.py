@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
-from scipy.stats import qmc
 
 from .cotton_york import (FLAT, INCONCLUSIVE, NOT_FLAT, cotton_york,
                           flatness_verdict)
@@ -132,11 +132,27 @@ def parse_metric_spec(text):
 
 
 def sample_points(grid, n_points, seed):
-    """Seeded low-discrepancy points inside the (r, theta) grid box."""
+    """Seeded scrambled Halton points inside the (r, theta) grid box.
+
+    Owen's randomized Halton sequence in bases 2 and 3 (arXiv:1706.02808), as
+    ``scipy.stats.qmc.Halton(d=2, scramble=True, seed=seed)`` draws it: digit k
+    of a point's index in base b goes through the k-th of ceil(54 / log2 b) - 1
+    seeded permutations of range(b).
+    """
     r_min, r_max, t_min, t_max = grid
-    sampler = qmc.Halton(d=2, scramble=True, seed=seed)
-    u = sampler.random(n_points)
-    pts = qmc.scale(u, [r_min, t_min], [r_max, t_max])
+    rng = np.random.default_rng(seed)
+    u = []
+    for base in (2, 3):
+        count = math.ceil(54 / math.log2(base)) - 1
+        perms = np.array([rng.permutation(base) for _ in range(count)])
+        weights = [1.0 / base]  # by repeated division, as scipy's radical inverse
+        for _ in range(count - 1):
+            weights.append(weights[-1] / base)
+        k = np.arange(count)[:, np.newaxis]
+        digits = np.arange(n_points) // base**k % base  # digit k of each point's index
+        terms = perms[k, digits] * np.array(weights)[:, np.newaxis]
+        u.append(np.add.accumulate(terms)[-1])  # summed digit by digit, in order
+    pts = np.transpose(u) * (np.array([r_max, t_max]) - [r_min, t_min]) + [r_min, t_min]
     return [tuple(p) for p in pts]
 
 

@@ -2,7 +2,7 @@
 
 The solutions live on the energy surface omega_r^2 + (omega^2 + 2B)^2/4 = C + B^2
 of an undamped Duffing oscillator, in closed form by Jacobi elliptic functions;
-the metric profile is phi = h(theta) * omega_r on a monotone arc of omega, and the
+the metric profile is phi = sign * h(theta) * omega_r on a monotone arc of omega, and the
 scalar curvature then satisfies S = (5/2) omega^2 + 2B.  Flatness of the
 resulting Cotton-York matrix is the round-trip check.
 """
@@ -163,7 +163,7 @@ def solve_omega_ode(params):
 
 
 def build_cf_metric(params):
-    """MetricSpec with phi = h(theta) omega_r on a monotone arc around r = 0, each side
+    """MetricSpec with phi = sign h(theta) omega_r on a monotone arc around r = 0, each side
     0.95 of the way to a turning point or to where omega_r falls to PHI_CUTOFF."""
     sol = solve_omega_ode(params)
     if abs(params.omega_r0) <= PHI_CUTOFF:
@@ -181,11 +181,12 @@ def build_cf_metric(params):
     omega_r_f = sol.omega_r_field()
 
     def phi_jet(r, theta, order):
-        return h_theta.jet(r, theta, order) * omega_r_f.jet(r, theta, order)
+        # omega_r keeps the sign of omega_r(0) on the arc, so sign * omega_r > 0
+        return h_theta.jet(r, theta, order) * omega_r_f.jet(r, theta, order) * params.omega_r0_sign
 
     def h_frame_jet(r, theta, order):
         # (phi * h)_r = -omega * phi integrates to h = -omega^2 / (2 omega_r);
-        # the h(theta) factor cancels, matching the catalog twist convention
+        # the sign and the h(theta) factor cancel, matching the catalog twist convention
         w = omega_f.jet(r, theta, order)
         return -(w * w) / (2.0 * omega_r_f.jet(r, theta, order))
 

@@ -35,11 +35,13 @@ class ScalarField:
         if order > MAX_ORDER:
             raise JetOrderError(f"order {order} requested, above MAX_ORDER = {MAX_ORDER}")
         # one batch shape for every jet the field's expression makes
-        r, theta = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
+        r, theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
+        if r.shape != theta.shape:
+            r, theta = np.broadcast_arrays(r, theta)
         j = self.jet_fn(r, theta, order)
         if j.order < order:
             raise JetOrderError(f"field gave an order-{j.order} jet for order {order}")
-        return Jet2(j.coeffs[:NCOEFFS[order]], order)
+        return j if j.order == order else Jet2(j.coeffs[:NCOEFFS[order]], order)
 
     def value(self, r, theta):
         return self.jet(r, theta, 0).value

@@ -43,8 +43,9 @@ class Geometry:
     def __init__(self, spec, r, theta, order=None):
         self.spec = spec
         # one batch shape for every jet, so that tensor jets stack without broadcasting
-        self.r, self.theta = np.broadcast_arrays(np.asarray(r, dtype=float),
-                                                 np.asarray(theta, dtype=float))
+        self.r, self.theta = np.asarray(r, dtype=float), np.asarray(theta, dtype=float)
+        if self.r.shape != self.theta.shape:
+            self.r, self.theta = np.broadcast_arrays(self.r, self.theta)
         self.order = MAX_ORDER if order is None else min(order, MAX_ORDER)
         self.phi = spec.phi.jet(self.r, self.theta, self.order)
         self.h = spec.h.jet(self.r, self.theta, self.order)
@@ -62,7 +63,9 @@ class Geometry:
     def grad(self, f):
         """Coordinate partials of a jet of any rank, a new first axis (t, r, theta)."""
         fr = f.deriv("r")  # d/dt is zero: every field is t-independent
-        return stack([Jet2(np.zeros_like(fr.coeffs), fr.order), fr, f.deriv("theta")])
+        c = np.zeros(fr.coeffs.shape[:1] + (3,) + fr.coeffs.shape[1:], fr.coeffs.dtype)
+        c[:, 1], c[:, 2] = fr.coeffs, f.deriv("theta").coeffs
+        return Jet2(c, fr.order)
 
     def dirderiv(self, u, f):
         """Directional derivative U(f) of a jet of any rank; u is a rank-1 jet."""

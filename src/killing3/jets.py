@@ -14,9 +14,11 @@ Every product of two jets, scalar or tensor, goes through one Leibniz kernel:
 result's order, makes one ``np.einsum`` over the tensor indices and sums the
 terms of each output coefficient with ``np.add.reduceat``.
 
-A jet of order n carries exactly ``NCOEFFS[n]`` coefficient rows.  Adding a
-number, or an array of the jet's batch shape, shifts the value row only; no
-constant jet is built for it.
+A jet of order n carries exactly ``NCOEFFS[n]`` coefficient rows and computes
+only those: an elementary function of f is a Taylor series in the value-free
+fluctuation u of f, and an order-n jet builds the powers of u up to u^n only
+(higher ones vanish).  Adding a number, or an array of the jet's batch shape,
+shifts the value row only; no constant jet is built for it.
 """
 
 from __future__ import annotations
@@ -120,20 +122,11 @@ class Jet2:
     @staticmethod
     def constant(value, order=MAX_ORDER, batch_like=None):
         value = np.asarray(value)
-        if batch_like is not None:
-            value = np.broadcast_to(value, np.shape(batch_like)).copy()
-        c = np.zeros((NCOEFFS[order],) + value.shape,
+        shape = value.shape if batch_like is None else np.shape(batch_like)
+        c = np.zeros((NCOEFFS[order],) + shape,
                      dtype=value.dtype if value.dtype.kind in "fc" else float)
         c[0] = value
         return Jet2(c, order)
-
-    @staticmethod
-    def variable(value, slot, order):
-        """Coordinate jet: slot 'r' or 'theta'."""
-        j = Jet2.constant(np.asarray(value, dtype=float), order)
-        if order > 0:
-            j.coeffs[_POS[(1, 0)] if slot == "r" else _POS[(0, 1)]] = 1.0
-        return j
 
     # -- accessors ----------------------------------------------------------
 
@@ -220,74 +213,73 @@ class Jet2:
 
 def variables(r, theta, order=MAX_ORDER):
     """Coordinate jets (r, theta); accepts scalars or equally-shaped arrays."""
-    return Jet2.variable(r, "r", order), Jet2.variable(theta, "theta", order)
+    c = np.zeros((2, NCOEFFS[order]) + np.shape(r))
+    c[0, 0], c[1, 0] = r, theta
+    if order > 0:
+        c[0, _POS[(1, 0)]] = c[1, _POS[(0, 1)]] = 1.0
+    return Jet2(c[0], order), Jet2(c[1], order)
 
 
-def compose(f, derivs):
-    """Univariate composition F(f) given [F(f0), F'(f0), F''(f0), F'''(f0)].
+def _series(f, terms):
+    """sum_m terms[m] u^m of u = f - f0, over the powers m <= f.order only.
 
-    Works because the fluctuation u = f - f(0,0) has no constant term, so the
-    truncated Taylor polynomial of F reproduces all partials up to order 3.
+    The terms are the Taylor coefficients F^(m)(f0)/m! of a function F.  u has
+    no value, so u^m has no derivative below order m: the higher powers vanish
+    in an order-n jet, and at order 0 the series is terms[0].  reciprocal, sqrt
+    and log expand in f/f0 (derivative coefficients O(f'/f)), which keeps them
+    finite for huge |f0|, where the raw coefficients 1/f0^k underflow while the
+    jet products overflow.
     """
     u = Jet2(f.coeffs.copy(), f.order)
-    u.coeffs[0] = np.zeros_like(u.coeffs[0])
-    u2 = u * u
-    return u * derivs[1] + derivs[0] + u2 * (derivs[2] / 2.0) + (u2 * u) * (derivs[3] / 6.0)
-
-
-def _fluctuation(f):
-    # u = f / f0 - 1: value 0, derivative coefficients scaled to O(f'/f).
-    # Keeps reciprocal/sqrt/log finite for huge |f0| where the raw Taylor
-    # coefficients 1/f0^k underflow while the jet products overflow.
-    u = f * (1.0 / f.value)
-    u.coeffs[0] = np.zeros_like(u.coeffs[0])
-    return u
+    u.coeffs[0] = 0.0
+    if u.order == 0:
+        return u + terms[0]
+    out = u * terms[1] + terms[0]
+    power = u
+    for term in terms[2:u.order + 1]:
+        power = power * u
+        out = out + power * term
+    return out
 
 
 def reciprocal(f):
-    u = _fluctuation(f)
-    u2 = u * u
-    return (1.0 - u + u2 - u2 * u) * (1.0 / f.value)
+    return _series(f * (1.0 / f.value), [1.0, -1.0, 1.0, -1.0]) * (1.0 / f.value)
 
 
 def sqrt(f):
-    u = _fluctuation(f)
-    u2 = u * u
-    return (1.0 + u * 0.5 - u2 * 0.125 + u2 * u * 0.0625) * np.sqrt(f.value)
+    return _series(f * (1.0 / f.value), [1.0, 0.5, -0.125, 0.0625]) * np.sqrt(f.value)
+
+
+def log(f):
+    return _series(f * (1.0 / f.value), [np.log(f.value), 1.0, -0.5, 1.0 / 3.0])
 
 
 def exp(f):
     v = np.exp(f.value)
-    return compose(f, [v, v, v, v])
-
-
-def log(f):
-    u = _fluctuation(f)
-    u2 = u * u
-    return u - u2 * 0.5 + u2 * u * (1.0 / 3.0) + np.log(f.value)
+    return _series(f, [v, v, v / 2.0, v / 6.0])
 
 
 def sin(f):
     s, c = np.sin(f.value), np.cos(f.value)
-    return compose(f, [s, c, -s, -c])
+    return _series(f, [s, c, -s / 2.0, -c / 6.0])
 
 
 def cos(f):
     s, c = np.sin(f.value), np.cos(f.value)
-    return compose(f, [c, -s, -c, s])
+    return _series(f, [c, -s, -c / 2.0, s / 6.0])
 
 
 def tan(f):
     t = np.tan(f.value)
     s2 = 1.0 + t * t  # sec^2
-    return compose(f, [t, s2, 2 * t * s2, s2 * (4 * t * t + 2 * s2)])
+    return _series(f, [t, s2, t * s2, s2 * (4 * t * t + 2 * s2) / 6.0])
 
 
 def sinh(f):
     s, c = np.sinh(f.value), np.cosh(f.value)
-    return compose(f, [s, c, s, c])
+    return _series(f, [s, c, s / 2.0, c / 6.0])
 
 
 def cosh(f):
     s, c = np.sinh(f.value), np.cosh(f.value)
-    return compose(f, [c, s, c, s])
+    return _series(f, [c, s, c / 2.0, s / 6.0])

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -144,6 +145,17 @@ def test_sample_points_deterministic():
     assert a != c
     rs = np.array([p[0] for p in a])
     assert rs.min() >= 0.2 and rs.max() <= 1.2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 12345])
+def test_sample_points_match_scipy_scrambled_halton(seed):
+    from scipy.stats import qmc
+
+    for n, grid in itertools.product([1, 7, 64, 1000], [(0.2, 1.2, 0.0, 6.0),
+                                                       (-3.5, 0.7, 1.25, 9.9)]):
+        u = qmc.Halton(d=2, scramble=True, seed=seed).random(n)
+        ref = qmc.scale(u, [grid[0], grid[2]], [grid[1], grid[3]])
+        assert sample_points(grid, n, seed) == [tuple(p) for p in ref], (n, grid)
 
 
 def test_jsonl_roundtrip(tmp_path):
@@ -427,6 +439,38 @@ def test_family_on_the_separatrix(tmp_path):
     assert summary["verdict"] == "Flat"
     assert summary["B_fit"] == pytest.approx(-1.0, abs=1e-6)
     assert summary["C_fit"] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("command", ["family", "analyze"])
+def test_cf_family_with_negative_omega_r_sign(tmp_path, command):
+    # phi = sign h(theta) omega_r stays positive when omega_r(0) < 0
+    spec = _write_spec(tmp_path, "catalog = cf_family\nB = 0.3\nC = 1\nsign = -1")
+    report, code = run(RunConfig(command=command, spec_path=spec))
+    assert code == 0
+    if command == "family":
+        summary = json.loads(render_report(report, "jsonl").splitlines()[-1])["summary"]
+        assert summary["verdict"] == "Flat"
+        assert summary["B_fit"] == pytest.approx(0.3, abs=1e-6)
+        assert summary["C_fit"] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_default_hopf_geodesic_step_count(tmp_path, monkeypatch):
+    # pins the right-hand side to the last bit: a mathematically equal but
+    # reordered contraction (an einsum form) moves the adaptive steps and drifts
+    from killing3 import completeness_probe
+
+    nfev = []
+    solve = completeness_probe.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(completeness_probe, "solve_ivp", counted)
+    spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
+    _, code = run(RunConfig(command="geodesic", spec_path=spec))
+    assert code == 0 and nfev == [3899]
 
 
 def test_lorentz_command(tmp_path):

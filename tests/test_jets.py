@@ -268,3 +268,39 @@ def test_a_number_or_batch_array_shifts_only_the_value_row(kind, a, b, order):
         assert np.iscomplexobj(out.coeffs) == (kind == "complex")
         np.testing.assert_array_equal(out.value, value)
         np.testing.assert_array_equal(out.coeffs[1:], sign * f.coeffs[1:])
+
+
+# -- truncation by order -------------------------------------------------------
+
+ELEMENTARY = ["sin", "cos", "tan", "exp", "sinh", "cosh", "reciprocal", "sqrt", "log"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ELEMENTARY), st.floats(0.1, 1.0), st.floats(-2.0, 2.0),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_elementary_jets_of_lower_order_are_truncations(name, r, theta, a, b):
+    # an order-n jet builds only the Taylor terms up to u^n; the rows it has
+    # must be exactly those of the order-3 jet
+    def jet(order):
+        jr, jt = variables(r, theta, order)
+        return getattr(jets, name)(jr * a + jr * jt * b + 2.5)
+
+    full = jet(MAX_ORDER)
+    for order in range(MAX_ORDER):
+        out = jet(order)
+        assert out.order == order and out.coeffs.shape[0] == NCOEFFS[order]
+        assert np.array_equal(out.coeffs, full.coeffs[:NCOEFFS[order]]), (name, order)
+
+
+def test_order_one_christoffels_make_four_jet_products(monkeypatch):
+    from killing3.curvature_engine import christoffels
+    from killing3.frame_calculus import Geometry
+    from killing3.metric_family import catalog
+
+    spec = catalog("hopf", {"R": 2.0})
+    calls = []
+    product = jets._product
+    monkeypatch.setattr(jets, "_product", lambda *args: calls.append(1) or product(*args))
+    christoffels(Geometry(spec, 0.7, 0.3, order=1))
+    # phi h, g, g^-1 and Gamma; sin, tan and 1/phi build no power of u at order 1
+    assert len(calls) <= 4
