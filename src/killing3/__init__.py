@@ -5,7 +5,7 @@ The canonical metric is g = (T^b)^2 + dr^2 + phi^2 dtheta^2 in coordinates
 specified by the scalar profile triple (phi, h, k).  Modules:
 
 * ``jets`` / ``fields``     exact derivative-carrying scalar and tensor jets
-* ``frame_calculus``        the batched Geometry: metric, connection, Ricci, frame data
+* ``frame_calculus``        the batched Geometry: domain check, metric, connection, Ricci, frame data
 * ``tensor_core``           Gram audits, Riemann storage
 * ``metric_family``         the (phi, h, k) spec, catalog metrics, CSV grids
 * ``curvature_engine``      Christoffels, curvature, Ricci-operator spectrum
@@ -34,8 +34,7 @@ from .frame_calculus import Geometry
 from .jets import Jet2
 from .lorentz_bridge import (SignaturePair, lorentz_completeness,
                              lorentz_relations_check, to_lorentz)
-from .metric_family import (FrameAt, MetricSpec, canonical_frame, catalog,
-                            load_grid_csv, metric_components)
+from .metric_family import MetricSpec, catalog, load_grid_csv, metric_components
 from .np_formalism import (KinematicData, SpinCoefficients, StructureResiduals,
                            conformal_rescale_check, killing_test, kinematics,
                            rotate_frame, spin_coefficients,
@@ -46,12 +45,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CottonYorkMatrix", "CurvaturePacket", "CurvatureProfile", "FamilyParams",
-    "FlatnessFit", "FrameAt", "GeodesicState", "GeodesicTrajectory",
-    "Geometry", "Jet2", "Killing3Error", "KinematicData", "LORENTZIAN",
-    "MetricSpec", "OmegaSolution", "RIEMANNIAN", "RicciOfT", "Riemann4",
-    "ScalarField", "SignaturePair", "SpinCoefficients",
-    "StructureResiduals", "build_cf_metric", "canonical_frame",
-    "catalog", "christoffels", "completeness_verdict",
+    "FlatnessFit", "GeodesicState", "GeodesicTrajectory", "Geometry", "Jet2",
+    "Killing3Error", "KinematicData", "LORENTZIAN", "MetricSpec",
+    "OmegaSolution", "RIEMANNIAN", "RicciOfT", "Riemann4", "ScalarField",
+    "SignaturePair", "SpinCoefficients", "StructureResiduals",
+    "build_cf_metric", "catalog", "christoffels", "completeness_verdict",
     "conformal_rescale_check", "constant", "cotton_york", "curvature_packet",
     "curvature_profile", "flatness_verdict", "from_expr", "from_grid",
     "gaussian_identity_residual", "gram_residual", "hamilton_inequality",

@@ -38,8 +38,7 @@ from .errors import (BadParams, Killing3Error, NonFinite, ParseError,
                      UnknownCatalogName)
 from .frame_calculus import Geometry
 from .lorentz_bridge import flip_residual, lorentz_relations_check, timelike_residual, to_lorentz
-from .metric_family import (CATALOG_PARAMS, catalog, check_admissible,
-                            frame_gram_residual, load_grid_csv)
+from .metric_family import CATALOG_PARAMS, catalog, frame_gram_residual, load_grid_csv
 from .np_formalism import kinematics, structure_residuals
 from .tensor_core import LORENTZIAN, RIEMANNIAN
 
@@ -161,20 +160,20 @@ def _max_workers():
 
 
 def _sweep(spec, config):
-    """The command's sampled points, an (n, 2) array of (r, theta) rows.
+    """The Geometry of the command's sampled points, one batch of width n.
 
     DomainError if the metric is not defined at one of them.
     """
     pts = np.array(sample_points(config.grid, config.n_points, config.seed))
-    check_admissible(spec, pts[:, 0], pts[:, 1])
-    return pts
+    return Geometry(spec, pts[:, 0], pts[:, 1])
 
 
-def _records(pts, **columns):
-    """One report record per point from per-point columns."""
+def _records(geo, **columns):
+    """One report record per point of the sweep from per-point columns."""
     cols = {key: np.asarray(col).tolist() for key, col in columns.items()}
+    pts = np.stack([geo.r, geo.theta], axis=-1).tolist()
     return [{"point": p, **{key: col[i] for key, col in cols.items()}}
-            for i, p in enumerate(pts.tolist())]
+            for i, p in enumerate(pts)]
 
 
 def _maxima(columns):
@@ -185,16 +184,15 @@ def _maxima(columns):
 
 
 def _run_analyze(spec, config):
-    pts = _sweep(spec, config)
-    geo = Geometry(spec, pts[:, 0], pts[:, 1])
+    geo = _sweep(spec, config)
     pk, kin = curvature_packet(geo), kinematics(geo)
     cy = cotton_york(geo).norm
-    records = _records(pts, S=pk.scalar_S, ric_TT=pk.ric_of_T.t_component,
+    records = _records(geo, S=pk.scalar_S, ric_TT=pk.ric_of_T.t_component,
                        omega=pk.omega, div=kin.divergence, shear=np.abs(kin.shear),
                        spectrum=np.stack(pk.spectrum, axis=-1), cy_norm=cy)
     maxima = _maxima({"cy_norm": cy, "abs_S": np.abs(pk.scalar_S),
                       "abs_omega": np.abs(pk.omega)})
-    summary = {**maxima, "n_points": len(pts)}
+    summary = {**maxima, "n_points": geo.r.size}
     # no gate beyond finiteness, which run() checks for every command
     return records, summary, True
 
@@ -204,26 +202,25 @@ def _run_verify(spec, config):
         raise BadParams("verify checks the Riemannian identities; run `lorentz` "
                         "on the Riemannian spec for the Lorentzian relations")
     tol = config.tolerances.get("residual", DEFAULT_TOL)
-    pts = _sweep(spec, config)
-    geo = Geometry(spec, pts[:, 0], pts[:, 1])
+    geo = _sweep(spec, config)
     ric_res, s_res = lorentz_relations_check(geo)
     columns = {
         "structure": structure_residuals(geo).max_abs(),
         "gaussian": gaussian_identity_residual(geo),
         "spectrum_agreement": spectrum_vs_eigensolve_residual(curvature_packet(geo)),
-        "gram": frame_gram_residual(spec, pts.T),
+        "gram": frame_gram_residual(geo),
         "lorentz_ric": ric_res,
         "lorentz_scalar": s_res,
     }
     maxima = _maxima(columns)
-    summary = {**maxima, "n_points": len(pts), "tolerance": tol}
-    return _records(pts, **columns), summary, all(v < tol for v in maxima.values())
+    summary = {**maxima, "n_points": geo.r.size, "tolerance": tol}
+    return _records(geo, **columns), summary, all(v < tol for v in maxima.values())
 
 
 def _run_flatness(spec, config):
-    pts = _sweep(spec, config)
-    fit = flatness_verdict(Geometry(spec, pts[:, 0], pts[:, 1]))
-    records = _records(pts, cy_norm=fit.cy_norms)
+    geo = _sweep(spec, config)
+    fit = flatness_verdict(geo)
+    records = _records(geo, cy_norm=fit.cy_norms)
     summary = {
         "verdict": fit.verdict, "B": fit.B, "C": fit.C,
         "fit_residual": fit.residual_max, "max_cy_norm": fit.cy_max,
@@ -266,8 +263,7 @@ def _run_family(spec, config):
     built = build_cf_metric(params)
     lo, hi = built.params["r_range"]
     box = (0.9 * lo if lo < 0 else lo, 0.9 * hi) + tuple(config.grid[2:])
-    pts = _sweep(built, replace(config, grid=box))
-    fit = flatness_verdict(Geometry(built, pts[:, 0], pts[:, 1]))
+    fit = flatness_verdict(_sweep(built, replace(config, grid=box)))
     records = [{"r": float(r), "omega": float(w), "omega_r": float(wr)}
                for r, w, wr in zip(sol.r_samples[::40], sol.omega[::40],
                                    sol.omega_r[::40])]
@@ -285,8 +281,7 @@ def _run_family(spec, config):
 def _run_lorentz(spec, config):
     tol = config.tolerances.get("residual", DEFAULT_TOL)
     pair = to_lorentz(spec)
-    pts = _sweep(spec, config)
-    geo = Geometry(spec, pts[:, 0], pts[:, 1])
+    geo = _sweep(spec, config)
     partner = Geometry(pair.lorentzian, geo.r, geo.theta)
     ric_res, s_res = lorentz_relations_check(geo, partner)
     columns = {
@@ -296,8 +291,8 @@ def _run_lorentz(spec, config):
         "scalar": s_res,
     }
     maxima = _maxima(columns)
-    summary = {**maxima, "n_points": len(pts)}
-    return _records(pts, **columns), summary, all(v < tol for v in maxima.values())
+    summary = {**maxima, "n_points": geo.r.size}
+    return _records(geo, **columns), summary, all(v < tol for v in maxima.values())
 
 
 def _expected(config, verdict):

@@ -162,7 +162,8 @@ def _integrate(spec, rhs, y0, length, step_tol, n_samples, what, at):
                         atol=step_tol * 1e-2, t_eval=np.linspace(0.0, length, n_samples),
                         events=domain_exit)
     except DomainError as exc:
-        # a trial step crossed the degeneracy cutoff before the event fired
+        # a trial step reached phi <= PHI_CUTOFF, or an overflowing metric,
+        # before the event fired
         raise BlowUp(f"{what} left the admissible domain: {exc}") from exc
     if sol.status == 1:
         raise BlowUp(f"{what} left the admissible domain at s = {sol.t_events[0][0]}")

@@ -26,9 +26,10 @@ import numpy as np
 
 from .errors import DomainError, JetOrderError
 from .jets import MAX_ORDER, NCOEFFS, Jet2, contract, reciprocal, stack
-from .metric_family import PHI_CUTOFF
 from .tensor_core import LORENTZIAN
 
+#: the metric is degenerate where phi falls to this value
+PHI_CUTOFF = 1e-8
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -37,7 +38,8 @@ class Geometry:
 
     Tensors are tensor-valued jets indexed in coordinates (t, r, theta): ``g``
     and ``ginv`` are [a][b], ``gamma`` is [c][a][b] = Gamma^c_{ab}, ``ric`` is
-    [b][c]; frame legs are rank-1 jets.
+    [b][c]; frame legs are rank-1 jets.  DomainError names the first point of
+    the batch where phi <= PHI_CUTOFF or the metric entries overflow.
     """
 
     def __init__(self, spec, r, theta, order=None):
@@ -50,8 +52,20 @@ class Geometry:
         self.phi = spec.phi.jet(self.r, self.theta, self.order)
         self.h = spec.h.jet(self.r, self.theta, self.order)
         self.k = spec.k.jet(self.r, self.theta, self.order)
-        if np.any(self.phi.value <= PHI_CUTOFF):
-            raise DomainError("phi at or below degeneracy cutoff")
+        phi, h, k = self.phi.value, self.h.value, self.k.value
+        # g_rr = 1 + k^2 and g_thth = phi^2 (1 + h^2) bound every other metric
+        # entry.  NaN passes both tests: a geodesic trial step can land where a
+        # field is NaN, and the NaN acceleration makes the step controller
+        # shrink the step, where a DomainError would end the integration.
+        with np.errstate(over="ignore", invalid="ignore"):
+            low = phi <= PHI_CUTOFF
+            bad = low | np.isinf(1.0 + k * k + phi * phi * (1.0 + h * h))
+        if bad.any():
+            low, bad = (np.broadcast_to(x, self.r.shape) for x in (low, bad))
+            i = int(np.argmax(bad))
+            what = f"phi <= {PHI_CUTOFF}" if low.flat[i] else "metric entries overflow"
+            r, theta = self.point_at(i)
+            raise DomainError(f"{what} at (r, theta) = ({r:.6g}, {theta:.6g})")
         self._eta = -1.0 if spec.signature == LORENTZIAN else 1.0
 
     def point_at(self, i):

@@ -1,4 +1,9 @@
-"""Canonical metrics g = (T^b)^2 + dr^2 + phi^2 dtheta^2 built from (phi, h, k).
+"""Profile triples (phi, h, k) of canonical metrics g = (T^b)^2 + dr^2 + phi^2 dtheta^2.
+
+A MetricSpec holds the triple and the signature; the metric, its frame and
+the test of where the metric is defined are computed only by
+``frame_calculus.Geometry``, which ``metric_components`` and
+``frame_gram_residual`` read.
 
 Every spec with t-independent (phi, h, k) carries T = d/dt as a unit Killing
 field; the catalog collects the exact workhorse examples (flat space, the
@@ -22,11 +27,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fields, jets
-from .errors import BadParams, DomainError, UnknownCatalogName
+from .errors import BadParams, UnknownCatalogName
 from .fields import ScalarField
-from .tensor_core import LORENTZIAN, RIEMANNIAN, gram_residual
-
-PHI_CUTOFF = 1e-8
+from .frame_calculus import PHI_CUTOFF, Geometry  # PHI_CUTOFF is re-exported
+from .tensor_core import RIEMANNIAN, gram_residual
 
 #: the parameters each catalog metric accepts, with their defaults
 CATALOG_PARAMS = {
@@ -54,66 +58,14 @@ class MetricSpec:
         return MetricSpec(self.phi, self.h, self.k, signature, self.name, dict(self.params))
 
 
-@dataclass(frozen=True)
-class FrameAt:
-    """Canonical orthonormal frame at a point, components in (dt, dr, dtheta)."""
-
-    T: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    point: tuple
-
-    def as_rows(self):
-        return np.array([self.T, self.X, self.Y])
-
-
-def check_admissible(spec, r, theta):
-    """Values (phi, h, k), broadcast to each other, if the metric is defined at the point(s)."""
-    phi, h, k = (f.value(r, theta) for f in (spec.phi, spec.h, spec.k))
-    # NaN fails both tests; g_rr = 1 + k^2 and g_thth = phi^2 (1 + h^2)
-    # bound every other metric entry
-    phi_ok = phi > PHI_CUTOFF
-    ok = phi_ok & np.isfinite(1.0 + k * k + phi * phi * (1.0 + h * h))
-    if not np.all(ok):
-        rr, tt, phi_ok, ok = np.broadcast_arrays(r, theta, phi_ok, ok)
-        i = int(np.argmin(ok))
-        what = "metric entries overflow" if phi_ok.flat[i] else f"phi <= {PHI_CUTOFF}"
-        raise DomainError(f"{what} at (r, theta) = ({rr.flat[i]:.6g}, {tt.flat[i]:.6g})")
-    return np.broadcast_arrays(phi, h, k)
-
-
 def metric_components(spec, p):
     """Coordinate metric matrix at p = (r, theta), shape (3, 3) + batch, basis (t, r, theta)."""
-    phi, h, k = check_admissible(spec, *p)
-    ph = phi * h
-    one = np.ones_like(phi)
-    g = np.array([
-        [one, -k, -ph],
-        [-k, 1.0 + k**2, ph * k],
-        [-ph, ph * k, phi**2 * (1.0 + h**2)],
-    ])
-    if spec.signature == LORENTZIAN:
-        tb = np.array([one, -k, -ph])  # T-flat covector of the Riemannian partner
-        g = g - 2.0 * np.einsum("a...,b...->ab...", tb, tb)
-    return g
+    return Geometry(spec, *p, order=0).g.value
 
 
-def canonical_frame(spec, p):
-    """The frame T = dt, X = h dt + (1/phi) dtheta, Y = k dt + dr at p (or point arrays)."""
-    r, theta = p
-    phi, h, k = check_admissible(spec, r, theta)
-    one, zero = np.ones_like(phi), np.zeros_like(phi)
-    return FrameAt(
-        T=np.array([one, zero, zero]),
-        X=np.array([h, zero, 1.0 / phi]),
-        Y=np.array([k, one, zero]),
-        point=(r, theta),
-    )
-
-
-def frame_gram_residual(spec, p):
-    fr = canonical_frame(spec, p)
-    return gram_residual(fr.as_rows(), metric_components(spec, p), spec.signature)
+def frame_gram_residual(geo):
+    """Per-point max deviation of the Gram matrix of ``geo.frame`` from the signature's."""
+    return gram_residual(jets.stack(geo.frame).value, geo.g.value, geo.spec.signature)
 
 
 # -- catalog -----------------------------------------------------------------

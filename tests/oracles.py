@@ -9,11 +9,28 @@ tolerances are looser than the library's analytic-jet tolerances.
 
 import numpy as np
 
-from killing3.metric_family import metric_components
+from killing3.tensor_core import LORENTZIAN
 
 
 def fd_metric(spec, r, theta):
-    return metric_components(spec, (r, theta))
+    """g = (T^b)^2 + dr^2 + phi^2 dtheta^2, T^b = dt - k dr - phi h dtheta, written out.
+
+    Shape (3, 3) + the broadcast shape of r and theta; the Lorentzian partner
+    is g - 2 T^b (x) T^b.
+    """
+    phi, h, k = (f.value(r, theta) for f in (spec.phi, spec.h, spec.k))
+    phi, h, k = np.broadcast_arrays(phi, h, k)
+    ph = phi * h
+    one = np.ones_like(phi)
+    g = np.array([
+        [one, -k, -ph],
+        [-k, 1.0 + k**2, ph * k],
+        [-ph, ph * k, phi**2 * (1.0 + h**2)],
+    ])
+    if spec.signature == LORENTZIAN:
+        tb = np.array([one, -k, -ph])
+        g = g - 2.0 * np.einsum("a...,b...->ab...", tb, tb)
+    return g
 
 
 def fd_christoffels(spec, r, theta, step=1e-5):

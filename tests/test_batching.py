@@ -197,7 +197,7 @@ def _pointwise_record(command, spec, p):
                 "gaussian": gaussian_identity_residual(geo),
                 "spectrum_agreement": spectrum_vs_eigensolve_residual(
                     curvature_packet(geo)),
-                "gram": frame_gram_residual(spec, p),
+                "gram": frame_gram_residual(geo),
                 "lorentz_ric": ric_res, "lorentz_scalar": s_res}
     return {"flip": flip_residual(geo, partner), "timelike": timelike_residual(partner),
             "ric_TT": ric_res, "scalar": s_res}

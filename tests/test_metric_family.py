@@ -9,10 +9,10 @@ from killing3 import fields, jets
 from killing3.errors import BadParams, DomainError, UnknownCatalogName
 from killing3.frame_calculus import Geometry
 from killing3.metric_family import (CATALOG_NAMES, GRID_CSV_HEADER, MetricSpec,
-                                    canonical_frame, catalog,
-                                    frame_gram_residual, load_grid_csv,
+                                    catalog, frame_gram_residual, load_grid_csv,
                                     metric_components, to_grid_sampled)
-from oracles import fd_twist
+from killing3.tensor_core import LORENTZIAN, RIEMANNIAN
+from oracles import fd_metric, fd_twist
 
 
 def test_catalog_names_complete():
@@ -64,19 +64,34 @@ def test_nil_metric_components():
     np.testing.assert_allclose(g, expected, atol=1e-14)
 
 
+def _catalog(name):
+    return catalog(name, {"B": 0.3, "C": 1.0} if name == "cf_family" else None)
+
+
 def test_frame_gram_on_all_catalogs():
-    for name in ("flat", "hopf", "nil", "hyperbolic"):
-        spec = catalog(name)
-        for p in [(0.3, 0.0), (0.9, 2.5), (1.2, -1.0)]:
-            assert frame_gram_residual(spec, p) < 1e-12
+    for name in CATALOG_NAMES:
+        for signature in (RIEMANNIAN, LORENTZIAN):
+            spec = _catalog(name).with_signature(signature)
+            geo = Geometry(spec, [0.3, 0.9, 1.2], [0.0, 2.5, -1.0])
+            assert np.max(frame_gram_residual(geo)) < 1e-12, (name, signature)
+
+
+@pytest.mark.parametrize("signature", [RIEMANNIAN, LORENTZIAN])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_geometry_metric_matches_written_out_metric(name, signature):
+    """g = E^T eta E of the coframe against the oracle's (T^b)^2 + dr^2 + phi^2 dtheta^2."""
+    spec = _catalog(name).with_signature(signature)
+    rng = np.random.default_rng(11)
+    r, theta = rng.uniform(0.2, 1.2, 200), rng.uniform(0.0, 2.0 * np.pi, 200)
+    np.testing.assert_allclose(Geometry(spec, r, theta, order=0).g.value,
+                               fd_metric(spec, r, theta), rtol=0.0, atol=1e-15)
 
 
 def test_canonical_frame_hopf():
-    spec = catalog("hopf", {"R": 1.0})
-    fr = canonical_frame(spec, (np.pi / 4, 0.0))
-    np.testing.assert_allclose(fr.T, [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(fr.X, [-1.0, 0.0, 2.0], atol=1e-14)
-    np.testing.assert_allclose(fr.Y, [0.0, 1.0, 0.0])
+    t, x, y = Geometry(catalog("hopf", {"R": 1.0}), np.pi / 4, 0.0).frame
+    np.testing.assert_allclose(t.value, [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(x.value, [-1.0, 0.0, 2.0], atol=1e-14)
+    np.testing.assert_allclose(y.value, [0.0, 1.0, 0.0])
 
 
 def test_twist_sign_oracle():
@@ -94,8 +109,27 @@ def test_twist_sign_oracle():
 
 def test_domain_error_at_degenerate_phi():
     spec = catalog("hopf", {"R": 1.0})
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^phi <= 1e-08 at \(r, theta\) = \(0, 0\)$"):
         metric_components(spec, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("name, params, r, message", [
+    ("hopf", {"R": 1.0}, [0.3, 0.0, np.pi / 2], "phi <= 1e-08 at (r, theta) = (0, 0.5)"),
+    ("nil", {"omega0": 1e200}, [0.0, 0.4, 0.8],
+     "metric entries overflow at (r, theta) = (0.4, 0.5)"),
+])
+def test_geometry_names_first_bad_point(name, params, r, message):
+    with pytest.raises(DomainError) as exc:
+        Geometry(catalog(name, params), r, 0.5)
+    assert str(exc.value) == message
+
+
+def test_nan_field_value_builds_a_geometry():
+    # cosh(13340) has a NaN value jet.  A geodesic trial step can land there,
+    # and its NaN acceleration must shrink the step, not end the integration.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = Geometry(catalog("hyperbolic"), [0.5, 13340.0], 0.0, order=1).g.value
+    assert np.isnan(g[2, 2, 1]) and np.all(np.isfinite(g[..., 0]))
 
 
 @settings(max_examples=25, deadline=None)
