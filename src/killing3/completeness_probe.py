@@ -15,7 +15,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .curvature_engine import christoffels, scalar_and_ric_tt
 from .errors import BlowUp, DomainError, EmptyProfile, NotUnitLength, StepFailure
@@ -34,6 +33,19 @@ TOL_ZERO = 1e-6
 UNIT_TOL = 1e-8
 #: relative oscillation of the tail quartile beyond which no verdict is given
 OSCILLATION_TOL = 0.2
+#: right-hand-side calls after which a geodesic ends in StepFailure (hopf's default: 3899)
+MAX_RHS_CALLS = 100_000
+
+
+class _DeferredSolveIvp:
+    """scipy's solve_ivp, imported at its first call; not a function, so traced only once."""
+
+    def __call__(self, *args, **kwargs):
+        from scipy.integrate import solve_ivp as solve
+        return solve(*args, **kwargs)
+
+
+solve_ivp = _DeferredSolveIvp()
 
 
 @dataclass(frozen=True)
@@ -149,16 +161,22 @@ class GeodesicTrajectory:
 def _integrate(spec, rhs, y0, length, step_tol, n_samples, what, at):
     """The one DOP853 solve of a geodesic; ``y[at:at + 2]`` is its (r, theta).
 
-    A terminal event stops it where phi falls to 10 PHI_CUTOFF; leaving the
-    domain is BlowUp, a failed step StepFailure.
+    A terminal event stops it where phi falls to 10 PHI_CUTOFF; leaving the domain
+    is BlowUp, a failed step or a right-hand side called MAX_RHS_CALLS times StepFailure.
     """
+    budget = iter(range(MAX_RHS_CALLS))
+
+    def counted(s, y):
+        if next(budget, None) is None:
+            raise StepFailure(f"{what} stopped at s = {s:.6g}: over {MAX_RHS_CALLS} rhs calls")
+        return rhs(s, y)
 
     def domain_exit(_, y):
         return float(spec.phi.value(y[at], y[at + 1])) - 10.0 * PHI_CUTOFF
 
     domain_exit.terminal = True
     try:
-        sol = solve_ivp(rhs, (0.0, length), y0, method="DOP853", rtol=step_tol,
+        sol = solve_ivp(counted, (0.0, length), y0, method="DOP853", rtol=step_tol,
                         atol=step_tol * 1e-2, t_eval=np.linspace(0.0, length, n_samples),
                         events=domain_exit)
     except DomainError as exc:

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401  (unused: perfbench/tracer.py patches it)
-from scipy.special import ellipj, ellipk, ellipkinc
 
 from . import fields
+from .completeness_probe import solve_ivp  # noqa: F401  (unused: perfbench/tracer.py patches it)
 from .curvature_engine import twist_data
 from .errors import EnergyDriftExceeded, InadmissibleParams, PhiVanishes
 from .fields import ScalarField
@@ -29,9 +28,8 @@ ENERGY_TOL = 1e-8
 MAX_ENERGY = 1e6
 #: the fewest periods the two-sided span must hold
 MIN_PERIODS = 10
-#: orbits with 1 - m below this are taken as the separatrix m = 1: scipy's ellipj
-#: loses every digit above m = 1 - 1e-10, and |C| < 4e-9 B^2 there is inside ENERGY_TOL
-SEPARATRIX_GAP = 1e-9
+#: orbits with m1 = 1 - m below this are the separatrix m = 1 (mpmath-checked down to here)
+SEPARATRIX_GAP = 1e-15
 
 
 @dataclass(frozen=True)
@@ -114,14 +112,47 @@ class OmegaSolution:
         return ScalarField(lambda r, t, o: self._jet_from_stack(r, o, 1))
 
 
+def _agm(m1):
+    """K(m) = pi / (2 a_N) and the a_n, c_n of the AGM from a_0 = 1, b_0 = sqrt m1 (m1 > 0)."""
+    a, b, c = [1.0], np.sqrt(m1), [np.sqrt(1.0 - m1)]
+    while c[-1] > 1e-16 * a[-1]:
+        a.append(0.5 * (a[-1] + b))
+        b, c = np.sqrt(a[-2] * b), c + [c[-1] ** 2 / (4.0 * a[-1])]  # (a - b) / 2, no cancellation
+    return np.pi / (2.0 * a[-1]), a, c
+
+
+def _ellipj(u, m1):
+    """sn, cn, dn(u | m) by the AGM and descending Landen transformations (DLMF 22.20(ii))."""
+    if m1 == 0.0:
+        return np.tanh(u), 1.0 / np.cosh(u), 1.0 / np.cosh(u)
+    _, a, c = _agm(m1)
+    phi = 2.0 ** (len(a) - 1) * a[-1] * u
+    for a_n, c_n in zip(a[:0:-1], c[:0:-1]):
+        phi = 0.5 * (phi + np.arcsin(c_n / a_n * np.sin(phi)))
+    return np.sin(phi), np.cos(phi), np.sqrt(m1 + (1.0 - m1) * np.cos(phi) ** 2)
+
+
+def _ellipf(phi, m1):
+    """F(phi | m) = sin phi R_F(cos^2 phi, cos^2 phi + m1 sin^2 phi, 1), |phi| <= pi/2, plus 2jK
+    for phi + j pi; Carlson's duplication shrinks the spread of x, y, z fourfold a step."""
+    j = np.round(phi / np.pi)
+    sin, cos = np.sin(phi - j * np.pi), np.cos(phi - j * np.pi)
+    x, y, z = cos * cos, cos * cos + m1 * sin * sin, 1.0
+    for _ in range(30):
+        lam = np.sqrt(x * y) + np.sqrt(y * z) + np.sqrt(z * x)
+        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
+    return sin / np.sqrt(x) + (2.0 * j * _agm(m1)[0] if j else 0.0)
+
+
 def solve_omega_ode(params):
     """The twist ODE's solution through (omega0, omega_r0) in closed form (DLMF 22.19).
 
     With E = C + B^2, omega_r^2 = (alpha - omega^2)(omega^2 - beta) / 4 for alpha, beta =
-    2(+-sqrt E - B).  C > 0: omega = a cn(lam r + u0 | m), a^2 = alpha, lam^2 = sqrt E,
-    m = alpha / (alpha - beta), period 4K/lam.  C < 0 < E, B < 0: omega = +-a dn(lam r + u0 | m)
-    in the well of omega0, lam = a/2, m = (alpha - beta) / alpha, period 2K/lam; its m = 1
-    limit C = 0 is the sech separatrix, with no period.  Otherwise omega rests at omega0.
+    2(+-sqrt E - B), and m1 = 1 - m from them without cancellation.  C > 0: omega =
+    a cn(lam r + u0 | m), a^2 = alpha, lam^2 = sqrt E,
+    m1 = -beta / (alpha - beta), period 4K/lam.  C < 0 < E, B < 0: omega = +-a dn(lam r + u0 | m)
+    in the well of omega0, lam = a/2, m1 = beta / alpha, period 2K/lam; its m1 = 0 limit
+    C = 0 is the sech separatrix, with no period.  Otherwise omega rests at omega0.
     """
     B, C, E = params.B, params.C, params.energy
     w0, wr0 = params.omega0, params.omega_r0
@@ -130,9 +161,9 @@ def solve_omega_ode(params):
         s = np.sqrt(E) + abs(B)
         # each root in the form without cancellation: alpha beta = -4C
         alpha, beta = (2.0 * C / s, -2.0 * s) if B > 0.0 else (2.0 * s, -2.0 * C / s)
-        m = alpha / (alpha - beta) if C > 0.0 else (alpha - beta) / alpha
-        m = 1.0 if 1.0 - m < SEPARATRIX_GAP else m
-        swings = C > 0.0 and m < 1.0
+        m1 = -beta / (alpha - beta) if C > 0.0 else beta / alpha
+        m1 = 0.0 if m1 < SEPARATRIX_GAP else m1
+        swings = C > 0.0 and m1 > 0.0
     if not (swings or (B < 0.0 < E and w0 != 0.0)):
         return OmegaSolution(params, lambda r: (np.full_like(r, w0), 0.0 * r), 50.0, np.empty(0), None)
     if swings:
@@ -144,21 +175,21 @@ def solve_omega_ode(params):
         amp = np.sign(w0) * np.sqrt(alpha)
         lam = 0.5 * abs(amp)
         am0 = 0.5 * np.arctan2(-np.sign(w0) * wr0, 0.5 * (w0 * w0 + 2.0 * B))
-    u0, K = ellipkinc(am0, m), ellipk(m)
+    u0, K = _ellipf(am0, m1), _agm(m1)[0] if m1 > 0.0 else np.inf
     half = 2.0 * K if swings else K  # the advance of u from one turning point to the next
 
     def evaluate(r):
         u = lam * r + u0
         # u mod the period 4K; on the separatrix (K = inf), sech 300 is already 1e-130
-        sn, cn, dn, _ = ellipj(np.mod(u, 4.0 * K) if m < 1.0 else np.clip(u, -300.0, 300.0), m)
-        f, g = (cn, dn) if swings else (dn, m * cn)
+        sn, cn, dn = _ellipj(np.mod(u, 4.0 * K) if m1 > 0.0 else np.clip(u, -300.0, 300.0), m1)
+        f, g = (cn, dn) if swings else (dn, (1.0 - m1) * cn)
         return amp * f, -amp * lam * sn * g
 
-    period = 2.0 * half / lam if m < 1.0 else None
+    period = 2.0 * half / lam if m1 > 0.0 else None
     span = 1.05 * MIN_PERIODS * period if period and MIN_PERIODS * period > 50.0 else 50.0
-    if m < 1.0:  # the zeros of sn, or of sn cn in a well
+    if m1 > 0.0:  # the zeros of sn, or of sn cn in a well
         j = np.arange(np.ceil((u0 - lam * span) / half), np.floor((u0 + lam * span) / half) + 1)
-    turning = (j * half - u0) / lam if m < 1.0 else np.array([-u0 / lam])
+    turning = (j * half - u0) / lam if m1 > 0.0 else np.array([-u0 / lam])
     return OmegaSolution(params, evaluate, span, turning[np.abs(turning) <= span], period)
 
 

@@ -41,8 +41,9 @@ def flip_residual(geo, partner):
 
 
 def timelike_residual(partner):
-    """|g_L(T, T) + 1| at the partner's points."""
-    return np.abs(partner.g.value[0, 0] + 1.0)
+    """|g_L^-1(T^b, T^b) + 1|, T^b = g_L(T, .): the partner's g^-1 (from F) against g (from E)."""
+    t_flat = partner.g.value[0]
+    return np.abs(np.einsum("a...,ab...,b...->...", t_flat, partner.ginv.value, t_flat) + 1.0)
 
 
 def lorentz_relations_check(geo, partner=None):

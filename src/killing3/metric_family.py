@@ -135,14 +135,12 @@ def load_grid_csv(text_or_path):
         raise BadParams("grid CSV is not a full rectangular grid")
     order = np.lexsort((data[:, 1], data[:, 0]))
     shaped = data[order].reshape(len(r_nodes), len(t_nodes), 5)
-    specs = {}
     try:
-        for idx, key in ((2, "phi"), (3, "h"), (4, "k")):
-            specs[key] = fields.from_grid(r_nodes, t_nodes, shaped[:, :, idx])
+        phi, h, k = fields.from_grids(r_nodes, t_nodes, np.moveaxis(shaped[:, :, 2:], -1, 0))
     except ValueError as exc:  # too few nodes on an axis for the spline
         shape = f"{len(r_nodes)}x{len(t_nodes)}"
         raise BadParams(f"grid CSV with {shape} nodes: {exc}") from None
-    return MetricSpec(specs["phi"], specs["h"], specs["k"], RIEMANNIAN, "grid", {})
+    return MetricSpec(phi, h, k, RIEMANNIAN, "grid", {})
 
 
 def to_grid_sampled(spec, r_nodes, theta_nodes):

@@ -473,6 +473,19 @@ def test_default_hopf_geodesic_step_count(tmp_path, monkeypatch):
     assert code == 0 and nfev == [3899]
 
 
+def test_geodesic_step_budget_ends_in_step_failure(tmp_path, capsys, monkeypatch):
+    # nil at omega0 = 1e8 winds ~omega0 / 2 pi times per unit length: without the
+    # budget the default length 20 would take ~1e9 right-hand-side calls
+    from killing3 import completeness_probe
+
+    monkeypatch.setattr(completeness_probe, "MAX_RHS_CALLS", 300)
+    spec = _write_spec(tmp_path, "catalog = nil\nomega0 = 1e8")
+    assert main(["geodesic", "--spec", spec]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("killing3: StepFailure: geodesic stopped at s = ")
+    assert err.rstrip().endswith("over 300 rhs calls") and len(err.strip().splitlines()) == 1
+
+
 def test_lorentz_command(tmp_path):
     spec = _write_spec(tmp_path, "catalog = nil\nomega0 = 1")
     assert main(["lorentz", "--spec", spec, "--points", "8"]) == 0

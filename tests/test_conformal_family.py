@@ -1,11 +1,12 @@
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from killing3.conformal_family import (FamilyParams, build_cf_metric,
-                                       solve_omega_ode, wpde_residual)
+from killing3.conformal_family import (SEPARATRIX_GAP, FamilyParams, _agm, _ellipf, _ellipj,
+                                       build_cf_metric, solve_omega_ode, wpde_residual)
 from killing3.curvature_engine import curvature_packet
 from killing3.errors import InadmissibleParams, PhiVanishes
 from killing3.frame_calculus import Geometry
@@ -100,9 +101,25 @@ def _dop853(params, r):
     return out
 
 
+@pytest.mark.parametrize("m1", [0.7, 1e-9, 1e-11, 1e-13, SEPARATRIX_GAP])
+def test_elliptic_functions_against_mpmath(m1):
+    # m = 1 - m1 in 50 digits (m1 is a binary float, so this m is exact)
+    with mpmath.workdps(50):
+        m = 1 - mpmath.mpf(m1)
+        K = _agm(m1)[0]
+        u = np.linspace(-4.0 * K, 4.0 * K, 81)
+        snd = [[float(mpmath.ellipfun(f, mpmath.mpf(x), m=m)) for x in u] for f in ("sn", "cn", "dn")]
+        phi = np.linspace(-3.0, 3.0, 24)  # |phi| > pi / 2 adds 2K per half turn
+        F = [float(mpmath.ellipf(mpmath.mpf(p), m)) for p in phi]
+        assert K == pytest.approx(float(mpmath.ellipk(m)), rel=1e-15)
+    np.testing.assert_allclose(_ellipj(u, m1), snd, rtol=0.0, atol=5e-13)
+    np.testing.assert_allclose([_ellipf(p, m1) for p in phi], F, rtol=1e-15)
+
+
 # (B, C, omega0, sign of omega_r0, reach of the oracle comparison); the oracle
-# leaves the separatrix's saddle at omega = 0 after a few e-folds, so that case
-# compares over |r| <= 10 only
+# leaves the separatrix's saddle at omega = 0 after a few e-folds, so that case,
+# and the orbits just above the barrier and just inside a well (m1 ~ 1e-15 and
+# 1e-13), compare over |r| <= 10 only
 _REGIMES = {
     "cn": (0.3, 1.0, 0.7, -1, None),
     "cn-negative": (0.3, 1.0, -1.1, 1, None),
@@ -110,6 +127,8 @@ _REGIMES = {
     "dn-right-well": (-1.0, -0.5, 1.2, 1, None),
     "dn-left-well": (-1.0, -0.5, -1.6, -1, None),
     "separatrix": (-1.0, 0.0, 1.0, 1, 10.0),
+    "near-separatrix-cn": (-1.0, 4.4e-15, 1.0, 1, 10.0),
+    "near-separatrix-dn": (-1.0, -4e-13, 1.0, -1, 10.0),
     "rest": (0.0, 0.0, 0.0, 1, None),
     "rest-at-well-bottom": (-1.0, -1.0, np.sqrt(2.0), 1, None),
 }
@@ -130,6 +149,8 @@ def test_closed_form_against_dop853_oracle(regime):
     np.testing.assert_allclose(sol._eval(sol.turning_points)[1], 0.0, atol=1e-12)
     if sol.period is not None:
         assert sol.span >= 10.0 * sol.period
+    if regime.startswith("near-separatrix"):  # an orbit with a period, not the separatrix
+        assert sol.period is not None and len(sol.turning_points) > 1
 
 
 def test_separatrix_is_homoclinic():

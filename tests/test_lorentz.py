@@ -9,7 +9,7 @@ from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import (flip_residual, lorentz_completeness,
                                      lorentz_relations_check, timelike_residual,
                                      to_lorentz)
-from killing3.metric_family import catalog, metric_components
+from killing3.metric_family import CATALOG_NAMES, catalog, metric_components
 from killing3.tensor_core import LORENTZIAN
 
 POINTS = [(0.35, 0.4), (0.8, 2.1), (1.1, 5.0)]
@@ -44,6 +44,21 @@ def test_lorentz_flip_column_sees_an_unflipped_partner(monkeypatch):
     records, summary, ok = cli._RUNNERS["lorentz"](catalog("hopf", {"R": 2.0}), config)
     np.testing.assert_allclose([rec["flip"] for rec in records], 2.0, rtol=1e-12)
     assert summary["max_timelike"] == pytest.approx(2.0) and not ok
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_timelike_column_checks_g_against_its_inverse(name):
+    # g_L^-1(T^b, T^b) = g_L(T, T) = -1 holds only if g^-1 inverts g
+    spec = catalog(name, {"B": 0.3, "C": 1.0} if name == "cf_family" else None)
+    _, summary, ok = cli._RUNNERS["lorentz"](spec, cli.RunConfig(command="lorentz", spec_path=""))
+    assert summary["max_timelike"] <= 1e-15 and ok
+    pair = to_lorentz(spec)
+    partner = Geometry(pair.lorentzian, [0.4, 0.9], [1.0, 4.0])
+    ginv = partner.ginv
+    partner.ginv = Geometry(pair.riemannian, partner.r, partner.theta).ginv  # the wrong signature
+    np.testing.assert_allclose(timelike_residual(partner), 2.0, rtol=1e-12)
+    partner.ginv = ginv * (1.0 + 1e-12)  # off by 1e-12
+    assert np.all(timelike_residual(partner) > 1e-13)
 
 
 def test_to_lorentz_rejects_lorentzian():

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import killing3
 
 
@@ -6,3 +12,50 @@ def test_star_import_resolves_every_exported_name():
     exec("from killing3 import *", namespace)  # AttributeError on a stale name
     assert set(killing3.__all__) <= namespace.keys()
     assert len(set(killing3.__all__)) == len(killing3.__all__)
+
+
+_NUMPY_ONLY = r'''
+import contextlib, io, json, math, sys
+from pathlib import Path
+
+import numpy as np
+
+from killing3 import completeness_probe
+from killing3.cli import main, parse_metric_spec
+
+work = Path(sys.argv[1])
+rows = ["r,theta,phi,h,k"]  # hopf (R = 2) on 24 x 24 nodes
+for r in map(float, np.linspace(0.1, 1.5, 24)):
+    rows += [f"{r!r},{t!r},{math.sin(r)!r},{-math.tan(0.5 * r)!r},0.0"
+             for t in map(float, np.linspace(0.0, 6.3, 24))]
+(work / "hopf.csv").write_text("\n".join(rows) + "\n")
+texts = {"hopf": "catalog = hopf\nR = 2", "nil": "catalog = nil", "hyperbolic": "catalog = hyperbolic",
+         "flat": "catalog = flat", "cf": "catalog = cf_family\nB = 0.3\nC = 1",
+         "grid": f"grid_csv = {work / 'hopf.csv'}"}
+for name, text in texts.items():
+    parse_metric_spec(text)
+    (work / f"{name}.spec").write_text(text)
+with contextlib.redirect_stdout(io.StringIO()):
+    family = main(["family", "--spec", str(work / "cf.spec")])
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+nfev, solve = [], completeness_probe.solve_ivp
+def counted(*args, **kwargs):
+    sol = solve(*args, **kwargs)
+    nfev.append(sol.nfev)
+    return sol
+completeness_probe.solve_ivp = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    geodesic = main(["geodesic", "--spec", str(work / "hopf.spec")])
+print(json.dumps({"scipy": scipy, "family": family, "geodesic": geodesic, "nfev": nfev}))
+'''
+
+
+def test_parsing_specs_and_family_import_no_scipy(tmp_path):
+    # a fresh interpreter: this one already holds scipy; only a geodesic loads it
+    src = Path(killing3.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY, str(tmp_path)], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out == {"scipy": [], "family": 0, "geodesic": 0, "nfev": [3899]}
