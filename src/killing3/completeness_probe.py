@@ -124,8 +124,8 @@ def make_state(spec, point, direction):
     v = np.asarray(direction, dtype=float)
     v = np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1])
     norm = float(v @ g @ v)
-    if norm <= 0.0:
-        raise NotUnitLength("direction has non-positive g-norm")
+    if not 0.0 < norm < np.inf:  # NaN fails too
+        raise NotUnitLength(f"direction has NaN, infinite or non-positive g-norm {norm}")
     v = v / np.sqrt(norm)
     return GeodesicState(t=float(t), r=float(r), theta=float(theta),
                          velocities=v, conserved_c=float(g[0] @ v),
@@ -203,11 +203,14 @@ def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401):
         r, theta = y[1], y[2]
         # trial steps may overshoot the numeric range; inf/nan accelerations
         # just make the controller shrink the step, so silence the warnings
+        out = np.empty(6)
         with np.errstate(over="ignore", invalid="ignore"):
             gam = christoffels(Geometry(spec, r, theta, order=1))
             v = y[3:]
-            acc = np.array([-v @ gam[c] @ v for c in range(3)])
-        return np.concatenate([v, acc])
+            out[:3] = v
+            for c in range(3):
+                out[3 + c] = -v @ gam[c] @ v
+        return out
 
     y0 = np.array([init.t, init.r, init.theta, *init.velocities])
     sol = _integrate(spec, rhs, y0, length, step_tol, n_samples, "geodesic", 1)

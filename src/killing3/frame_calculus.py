@@ -59,8 +59,8 @@ class Geometry:
         # shrink the step, where a DomainError would end the integration.
         with np.errstate(over="ignore", invalid="ignore"):
             low = phi <= PHI_CUTOFF
-            bad = low | np.isinf(1.0 + k * k + phi * phi * (1.0 + h * h))
-        if bad.any():
+            bad = low | (1.0 + k * k + phi * phi * (1.0 + h * h) == np.inf)  # the sum is >= 1
+        if np.count_nonzero(bad):
             low, bad = (np.broadcast_to(x, self.r.shape) for x in (low, bad))
             i = int(np.argmax(bad))
             what = f"phi <= {PHI_CUTOFF}" if low.flat[i] else "metric entries overflow"
@@ -103,8 +103,7 @@ class Geometry:
     def coframe(self):
         """Matrix jets E = [[1, -k, -phi h], [0, 1, 0], [0, 0, phi]] and
         F = E^-1 = [[1, k, h], [0, 1, 0], [0, 0, 1/phi]]."""
-        e = np.zeros((NCOEFFS[self.order], 3, 3) + self.r.shape)
-        f = np.zeros_like(e)
+        e, f = np.zeros((2, NCOEFFS[self.order], 3, 3) + self.r.shape)
         e[0, 0, 0] = e[0, 1, 1] = f[0, 0, 0] = f[0, 1, 1] = 1.0
         e[:, 0, 1], e[:, 2, 2] = -self.k.coeffs, self.phi.coeffs
         e[:, 0, 2] = -(self.phi * self.h).coeffs
@@ -114,22 +113,24 @@ class Geometry:
 
     @cached_property
     def g(self):
-        """g = E^T eta E."""
+        """g = E^T eta E; the factor eta = 1 is exact, so the Riemannian case skips it."""
         e = self.coframe[0]
-        return contract("ia,ib->ab", e * self._eta_axis()[:, np.newaxis], e)
+        return contract("ia,ib->ab", e if self._eta == 1.0 else e * self._eta_axis()[:, None], e)
 
     @cached_property
     def ginv(self):
-        """g^-1 = F eta F^T."""
-        f = self.coframe[1]
-        return contract("ai,bi->ab", f * self._eta_axis(), f)
+        """g^-1 = F eta F^T, at one order below the Geometry's: every consumer (Gamma, S,
+        values) contracts it with a jet of that order or lower."""
+        order = max(self.order - 1, 0)
+        f = Jet2(self.coframe[1].coeffs[:NCOEFFS[order]], order)
+        return contract("ai,bi->ab", f if self._eta == 1.0 else f * self._eta_axis(), f)
 
     @cached_property
     def gamma(self):
         """Christoffel symbols gamma[c][a][b] = Gamma^c_{ab}."""
-        dg = self.grad(self.g)               # d_e g_ab at [e][a][b]
-        t1 = dg.einsum("adb->dab")           # d_a g_db at [d][a][b]
-        low = (t1 + t1.einsum("dba->dab") - dg) * 0.5
+        dg = self.grad(self.g)                           # d_e g_ab at [e][a][b]
+        t1 = Jet2(dg.coeffs.swapaxes(1, 2), dg.order)    # d_a g_db at [d][a][b]
+        low = (t1 + Jet2(t1.coeffs.swapaxes(2, 3), t1.order) - dg) * 0.5
         return contract("cd,dab->cab", self.ginv, low)
 
     def nabla(self, v):

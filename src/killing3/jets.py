@@ -75,7 +75,7 @@ _SCALAR = _einsum_spec(",->")
 def _product(spec, a, b):
     order = min(a.order, b.order)
     left, right, weight, starts = _TERMS[order]
-    terms = np.einsum(spec, weight, a.coeffs[left], b.coeffs[right])
+    terms = np.einsum(spec, weight, a.coeffs.take(left, 0), b.coeffs.take(right, 0))
     return Jet2(np.add.reduceat(terms, starts, axis=0), order)
 
 
@@ -114,8 +114,10 @@ class Jet2:
     __array_ufunc__ = None
 
     def __init__(self, coeffs, order=MAX_ORDER):
-        self.coeffs = np.asarray(coeffs)
-        self.order = int(order)
+        if type(coeffs) is np.ndarray:  # the kernels' own arrays and int orders
+            self.coeffs, self.order = coeffs, order
+        else:
+            self.coeffs, self.order = np.asarray(coeffs), int(order)
 
     # -- constructors -------------------------------------------------------
 
@@ -156,14 +158,15 @@ class Jet2:
         if self.order < 1:
             raise JetOrderError("cannot differentiate an order-0 jet")
         order = self.order - 1
-        return Jet2(self.coeffs[_SHIFT[slot][:NCOEFFS[order]]], order)
+        return Jet2(self.coeffs.take(_SHIFT[slot][:NCOEFFS[order]], 0), order)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Jet2):
             # a number or a batch-shaped array shifts the value row
-            c = self.coeffs.astype(np.result_type(self.coeffs, other))
+            c = (self.coeffs.copy() if isinstance(other, float) and self.coeffs.dtype >= np.float64
+                 else self.coeffs.astype(np.result_type(self.coeffs, other)))
             c[0] += other
             return Jet2(c, self.order)
         order = min(self.order, other.order)
@@ -176,14 +179,18 @@ class Jet2:
         return Jet2(-self.coeffs, self.order)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, Jet2):
+            return self + (-other)
+        order = min(self.order, other.order)
+        n = NCOEFFS[order]
+        return Jet2(self.coeffs[:n] - other.coeffs[:n], order)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            return Jet2(self.coeffs * np.asarray(other), self.order)
+            return Jet2(self.coeffs * other, self.order)
         return _product(_SCALAR, self, other)
 
     __rmul__ = __mul__
@@ -234,8 +241,9 @@ def _series(f, terms):
     u.coeffs[0] = 0.0
     if u.order == 0:
         return u + terms[0]
-    out = u * terms[1] + terms[0]
-    power = u
+    c = u.coeffs * terms[1]
+    c[0] += terms[0]
+    out, power = Jet2(c, u.order), u
     for term in terms[2:u.order + 1]:
         power = power * u
         out = out + power * term

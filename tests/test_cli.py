@@ -232,6 +232,22 @@ def test_geodesic_zero_direction_exit_3(tmp_path, capsys):
     assert "non-positive g-norm" in err and len(err.strip().splitlines()) == 1
 
 
+def test_geodesic_nan_g_norm_exit_3(tmp_path, capsys):
+    # h alternating +-1e308 on the nodes makes the spline, and so the g-norm of the
+    # start direction, NaN; solve_ivp would refuse the NaN initial state with a traceback
+    from killing3.metric_family import GRID_CSV_HEADER
+
+    lines = [",".join(GRID_CSV_HEADER)]
+    for i, (r, t) in enumerate(itertools.product(np.linspace(0.2, 2.0, 8), np.linspace(0, 2, 8))):
+        lines.append(f"{r},{t},1.0,{(-1) ** i * 1e308},0.0")
+    (tmp_path / "grid.csv").write_text("\n".join(lines))
+    spec = _write_spec(tmp_path, f"grid_csv = {tmp_path / 'grid.csv'}")
+    assert main(["geodesic", "--spec", spec, "--grid", "0.5:1.5,0:1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("killing3: NotUnitLength: direction has NaN")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_main_bad_grid_argument(tmp_path, capsys):
     spec = _write_spec(tmp_path, "catalog = flat")
     with pytest.raises(SystemExit) as exc:

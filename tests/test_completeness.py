@@ -8,6 +8,7 @@ from killing3.completeness_probe import (COMPLETE, INCOMPLETE, INCONCLUSIVE,
                                          make_state, projection_residual,
                                          synthetic_profile)
 from killing3.errors import BlowUp, EmptyProfile, NotUnitLength
+from killing3.frame_calculus import Geometry
 from killing3.metric_family import catalog
 
 
@@ -155,3 +156,40 @@ def test_trajectory_csv_roundtrip(tmp_path):
     data = np.genfromtxt(out, delimiter=",", names=True)
     assert list(data.dtype.names) == traj.CSV_HEADER
     np.testing.assert_allclose(data["r"], traj.states[:, 1], atol=1e-12)
+
+
+def test_criterion_10_hyperbolic_orbit_step_count(monkeypatch):
+    # the hyperbolic orbit of acceptance criterion 10 moves its step count and its speed
+    # drift (6.08e-10 against a 1e-8 gate) with the last bit of the right-hand side
+    from killing3 import completeness_probe
+
+    nfev = []
+    solve = completeness_probe.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(completeness_probe, "solve_ivp", counted)
+    hyp = catalog("hyperbolic")
+    traj = integrate_geodesic(hyp, make_state(hyp, (0.0, 0.5, 0.2), (0.3, 0.8, 0.4)), 100.0)
+    assert nfev == [1337]
+    assert traj.max_speed_drift == 6.077470748877545e-10
+
+
+def test_rhs_geometry_jet_budget(monkeypatch):
+    """Jets built for the width-1, order-1 Christoffel symbols of one geodesic
+    right-hand-side call: per-call dispatch is most of the geodesic's time."""
+    from killing3 import jets
+
+    built = []
+    init = jets.Jet2.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(jets.Jet2, "__init__", counted)
+    Geometry(catalog("hopf", {"R": 2.0}), 0.7, 0.1, order=1).gamma
+    assert len(built) <= 32

@@ -87,6 +87,23 @@ def test_geometry_metric_matches_written_out_metric(name, signature):
                                fd_metric(spec, r, theta), rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("signature", [RIEMANNIAN, LORENTZIAN])
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_ginv_is_the_full_inverse_one_order_down(name, signature):
+    """Geometry.ginv at order n holds, bit for bit, the first NCOEFFS[n - 1] rows of the
+    order-n F eta F^T: the rows of a Leibniz product do not depend on how many are kept."""
+    spec = _catalog(name).with_signature(signature)
+    eta = np.array([-1.0 if signature == LORENTZIAN else 1.0, 1.0, 1.0])
+    rng = np.random.default_rng(5)
+    for r, theta in [(0.7, 0.4), (rng.uniform(0.2, 1.2, 64), rng.uniform(0.0, 6.0, 64))]:
+        for order in (1, 2, 3):
+            geo = Geometry(spec, r, theta, order=order)
+            f = geo.coframe[1]
+            full = jets.contract("ai,bi->ab", f * eta.reshape((3,) + (1,) * np.ndim(r)), f)
+            assert geo.ginv.order == order - 1
+            assert np.array_equal(geo.ginv.coeffs, full.coeffs[:jets.NCOEFFS[order - 1]])
+
+
 def test_canonical_frame_hopf():
     t, x, y = Geometry(catalog("hopf", {"R": 1.0}), np.pi / 4, 0.0).frame
     np.testing.assert_allclose(t.value, [1.0, 0.0, 0.0])
