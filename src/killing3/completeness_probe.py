@@ -208,8 +208,7 @@ def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401):
             gam = christoffels(Geometry(spec, r, theta, order=1))
             v = y[3:]
             out[:3] = v
-            for c in range(3):
-                out[3 + c] = -v @ gam[c] @ v
+            out[3:] = [-v @ gam[c] @ v for c in range(3)]
         return out
 
     y0 = np.array([init.t, init.r, init.theta, *init.velocities])

@@ -95,9 +95,11 @@ class Geometry:
 
     # -- metric and connection ---------------------------------------------
 
-    def _eta_axis(self):
-        """diag(eta) along one tensor axis, broadcast over the batch axes."""
-        return np.array([self._eta, 1.0, 1.0]).reshape((3,) + (1,) * self.r.ndim)
+    def _eta_scaled(self, x, axis):
+        """Rank-2 jet x with tensor axis 0 or 1 scaled by diag(eta); x itself when eta = 1."""
+        if self._eta == 1.0:
+            return x
+        return x * np.array([self._eta, 1.0, 1.0]).reshape((3,) + (1,) * (1 - axis + self.r.ndim))
 
     @cached_property
     def coframe(self):
@@ -113,17 +115,16 @@ class Geometry:
 
     @cached_property
     def g(self):
-        """g = E^T eta E; the factor eta = 1 is exact, so the Riemannian case skips it."""
+        """g = E^T eta E."""
         e = self.coframe[0]
-        return contract("ia,ib->ab", e if self._eta == 1.0 else e * self._eta_axis()[:, None], e)
+        return contract("ia,ib->ab", self._eta_scaled(e, 0), e)
 
     @cached_property
     def ginv(self):
-        """g^-1 = F eta F^T, at one order below the Geometry's: every consumer (Gamma, S,
-        values) contracts it with a jet of that order or lower."""
+        """g^-1 = F eta F^T, one order below the Geometry's: no consumer contracts it higher."""
         order = max(self.order - 1, 0)
         f = Jet2(self.coframe[1].coeffs[:NCOEFFS[order]], order)
-        return contract("ai,bi->ab", f if self._eta == 1.0 else f * self._eta_axis(), f)
+        return contract("ai,bi->ab", self._eta_scaled(f, 1), f)
 
     @cached_property
     def gamma(self):

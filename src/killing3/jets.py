@@ -72,6 +72,12 @@ def _einsum_spec(subscripts):
 _SCALAR = _einsum_spec(",->")
 
 
+def _shared_rows(a, b):
+    """The coefficient rows of two jets up to their common order, and that order."""
+    order = min(a.order, b.order)
+    return a.coeffs[:NCOEFFS[order]], b.coeffs[:NCOEFFS[order]], order
+
+
 def _product(spec, a, b):
     order = min(a.order, b.order)
     left, right, weight, starts = _TERMS[order]
@@ -165,13 +171,11 @@ class Jet2:
     def __add__(self, other):
         if not isinstance(other, Jet2):
             # a number or a batch-shaped array shifts the value row
-            c = (self.coeffs.copy() if isinstance(other, float) and self.coeffs.dtype >= np.float64
-                 else self.coeffs.astype(np.result_type(self.coeffs, other)))
+            c = self.coeffs.astype(np.result_type(self.coeffs, other))
             c[0] += other
             return Jet2(c, self.order)
-        order = min(self.order, other.order)
-        n = NCOEFFS[order]
-        return Jet2(self.coeffs[:n] + other.coeffs[:n], order)
+        a, b, order = _shared_rows(self, other)
+        return Jet2(a + b, order)
 
     __radd__ = __add__
 
@@ -181,9 +185,8 @@ class Jet2:
     def __sub__(self, other):
         if not isinstance(other, Jet2):
             return self + (-other)
-        order = min(self.order, other.order)
-        n = NCOEFFS[order]
-        return Jet2(self.coeffs[:n] - other.coeffs[:n], order)
+        a, b, order = _shared_rows(self, other)
+        return Jet2(a - b, order)
 
     def __rsub__(self, other):
         return -self + other
