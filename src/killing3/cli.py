@@ -248,7 +248,7 @@ def _run_geodesic(spec, config):
     ]
     summary = {"max_c_drift": traj.max_c_drift,
                "max_speed_drift": traj.max_speed_drift,
-               "length": config.length}
+               "length": config.length, **traj.solver_stats}
     ok = traj.max_c_drift < tol and traj.max_speed_drift < tol
     return records, summary, ok
 

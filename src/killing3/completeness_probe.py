@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature_engine import christoffels, scalar_and_ric_tt
+from .dop853 import DOP853
 from .errors import BlowUp, DomainError, EmptyProfile, NotUnitLength, StepFailure
 from .frame_calculus import Geometry
 from .metric_family import PHI_CUTOFF, metric_components
@@ -37,15 +38,8 @@ OSCILLATION_TOL = 0.2
 MAX_RHS_CALLS = 100_000
 
 
-class _DeferredSolveIvp:
-    """scipy's solve_ivp, imported at its first call; not a function, so traced only once."""
-
-    def __call__(self, *args, **kwargs):
-        from scipy.integrate import solve_ivp as solve
-        return solve(*args, **kwargs)
-
-
-solve_ivp = _DeferredSolveIvp()
+#: the geodesic integrator under scipy's name; a class, so the tracer's function wrapping skips it
+solve_ivp = DOP853
 
 
 @dataclass(frozen=True)
@@ -138,11 +132,12 @@ class GeodesicTrajectory:
     CSV_HEADER = ["s", "t", "r", "theta", "vt", "vr", "vtheta",
                   "c_drift", "speed_drift"]
 
-    def __init__(self, s, states, c_values, speed_values):
+    def __init__(self, s, states, c_values, speed_values, solver_stats=None):
         self.s = s
         self.states = states              # (n, 6) rows (t, r, theta, vt, vr, vth)
         self.c_values = c_values
         self.speed_values = speed_values
+        self.solver_stats = solver_stats  # DOP853's nfev, steps and rejected_steps
         c0, v0 = c_values[0], speed_values[0]
         self.c_drift = np.abs(c_values - c0) / max(abs(c0), 1.0)
         self.speed_drift = np.abs(speed_values - v0) / max(abs(v0), 1.0)
@@ -164,25 +159,19 @@ def _integrate(spec, rhs, y0, length, step_tol, n_samples, what, at):
     A terminal event stops it where phi falls to 10 PHI_CUTOFF; leaving the domain
     is BlowUp, a failed step or a right-hand side called MAX_RHS_CALLS times StepFailure.
     """
-    budget = iter(range(MAX_RHS_CALLS))
-
-    def counted(s, y):
-        if next(budget, None) is None:
-            raise StepFailure(f"{what} stopped at s = {s:.6g}: over {MAX_RHS_CALLS} rhs calls")
-        return rhs(s, y)
-
     def domain_exit(_, y):
         return float(spec.phi.value(y[at], y[at + 1])) - 10.0 * PHI_CUTOFF
 
-    domain_exit.terminal = True
     try:
-        sol = solve_ivp(counted, (0.0, length), y0, method="DOP853", rtol=step_tol,
-                        atol=step_tol * 1e-2, t_eval=np.linspace(0.0, length, n_samples),
-                        events=domain_exit)
+        sol = solve_ivp(rhs, (0.0, length), y0, rtol=step_tol, atol=step_tol * 1e-2,
+                        t_eval=np.linspace(0.0, length, n_samples), events=domain_exit,
+                        max_nfev=MAX_RHS_CALLS)
     except DomainError as exc:
         # a trial step reached phi <= PHI_CUTOFF, or an overflowing metric,
         # before the event fired
         raise BlowUp(f"{what} left the admissible domain: {exc}") from exc
+    except StepFailure as exc:  # the right-hand-side budget
+        raise StepFailure(f"{what} {exc}") from None
     if sol.status == 1:
         raise BlowUp(f"{what} left the admissible domain at s = {sol.t_events[0][0]}")
     if not sol.success:
@@ -218,7 +207,8 @@ def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401):
     v = sol.y[3:]
     c_vals = np.einsum("b...,b...->...", g[0], v)
     speed_vals = np.einsum("ab...,a...,b...->...", g, v, v)
-    return GeodesicTrajectory(sol.t, states, c_vals, speed_vals)
+    stats = {"nfev": sol.nfev, "steps": sol.steps, "rejected_steps": sol.rejected_steps}
+    return GeodesicTrajectory(sol.t, states, c_vals, speed_vals, stats)
 
 
 def integrate_quotient_geodesic(spec, init2d, length, step_tol=1e-10,

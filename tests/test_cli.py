@@ -489,6 +489,18 @@ def test_default_hopf_geodesic_step_count(tmp_path, monkeypatch):
     assert code == 0 and nfev == [3899]
 
 
+def test_geodesic_summary_reports_solver_statistics(tmp_path):
+    spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
+    report, code = run(RunConfig(command="geodesic", spec_path=spec))
+    stats = {key: report.summary[key] for key in ("nfev", "steps", "rejected_steps")}
+    assert code == 0 and stats["nfev"] == 3899
+    # 2 calls start the solve, 12 make a step try, 3 more a step's dense output
+    dense, rest = divmod(stats["nfev"] - 2 - 12 * (stats["steps"] + stats["rejected_steps"]), 3)
+    assert rest == 0 and 0 < dense <= stats["steps"]
+    again = load_jsonl_report(render_report(report, "jsonl"))
+    assert {key: again.summary[key] for key in stats} == stats
+
+
 def test_geodesic_step_budget_ends_in_step_failure(tmp_path, capsys, monkeypatch):
     # nil at omega0 = 1e8 winds ~omega0 / 2 pi times per unit length: without the
     # budget the default length 20 would take ~1e9 right-hand-side calls

@@ -1,0 +1,139 @@
+"""The numpy DOP853 against scipy's solve_ivp(method="DOP853"), its independent oracle.
+
+Every comparison is bit for bit except the event root, which scipy finds by its
+compiled Brent iteration; both must agree to brentq's own 4 EPS |t| tolerance.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.integrate._ivp import dop853_coefficients, rk
+
+from killing3 import completeness_probe, dop853
+from killing3.cli import parse_metric_spec
+from killing3.completeness_probe import (integrate_geodesic, integrate_quotient_geodesic,
+                                         make_state)
+from killing3.dop853 import DOP853
+from killing3.errors import BlowUp
+
+EPS = np.finfo(float).eps
+
+
+def _scipy(fun, t_span, y0, rtol, atol, t_eval, events=None):
+    if events is not None:
+        events.terminal = True
+    return scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
+                           t_eval=t_eval, events=events)
+
+
+def _assert_same(ours, theirs):
+    assert (ours.nfev, ours.status, ours.success, ours.message) == (
+        theirs.nfev, theirs.status, theirs.success, theirs.message)
+    for mine, ref in ((ours.t, theirs.t), (ours.y, theirs.y)):
+        mine, ref = np.asarray(mine), np.asarray(ref)
+        assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes()
+
+
+def test_coefficients_are_scipys_bit_for_bit():
+    ref = dop853_coefficients
+    for mine, theirs in ((dop853.A, ref.A), (dop853.B, ref.B), (dop853.C, ref.C),
+                         (dop853.E3, ref.E3), (dop853.E5, ref.E5), (dop853.D, ref.D)):
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+    assert (dop853.SAFETY, dop853.MIN_FACTOR, dop853.MAX_FACTOR) == (
+        rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR)
+    assert dop853.ERROR_EXPONENT == -1 / (rk.DOP853.error_estimator_order + 1)
+
+
+@pytest.fixture
+def twin(monkeypatch):
+    """Run every geodesic solve through both integrators on one memoized right-hand side."""
+    pairs = []
+
+    def solve(fun, t_span, y0, rtol, atol, t_eval, events, max_nfev):
+        memo = {}
+
+        def cached(t, y):
+            key = (float(t), y.tobytes())
+            if key not in memo:
+                memo[key] = np.asarray(fun(t, y), dtype=float)
+            return memo[key]
+
+        ours = DOP853(cached, t_span, y0, rtol, atol, t_eval, events, max_nfev)
+        pairs.append((ours, _scipy(cached, t_span, y0, rtol, atol, t_eval, events)))
+        return ours
+
+    monkeypatch.setattr(completeness_probe, "solve_ivp", solve)
+    return pairs
+
+
+@pytest.mark.parametrize("text, point, length", [
+    ("catalog = hopf\nR = 2", (0.0, 0.8, 0.0), 20.0),
+    ("catalog = hopf\nR = 1", (0.0, 0.8, 0.0), 5.0),
+    ("catalog = hyperbolic", (0.0, 0.5, 0.2), 100.0),   # criterion 10's orbit, nfev 1337
+    ("catalog = nil", (0.0, 0.8, 0.0), 20.0),
+    ("catalog = cf_family\nB = 0.3\nC = 1", (0.0, 0.5, 0.0), 5.0),
+])
+def test_pinned_orbits_match_scipy_bit_for_bit(twin, text, point, length):
+    spec = parse_metric_spec(text)
+    integrate_geodesic(spec, make_state(spec, point, (0.3, 0.8, 0.4)), length)
+    (ours, theirs), = twin
+    _assert_same(ours, theirs)
+    assert ours.status == 0 and ours.steps > 0
+
+
+def test_terminal_event_root_matches_scipy(twin):
+    # a horizontal quotient geodesic of hopf (R = 2) runs into the axis r = 0
+    spec = parse_metric_spec("catalog = hopf\nR = 2")
+    with pytest.raises(BlowUp, match="left the admissible domain at s = "):
+        integrate_quotient_geodesic(spec, (0.8, 0.0, -1.0, 0.0), 20.0)
+    (ours, theirs), = twin
+    _assert_same(ours, theirs)
+    (root,), (ref,) = ours.t_events[0], theirs.t_events[0]
+    assert ours.status == 1 and abs(root - ref) <= 4 * EPS * abs(ref)
+
+
+def test_backward_integration_and_event_on_a_pendulum():
+    def pendulum(t, y):
+        return [y[1], -np.sin(y[0]) + 0.1 * np.cos(t)]
+
+    def event(t, y):
+        return y[0] - 0.3
+
+    t_eval = np.linspace(0.0, -8.0, 57)
+    for events in (None, event):
+        ours = DOP853(pendulum, (0.0, -8.0), [1.0, 0.0], 1e-9, 1e-11, t_eval, events)
+        theirs = _scipy(pendulum, (0.0, -8.0), [1.0, 0.0], 1e-9, 1e-11, t_eval, events)
+        _assert_same(ours, theirs)
+    (root,), (ref,) = ours.t_events[0], theirs.t_events[0]
+    assert ours.status == 1 and abs(root - ref) <= 4 * EPS * abs(ref)
+
+
+def test_step_size_underflow_returns_scipys_message():
+    def blow_up(t, y):   # y = 1 / (1 - t): no step reaches past t = 1
+        return y * y
+
+    t_eval = np.linspace(0.0, 2.0, 9)
+    ours = DOP853(blow_up, (0.0, 2.0), [1.0], 1e-8, 1e-10, t_eval)
+    theirs = _scipy(blow_up, (0.0, 2.0), [1.0], 1e-8, 1e-10, t_eval)
+    _assert_same(ours, theirs)
+    assert ours.status == -1 and ours.message == dop853.MESSAGES[-1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+           st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n),
+           st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))),
+       st.floats(-12.0, -6.0), st.floats(-4.0, 4.0).filter(lambda x: abs(x) > 0.1),
+       st.integers(2, 40))
+def test_random_nonlinear_odes_match_scipy(system, log_rtol, end, n_eval):
+    m, y0 = system
+    m = np.reshape(m, (len(y0), len(y0)))
+
+    def fun(t, y):
+        return np.sin(m @ y + 0.5 * t) - 0.1 * y ** 3
+
+    rtol, t_eval = 10.0 ** log_rtol, np.linspace(0.0, end, n_eval)
+    ours = DOP853(fun, (0.0, end), y0, rtol, rtol * 1e-2, t_eval)
+    _assert_same(ours, _scipy(fun, (0.0, end), y0, rtol, rtol * 1e-2, t_eval))

@@ -18,6 +18,15 @@ _NUMPY_ONLY = r'''
 import contextlib, io, json, math, sys
 from pathlib import Path
 
+
+class NoScipy:  # any import of scipy fails
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
+
 import numpy as np
 
 from killing3 import completeness_probe
@@ -35,9 +44,6 @@ texts = {"hopf": "catalog = hopf\nR = 2", "nil": "catalog = nil", "hyperbolic": 
 for name, text in texts.items():
     parse_metric_spec(text)
     (work / f"{name}.spec").write_text(text)
-with contextlib.redirect_stdout(io.StringIO()):
-    family = main(["family", "--spec", str(work / "cf.spec")])
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 nfev, solve = [], completeness_probe.solve_ivp
 def counted(*args, **kwargs):
@@ -45,17 +51,22 @@ def counted(*args, **kwargs):
     nfev.append(sol.nfev)
     return sol
 completeness_probe.solve_ivp = counted
-with contextlib.redirect_stdout(io.StringIO()):
-    geodesic = main(["geodesic", "--spec", str(work / "hopf.spec")])
-print(json.dumps({"scipy": scipy, "family": family, "geodesic": geodesic, "nfev": nfev}))
+codes = {}
+for command in ("analyze", "verify", "flatness", "lorentz", "family", "geodesic"):
+    spec = work / ("cf.spec" if command == "family" else "hopf.spec")
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[command] = main([command, "--spec", str(spec)])
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"scipy": scipy, "codes": codes, "nfev": nfev}))
 '''
 
 
 def test_parsing_specs_and_family_import_no_scipy(tmp_path):
-    # a fresh interpreter: this one already holds scipy; only a geodesic loads it
+    # a fresh interpreter in which importing scipy fails: every command runs on numpy alone
     src = Path(killing3.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY, str(tmp_path)], capture_output=True,
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    assert out == {"scipy": [], "family": 0, "geodesic": 0, "nfev": [3899]}
+    codes = dict.fromkeys(("analyze", "verify", "flatness", "lorentz", "family", "geodesic"), 0)
+    assert out == {"scipy": [], "codes": codes, "nfev": [3899]}
