@@ -466,19 +466,19 @@ def main(argv=None):
 
     try:
         report, code = run(config)
+        text = render_report(report, config.fmt)
+        if config.out:
+            _write_atomic(config.out, text)
+        else:
+            sys.stdout.write(text)
     except (ParseError, UnknownCatalogName, BadParams, OSError, UnicodeDecodeError) as exc:
-        # OSError and UnicodeDecodeError come from reading the spec or grid file
+        # OSError and UnicodeDecodeError come from reading the spec or grid file,
+        # OSError also from writing the report to --out
         print(f"killing3: {exc}", file=sys.stderr)
         return 2
     except Killing3Error as exc:
         print(f"killing3: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-    text = render_report(report, config.fmt)
-    if config.out:
-        _write_atomic(config.out, text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

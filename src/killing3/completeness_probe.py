@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature_engine import christoffels, scalar_and_ric_tt
-from .dop853 import DOP853
-from .errors import BlowUp, DomainError, EmptyProfile, NotUnitLength, StepFailure
+from .errors import BadParams, BlowUp, DomainError, EmptyProfile, NotUnitLength, StepFailure
 from .frame_calculus import Geometry
 from .metric_family import PHI_CUTOFF, metric_components
 
@@ -38,8 +37,11 @@ OSCILLATION_TOL = 0.2
 MAX_RHS_CALLS = 100_000
 
 
-#: the geodesic integrator under scipy's name; a class, so the tracer's function wrapping skips it
-solve_ivp = DOP853
+class solve_ivp:  # noqa: N801  (a class, so the tracer's function wrapping skips it)
+    """dop853.DOP853 under scipy's name, imported by the first geodesic solve."""
+    def __new__(cls, *args):
+        from .dop853 import DOP853
+        return DOP853(*args)
 
 
 @dataclass(frozen=True)
@@ -156,26 +158,30 @@ class GeodesicTrajectory:
 def _integrate(spec, rhs, y0, length, step_tol, n_samples, what, at):
     """The one DOP853 solve of a geodesic; ``y[at:at + 2]`` is its (r, theta).
 
-    A terminal event stops it where phi falls to 10 PHI_CUTOFF; leaving the domain
-    is BlowUp, a failed step or a right-hand side called MAX_RHS_CALLS times StepFailure.
+    A terminal event stops it where phi falls to 10 PHI_CUTOFF.  Leaving the domain is
+    BlowUp; a step-size underflow, or a right-hand side called MAX_RHS_CALLS times, is
+    StepFailure; a zero or non-finite length is BadParams.
     """
+    if not (np.isfinite(length) and length != 0.0):
+        raise BadParams(f"geodesic length must be finite and nonzero, got {length}")
+
     def domain_exit(_, y):
         return float(spec.phi.value(y[at], y[at + 1])) - 10.0 * PHI_CUTOFF
 
     try:
-        sol = solve_ivp(rhs, (0.0, length), y0, rtol=step_tol, atol=step_tol * 1e-2,
-                        t_eval=np.linspace(0.0, length, n_samples), events=domain_exit,
-                        max_nfev=MAX_RHS_CALLS)
+        # trial steps may overshoot the numeric range; inf/nan right-hand sides
+        # just make the controller shrink the step, so silence the warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_ivp(rhs, (0.0, length), y0, step_tol, step_tol * 1e-2,
+                            np.linspace(0.0, length, n_samples), domain_exit, MAX_RHS_CALLS)
     except DomainError as exc:
         # a trial step reached phi <= PHI_CUTOFF, or an overflowing metric,
         # before the event fired
         raise BlowUp(f"{what} left the admissible domain: {exc}") from exc
-    except StepFailure as exc:  # the right-hand-side budget
+    except StepFailure as exc:
         raise StepFailure(f"{what} {exc}") from None
     if sol.status == 1:
-        raise BlowUp(f"{what} left the admissible domain at s = {sol.t_events[0][0]}")
-    if not sol.success:
-        raise StepFailure(f"{what} integration failed: {sol.message}")
+        raise BlowUp(f"{what} left the admissible domain at s = {sol.t_event}")
     return sol
 
 
@@ -189,15 +195,10 @@ def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401):
         raise NotUnitLength(f"initial speed {init.speed} is not 1")
 
     def rhs(_, y):
-        r, theta = y[1], y[2]
-        # trial steps may overshoot the numeric range; inf/nan accelerations
-        # just make the controller shrink the step, so silence the warnings
-        out = np.empty(6)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gam = christoffels(Geometry(spec, r, theta, order=1))
-            v = y[3:]
-            out[:3] = v
-            out[3:] = [-v @ gam[c] @ v for c in range(3)]
+        gam = christoffels(Geometry(spec, y[1], y[2], order=1))
+        v, out = y[3:], np.empty(6)
+        out[:3] = v
+        out[3:] = [-v @ gam[c] @ v for c in range(3)]
         return out
 
     y0 = np.array([init.t, init.r, init.theta, *init.velocities])
@@ -221,11 +222,10 @@ def integrate_quotient_geodesic(spec, init2d, length, step_tol=1e-10,
 
     def rhs(_, y):
         r, theta, vr, vth = y
-        with np.errstate(over="ignore", invalid="ignore"):
-            j = spec.phi.jet(r, theta, 1)
-            phi, phi_r, phi_th = float(j.value), float(j.d(1, 0)), float(j.d(0, 1))
-            ar = phi * phi_r * vth**2
-            ath = -2.0 * (phi_r / phi) * vr * vth - (phi_th / phi) * vth**2
+        j = spec.phi.jet(r, theta, 1)
+        phi, phi_r, phi_th = j.value, j.d(1, 0), j.d(0, 1)   # numpy scalars: phi = 0 gives inf/nan
+        ar = phi * phi_r * vth**2
+        ath = -2.0 * (phi_r / phi) * vr * vth - (phi_th / phi) * vth**2
         return [vr, vth, ar, ath]
 
     sol = _integrate(spec, rhs, list(init2d), length, step_tol, n_samples,

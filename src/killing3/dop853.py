@@ -2,7 +2,9 @@
 
 scipy's ``solve_ivp(method="DOP853")`` with ``t_eval`` and one terminal event, in numpy:
 the same operations in the same order on arrays of the same layout, so every state
-agrees with scipy's to the last bit (``tests/test_dop853.py``).
+agrees with scipy's to the last bit (``tests/test_dop853.py``).  The event is required,
+a step-size underflow (scipy's status -1) raises StepFailure, and ``completeness_probe``
+loads this module with the first geodesic.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ from .errors import StepFailure
 
 EPS = np.finfo(float).eps
 SAFETY, MIN_FACTOR, MAX_FACTOR, ERROR_EXPONENT = 0.9, 0.2, 10, -1 / (7 + 1)  # error order 7
-MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
-            1: "A termination event occurred.",
-            -1: "Required step size is less than spacing between numbers."}
 
 # the 12 stages, 3 more for the dense output, the error weights and the interpolant,
 # as the doubles of scipy's dop853_coefficients; A row by row below the diagonal
@@ -103,13 +102,13 @@ def _brentq(f, xpre, xcur, tol=4 * EPS):
 class DOP853:
     """Solve ``y' = fun(t, y)`` over ``t_span`` at the times ``t_eval``; constructing integrates.
 
-    A sign change of ``events(t, y)`` ends the solve; a right-hand-side call past ``max_nfev``
-    raises StepFailure.  Holds scipy's result fields (``t``, ``y``, ``t_events``, ``nfev``,
-    ``status``, ``message``, ``success``) and the counts ``steps`` and ``rejected_steps``.
+    A sign change of ``event(t, y)`` ends it at the root ``t_event`` (status 1, else 0); a
+    right-hand-side call past ``max_nfev`` raises StepFailure.  Holds ``t``, ``y``, ``nfev``
+    and the counts ``steps`` and ``rejected_steps``.
     """
 
-    def __init__(self, fun, t_span, y0, rtol, atol, t_eval, events=None, max_nfev=np.inf):
-        self._rhs, self.max_nfev = fun, max_nfev
+    def __init__(self, fun, t_span, y0, rtol, atol, t_eval, event, max_nfev):
+        self._rhs, self.max_nfev, self.t_event = fun, max_nfev, None
         self.nfev = self.steps = self.rejected_steps = 0
         self.y = y = np.asarray(y0).astype(float, copy=False)
         if not np.isfinite(y).all():
@@ -117,7 +116,7 @@ class DOP853:
         self.rtol, self.atol = max(rtol, 100 * EPS), np.asarray(atol)   # scipy's rtol floor
         t, t_bound = map(float, t_span)
         self.t, self.t_bound = t, t_bound
-        self.direction = direction = np.sign(t_bound - t) if t_bound != t else 1
+        self.direction = direction = np.sign(t_bound - t)
         self.f = f = self._fun(t, y)
         # the initial step: scipy's select_initial_step (Hairer, Norsett & Wanner, II.4)
         scale, length, rms = self.atol + np.abs(y) * self.rtol, abs(t_bound - t), y.size ** 0.5
@@ -132,21 +131,16 @@ class DOP853:
         # scipy's solve_ivp loop: step, find the event's root, sample the step at t_eval
         forward, t_eval = t_bound > t, np.asarray(t_eval)
         t_eval, i_eval = (t_eval, 0) if forward else (t_eval[::-1], len(t_eval))
-        g = None if events is None else events(t, y0)
-        ts, ys, roots, status = [], [], [], None
+        g, ts, ys, status = event(t, y0), [], [], None
         while status is None:
-            if not self._step():
-                status = -1
-                break
+            self._step()
             status = 0 if direction * (self.t - t_bound) >= 0 else None
-            t, sol = self.t, None
-            if events is not None:
-                g_new = events(t, self.y)
-                if g <= 0 <= g_new or g >= 0 >= g_new:
-                    sol = self._dense_output()
-                    roots.append(_brentq(lambda s: events(s, sol(s)), self.t_old, t))
-                    status, t = 1, np.asarray(roots)[-1]
-                g = g_new
+            t, sol, g_new = self.t, None, event(self.t, self.y)
+            if g <= 0 <= g_new or g >= 0 >= g_new:
+                sol, status = self._dense_output(), 1
+                t = self.t_event = _brentq(lambda s: event(s, sol(np.array([s]))[:, 0]),
+                                           self.t_old, t)
+            g = g_new
             i_new = np.searchsorted(t_eval, t, side="right" if direction > 0 else "left")
             t_step = t_eval[i_eval:i_new] if direction > 0 else t_eval[i_new:i_eval][::-1]
             if t_step.size > 0:
@@ -154,9 +148,7 @@ class DOP853:
                 ts.append(t_step)
                 ys.append(sol(t_step))
                 i_eval = i_new
-        self.status, self.success, self.message = status, status >= 0, MESSAGES[status]
-        self.t_events = None if events is None else [np.asarray(roots)]
-        self.t, self.y = (np.hstack(ts), np.hstack(ys)) if ts else (ts, ys)
+        self.status, self.t, self.y = status, np.hstack(ts), np.hstack(ys)
 
     def _fun(self, t, y):
         self.nfev += 1
@@ -165,13 +157,14 @@ class DOP853:
         return np.asarray(self._rhs(t, y), dtype=float)
 
     def _step(self):
-        """One accepted step, retrying smaller steps; False when the step size underflows."""
+        """One accepted step, retrying smaller steps."""
         t, y, K = self.t, self.y, self.K_extended[:13]
         min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
         h_abs, rejected = max(self.h_abs, min_step), False
         while True:
             if h_abs < min_step:
-                return False
+                raise StepFailure("integration failed: "
+                                  "Required step size is less than spacing between numbers.")
             t_new = t + h_abs * self.direction
             if self.direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
@@ -196,10 +189,9 @@ class DOP853:
         self.h_abs = h_abs * (min(1, factor) if rejected else factor)
         self.h_previous, self.t_old, self.y_old = h, t, y
         self.t, self.y, self.f, self.steps = t_new, y_new, f_new, self.steps + 1
-        return True
 
     def _dense_output(self):
-        """The last step's degree-7 interpolant from 3 more stages: t -> y(t), t scalar or 1-D."""
+        """The last step's degree-7 interpolant from 3 more stages: 1-D times -> y columns."""
         K, h, t_old, y_old = self.K_extended, self.h_previous, self.t_old, self.y_old
         for s in range(13, 16):
             K[s] = self._fun(t_old + C[s] * h, y_old + np.dot(K[:s].T, A[s, :s]) * h)
@@ -211,10 +203,8 @@ class DOP853:
         h_step = self.t - t_old
 
         def sol(t):
-            t = np.asarray(t)
-            x = (t - t_old) / h_step
-            x, y = (x, np.zeros_like(y_old)) if t.ndim == 0 else (
-                x[:, None], np.zeros((len(t), y_old.size)))
+            x = ((t - t_old) / h_step)[:, None]
+            y = np.zeros((len(t), y_old.size))
             for i, f in enumerate(reversed(F)):
                 y += f
                 y *= x if i % 2 == 0 else 1 - x

@@ -470,23 +470,22 @@ def test_cf_family_with_negative_omega_r_sign(tmp_path, command):
         assert summary["C_fit"] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_default_hopf_geodesic_step_count(tmp_path, monkeypatch):
+def test_default_hopf_geodesic_step_count(tmp_path, solver_nfev):
     # pins the right-hand side to the last bit: a mathematically equal but
     # reordered contraction (an einsum form) moves the adaptive steps and drifts
-    from killing3 import completeness_probe
-
-    nfev = []
-    solve = completeness_probe.solve_ivp
-
-    def counted(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(completeness_probe, "solve_ivp", counted)
     spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
     _, code = run(RunConfig(command="geodesic", spec_path=spec))
-    assert code == 0 and nfev == [3899]
+    assert code == 0 and solver_nfev == [3899]
+
+
+@pytest.mark.parametrize("out", ["missing/r.txt", "a_directory"])
+def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, out):
+    spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
+    (tmp_path / "a_directory").mkdir()
+    assert main(["analyze", "--spec", spec, "--points", "4", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("killing3: ") and len(err.strip().splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory", "m.spec"]
 
 
 def test_geodesic_summary_reports_solver_statistics(tmp_path):

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from killing3 import jets
 from killing3.completeness_probe import (COMPLETE, INCOMPLETE, INCONCLUSIVE,
                                          completeness_verdict,
                                          curvature_profile, integrate_geodesic,
                                          integrate_quotient_geodesic,
                                          make_state, projection_residual,
                                          synthetic_profile)
-from killing3.errors import BlowUp, EmptyProfile, NotUnitLength
+from killing3.errors import BadParams, BlowUp, EmptyProfile, NotUnitLength, StepFailure
+from killing3.fields import constant, from_expr
 from killing3.frame_calculus import Geometry
-from killing3.metric_family import catalog
+from killing3.metric_family import MetricSpec, catalog
 
 
 def test_hyperbolic_profile_constant():
@@ -138,6 +140,26 @@ def test_blowup_on_domain_exit():
         integrate_geodesic(spec, st, 3.0)
 
 
+@pytest.mark.parametrize("length", [0.0, np.nan, np.inf])
+@pytest.mark.parametrize("quotient", [False, True])
+def test_zero_or_non_finite_length_refused(quotient, length):
+    spec = catalog("hopf", {"R": 2.0})
+    with pytest.raises(BadParams, match="^geodesic length must be finite and nonzero, got "):
+        if quotient:
+            integrate_quotient_geodesic(spec, (0.8, 0.0, 0.6, 0.3), length)
+        else:
+            integrate_geodesic(spec, make_state(spec, (0.0, 0.8, 0.0), (0.3, 0.8, 0.4)), length)
+
+
+def test_quotient_geodesic_where_phi_underflows_ends_in_step_failure():
+    # phi = exp(1/(1 - r)) overflows as r -> 1 and underflows to 0 just past it: the
+    # quotient right-hand side divides numpy zeros to nan, and the step size underflows
+    spec = MetricSpec(from_expr(lambda r, t: jets.exp(1 / (1 - r))), constant(0.0), constant(0.0))
+    with pytest.raises(StepFailure, match=r"^quotient geodesic integration failed: Required "
+                                          r"step size is less than spacing between numbers\.$"):
+        integrate_quotient_geodesic(spec, (0.5, 0.0, 0.6, 0.3), 5.0)
+
+
 def test_hyperbolic_runs_long_matching_verdict():
     # criterion consistency: the complete catalog integrates far without exit
     # (length capped by float range: phi^2 = cosh^2 r overflows near r = 355)
@@ -158,23 +180,12 @@ def test_trajectory_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(data["r"], traj.states[:, 1], atol=1e-12)
 
 
-def test_criterion_10_hyperbolic_orbit_step_count(monkeypatch):
+def test_criterion_10_hyperbolic_orbit_step_count(solver_nfev):
     # the hyperbolic orbit of acceptance criterion 10 moves its step count and its speed
     # drift (6.08e-10 against a 1e-8 gate) with the last bit of the right-hand side
-    from killing3 import completeness_probe
-
-    nfev = []
-    solve = completeness_probe.solve_ivp
-
-    def counted(*args, **kwargs):
-        sol = solve(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(completeness_probe, "solve_ivp", counted)
     hyp = catalog("hyperbolic")
     traj = integrate_geodesic(hyp, make_state(hyp, (0.0, 0.5, 0.2), (0.3, 0.8, 0.4)), 100.0)
-    assert nfev == [1337]
+    assert solver_nfev == [1337]
     assert traj.max_speed_drift == 6.077470748877545e-10
 
 

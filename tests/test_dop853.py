@@ -2,7 +2,10 @@
 
 Every comparison is bit for bit except the event root, which scipy finds by its
 compiled Brent iteration; both must agree to brentq's own 4 EPS |t| tolerance.
+Where scipy ends in status -1, the numpy solver raises StepFailure with scipy's message.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -16,24 +19,37 @@ from killing3.cli import parse_metric_spec
 from killing3.completeness_probe import (integrate_geodesic, integrate_quotient_geodesic,
                                          make_state)
 from killing3.dop853 import DOP853
-from killing3.errors import BlowUp
+from killing3.errors import BlowUp, StepFailure
 
 EPS = np.finfo(float).eps
 
 
-def _scipy(fun, t_span, y0, rtol, atol, t_eval, events=None):
-    if events is not None:
-        events.terminal = True
+def _never(t, y):
+    return 1.0
+
+
+def _scipy(fun, t_span, y0, rtol, atol, t_eval, event):
+    event.terminal = True
     return scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-                           t_eval=t_eval, events=events)
+                           t_eval=t_eval, events=event)
 
 
 def _assert_same(ours, theirs):
-    assert (ours.nfev, ours.status, ours.success, ours.message) == (
-        theirs.nfev, theirs.status, theirs.success, theirs.message)
+    assert (ours.nfev, ours.status) == (theirs.nfev, theirs.status)
     for mine, ref in ((ours.t, theirs.t), (ours.y, theirs.y)):
-        mine, ref = np.asarray(mine), np.asarray(ref)
         assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes()
+
+
+def _solve_like_scipy(fun, t_span, y0, rtol, atol, t_eval, event):
+    """Both solvers on one problem: the same result, or scipy's status -1 as StepFailure."""
+    theirs = _scipy(fun, t_span, y0, rtol, atol, t_eval, event)
+    if theirs.status == -1:
+        with pytest.raises(StepFailure, match=f"^integration failed: {re.escape(theirs.message)}$"):
+            DOP853(fun, t_span, y0, rtol, atol, t_eval, event, np.inf)
+        return None, theirs
+    ours = DOP853(fun, t_span, y0, rtol, atol, t_eval, event, np.inf)
+    _assert_same(ours, theirs)
+    return ours, theirs
 
 
 def test_coefficients_are_scipys_bit_for_bit():
@@ -51,7 +67,7 @@ def twin(monkeypatch):
     """Run every geodesic solve through both integrators on one memoized right-hand side."""
     pairs = []
 
-    def solve(fun, t_span, y0, rtol, atol, t_eval, events, max_nfev):
+    def solve(fun, t_span, y0, rtol, atol, t_eval, event, max_nfev):
         memo = {}
 
         def cached(t, y):
@@ -60,8 +76,8 @@ def twin(monkeypatch):
                 memo[key] = np.asarray(fun(t, y), dtype=float)
             return memo[key]
 
-        ours = DOP853(cached, t_span, y0, rtol, atol, t_eval, events, max_nfev)
-        pairs.append((ours, _scipy(cached, t_span, y0, rtol, atol, t_eval, events)))
+        ours = DOP853(cached, t_span, y0, rtol, atol, t_eval, event, max_nfev)
+        pairs.append((ours, _scipy(cached, t_span, y0, rtol, atol, t_eval, event)))
         return ours
 
     monkeypatch.setattr(completeness_probe, "solve_ivp", solve)
@@ -90,8 +106,8 @@ def test_terminal_event_root_matches_scipy(twin):
         integrate_quotient_geodesic(spec, (0.8, 0.0, -1.0, 0.0), 20.0)
     (ours, theirs), = twin
     _assert_same(ours, theirs)
-    (root,), (ref,) = ours.t_events[0], theirs.t_events[0]
-    assert ours.status == 1 and abs(root - ref) <= 4 * EPS * abs(ref)
+    (ref,) = theirs.t_events[0]
+    assert ours.status == 1 and abs(ours.t_event - ref) <= 4 * EPS * abs(ref)
 
 
 def test_backward_integration_and_event_on_a_pendulum():
@@ -102,23 +118,21 @@ def test_backward_integration_and_event_on_a_pendulum():
         return y[0] - 0.3
 
     t_eval = np.linspace(0.0, -8.0, 57)
-    for events in (None, event):
-        ours = DOP853(pendulum, (0.0, -8.0), [1.0, 0.0], 1e-9, 1e-11, t_eval, events)
-        theirs = _scipy(pendulum, (0.0, -8.0), [1.0, 0.0], 1e-9, 1e-11, t_eval, events)
-        _assert_same(ours, theirs)
-    (root,), (ref,) = ours.t_events[0], theirs.t_events[0]
-    assert ours.status == 1 and abs(root - ref) <= 4 * EPS * abs(ref)
+    for ev in (_never, event):
+        ours, theirs = _solve_like_scipy(pendulum, (0.0, -8.0), [1.0, 0.0], 1e-9, 1e-11,
+                                         t_eval, ev)
+        assert ours.status == (0 if ev is _never else 1)
+    (ref,) = theirs.t_events[0]
+    assert abs(ours.t_event - ref) <= 4 * EPS * abs(ref)
 
 
-def test_step_size_underflow_returns_scipys_message():
+def test_step_size_underflow_raises_scipys_message():
     def blow_up(t, y):   # y = 1 / (1 - t): no step reaches past t = 1
         return y * y
 
-    t_eval = np.linspace(0.0, 2.0, 9)
-    ours = DOP853(blow_up, (0.0, 2.0), [1.0], 1e-8, 1e-10, t_eval)
-    theirs = _scipy(blow_up, (0.0, 2.0), [1.0], 1e-8, 1e-10, t_eval)
-    _assert_same(ours, theirs)
-    assert ours.status == -1 and ours.message == dop853.MESSAGES[-1]
+    ours, theirs = _solve_like_scipy(blow_up, (0.0, 2.0), [1.0], 1e-8, 1e-10,
+                                     np.linspace(0.0, 2.0, 9), _never)
+    assert ours is None and theirs.status == -1
 
 
 @settings(max_examples=25, deadline=None)
@@ -135,5 +149,4 @@ def test_random_nonlinear_odes_match_scipy(system, log_rtol, end, n_eval):
         return np.sin(m @ y + 0.5 * t) - 0.1 * y ** 3
 
     rtol, t_eval = 10.0 ** log_rtol, np.linspace(0.0, end, n_eval)
-    ours = DOP853(fun, (0.0, end), y0, rtol, rtol * 1e-2, t_eval)
-    _assert_same(ours, _scipy(fun, (0.0, end), y0, rtol, rtol * 1e-2, t_eval))
+    _solve_like_scipy(fun, (0.0, end), y0, rtol, rtol * 1e-2, t_eval, _never)

@@ -51,22 +51,25 @@ def counted(*args, **kwargs):
     nfev.append(sol.nfev)
     return sol
 completeness_probe.solve_ivp = counted
-codes = {}
+codes, loaded = {}, {}
 for command in ("analyze", "verify", "flatness", "lorentz", "family", "geodesic"):
     spec = work / ("cf.spec" if command == "family" else "hopf.spec")
     with contextlib.redirect_stdout(io.StringIO()):
         codes[command] = main([command, "--spec", str(spec)])
+    loaded[command] = "killing3.dop853" in sys.modules
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"scipy": scipy, "codes": codes, "nfev": nfev}))
+print(json.dumps({"scipy": scipy, "codes": codes, "nfev": nfev, "dop853": loaded}))
 '''
 
 
 def test_parsing_specs_and_family_import_no_scipy(tmp_path):
-    # a fresh interpreter in which importing scipy fails: every command runs on numpy alone
+    # a fresh interpreter in which importing scipy fails: every command runs on numpy alone,
+    # and only the geodesic loads the integrator
     src = Path(killing3.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY, str(tmp_path)], capture_output=True,
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     codes = dict.fromkeys(("analyze", "verify", "flatness", "lorentz", "family", "geodesic"), 0)
-    assert out == {"scipy": [], "codes": codes, "nfev": [3899]}
+    loaded = dict.fromkeys(codes, False) | {"geodesic": True}
+    assert out == {"scipy": [], "codes": codes, "nfev": [3899], "dop853": loaded}
