@@ -25,6 +25,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cache
 
 import numpy as np
 
@@ -131,7 +132,7 @@ def parse_metric_spec(text):
 
 
 def sample_points(grid, n_points, seed):
-    """Seeded scrambled Halton points inside the (r, theta) grid box.
+    """Seeded scrambled Halton points inside the (r, theta) grid box, an (n, 2) array.
 
     Owen's randomized Halton sequence in bases 2 and 3 (arXiv:1706.02808), as
     ``scipy.stats.qmc.Halton(d=2, scramble=True, seed=seed)`` draws it: digit k
@@ -143,16 +144,15 @@ def sample_points(grid, n_points, seed):
     u = []
     for base in (2, 3):
         count = math.ceil(54 / math.log2(base)) - 1
-        perms = np.array([rng.permutation(base) for _ in range(count)])
-        weights = [1.0 / base]  # by repeated division, as scipy's radical inverse
-        for _ in range(count - 1):
-            weights.append(weights[-1] / base)
+        # the draws of one rng.permutation(base) per digit; 1/b, 1/b/b, ... by repeated
+        # division, as scipy's radical inverse
+        perms = rng.permuted(np.tile(np.arange(base), (count, 1)), axis=1)
+        weights = np.divide.accumulate(np.r_[1.0, np.full(count, float(base))])[1:]
         k = np.arange(count)[:, np.newaxis]
         digits = np.arange(n_points) // base**k % base  # digit k of each point's index
-        terms = perms[k, digits] * np.array(weights)[:, np.newaxis]
+        terms = perms[k, digits] * weights[:, np.newaxis]
         u.append(np.add.accumulate(terms)[-1])  # summed digit by digit, in order
-    pts = np.transpose(u) * (np.array([r_max, t_max]) - [r_min, t_min]) + [r_min, t_min]
-    return [tuple(p) for p in pts]
+    return np.transpose(u) * (np.array([r_max, t_max]) - [r_min, t_min]) + [r_min, t_min]
 
 
 def _max_workers():
@@ -164,7 +164,7 @@ def _sweep(spec, config):
 
     DomainError if the metric is not defined at one of them.
     """
-    pts = np.array(sample_points(config.grid, config.n_points, config.seed))
+    pts = sample_points(config.grid, config.n_points, config.seed)
     return Geometry(spec, pts[:, 0], pts[:, 1])
 
 
@@ -193,7 +193,7 @@ def _run_analyze(spec, config):
     maxima = _maxima({"cy_norm": cy, "abs_S": np.abs(pk.scalar_S),
                       "abs_omega": np.abs(pk.omega)})
     summary = {**maxima, "n_points": geo.r.size}
-    # no gate beyond finiteness, which run() checks for every command
+    # no gate beyond finiteness, which render_report checks for every command
     return records, summary, True
 
 
@@ -317,13 +317,9 @@ def run(config):
     np.empty(1 << 17)
     with open(config.spec_path) as fh:
         spec = parse_metric_spec(fh.read())
-    # an overflow shows up as a non-finite number in the report, refused below
+    # an overflow shows up as a non-finite number in the report, which render_report refuses
     with np.errstate(all="ignore"):
         records, summary, ok = _RUNNERS[config.command](spec, config)
-    try:
-        json.dumps([records, summary], allow_nan=False)
-    except ValueError:
-        raise NonFinite(f"the {config.command} report holds non-finite numbers") from None
     report = Report(command=config.command, records=records, summary=summary,
                     verdict="pass" if ok else "fail")
     return report, (0 if ok else 1)
@@ -332,17 +328,21 @@ def run(config):
 # -- report output -------------------------------------------------------------
 
 
+_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)  # one for every report line
+
+
 def render_report(report, fmt):
-    if fmt == "jsonl":
-        lines = [json.dumps({"record": r}, sort_keys=True) for r in report.records]
-        lines.append(json.dumps(
-            {"summary": report.summary, "command": report.command,
-             "verdict": report.verdict}, sort_keys=True))
-        return "\n".join(lines) + "\n"
-    out = [f"killing3 {report.command}: {report.verdict}"]
-    for key, val in report.summary.items():
-        out.append(f"  {key} = {val}")
-    return "\n".join(out) + "\n"
+    """The report as jsonl or as text (its summary); NonFinite if it holds a non-finite number."""
+    try:
+        if fmt == "jsonl":
+            lines = [{"record": r} for r in report.records] + [{
+                "summary": report.summary, "command": report.command, "verdict": report.verdict}]
+            return "".join(_JSON.encode(line) + "\n" for line in lines)
+        _JSON.encode([report.records, report.summary])
+    except ValueError:
+        raise NonFinite(f"the {report.command} report holds non-finite numbers") from None
+    return "".join([f"killing3 {report.command}: {report.verdict}\n"]
+                   + [f"  {key} = {val}\n" for key, val in report.summary.items()])
 
 
 def load_jsonl_report(text):
@@ -408,6 +408,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"killing3: {message}\n")
 
 
+@cache  # one parser per process, built by the first command; parsing leaves it unchanged
 def build_parser():
     ap = _Parser(
         prog="killing3",
@@ -430,9 +431,8 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = build_parser().parse_args(argv)
         if ns.points < 1:
             raise BadParams(f"--points must be at least 1, got {ns.points}")
         if ns.seed < 0:

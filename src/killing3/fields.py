@@ -50,9 +50,6 @@ class ScalarField:
     def value(self, r, theta):
         return self.jet(r, theta, 0).value
 
-    def __call__(self, r, theta):
-        return self.value(r, theta)
-
 
 def from_expr(expr):
     """Analytic field from a jet expression, e.g. ``lambda r, t: jets.sin(r) * t``."""

@@ -12,7 +12,10 @@ coefficients), over a batch of points evaluated at once, real or complex.
 Every product of two jets, scalar or tensor, goes through one Leibniz kernel:
 ``contract`` gathers the nonzero terms of the product rule, truncated to the
 result's order, makes one ``np.einsum`` over the tensor indices and sums the
-terms of each output coefficient with ``np.add.reduceat``.
+terms t0, t1, ... of each output coefficient in place, whole slices of a
+term-major layout at a time, in ``np.add.reduceat``'s order, so its bits are
+reduceat's: t0 + (((t1 + t2) + t3) + ...), and for six complex terms
+t0 + (((t1 + t2) + (t3 + t4)) + t5), where numpy uses eight accumulators.
 
 A jet of order n carries exactly ``NCOEFFS[n]`` coefficient rows and computes
 only those: an elementary function of f is a Taylor series in the value-free
@@ -24,7 +27,7 @@ shifts the value row only; no constant jet is built for it.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -42,20 +45,30 @@ NCOEFFS = [(n + 1) * (n + 2) // 2 for n in range(MAX_ORDER + 1)]
 
 
 def _leibniz_terms(order):
-    """Gather indices, weights and group starts of the order-n product rule.
-
-    (fg)^(i,j) = sum C(i,a) C(j,b) f^(a,b) g^(i-a, j-b); the terms of each
-    output coefficient are consecutive and start at ``starts``.
-    """
-    left, right, weight, starts = [], [], [], []
-    for i, j in INDEX[:NCOEFFS[order]]:
-        starts.append(len(left))
-        for a in range(i + 1):
-            for b in range(j + 1):
-                left.append(_POS[(a, b)])
-                right.append(_POS[(i - a, j - b)])
-                weight.append(comb(i, a) * comb(j, b))
-    return np.array(left), np.array(right), np.array(weight, dtype=float), np.array(starts)
+    """Gather indices, weights and summation steps of the order-n product rule
+    (fg)^(i,j) = sum C(i,a) C(j,b) f^(a,b) g^(i-a, j-b).  Block k of the terms holds term k of
+    each coefficient that has one; stable-sorted by their number of terms, those come last."""
+    groups = [[(_POS[(a, b)], _POS[(i - a, j - b)], float(comb(i, a) * comb(j, b)))
+               for a in range(i + 1) for b in range(j + 1)] for i, j in INDEX[:NCOEFFS[order]]]
+    rank = sorted(range(len(groups)), key=lambda n: len(groups[n]))
+    terms, blocks = [], []  # block k: its first row in terms and its number of rows
+    for k in range(len(groups[rank[-1]])):
+        have = [groups[n][k] for n in rank if len(groups[n]) > k]
+        blocks.append((len(terms), len(have)))
+        terms += have
+    real = complex_ = []
+    if order > 0:  # blocks 2, 3, ... add into the end of block 1, then block 1 into block 0
+        acc, n_acc = blocks[1]
+        real = [(slice(acc + n_acc - n, acc + n_acc), slice(row, row + n))
+                for row, n in blocks[2:]] + [(slice(acc - n_acc, acc), slice(acc, acc + n_acc))]
+        complex_ = real
+        if order == MAX_ORDER:  # block 4 first into the end of block 3, not into block 1
+            (r3, n3), (r4, n4) = blocks[3:5]
+            complex_ = [(slice(r3 + n3 - n4, r3 + n3), slice(r4, r4 + n4))] + real[:2] + real[3:]
+    left, right, weight = (np.array(col) for col in zip(*terms))
+    back = np.argsort(rank) if order > 0 else None  # block 0 in INDEX order, as a new array
+    return (left, right, weight, weight if np.any(weight != 1) else None,
+            {False: real, True: complex_}, back)
 
 
 _TERMS = [_leibniz_terms(n) for n in range(MAX_ORDER + 1)]
@@ -63,10 +76,12 @@ _TERMS = [_leibniz_terms(n) for n in range(MAX_ORDER + 1)]
 
 @lru_cache(maxsize=None)
 def _einsum_spec(subscripts):
-    # "Z" is the Leibniz term axis, "..." the batch axes
+    """Einsums without and with weights, and where batch axes start if a tensor index is summed."""
     inputs, out = subscripts.split("->")
     left, right = inputs.split(",")
-    return f"Z,Z{left}...,Z{right}...->Z{out}..."
+    plain = f"Z{left}...,Z{right}...->Z{out}..."
+    summed = set(out) < set(left + right)
+    return plain, "Z," + plain, (1 + len(left), 1 + len(right)) if summed else None
 
 
 _SCALAR = _einsum_spec(",->")
@@ -80,9 +95,21 @@ def _shared_rows(a, b):
 
 def _product(spec, a, b):
     order = min(a.order, b.order)
-    left, right, weight, starts = _TERMS[order]
-    terms = np.einsum(spec, weight, a.coeffs.take(left, 0), b.coeffs.take(right, 0))
-    return Jet2(np.add.reduceat(terms, starts, axis=0), order)
+    left, right, weight, scale, steps, back = _TERMS[order]
+    plain, weighted, batch = spec
+    x, y = a.coeffs.take(left, 0), b.coeffs.take(right, 0)
+    if batch and prod(x.shape[batch[0]:]) * prod(y.shape[batch[1]:]) < 2:
+        # at one point numpy would sum a tensor index as a SIMD dot, in another order
+        terms = np.einsum(weighted, weight, x, y)
+    else:
+        if scale is not None:  # w * x exactly as the weighted einsum forms it
+            np.multiply(x.T, scale, out=x.T)
+        terms = np.einsum(plain, x, y)
+    del x, y  # freed before the output is allocated
+    for into, rows in steps[terms.dtype.kind == "c"]:
+        acc = terms[into]
+        acc += terms[rows]
+    return Jet2(terms if back is None else terms.take(back, 0), order)
 
 
 def contract(subscripts, a, b):
@@ -208,10 +235,6 @@ class Jet2:
 
     def conj(self):
         return Jet2(np.conj(self.coeffs), self.order)
-
-    @property
-    def real(self):
-        return Jet2(np.real(self.coeffs), self.order)
 
     @property
     def imag(self):

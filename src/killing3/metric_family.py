@@ -21,7 +21,6 @@ test-suite, not assumed.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -117,24 +116,25 @@ GRID_CSV_HEADER = ["r", "theta", "phi", "h", "k"]
 def load_grid_csv(text_or_path):
     """Grid-sampled MetricSpec from CSV `r,theta,phi,h,k` (rectangular, row-major in theta)."""
     if isinstance(text_or_path, str) and "\n" not in text_or_path:
-        with open(text_or_path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    else:
-        rows = list(csv.reader(io.StringIO(text_or_path)))
-    if not rows or [c.strip() for c in rows[0]] != GRID_CSV_HEADER:
+        with open(text_or_path) as fh:
+            text_or_path = fh.read()
+    header, *lines = text_or_path.splitlines() or [""]
+    if [c.strip() for c in next(csv.reader([header]), [])] != GRID_CSV_HEADER:
         raise BadParams(f"grid CSV must start with header {','.join(GRID_CSV_HEADER)}")
-    try:
-        data = np.array([[float(x) for x in row] for row in rows[1:] if row])
-    except ValueError as exc:  # a non-numeric cell, or rows of unequal length
-        raise BadParams(f"grid CSV: {exc}") from None
-    if data.ndim != 2 or data.shape[1] != 5 or not np.all(np.isfinite(data)):
+    if not any(lines):  # no data row: loadtxt would warn
         raise BadParams("grid CSV rows must hold 5 finite numbers each")
-    r_nodes = np.unique(data[:, 0])
-    t_nodes = np.unique(data[:, 1])
-    if len(data) != len(r_nodes) * len(t_nodes):
+    try:  # blank lines skipped, cells may be spaced or quoted, as csv.reader reads them
+        data = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
+    except ValueError as exc:  # a non-numeric cell, or rows of unequal length
+        raise BadParams(f"grid CSV: {str(exc).partition(';')[0]}") from None
+    if data.shape[1] != 5 or not np.all(np.isfinite(data)):
+        raise BadParams("grid CSV rows must hold 5 finite numbers each")
+    r_nodes, t_nodes = np.unique(data[:, 0]), np.unique(data[:, 1])
+    data = data[np.lexsort((data[:, 1], data[:, 0]))]
+    nodes = np.stack(np.meshgrid(r_nodes, t_nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+    if len(data) != len(nodes) or np.any(data[:, :2] != nodes):  # each node exactly once
         raise BadParams("grid CSV is not a full rectangular grid")
-    order = np.lexsort((data[:, 1], data[:, 0]))
-    shaped = data[order].reshape(len(r_nodes), len(t_nodes), 5)
+    shaped = data.reshape(len(r_nodes), len(t_nodes), 5)
     try:
         phi, h, k = fields.from_grids(r_nodes, t_nodes, np.moveaxis(shaped[:, :, 2:], -1, 0))
     except ValueError as exc:  # too few nodes on an axis for the spline

@@ -113,6 +113,44 @@ def test_main_bad_grid_csv_exit_2(tmp_path, capsys, n_r, n_t, cell):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+def _full_grid_lines(n_r=8, n_t=8):
+    from killing3.metric_family import GRID_CSV_HEADER
+
+    return [",".join(GRID_CSV_HEADER)] + [f"{r},{t},1.0,0.0,0.0"
+                                          for r in np.linspace(0.2, 1.0, n_r)
+                                          for t in np.linspace(0.0, 2.0, n_t)]
+
+
+@pytest.mark.parametrize("case", ["header", "header_only", "non_numeric", "ragged_short",
+                                  "ragged_long", "non_finite", "not_rectangular",
+                                  "node_twice_node_missing", "too_few_nodes"])
+def test_main_grid_csv_refusals_exit_2(tmp_path, capsys, case):
+    lines = _full_grid_lines(*((4, 8) if case == "too_few_nodes" else ()))
+    if case == "header":
+        lines[0] = "r,theta,phi,h"
+    elif case == "header_only":
+        lines = lines[:1]
+    elif case == "non_numeric":
+        lines[5] = lines[5].replace("1.0", "one")
+    elif case == "ragged_short":
+        lines[5] = lines[5].rpartition(",")[0]
+    elif case == "ragged_long":
+        lines[5] += ",0.0"
+    elif case == "non_finite":
+        lines[5] = lines[5].replace("1.0", "inf")
+    elif case == "not_rectangular":
+        del lines[5]
+    elif case == "node_twice_node_missing":  # as many rows as nodes, yet one node is absent
+        lines[5] = lines[6]
+    csv_path = tmp_path / "grid.csv"
+    csv_path.write_text("\n".join(lines) + "\n")
+    spec = _write_spec(tmp_path, f"grid_csv = {csv_path}")
+    assert main(["analyze", "--spec", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("killing3: grid CSV")
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_grid_csv_five_nodes_accepted(tmp_path):
     spec = _write_spec(tmp_path, _grid_spec_text(tmp_path, 5, 5))
     assert main(["analyze", "--spec", spec, "--points", "4",
@@ -141,9 +179,10 @@ def test_sample_points_deterministic():
     a = sample_points(grid, 32, seed=42)
     b = sample_points(grid, 32, seed=42)
     c = sample_points(grid, 32, seed=43)
-    assert a == b
-    assert a != c
-    rs = np.array([p[0] for p in a])
+    assert a.shape == (32, 2)
+    assert a.tolist() == b.tolist()
+    assert a.tolist() != c.tolist()
+    rs = a[:, 0]
     assert rs.min() >= 0.2 and rs.max() <= 1.2
 
 
@@ -155,7 +194,7 @@ def test_sample_points_match_scipy_scrambled_halton(seed):
                                                        (-3.5, 0.7, 1.25, 9.9)]):
         u = qmc.Halton(d=2, scramble=True, seed=seed).random(n)
         ref = qmc.scale(u, [grid[0], grid[2]], [grid[1], grid[3]])
-        assert sample_points(grid, n, seed) == [tuple(p) for p in ref], (n, grid)
+        assert sample_points(grid, n, seed).tolist() == ref.tolist(), (n, grid)
 
 
 def test_jsonl_roundtrip(tmp_path):
@@ -412,20 +451,64 @@ def test_main_writes_output_atomically(tmp_path):
     assert not list(tmp_path.glob(".killing3-*"))
 
 
+OVERFLOWING = ["catalog = nil\nomega0 = 1e200", "catalog = hopf\nR = 1e-300",
+               "catalog = nil\nomega0 = 1e150"]
+
+
 @pytest.mark.parametrize("command", ["analyze", "verify", "flatness", "lorentz"])
-@pytest.mark.parametrize("text", ["catalog = nil\nomega0 = 1e200",
-                                  "catalog = hopf\nR = 1e-300",
-                                  "catalog = nil\nomega0 = 1e150"])
-def test_main_overflowing_metric_exit_3(tmp_path, capsys, command, text):
+@pytest.mark.parametrize("text, fmt", [pytest.param(t, "text", id=t) for t in OVERFLOWING]
+                         + [pytest.param(t, "jsonl", id=f"{t}-jsonl") for t in OVERFLOWING])
+def test_main_overflowing_metric_exit_3(tmp_path, capsys, command, text, fmt):
     # finite parameters whose metric or curvature overflows: a one-line
-    # numeric error, never a NaN report, a traceback or a RuntimeWarning
+    # numeric error, never a NaN report, a traceback or a RuntimeWarning,
+    # whether the report shows its records (jsonl) or only its summary (text)
     spec = _write_spec(tmp_path, text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([command, "--spec", spec, "--points", "8"]) == 3
+        assert main([command, "--spec", spec, "--points", "8", "--format", fmt]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("killing3: ") and len(err.strip().splitlines()) == 1
+
+
+def _nan_in_first_state(integrate):
+    def wrapped(*args):
+        traj = integrate(*args)
+        traj.states[0, 0] = np.nan
+        return traj
+    return wrapped
+
+
+def _nan_in_first_omega(solve):
+    def wrapped(params):
+        sol = solve(params)
+        sol.omega = np.concatenate([[np.nan], sol.omega[1:]])
+        return sol
+    return wrapped
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize("command, spec_text, target, poison", [
+    pytest.param("geodesic", "catalog = hopf\nR = 2", "integrate_geodesic",
+                 _nan_in_first_state, id="geodesic"),
+    pytest.param("family", "catalog = cf_family\nB = 0.3\nC = 1", "solve_omega_ode",
+                 _nan_in_first_omega, id="family"),
+])
+def test_nan_only_in_records_exit_3(tmp_path, capsys, monkeypatch, command, spec_text,
+                                    target, poison, fmt):
+    # the summary stays finite; a NaN in one record alone must still refuse the
+    # report, in the text format too, which prints no record
+    from killing3 import cli
+
+    monkeypatch.setattr(cli, target, poison(getattr(cli, target)))
+    spec = _write_spec(tmp_path, spec_text)
+    argv = [command, "--spec", spec, "--format", fmt]
+    if command == "geodesic":
+        argv += ["--length", "1"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"killing3: NonFinite: the {command} report holds non-finite numbers\n"
 
 
 def test_verify_rejects_lorentzian_spec(tmp_path, capsys):

@@ -40,14 +40,41 @@ def _assert_same(ours, theirs):
         assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes()
 
 
-def _solve_like_scipy(fun, t_span, y0, rtol, atol, t_eval, event):
-    """Both solvers on one problem: the same result, or scipy's status -1 as StepFailure."""
-    theirs = _scipy(fun, t_span, y0, rtol, atol, t_eval, event)
+class _OverBudget(Exception):
+    pass
+
+
+def _counted(fun, calls, max_nfev):
+    """``fun`` that logs each call's (t, y) and raises _OverBudget on call max_nfev + 1."""
+    def counted(t, y):
+        calls.append((float(t), np.asarray(y).tobytes()))
+        if len(calls) > max_nfev:
+            raise _OverBudget
+        return fun(t, y)
+    return counted
+
+
+def _solve_like_scipy(fun, t_span, y0, rtol, atol, t_eval, event, max_nfev=np.inf):
+    """Both solvers on one problem: the same result, or scipy's status -1 as StepFailure.
+
+    Past ``max_nfev`` right-hand-side calls both stop, at the same call: scipy by a
+    counting right-hand side that raises, the numpy solver by its own budget.
+    """
+    mine, theirs_calls = [], []
+    try:
+        theirs = _scipy(_counted(fun, theirs_calls, max_nfev), t_span, y0, rtol, atol, t_eval,
+                        event)
+    except _OverBudget:
+        with pytest.raises(StepFailure, match=f"^stopped at s = {theirs_calls[-1][0]:.6g}: "
+                                              f"over {max_nfev} rhs calls$"):
+            DOP853(_counted(fun, mine, np.inf), t_span, y0, rtol, atol, t_eval, event, max_nfev)
+        assert mine == theirs_calls[:-1]
+        return None, None
     if theirs.status == -1:
         with pytest.raises(StepFailure, match=f"^integration failed: {re.escape(theirs.message)}$"):
-            DOP853(fun, t_span, y0, rtol, atol, t_eval, event, np.inf)
+            DOP853(fun, t_span, y0, rtol, atol, t_eval, event, max_nfev)
         return None, theirs
-    ours = DOP853(fun, t_span, y0, rtol, atol, t_eval, event, np.inf)
+    ours = DOP853(fun, t_span, y0, rtol, atol, t_eval, event, max_nfev)
     _assert_same(ours, theirs)
     return ours, theirs
 
@@ -148,5 +175,7 @@ def test_random_nonlinear_odes_match_scipy(system, log_rtol, end, n_eval):
     def fun(t, y):
         return np.sin(m @ y + 0.5 * t) - 0.1 * y ** 3
 
+    # for end < 0 the -0.1 y^3 term blows up, and both solvers would shrink the step
+    # to an underflow over 2 000 to 55 000 calls; a regular draw takes at most ~500
     rtol, t_eval = 10.0 ** log_rtol, np.linspace(0.0, end, n_eval)
-    _solve_like_scipy(fun, (0.0, end), y0, rtol, rtol * 1e-2, t_eval, _never)
+    _solve_like_scipy(fun, (0.0, end), y0, rtol, rtol * 1e-2, t_eval, _never, max_nfev=5000)

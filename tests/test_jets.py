@@ -192,6 +192,60 @@ def test_contract_matches_leibniz_loop(subscripts, complex_):
             np.testing.assert_allclose((a * b).coeffs, ref, rtol=1e-13, atol=1e-12)
 
 
+def _reduceat_kernel(subscripts, a, b):
+    """The Leibniz kernel as it was before the slice sums: the gathered terms, one
+    weighted einsum, and ``np.add.reduceat`` over the terms of each coefficient."""
+    order = min(a.order, b.order)
+    pos = {ij: k for k, ij in enumerate(INDEX)}
+    left, right, weight, starts = [], [], [], []
+    for i, j in INDEX[:NCOEFFS[order]]:
+        starts.append(len(left))
+        for p in range(i + 1):
+            for q in range(j + 1):
+                left.append(pos[(p, q)])
+                right.append(pos[(i - p, j - q)])
+                weight.append(comb(i, p) * comb(j, q))
+    inputs, out = subscripts.split("->")
+    l_axes, r_axes = inputs.split(",")
+    terms = np.einsum(f"Z,Z{l_axes}...,Z{r_axes}...->Z{out}...", np.array(weight, dtype=float),
+                      a.coeffs.take(left, 0), b.coeffs.take(right, 0))
+    return np.add.reduceat(terms, starts, axis=0)
+
+
+def _wide_jet(rng, order, rank, batch, complex_, strided):
+    """Random coefficients over many binades, with +0.0 and -0.0 entries mixed in;
+    ``strided`` makes them a column of a wider array."""
+    shape = (NCOEFFS[order],) + (3,) * rank + batch + ((2,) if strided else ())
+
+    def part():
+        c = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+        return np.where(rng.random(shape) < 0.15, rng.choice([0.0, -0.0], size=shape), c)
+
+    c = part() + 1j * part() if complex_ else part()
+    return Jet2(c[..., 1] if strided else c, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SUBSCRIPTS + ["cd,dab->cab", "dae,ebc->dcab"]),
+       st.integers(0, MAX_ORDER), st.integers(0, MAX_ORDER),
+       st.sampled_from([(), (1,), (64,), (2, 3)]), st.booleans(), st.booleans(),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_contract_is_reduceat_bit_for_bit(subscripts, order_a, order_b, batch, complex_,
+                                          strided, constant_left, seed):
+    # the slice sums reproduce reduceat's association, real or complex, at every order,
+    # on strided operands and on a batch-free left operand broadcast against a batch
+    rng = np.random.default_rng(seed)
+    rank_a, rank_b = _rank(subscripts)
+    a = _wide_jet(rng, order_a, rank_a, () if constant_left else batch, complex_, strided)
+    b = _wide_jet(rng, order_b, rank_b, batch, complex_, strided)
+    ref = _reduceat_kernel(subscripts, a, b)
+    out = contract(subscripts, a, b).coeffs
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
+    if subscripts == ",->":
+        assert (a * b).coeffs.tobytes() == ref.tobytes()
+
+
 def test_scalar_product_broadcasts_a_constant_against_a_batch():
     rng = np.random.default_rng(3)
     a = _random_jet(rng, 3, 0, (), False)

@@ -185,6 +185,35 @@ def test_grid_csv_roundtrip():
     assert val == pytest.approx(1.0 + 0.2 * np.sin(0.7) * np.cos(1.1), abs=1e-9)
 
 
+def _grid_values(spec):
+    r, theta = np.array([0.3, 0.7, 1.1]), np.array([0.2, 1.1, 1.9])
+    return np.stack([f.jet(r, theta, 3).coeffs for f in (spec.phi, spec.h, spec.k)])
+
+
+@pytest.mark.parametrize("variant", ["crlf", "trailing_blank_lines", "spaces", "quoted",
+                                     "file_crlf"])
+def test_grid_csv_accepts_what_csv_reader_read(tmp_path, variant):
+    # CRLF line ends, blank lines at the end, spaces around cells and header
+    # names, and quoted numbers: the same spec as the plain text, bit for bit
+    text = _grid_csv_text()
+    lines = text.split("\n")
+    if variant in ("crlf", "file_crlf"):
+        text = "\r\n".join(lines) + "\r\n"
+    elif variant == "trailing_blank_lines":
+        text += "\n\n\n"
+    elif variant == "spaces":
+        text = "\n".join(" , ".join(f" {c} " for c in ln.split(",")) for ln in lines)
+    elif variant == "quoted":
+        text = "\n".join(lines[:1] + [",".join(f'"{c}"' for c in ln.split(","))
+                                      for ln in lines[1:]])
+    if variant == "file_crlf":
+        path = tmp_path / "grid.csv"
+        path.write_bytes(text.encode())
+        text = str(path)
+    np.testing.assert_array_equal(_grid_values(load_grid_csv(text)),
+                                  _grid_values(load_grid_csv(_grid_csv_text())))
+
+
 def test_grid_csv_rejects_bad_header():
     with pytest.raises(BadParams):
         load_grid_csv("a,b,c\n1,2,3")
