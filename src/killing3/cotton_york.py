@@ -37,7 +37,6 @@ CONST_OMEGA_TOL_GRID = 1e-6
 
 @dataclass(frozen=True)
 class CottonYorkMatrix:
-    point: tuple
     raw: np.ndarray  # the un-symmetrized 3x3 column assembly, shape (3, 3) + batch
 
     @property
@@ -54,8 +53,7 @@ class CottonYorkMatrix:
 
 
 def cotton_york(geo):
-    raw = np.asarray(geo.cotton_york_matrix, dtype=float)
-    return CottonYorkMatrix(point=(geo.r, geo.theta), raw=raw)
+    return CottonYorkMatrix(raw=geo.cotton_york_matrix)
 
 
 def cotton_york_norms(spec, r, theta):

@@ -47,8 +47,6 @@ class CurvaturePacket:
     scalar_S: np.ndarray
     ric_operator: np.ndarray  # (3, 3) + batch, from (omega, S, X(omega), Y(omega))
     spectrum: tuple           # (lam1, lam2, lam3) closed forms, lam1 >= lam2
-    delta: np.ndarray
-    point: tuple          # (r, theta)
     omega: np.ndarray
     grad_omega_sq: np.ndarray
     ric_of_T: RicciOfT
@@ -93,13 +91,11 @@ def twist_data(geo):
 def curvature_packet(geo):
     omega, s, xw, yw, ric_t = twist_data(geo)
     grad_sq = xw**2 + yw**2
-    spectrum, delta = spectrum_closed_form(omega, s, grad_sq)
+    spectrum, _ = spectrum_closed_form(omega, s, grad_sq)
     return CurvaturePacket(
         scalar_S=s,
         ric_operator=ric_operator_assembled(omega, s, xw, yw),
         spectrum=spectrum,
-        delta=delta,
-        point=(geo.r, geo.theta),
         omega=omega,
         grad_omega_sq=grad_sq,
         ric_of_T=ric_t,
@@ -128,7 +124,6 @@ def gaussian_identity_residual(geo):
 class HamiltonVerdict:
     """The inequality at each point of a Geometry; values have its batch shape."""
 
-    point: tuple
     scalar_S: np.ndarray
     rhs: np.ndarray
     holds: np.ndarray
@@ -151,7 +146,7 @@ def hamilton_inequality(geo):
         raise TwistZero(f"twist vanishes at {p}; inequality undefined")
     rhs = 2.0 * ric_t.norm_sq / ric_tt - ric_tt
     rhs_strict = 2.0 * (xw**2 + yw**2) / omega**2 + omega**2
-    verdict = HamiltonVerdict(point=(geo.r, geo.theta), scalar_S=s, rhs=rhs,
+    verdict = HamiltonVerdict(scalar_S=s, rhs=rhs,
                               holds=s > rhs, rhs_strict=rhs_strict,
                               holds_strict=s > rhs_strict)
     return verdict, bool(np.all(verdict.holds))

@@ -1,10 +1,10 @@
 """Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, *Solving ODEs I*, 1993, sec. II.10).
 
 scipy's ``solve_ivp(method="DOP853")`` with ``t_eval`` and one terminal event, in numpy:
-the same operations in the same order on arrays of the same layout, so every state
-agrees with scipy's to the last bit (``tests/test_dop853.py``).  The event is required,
-a step-size underflow (scipy's status -1) raises StepFailure, and ``completeness_probe``
-loads this module with the first geodesic.
+the same operations in the same order on arrays of the same layout, so every state is
+scipy's to the last bit (``tests/test_dop853.py``); the event's root is a bisection within
+brentq's 4 EPS |t|.  The event is required, a step-size underflow (scipy's status -1)
+raises StepFailure, and ``completeness_probe`` loads this module with the first geodesic.
 """
 
 from __future__ import annotations
@@ -66,37 +66,17 @@ D = np.array([
      -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564]])
 
 
-def _brentq(f, xpre, xcur, tol=4 * EPS):
-    """scipy.optimize.brentq(f, xpre, xcur, xtol=tol, rtol=tol), step for step."""
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0 or fcur == 0:
-        return xpre if fpre == 0 else xcur
-    if np.signbit(fpre) == np.signbit(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
-            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-        delta, sbis = (tol + tol * abs(xcur)) / 2, (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        interpolate = abs(spre) > delta and abs(fcur) < abs(fpre)
-        if interpolate and xpre == xblk:                         # secant
-            stry = -fcur * (xcur - xpre) / (fcur - fpre)
-        elif interpolate:                                        # inverse quadratic
-            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
-            stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        bound = 3 * abs(sbis) - delta
-        if interpolate and 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-            spre, scur = scur, stry
-        else:                                                    # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
+def _bisect(f, a, b):
+    """A root of f in [a, b] (either order) to one ulp: a where f is 0, else b's side of a
+    sign change.  f is read at a and at midpoints only, so nothing but a return ends it."""
+    fa = f(a)
+    while fa != 0 and (m := a + (b - a) / 2) not in (a, b):
+        fm = f(m)
+        if fm == 0 or np.signbit(fm) == np.signbit(fa):
+            a, fa = m, fm
+        else:
+            b = m
+    return a if fa == 0 else b
 
 
 class DOP853:
@@ -138,7 +118,7 @@ class DOP853:
             t, sol, g_new = self.t, None, event(self.t, self.y)
             if g <= 0 <= g_new or g >= 0 >= g_new:
                 sol, status = self._dense_output(), 1
-                t = self.t_event = _brentq(lambda s: event(s, sol(np.array([s]))[:, 0]),
+                t = self.t_event = _bisect(lambda s: event(s, sol(np.array([s]))[:, 0]),
                                            self.t_old, t)
             g = g_new
             i_new = np.searchsorted(t_eval, t, side="right" if direction > 0 else "left")
@@ -156,6 +136,12 @@ class DOP853:
             raise StepFailure(f"stopped at s = {t:.6g}: over {self.max_nfev} rhs calls")
         return np.asarray(self._rhs(t, y), dtype=float)
 
+    def _stages(self, t, y, h, stages):
+        """K[s] = fun(t + C[s] h, y + h K[:s]^T A[s, :s]) for s in stages, in order."""
+        K = self.K_extended
+        for s in stages:
+            K[s] = self._fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
+
     def _step(self):
         """One accepted step, retrying smaller steps."""
         t, y, K = self.t, self.y, self.K_extended[:13]
@@ -171,8 +157,7 @@ class DOP853:
             h = t_new - t
             h_abs = np.abs(h)
             K[0] = self.f
-            for s in range(1, 12):
-                K[s] = self._fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
+            self._stages(t, y, h, range(1, 12))
             y_new = y + h * np.dot(K[:-1].T, B)
             K[-1] = f_new = self._fun(t + h, y_new)
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
@@ -193,8 +178,7 @@ class DOP853:
     def _dense_output(self):
         """The last step's degree-7 interpolant from 3 more stages: 1-D times -> y columns."""
         K, h, t_old, y_old = self.K_extended, self.h_previous, self.t_old, self.y_old
-        for s in range(13, 16):
-            K[s] = self._fun(t_old + C[s] * h, y_old + np.dot(K[:s].T, A[s, :s]) * h)
+        self._stages(t_old, y_old, h, range(13, 16))
         F = np.empty((7, y_old.size))
         F[0] = delta_y = self.y - y_old
         F[1] = h * K[0] - delta_y

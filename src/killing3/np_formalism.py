@@ -8,7 +8,7 @@ of twist and shear under conformal rescaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +28,6 @@ class SpinCoefficients:
     sigma: np.ndarray
     epsilon: np.ndarray
     beta: np.ndarray
-    point: tuple
 
     @property
     def twist(self):
@@ -46,7 +45,6 @@ class KinematicData:
     shear: np.ndarray       # sigma1 + i sigma2
     twist: np.ndarray
     d_matrix: np.ndarray    # endomorphism v -> nabla_v T on span{X, Y}: D[i][j] = <nabla_{e_j} T, e_i>
-    point: tuple
 
 
 @dataclass(frozen=True)
@@ -67,21 +65,16 @@ class StructureResiduals:
     killing_ric_mm: complex         # Ric(m,m) = 0
     killing_ric_mmbar: np.ndarray   # Ric(m,mbar) = S/2 - omega^2/4
     gauge_div_y: np.ndarray         # Y(div Y) + (div Y)^2 + (S + omega^2/2)/2
-    point: tuple
 
     def max_abs(self):
-        vals = [self.s1, self.s2, self.s3, self.s4, self.s5,
-                self.lie_tm, self.lie_mmbar, self.bianchi_1, self.bianchi_2,
-                self.killing_t_omega, self.killing_ric_tt, self.killing_ric_mm,
-                self.killing_ric_mmbar, self.gauge_div_y]
-        return np.max([np.abs(v) for v in vals], axis=0)
+        return np.max([np.abs(getattr(self, f.name)) for f in fields(self)], axis=0)
 
 
 def spin_coefficients(geo):
     kappa, rho, sigma, eps, beta = geo.spin
     return SpinCoefficients(
         kappa=kappa.value, rho=rho.value, sigma=sigma.value,
-        epsilon=eps.value, beta=beta.value, point=(geo.r, geo.theta),
+        epsilon=eps.value, beta=beta.value,
     )
 
 
@@ -93,8 +86,7 @@ def kinematics(geo):
     s1, s2 = sh.real, sh.imag
     d = np.array([[0.5 * div - s1, s2 + tw / 2.0],
                   [s2 - tw / 2.0, 0.5 * div + s1]])
-    return KinematicData(divergence=div, shear=sh, twist=tw, d_matrix=d,
-                         point=(geo.r, geo.theta))
+    return KinematicData(divergence=div, shear=sh, twist=tw, d_matrix=d)
 
 
 def structure_residuals(geo):
@@ -165,7 +157,6 @@ def structure_residuals(geo):
         killing_ric_mm=ric_mm,
         killing_ric_mmbar=abs(ric_mmbar - 0.5 * v(geo.scalar) + 0.25 * v(w)**2),
         gauge_div_y=abs(gauge),
-        point=(geo.r, geo.theta),
     )
 
 
@@ -265,7 +256,6 @@ def rotate_frame(geo, angle_field):
     }
     coeffs = SpinCoefficients(
         kappa=kappa_s, rho=rho_s, sigma=sigma_s, epsilon=eps_s, beta=beta_s,
-        point=(geo.r, geo.theta),
     )
     return RotatedFrame(coefficients=coeffs, law_residuals=laws)
 

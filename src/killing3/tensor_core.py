@@ -47,9 +47,6 @@ class Riemann4:
             raise NonFinite("curvature components not finite")
         self.components = comp
 
-    def __getitem__(self, idx):
-        return self.components[idx]
-
     def _max_abs(self, x):
         return np.max(np.abs(x), axis=(0, 1, 2, 3))
 

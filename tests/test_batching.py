@@ -151,7 +151,6 @@ def test_hamilton_batch_matches_pointwise(name):
         ric_tt = pk.omega**2 / 2.0
         rhs = 2.0 * pk.ric_of_T.norm_sq / ric_tt - ric_tt
         rhs_strict = 2.0 * pk.grad_omega_sq / pk.omega**2 + pk.omega**2
-        assert (verdict.point[0][i], verdict.point[1][i]) == p
         _close([verdict.scalar_S[i], verdict.rhs[i], verdict.rhs_strict[i]],
                [pk.scalar_S, rhs, rhs_strict])
         assert verdict.holds[i] == (pk.scalar_S > rhs)
