@@ -92,9 +92,9 @@ class OmegaSolution:
         """(omega, omega_r, omega_rr, omega_rrr, omega_rrrr) at r (array-safe)."""
         w, wr = self._eval(r)
         b2 = 2.0 * self.params.B
-        wrr = -0.5 * w * (w**2 + b2)
-        wrrr = -0.5 * wr * (3.0 * w**2 + b2)
-        wrrrr = -0.5 * wrr * (3.0 * w**2 + b2) - 3.0 * w * wr**2
+        wrr = -0.5 * w * (w * w + b2)
+        wrrr = -0.5 * wr * (3.0 * (w * w) + b2)
+        wrrrr = -0.5 * wrr * (3.0 * (w * w) + b2) - 3.0 * w * (wr * wr)
         return w, wr, wrr, wrrr, wrrrr
 
     def _jet_from_stack(self, r, order, shift):
@@ -129,7 +129,8 @@ def _ellipj(u, m1):
     phi = 2.0 ** (len(a) - 1) * a[-1] * u
     for a_n, c_n in zip(a[:0:-1], c[:0:-1]):
         phi = 0.5 * (phi + np.arcsin(c_n / a_n * np.sin(phi)))
-    return np.sin(phi), np.cos(phi), np.sqrt(m1 + (1.0 - m1) * np.cos(phi) ** 2)
+    cos = np.cos(phi)
+    return np.sin(phi), cos, np.sqrt(m1 + (1.0 - m1) * (cos * cos))
 
 
 def _ellipf(phi, m1):

@@ -276,7 +276,7 @@ class Geometry:
         ys = self.dirderiv(y, s).value
         dy = self.div_Y.value
         sv = s.value
-        w3 = w**3
+        w3 = w * w * w
         c1 = [
             -0.75 * w3 + 0.5 * sv * w + 0.5 * dy * yw + 0.5 * (od["XX"] + od["YY"]),
             -0.25 * ys + 1.25 * w * yw,

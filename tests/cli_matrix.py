@@ -24,13 +24,13 @@ SPECS = {"hopf": "catalog = hopf\nR = 2", "grid": "grid_csv = hopf.csv",
          "nil": "catalog = nil", "cf_family": "catalog = cf_family\nB = 0.3\nC = 1"}
 
 
-def write_hopf_grid(path):
-    """hopf (R = 2) sampled on 24 x 24 nodes of [0.1, 1.5] x [0, 6.3]."""
+def hopf_grid_csv():
+    """The grid CSV text of hopf (R = 2) on 24 x 24 nodes of [0.1, 1.5] x [0, 6.3]."""
     rows = ["r,theta,phi,h,k"]
     for r in map(float, np.linspace(0.1, 1.5, 24)):
         rows += [f"{r!r},{t!r},{math.sin(r)!r},{-math.tan(0.5 * r)!r},0.0"
                  for t in map(float, np.linspace(0.0, 6.3, 24))]
-    Path(path).write_text("\n".join(rows) + "\n")
+    return "\n".join(rows) + "\n"
 
 
 def run_matrix(outdir, names=tuple(SPECS)):
@@ -38,7 +38,7 @@ def run_matrix(outdir, names=tuple(SPECS)):
     the working directory while they run."""
     outdir = Path(outdir).resolve()
     outdir.mkdir(parents=True, exist_ok=True)
-    write_hopf_grid(outdir / "hopf.csv")
+    (outdir / "hopf.csv").write_text(hopf_grid_csv())
     cwd = os.getcwd()
     os.chdir(outdir)
     try:

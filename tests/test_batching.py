@@ -14,6 +14,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from cli_matrix import hopf_grid_csv
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from killing3 import fields, jets
 from killing3.cli import _RUNNERS, RunConfig
@@ -27,8 +30,8 @@ from killing3.curvature_engine import (christoffels, curvature_packet,
 from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import (flip_residual, lorentz_relations_check,
                                      timelike_residual, to_lorentz)
-from killing3.metric_family import (MetricSpec, catalog, frame_gram_residual,
-                                    to_grid_sampled)
+from killing3.metric_family import (CATALOG_NAMES, MetricSpec, catalog, frame_gram_residual,
+                                    load_grid_csv, to_grid_sampled)
 from killing3.np_formalism import (conformal_rescale_check, killing_test,
                                    kinematics, rotate_frame, spin_coefficients,
                                    structure_residuals)
@@ -247,3 +250,49 @@ def test_killing_test_geometry_builds(monkeypatch):
     count = _count_builds(monkeypatch)
     report = killing_test(Geometry(SPECS["hopf"](), *np.transpose(_points())))
     assert report.n_points == 12 and len(count) == 1
+
+
+def _stage_specs():
+    """Every catalog, cf_family also at the CLI's (B, C) = (0.3, 1), each one's Lorentzian
+    partner, and hopf (R = 2) on the 24 x 24 grid."""
+    specs = {name: catalog(name) for name in CATALOG_NAMES}
+    specs["cf_family_b03"] = catalog("cf_family", {"B": 0.3, "C": 1.0})
+    specs |= {f"{name}_lorentzian": to_lorentz(spec).lorentzian for name, spec in specs.items()}
+    return specs | {"grid": load_grid_csv(hopf_grid_csv())}
+
+
+STAGE_SPECS = _stage_specs()
+STAGES = ("g", "ginv", "gamma", "ric", "scalar", "omega", "cotton_york_matrix")
+
+
+def _stage_values(geo):
+    return [geo.cotton_york_matrix if stage == "cotton_york_matrix" else getattr(geo, stage).value
+            for stage in STAGES]
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_SPECS))
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.2, 1.2), st.floats(0.0, 6.0), st.sampled_from((2, 7, 64)), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_geometry_stages_do_not_depend_on_batch_width(name, r, theta, width, strided, seed):
+    # a point's values at width 1 (a geodesic's right-hand side) are column i of any batch
+    spec, rng = STAGE_SPECS[name], np.random.default_rng(seed)
+    i = int(rng.integers(width))
+    rs, thetas = rng.uniform(0.2, 1.2, width), rng.uniform(0.0, 6.0, width)
+    rs[i], thetas[i] = r, theta
+    if strided:  # the (r, theta) columns of an (n, 6) state array
+        state = rng.random((width, 6))
+        state[:, 1], state[:, 2] = rs, thetas
+        rs, thetas = state[:, 1], state[:, 2]
+    one = _stage_values(Geometry(spec, r, theta))
+    batch = _stage_values(Geometry(spec, rs, thetas))
+    for stage, single, column in zip(STAGES, one, batch):
+        assert np.asarray(single).tobytes() == np.ascontiguousarray(column[..., i]).tobytes(), stage
+
+
+def test_twist_point_where_pow_and_product_differed():
+    # here a scalar w**2 (pow) and an array one (a product) gave phi_r 2.8e-17 apart
+    spec, (r, theta) = STAGE_SPECS["cf_family_b03"], (-0.4249195626598282, 5.348575191191961)
+    one, pair = Geometry(spec, r, theta, order=1), Geometry(spec, [r, 0.5], [theta, 1.0], order=1)
+    assert one.phi.coeffs.tobytes() == np.ascontiguousarray(pair.phi.coeffs[..., 0]).tobytes()
+    assert one.gamma.value.tobytes() == np.ascontiguousarray(pair.gamma.value[..., 0]).tobytes()
