@@ -111,6 +111,8 @@ def catalog(name, params=None):
 # -- grid-sampled input -------------------------------------------------------
 
 GRID_CSV_HEADER = ["r", "theta", "phi", "h", "k"]
+#: how np.loadtxt reads the numbers: cells may be spaced or quoted, as csv.reader reads them
+_LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2}
 
 
 def load_grid_csv(text_or_path):
@@ -123,10 +125,16 @@ def load_grid_csv(text_or_path):
         raise BadParams(f"grid CSV must start with header {','.join(GRID_CSV_HEADER)}")
     if not any(lines):  # no data row: loadtxt would warn
         raise BadParams("grid CSV rows must hold 5 finite numbers each")
-    try:  # blank lines skipped, cells may be spaced or quoted, as csv.reader reads them
-        data = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None, ndmin=2)
-    except ValueError as exc:  # a non-numeric cell, or rows of unequal length
-        raise BadParams(f"grid CSV: {str(exc).partition(';')[0]}") from None
+    try:  # blank lines skipped
+        data = np.loadtxt(lines, **_LOADTXT)
+    except ValueError as exc:  # a non-numeric cell, or rows of unequal length: find its line
+        rows = [(n, line) for n, line in enumerate(lines, start=2) if line]  # the header is 1
+        for n, line in rows:  # each row read after the first, which sets the column count
+            try:
+                np.loadtxt([rows[0][1], line], **_LOADTXT)
+            except ValueError:
+                break
+        raise BadParams(f"grid CSV line {n}: {str(exc).partition(' at row')[0]}") from None
     if data.shape[1] != 5 or not np.all(np.isfinite(data)):
         raise BadParams("grid CSV rows must hold 5 finite numbers each")
     r_nodes, t_nodes = np.unique(data[:, 0]), np.unique(data[:, 1])

@@ -71,11 +71,7 @@ class StructureResiduals:
 
 
 def spin_coefficients(geo):
-    kappa, rho, sigma, eps, beta = geo.spin
-    return SpinCoefficients(
-        kappa=kappa.value, rho=rho.value, sigma=sigma.value,
-        epsilon=eps.value, beta=beta.value,
-    )
+    return SpinCoefficients(*(j.value for j in geo.spin))
 
 
 def kinematics(geo):

@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from cli_matrix import run_matrix
 from hypothesis import given, settings, strategies as st
 
 from killing3.cli import (_RUNNERS, RunConfig, build_parser, load_jsonl_report,
@@ -599,3 +600,17 @@ def test_geodesic_step_budget_ends_in_step_failure(tmp_path, capsys, monkeypatch
 def test_lorentz_command(tmp_path):
     spec = _write_spec(tmp_path, "catalog = nil\nomega0 = 1")
     assert main(["lorentz", "--spec", spec, "--points", "8"]) == 0
+
+
+def test_cli_matrix_writes_each_run_of_a_spec(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_matrix(tmp_path / "runs", ["nil"])
+    assert list(tmp_path.iterdir()) == [tmp_path / "runs"]  # the working directory is back
+    runs = [f"nil.{command}.{fmt}" for command in sorted(_RUNNERS) for fmt in ("text", "jsonl")]
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == sorted(
+        ["hopf.csv", "nil.spec"] + [f"{run}.{ext}" for run in runs for ext in ("out", "err", "code")])
+    read = {run: [(tmp_path / "runs" / f"{run}.{ext}").read_text() for ext in ("out", "err", "code")]
+            for run in runs}
+    assert read["nil.family.text"] == ["", "killing3: `family` needs a cf_family spec\n", "2\n"]
+    out, err, code = read["nil.analyze.jsonl"]
+    assert (err, code) == ("", "0\n") and load_jsonl_report(out).summary["n_points"] == 64

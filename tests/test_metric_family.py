@@ -225,6 +225,19 @@ def test_grid_csv_rejects_ragged():
         load_grid_csv(text)
 
 
+@pytest.mark.parametrize("case, line", [("non_numeric", 6), ("short_row", 6),
+                                        ("blank_line_4_then_non_numeric", 7)])
+def test_grid_csv_refusal_names_the_file_line(case, line):
+    # file lines count from 1 at the header, blank lines included
+    lines = _grid_csv_text().split("\n")
+    head = lines[5].rpartition(",")[0]  # file line 6 without its k cell
+    lines[5] = head if case == "short_row" else head + ",zero"
+    if case.startswith("blank_line_4"):
+        lines.insert(3, "")
+    with pytest.raises(BadParams, match=f"^grid CSV line {line}: "):
+        load_grid_csv("\n".join(lines))
+
+
 def test_to_grid_sampled_matches_analytic():
     spec = catalog("hyperbolic")
     r_nodes = np.linspace(0.1, 2.0, 40)
