@@ -159,13 +159,13 @@ def _max_workers():
     return 1  # the sweeps run in one thread; perfbench/run.py records this
 
 
-def _sweep(spec, config):
+def _sweep(spec, config, order=None):
     """The Geometry of the command's sampled points, one batch of width n.
 
     DomainError if the metric is not defined at one of them.
     """
     pts = sample_points(config.grid, config.n_points, config.seed)
-    return Geometry(spec, pts[:, 0], pts[:, 1])
+    return Geometry(spec, pts[:, 0], pts[:, 1], order)
 
 
 def _records(geo, **columns):
@@ -281,8 +281,8 @@ def _run_family(spec, config):
 def _run_lorentz(spec, config):
     tol = config.tolerances.get("residual", DEFAULT_TOL)
     pair = to_lorentz(spec)
-    geo = _sweep(spec, config)
-    partner = Geometry(pair.lorentzian, geo.r, geo.theta)
+    geo = _sweep(spec, config, order=2)  # values of g, g^-1, S and Ric only
+    partner = Geometry(pair.lorentzian, geo.r, geo.theta, order=2)
     ric_res, s_res = lorentz_relations_check(geo, partner)
     columns = {
         "flip": flip_residual(geo, partner),

@@ -49,7 +49,8 @@ class CottonYorkMatrix:
 
     @property
     def norm(self):
-        return np.sqrt(np.sum(self.raw**2, axis=(0, 1)))
+        # entry by entry, in one order at any batch width (np.sum's order depends on the shape)
+        return np.sqrt(sum(x * x for x in self.raw.reshape((9,) + self.raw.shape[2:])))
 
 
 def cotton_york(geo):

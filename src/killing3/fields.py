@@ -45,7 +45,7 @@ class ScalarField:
         j = self.jet_fn(r, theta, order)
         if j.order < order:
             raise JetOrderError(f"field gave an order-{j.order} jet for order {order}")
-        return j if j.order == order else Jet2(j.coeffs[:NCOEFFS[order]], order)
+        return j if j.order == order else j.truncated(order)
 
     def value(self, r, theta):
         return self.jet(r, theta, 0).value

@@ -1,12 +1,14 @@
 """Shared jet pipeline: metric, connection, curvature and frame data at points.
 
 Everything is computed through exact jet arithmetic from the (phi, h, k)
-fields, so all derived quantities (Christoffel symbols, Ricci curvature,
-spin coefficients, twist, Cotton-York entries) carry correct partial
-derivatives to the available order.  Each tensor is one tensor-valued jet,
-and each step from metric to Christoffels to Ricci to S is one or two
-``contract`` products.  Coordinates are ordered (t, r, theta); all scalars
-are t-independent by construction.
+fields, so all derived quantities carry exact partial derivatives, each stage
+only to the order its deepest reader takes: in an order-n Geometry, g^-1 and
+the Christoffel symbols carry n - 1, and the Ricci tensor, S, nabla and the
+frame connection n - 2 (read as values, once differentiated in verify's Y(div Y));
+a Geometry read for values of S and Ric only is built at order 2.  Each
+tensor is one tensor-valued jet, and each step from metric to Christoffels to
+Ricci to S is one or two ``contract`` products.  Coordinates are ordered
+(t, r, theta); all scalars are t-independent by construction.
 
 One coframe E = [[1, -k, -phi h], [0, 1, 0], [0, 0, phi]] and its inverse F,
 built once per Geometry, give g = E^T eta E, g^-1 = F eta F^T and the frame;
@@ -14,8 +16,10 @@ eta = diag(+-1, 1, 1), and the Lorentzian partner flips only its first sign.
 The frame is the one dual to E, T = d_t, X = h d_t + (1/phi) d_theta and
 Y = k d_t + d_r (columns 0, 2, 1 of F), with the complex leg
 m = (X - iY)/sqrt(2).  The frame connection C_ijk = g(nabla_{e_i} e_j, e_k)
-gives the divergences, the shear and the spin coefficients as index reads;
-the twist stays on the Lie bracket, independent of the Christoffel symbols.
+gives the divergences and the shear as index reads, and the spin coefficients
+as fixed elementwise combinations of its entries, since T, m and mbar have
+constant coefficients in (T, X, Y); the twist stays on the Lie bracket,
+independent of the Christoffel symbols.
 """
 
 from __future__ import annotations
@@ -86,9 +90,6 @@ class Geometry:
         idx = "bcde"[:f.coeffs.ndim - self.phi.coeffs.ndim]
         return contract(f"a,a{idx}->{idx}", u, self.grad(f))
 
-    def bracket(self, u, v):
-        return self.dirderiv(u, v) - self.dirderiv(v, u)
-
     def ip(self, u, v):
         """Metric pairing g(U, V); bilinear (not hermitian) on complex jets."""
         return contract("a,a->", u, contract("ab,b->a", self.g, v))
@@ -122,8 +123,7 @@ class Geometry:
     @cached_property
     def ginv(self):
         """g^-1 = F eta F^T, one order below the Geometry's: no consumer contracts it higher."""
-        order = max(self.order - 1, 0)
-        f = Jet2(self.coframe[1].coeffs[:NCOEFFS[order]], order)
+        f = self.coframe[1].truncated(max(self.order - 1, 0))
         return contract("ai,bi->ab", self._eta_scaled(f, 1), f)
 
     @cached_property
@@ -135,9 +135,11 @@ class Geometry:
         return contract("cd,dab->cab", self.ginv, low)
 
     def nabla(self, v):
-        """(nabla_a V)^c = d_a V^c + Gamma^c_ab V^b at [a][c], or [j][a][c] for vectors [j][c]."""
+        """(nabla_a V)^c = d_a V^c + Gamma^c_ab V^b at [a][c], or [j][a][c] for vectors [j][c],
+        at order max(n - 2, 0): its readers, C and killing_test, take no more."""
         j = "j"[:v.coeffs.ndim - self.phi.coeffs.ndim - 1]
-        return self.grad(v).einsum(f"a{j}c->{j}ac") + contract(f"cab,{j}b->{j}ac", self.gamma, v)
+        gam = self.gamma.truncated(max(self.order - 2, 0))
+        return self.grad(v).einsum(f"a{j}c->{j}ac") + contract(f"cab,{j}b->{j}ac", gam, v)
 
     def connection_of(self, legs):
         """C[i][j][k] = g(nabla_{e_i} e_j, e_k) of three real or complex legs."""
@@ -167,8 +169,10 @@ class Geometry:
         """Ricci tensor ric[b][c] = d_a G^a_bc - d_b G^a_ac + G^a_ae G^e_bc - G^a_be G^e_ac."""
         gam = self.gamma
         trace = gam.einsum("aac->c")         # Gamma^a_ac
+        order = max(self.order - 2, 0)
+        low, low_trace = gam.truncated(order), trace.truncated(order)
         return (self.grad(gam).einsum("aabc->bc") - self.grad(trace)
-                + contract("e,ebc->bc", trace, gam) - contract("abe,eac->bc", gam, gam))
+                + contract("e,ebc->bc", low_trace, low) - contract("abe,eac->bc", low, low))
 
     @cached_property
     def scalar(self):
@@ -203,7 +207,7 @@ class Geometry:
     def omega(self):
         """Signed twist g(T, [X, Y])."""
         t, x, y = self.frame
-        return self.ip(t, self.bracket(x, y))
+        return self.ip(t, self.dirderiv(x, y) - self.dirderiv(y, x))
 
     @cached_property
     def shear(self):
@@ -218,10 +222,16 @@ class Geometry:
 
     @cached_property
     def spin(self):
-        """kappa, rho, sigma, epsilon, beta of the frame {T, m, mbar} (jets)."""
+        """kappa, rho, sigma, epsilon, beta of the frame {T, m, mbar} (jets), from C elementwise."""
         if self.spec.signature == LORENTZIAN:
             raise DomainError("spin coefficients are defined for the Riemannian case")
-        return self.spin_of(self.frame[0], *self.m_leg)
+        c, s = self.connection, 1.0 / _SQRT2
+        return ((c[0, 0, 2] * 1j - c[0, 0, 1]) * s,
+                ((c[1, 0, 2] - c[2, 0, 1]) * 1j - c[1, 0, 1] - c[2, 0, 2]) * 0.5,
+                ((c[1, 0, 2] + c[2, 0, 1]) * 1j + c[2, 0, 2] - c[1, 0, 1]) * 0.5,
+                ((c[0, 1, 2] - c[0, 2, 1]) * 1j + c[0, 1, 1] + c[0, 2, 2]) * 0.5,
+                ((c[1, 1, 2] - c[1, 2, 1] - c[2, 1, 1] - c[2, 2, 2]) * 1j
+                 + c[1, 1, 1] + c[1, 2, 2] + c[2, 1, 2] - c[2, 2, 1]) * (0.5 * s))
 
     def spin_of(self, t, m, mbar):
         """kappa, rho, sigma, epsilon, beta of a frame {t, m, mbar} (jets)."""

@@ -179,6 +179,10 @@ class Jet2:
         """The jet of one tensor component or slice, e.g. ``g[0, 1]``."""
         return Jet2(self.coeffs[(slice(None),) + np.index_exp[index]], self.order)
 
+    def truncated(self, order):
+        """The same jet carried to a lower order: its first ``NCOEFFS[order]`` rows."""
+        return Jet2(self.coeffs[:NCOEFFS[order]], order)
+
     def einsum(self, subscripts):
         """A linear map of the tensor axes (transpose, trace), e.g. ``"aab->b"``."""
         inputs, out = subscripts.split("->")

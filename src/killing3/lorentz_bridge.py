@@ -50,10 +50,11 @@ def lorentz_relations_check(geo, partner=None):
     """Residuals of Ric_L(T,T) = Ric_R(T,T) and S_L = S_R + 2 Ric_R(T,T) at geo's points.
 
     ``geo`` is Riemannian; its Lorentzian ``partner`` is built at the same
-    points unless given.
+    points unless given, at order min(n, 2): only the values of S and Ric are read.
     """
     if partner is None:
-        partner = Geometry(to_lorentz(geo.spec).lorentzian, geo.r, geo.theta, order=geo.order)
+        partner = Geometry(to_lorentz(geo.spec).lorentzian, geo.r, geo.theta,
+                           order=min(geo.order, 2))
     s_r, s_l = geo.scalar.value, partner.scalar.value
     ric_r, ric_l = ricci_tt(geo), ricci_tt(partner)
     return np.abs(ric_l - ric_r), np.abs(s_l - (s_r + 2.0 * ric_r))

@@ -137,7 +137,8 @@ def load_grid_csv(text_or_path):
         raise BadParams(f"grid CSV line {n}: {str(exc).partition(' at row')[0]}") from None
     if data.shape[1] != 5 or not np.all(np.isfinite(data)):
         raise BadParams("grid CSV rows must hold 5 finite numbers each")
-    r_nodes, t_nodes = np.unique(data[:, 0]), np.unique(data[:, 1])
+    # the sorted distinct values; np.unique would import numpy.ma, and the data is finite here
+    r_nodes, t_nodes = (x[np.r_[True, x[1:] != x[:-1]]] for x in np.sort(data[:, :2], axis=0).T)
     data = data[np.lexsort((data[:, 1], data[:, 0]))]
     nodes = np.stack(np.meshgrid(r_nodes, t_nodes, indexing="ij"), axis=-1).reshape(-1, 2)
     if len(data) != len(nodes) or np.any(data[:, :2] != nodes):  # each node exactly once

@@ -93,47 +93,49 @@ def structure_residuals(geo):
     rf = geo.ric_frame
 
     def dd(u, f):
-        return geo.dirderiv(u, f)
+        """U(f) at the points, from a product of order 0: only values are read."""
+        return geo.dirderiv(u.truncated(0), f).value
 
     def v(j):
         return j.value
 
     kap, rh, sig, ep, bet = v(kappa), v(rho), v(sigma), v(eps), v(beta)
+    # squares as products: a width-1 Geometry's numpy scalars would take pow's bits
+    kap2, sig2, rh2, bet2 = (abs(x) * abs(x) for x in (kap, sig, rh, bet))
     ric_tt = v(rf["TT"])
     ric_tm, ric_tmbar = v(rf["Tm"]), v(rf["Tmbar"])
     ric_mm, ric_mbarmbar = v(rf["mm"]), v(rf["mbarmbar"])
     ric_mmbar = v(rf["mmbar"])
 
-    s1 = (v(dd(t, rho)) - v(dd(mbar, kappa))
-          - (abs(kap)**2 + abs(sig)**2 + rh**2 + kap * np.conj(bet)
+    s1 = (dd(t, rho) - dd(mbar, kappa)
+          - (kap2 + sig2 + rh * rh + kap * np.conj(bet)
              + 0.5 * ric_tt))
-    s2 = (v(dd(t, sigma)) - v(dd(m, kappa))
-          - (kap**2 + 2 * sig * ep + sig * (rh + np.conj(rh)) - kap * bet
+    s2 = (dd(t, sigma) - dd(m, kappa)
+          - (kap * kap + 2 * sig * ep + sig * (rh + np.conj(rh)) - kap * bet
              + ric_mm))
-    s3 = (v(dd(m, rho)) - v(dd(mbar, sigma))
+    s3 = (dd(m, rho) - dd(mbar, sigma)
           - (2 * sig * np.conj(bet) + (np.conj(rh) - rh) * kap + ric_tm))
-    s5 = (v(dd(t, beta)) - v(dd(m, eps))
+    s5 = (dd(t, beta) - dd(m, eps)
           - (sig * (np.conj(kap) - np.conj(bet)) + kap * (ep - np.conj(rh))
              + bet * (ep + np.conj(rh)) - ric_tm))
-    s4 = (v(dd(m, beta.conj())) + v(dd(mbar, beta))
-          - (abs(sig)**2 - abs(rh)**2 - 2 * abs(bet)**2
+    s4 = (dd(m, beta.conj()) + dd(mbar, beta)
+          - (sig2 - rh2 - 2 * bet2
              + (rh - np.conj(rh)) * ep - ric_mmbar + 0.5 * ric_tt))
 
     def combo(a, b, c):
-        """a T + b m + c mbar for scalar jets a, b, c."""
-        return (jets.contract(",a->a", a, t) + jets.contract(",a->a", b, m)
-                + jets.contract(",a->a", c, mbar))
+        """a T + b m + c mbar for scalar values a, b, c."""
+        return a * v(t) + b * v(m) + c * v(mbar)
 
-    lie1 = geo.bracket(t, m) - combo(kappa, eps + rho.conj(), sigma)
-    lie_tm = np.max(np.abs(v(lie1)), axis=0)
-    lie2 = geo.bracket(m, mbar) - combo(rho.conj() - rho, beta.conj(), -beta)
-    lie_mmbar = np.max(np.abs(v(lie2)), axis=0)
+    lie1 = dd(t, m) - dd(m, t) - combo(kap, ep + np.conj(rh), sig)
+    lie_tm = np.max(np.abs(lie1), axis=0)
+    lie2 = dd(m, mbar) - dd(mbar, m) - combo(np.conj(rh) - rh, np.conj(bet), -bet)
+    lie_mmbar = np.max(np.abs(lie2), axis=0)
 
-    bid1 = (v(dd(t, rf["Tm"])) - 0.5 * v(dd(m, rf["TT"])) + v(dd(mbar, rf["mm"]))
+    bid1 = (dd(t, rf["Tm"]) - 0.5 * dd(m, rf["TT"]) + dd(mbar, rf["mm"])
             - (kap * (ric_tt - ric_mmbar) + (ep + 2 * rh + np.conj(rh)) * ric_tm
                + sig * ric_tmbar - (np.conj(kap) + 2 * np.conj(bet)) * ric_mm))
-    bid2 = (v(dd(m, rf["Tmbar"])) + v(dd(mbar, rf["Tm"]))
-            - v(dd(t, rf["mmbar"] - rf["TT"] * 0.5))
+    bid2 = (dd(m, rf["Tmbar"]) + dd(mbar, rf["Tm"])
+            - dd(t, rf["mmbar"] - rf["TT"] * 0.5)
             - ((rh + np.conj(rh)) * (ric_tt - ric_mmbar)
                - np.conj(sig) * ric_mm - sig * ric_mbarmbar
                - (2 * np.conj(kap) + np.conj(bet)) * ric_tm
@@ -141,17 +143,18 @@ def structure_residuals(geo):
 
     w = geo.omega
     dy = geo.div_Y
-    gauge = (v(dd(y, dy)) + v(dy)**2
-             + 0.5 * (v(geo.scalar) + 0.5 * v(w)**2))
+    w2 = v(w) * v(w)
+    gauge = (dd(y, dy) + v(dy) * v(dy)
+             + 0.5 * (v(geo.scalar) + 0.5 * w2))
 
     return StructureResiduals(
         s1=s1, s2=s2, s3=s3, s4=s4, s5=s5,
         lie_tm=lie_tm, lie_mmbar=lie_mmbar,
         bianchi_1=bid1, bianchi_2=bid2,
-        killing_t_omega=abs(v(dd(t, w))),
-        killing_ric_tt=abs(ric_tt - 0.5 * v(w)**2),
+        killing_t_omega=abs(dd(t, w)),
+        killing_ric_tt=abs(ric_tt - 0.5 * w2),
         killing_ric_mm=ric_mm,
-        killing_ric_mmbar=abs(ric_mmbar - 0.5 * v(geo.scalar) + 0.25 * v(w)**2),
+        killing_ric_mmbar=abs(ric_mmbar - 0.5 * v(geo.scalar) + 0.25 * w2),
         gauge_div_y=abs(gauge),
     )
 

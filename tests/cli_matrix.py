@@ -6,11 +6,17 @@ writes the 24 x 24 hopf (R = 2) grid CSV and the spec files into OUTDIR, runs ea
 command in process on hopf (R = 2), that grid, nil and cf_family (B = 0.3, C = 1),
 and writes ``OUTDIR/<spec>.<command>.<format>.{out,err,code}``.  Run it once against
 each of two source trees (point PYTHONPATH at each ``src``); ``diff -r`` between the
-two output directories shows every report that changed, to the byte.
+two output directories shows every report that changed, to the byte, and
+
+    python tests/cli_matrix.py --compare A B
+
+prints, for each run, whether its exit code, stderr or text stdout changed and the
+largest |difference| per jsonl field (``record.<key>``, ``summary.<key>``).
 """
 
 import contextlib
 import io
+import json
 import math
 import os
 import sys
@@ -57,7 +63,62 @@ def run_matrix(outdir, names=tuple(SPECS)):
         os.chdir(cwd)
 
 
+def _leaves(obj, key=""):
+    """(field, value) of every number or string of a jsonl line; list items share their field."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _leaves(v, key)
+    else:
+        yield key, obj
+
+
+def _jsonl_deltas(a, b):
+    """The largest |a - b| per field of two jsonl reports, inf where a non-number differs;
+    None if the two do not hold the same fields in the same order."""
+    worst = {}
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    if len(lines_a) != len(lines_b):
+        return None
+    for x, y in zip(lines_a, lines_b):
+        leaves_a, leaves_b = list(_leaves(json.loads(x))), list(_leaves(json.loads(y)))
+        if [k for k, _ in leaves_a] != [k for k, _ in leaves_b]:
+            return None
+        for (key, u), (_, v) in zip(leaves_a, leaves_b):
+            numbers = all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in (u, v))
+            delta = abs(u - v) if numbers else (0.0 if u == v else math.inf)
+            worst[key] = max(worst.get(key, 0.0), delta)
+    return worst
+
+
+def compare(a, b):
+    """Print what differs between the run files of two output directories."""
+    a, b = Path(a), Path(b)
+    stems = sorted(p.name[:-len(".code")] for p in a.glob("*.code"))
+    for stem in stems:
+        texts = {ext: [(d / f"{stem}.{ext}").read_text() for d in (a, b)]
+                 for ext in ("code", "err", "out")}
+        changed = [ext for ext, (x, y) in texts.items() if x != y]
+        named = [ext for ext in changed if not (ext == "out" and stem.endswith(".jsonl"))]
+        if named:
+            print(f"{stem}: {', '.join(named)} differ")
+        if stem.endswith(".jsonl") and "out" in changed:
+            worst = _jsonl_deltas(*texts["out"])
+            if worst is None:
+                print(f"{stem}: the reports hold different fields")
+                continue
+            for key, delta in worst.items():
+                if delta:
+                    print(f"{stem}: {key} {'differs' if delta == math.inf else f'{delta:.3g}'}")
+    print(f"{len(stems)} runs compared")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        compare(*sys.argv[2:])
+    elif len(sys.argv) == 2:
+        run_matrix(sys.argv[1])
+    else:
         sys.exit(__doc__)
-    run_matrix(sys.argv[1])

@@ -24,10 +24,11 @@ from killing3.conformal_family import wpde_residual
 from killing3.cotton_york import cotton_york, flatness_verdict, tmg_residual
 from killing3.curvature_engine import (christoffels, curvature_packet,
                                        gaussian_identity_residual,
-                                       hamilton_inequality, riemann,
+                                       hamilton_inequality, ricci_tt, riemann,
                                        spectrum_vs_eigensolve_residual,
                                        twist_data)
 from killing3.frame_calculus import Geometry
+from killing3.jets import NCOEFFS
 from killing3.lorentz_bridge import (flip_residual, lorentz_relations_check,
                                      timelike_residual, to_lorentz)
 from killing3.metric_family import (CATALOG_NAMES, MetricSpec, catalog, frame_gram_residual,
@@ -35,6 +36,7 @@ from killing3.metric_family import (CATALOG_NAMES, MetricSpec, catalog, frame_gr
 from killing3.np_formalism import (conformal_rescale_check, killing_test,
                                    kinematics, rotate_frame, spin_coefficients,
                                    structure_residuals)
+from killing3.tensor_core import RIEMANNIAN
 
 TOL = 1e-13
 
@@ -262,12 +264,17 @@ def _stage_specs():
 
 
 STAGE_SPECS = _stage_specs()
-STAGES = ("g", "ginv", "gamma", "ric", "scalar", "omega", "cotton_york_matrix")
+STAGES = ("g", "ginv", "gamma", "ric", "scalar", "omega", "connection")
 
 
 def _stage_values(geo):
-    return [geo.cotton_york_matrix if stage == "cotton_york_matrix" else getattr(geo, stage).value
-            for stage in STAGES]
+    """Each stage's values, then Cotton-York and, on a Riemannian spec, spin and structure."""
+    values = {stage: getattr(geo, stage).value for stage in STAGES}
+    values |= {"cotton_york_matrix": geo.cotton_york_matrix, "cy_norm": cotton_york(geo).norm}
+    if geo.spec.signature == RIEMANNIAN:
+        values |= {"spin": np.array([j.value for j in geo.spin]),
+                   "structure": structure_residuals(geo).max_abs()}
+    return values
 
 
 @pytest.mark.parametrize("name", sorted(STAGE_SPECS))
@@ -286,8 +293,45 @@ def test_geometry_stages_do_not_depend_on_batch_width(name, r, theta, width, str
         rs, thetas = state[:, 1], state[:, 2]
     one = _stage_values(Geometry(spec, r, theta))
     batch = _stage_values(Geometry(spec, rs, thetas))
-    for stage, single, column in zip(STAGES, one, batch):
-        assert np.asarray(single).tobytes() == column[..., i].tobytes(), stage
+    assert one.keys() == batch.keys()
+    for stage, single in one.items():
+        assert np.asarray(single).tobytes() == batch[stage][..., i].tobytes(), stage
+
+
+def _full_order_connection(geo):
+    """C of the frame with nabla and every factor at order n - 1, one above the stage's."""
+    e = jets.stack(geo.frame)
+    nab = geo.grad(e).einsum("ajc->jac") + jets.contract("cab,jb->jac", geo.gamma, e)
+    e = e.truncated(nab.order)
+    dual = jets.contract("ka,ab->kb", e, geo.g)
+    return jets.contract("ia,jak->ijk", e, jets.contract("jac,kc->jak", nab, dual))
+
+
+def _full_order_ric(geo):
+    """Ricci with its GG products from the full-order Gamma; the sum keeps order n - 2."""
+    gam = geo.gamma
+    trace = gam.einsum("aac->c")
+    return (geo.grad(gam).einsum("aabc->bc") - geo.grad(trace)
+            + jets.contract("e,ebc->bc", trace, gam) - jets.contract("abe,eac->bc", gam, gam))
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_SPECS))
+def test_truncated_stages_keep_their_full_order_rows(name):
+    # a stage cut to the order its readers take holds the first rows of the uncut stage
+    spec, rng = STAGE_SPECS[name], np.random.default_rng(19)
+    rs, thetas = rng.uniform(0.2, 1.2, 7), rng.uniform(0.0, 6.0, 7)
+    for r, theta in ((rs, thetas), (rs[3], thetas[3])):
+        geo = Geometry(spec, r, theta)
+        full = _full_order_connection(geo)
+        assert (geo.connection.order, full.order) == (1, 2)
+        assert geo.connection.coeffs.tobytes() == full.coeffs[:NCOEFFS[1]].tobytes()
+        assert geo.ric.order == 1
+        assert geo.ric.coeffs.tobytes() == _full_order_ric(geo).coeffs.tobytes()
+        # the Lorentz relations and the lorentz command read values at order 2
+        low = Geometry(spec, r, theta, order=2)
+        for value in (lambda geo: geo.g.value, lambda geo: geo.ginv.value,
+                      lambda geo: geo.scalar.value, ricci_tt):
+            assert value(low).tobytes() == value(geo).tobytes()
 
 
 def test_twist_point_where_pow_and_product_differed():

@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from cli_matrix import run_matrix
+from cli_matrix import compare, run_matrix
 from hypothesis import given, settings, strategies as st
 
 from killing3.cli import (_RUNNERS, RunConfig, build_parser, load_jsonl_report,
@@ -614,3 +614,22 @@ def test_cli_matrix_writes_each_run_of_a_spec(tmp_path, monkeypatch):
     assert read["nil.family.text"] == ["", "killing3: `family` needs a cf_family spec\n", "2\n"]
     out, err, code = read["nil.analyze.jsonl"]
     assert (err, code) == ("", "0\n") and load_jsonl_report(out).summary["n_points"] == 64
+
+
+def test_cli_matrix_compare_names_each_changed_field(tmp_path, capsys):
+    runs = {"a": {"x.verify.jsonl": ['{"record": {"point": [0.5, 1.0], "s": 1.0}}',
+                                     '{"summary": {"max_s": 1.0}, "verdict": "pass"}'],
+                  "x.verify.text": ["killing3 verify: pass"], "x.lorentz.jsonl": ["{}"]},
+            "b": {"x.verify.jsonl": ['{"record": {"point": [0.5, 1.0], "s": 1.25}}',
+                                     '{"summary": {"max_s": 1.0}, "verdict": "fail"}'],
+                  "x.verify.text": ["killing3 verify: fail"], "x.lorentz.jsonl": ["{}"]}}
+    for side, files in runs.items():
+        (tmp_path / side).mkdir()
+        for stem, lines in files.items():
+            for ext, text in (("out", "\n".join(lines) + "\n"), ("err", ""), ("code", "0\n")):
+                (tmp_path / side / f"{stem}.{ext}").write_text(text)
+    (tmp_path / "b" / "x.lorentz.jsonl.code").write_text("1\n")
+    compare(tmp_path / "a", tmp_path / "b")
+    assert capsys.readouterr().out.splitlines() == [
+        "x.lorentz.jsonl: code differ", "x.verify.jsonl: record.s 0.25",
+        "x.verify.jsonl: verdict differs", "x.verify.text: out differ", "3 runs compared"]

@@ -58,13 +58,15 @@ for command in ("analyze", "verify", "flatness", "lorentz", "family", "geodesic"
         codes[command] = main([command, "--spec", str(spec)])
     loaded[command] = "killing3.dop853" in sys.modules
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"scipy": scipy, "codes": codes, "nfev": nfev, "dop853": loaded}))
+print(json.dumps({"scipy": scipy, "codes": codes, "nfev": nfev, "dop853": loaded,
+                  "numpy.ma": "numpy.ma" in sys.modules}))
 '''
 
 
 def test_parsing_specs_and_family_import_no_scipy(tmp_path):
     # a fresh interpreter in which importing scipy fails: every command runs on numpy alone,
-    # and only the geodesic loads the integrator
+    # only the geodesic loads the integrator, and nothing, the grid spec's parse included,
+    # loads numpy.ma
     src = Path(killing3.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY, str(tmp_path)], capture_output=True,
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
@@ -72,4 +74,5 @@ def test_parsing_specs_and_family_import_no_scipy(tmp_path):
     out = json.loads(proc.stdout.splitlines()[-1])
     codes = dict.fromkeys(("analyze", "verify", "flatness", "lorentz", "family", "geodesic"), 0)
     loaded = dict.fromkeys(codes, False) | {"geodesic": True}
-    assert out == {"scipy": [], "codes": codes, "nfev": [3899], "dop853": loaded}
+    assert out == {"scipy": [], "codes": codes, "nfev": [3899], "dop853": loaded,
+                   "numpy.ma": False}
