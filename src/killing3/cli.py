@@ -10,6 +10,9 @@ geodesic  trajectory integration with conserved-quantity drift report
 family    twist-ODE solve + built metric + flatness audit
 lorentz   signature-pair curvature relations
 
+analyze, verify and flatness hold for g(T,T) = +1 only: their sweep refuses a
+Lorentzian spec with exit 2, and ``lorentz`` on the Riemannian spec checks its partner.
+
 Exit codes: 0 pass, 1 verdict failure, 2 parse/config error, 3 numeric/domain
 error.  A sweep samples --points points from a seeded low-discrepancy
 sequence in the box --grid rmin:rmax,tmin:tmax, for reproducible residual
@@ -162,8 +165,12 @@ def _max_workers():
 def _sweep(spec, config, order=None):
     """The Geometry of the command's sampled points, one batch of width n.
 
-    DomainError if the metric is not defined at one of them.
+    BadParams on a Lorentzian spec, DomainError if the metric is not defined at
+    one of the points.
     """
+    if spec.signature != RIEMANNIAN:
+        raise BadParams(f"{config.command} checks the Riemannian identities; run `lorentz` "
+                        "on the Riemannian spec for the Lorentzian relations")
     pts = sample_points(config.grid, config.n_points, config.seed)
     return Geometry(spec, pts[:, 0], pts[:, 1], order)
 
@@ -198,9 +205,6 @@ def _run_analyze(spec, config):
 
 
 def _run_verify(spec, config):
-    if spec.signature != RIEMANNIAN:
-        raise BadParams("verify checks the Riemannian identities; run `lorentz` "
-                        "on the Riemannian spec for the Lorentzian relations")
     tol = config.tolerances.get("residual", DEFAULT_TOL)
     geo = _sweep(spec, config)
     ric_res, s_res = lorentz_relations_check(geo)

@@ -1,7 +1,8 @@
 """Completeness-criterion profiles and geodesic integration with conserved audits.
 
 The criterion evaluated is: completeness (on the global-chart hypothesis)
-holds iff the lim inf over |p| >= r of S + Ric(T,T) is <= 0 as r grows.  On a
+holds iff the lim inf over |p| >= r of S + g(T,T) Ric(T,T), twice the quotient's
+Gaussian curvature (S_L - Ric_L(T,T) for a timelike T), is <= 0 as r grows.  On a
 finite window this is necessarily an extrapolation, so verdicts carry the
 tail estimate and window for the user to judge.
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_engine import christoffels, scalar_and_ric_tt
+from .curvature_engine import christoffels, quotient_criterion, scalar_and_ric_tt
 from .errors import BadParams, BlowUp, DomainError, EmptyProfile, NotUnitLength, StepFailure
 from .frame_calculus import Geometry
 from .metric_family import PHI_CUTOFF, metric_components
@@ -47,21 +48,14 @@ class solve_ivp:  # noqa: N801  (a class, so the tracer's function wrapping skip
 @dataclass(frozen=True)
 class CurvatureProfile:
     radii: np.ndarray        # ascending
-    inf_values: np.ndarray   # inf of S + Ric(T,T) over theta and |p| >= r
+    inf_values: np.ndarray   # inf of S + g(T,T) Ric(T,T) over theta and |p| >= r
     tail_estimate: float
     tail_oscillation: float  # spread of annulus minima across the tail quartile
     window: tuple            # (r_min, r_max, n_r, n_theta)
 
-    @staticmethod
-    def mesh(r_max, n_r, n_theta):
-        """Radii r_max/n_r .. r_max and the (radius, theta) mesh of a profile sweep."""
-        radii = np.linspace(r_max / n_r, r_max, n_r)
-        thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-        return (radii, *np.meshgrid(radii, thetas, indexing="ij"))
-
     @classmethod
     def from_minima(cls, radii, ring_min, n_theta):
-        """Profile from the minimum of S + Ric(T,T) at each radius (ascending radii)."""
+        """Profile from the minimum of S + g(T,T) Ric(T,T) at each radius (ascending radii)."""
         inf_values = np.minimum.accumulate(ring_min[::-1])[::-1]  # suffix infima
         tail = ring_min[-max(1, len(radii) // 4):]
         scale = max(float(np.max(np.abs(tail))), 1.0)
@@ -71,18 +65,18 @@ class CurvatureProfile:
                    window=(float(radii[0]), float(radii[-1]), len(radii), n_theta))
 
 
+def criterion_mesh(spec, r_max, n_r, n_theta):
+    """Radii r_max/n_r .. r_max and S + g(T,T) Ric(T,T) on the (radius, theta) mesh."""
+    radii = np.linspace(r_max / n_r, r_max, n_r)
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    s, ric_tt = scalar_and_ric_tt(spec, *np.meshgrid(radii, thetas, indexing="ij"))
+    return radii, quotient_criterion(s, ric_tt, spec.signature)
+
+
 def curvature_profile(spec, r_max, n_r=64, n_theta=32):
-    """Running infima of S + Ric(T,T) over annuli |p| >= r on a sample grid."""
-    radii, rr, tt = CurvatureProfile.mesh(r_max, n_r, n_theta)
-    s, ric_tt = scalar_and_ric_tt(spec, rr, tt)
-    ring_min = np.min(s + ric_tt, axis=1)          # min over theta per radius
-    return CurvatureProfile.from_minima(radii, ring_min, n_theta)
-
-
-def synthetic_profile(radii, values):
-    """Profile from given annulus values (testing / external data)."""
-    return CurvatureProfile.from_minima(np.asarray(radii, dtype=float),
-                                        np.asarray(values, dtype=float), 0)
+    """Running infima of S + g(T,T) Ric(T,T) over annuli |p| >= r on a sample grid."""
+    radii, crit = criterion_mesh(spec, r_max, n_r, n_theta)
+    return CurvatureProfile.from_minima(radii, np.min(crit, axis=1), n_theta)
 
 
 def completeness_verdict(profile):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fields
 from .completeness_probe import solve_ivp  # noqa: F401  (unused: perfbench/tracer.py patches it)
-from .curvature_engine import twist_data
+from .curvature_engine import curvature_packet
 from .errors import EnergyDriftExceeded, InadmissibleParams, PhiVanishes
 from .fields import ScalarField
 from .jets import INDEX, NCOEFFS, Jet2
@@ -230,6 +230,5 @@ def build_cf_metric(params):
 
 def wpde_residual(geo, B, C):
     """|4 |Ric(T)|^2 - 3 Ric(T,T)^2 + 2B Ric(T,T) - C| at the points of geo."""
-    ric_t = twist_data(geo)[4]
-    ric_tt = ric_t.t_component
-    return np.abs(4.0 * ric_t.norm_sq - 3.0 * ric_tt**2 + 2.0 * B * ric_tt - C)
+    ric_t = curvature_packet(geo).ric_of_T
+    return np.abs(ric_t.flatness_form + 2.0 * B * ric_t.t_component - C)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_engine import ricci_frame_matrix, twist_data
+from .curvature_engine import curvature_packet, ricci_frame_matrix
 from .errors import EmptyGrid
 from .fields import GRID_SAMPLED
 from .frame_calculus import Geometry
@@ -91,12 +91,12 @@ def flatness_verdict(geo):
     n_points = np.size(geo.r)
     if not n_points:
         raise EmptyGrid("flatness_verdict needs at least one point")
-    omegas, scal, _, _, ric_t = twist_data(geo)
-    ric_tt = ric_t.t_component
+    pk = curvature_packet(geo)
+    omegas, scal, ric_tt = pk.omega, pk.scalar_S, pk.ric_of_T.t_component
     norms = cotton_york(geo).norm
     cy_max = float(np.max(norms))
 
-    y = 4.0 * ric_t.norm_sq - 3.0 * ric_tt**2
+    y = pk.ric_of_T.flatness_form
     grid_sampled = _is_grid_sampled(geo.spec)
     const_tol = CONST_OMEGA_TOL_GRID if grid_sampled else CONST_OMEGA_TOL
     omega_scale = max(1.0, float(np.max(np.abs(omegas))))
@@ -139,4 +139,4 @@ def flatness_verdict(geo):
 def tmg_residual(geo):
     """Frobenius distance from CY to the traceless Ricci tensor (frame components)."""
     traceless = ricci_frame_matrix(geo) - np.multiply.outer(np.eye(3), geo.scalar.value / 3.0)
-    return np.sqrt(np.sum((cotton_york(geo).raw - traceless) ** 2, axis=(0, 1)))
+    return CottonYorkMatrix(geo.cotton_york_matrix - traceless).norm

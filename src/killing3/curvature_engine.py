@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NonFinite, TwistZero
 from .frame_calculus import Geometry
-from .tensor_core import Riemann4
+from .tensor_core import Riemann4, g_tt
 
 TWIST_FLOOR = 1e-12
 
@@ -37,7 +37,13 @@ class RicciOfT:
 
     @property
     def norm_sq(self):
-        return self.t_component**2 + self.x_component**2 + self.y_component**2
+        t, x, y = self.t_component, self.x_component, self.y_component
+        return t * t + x * x + y * y
+
+    @property
+    def flatness_form(self):
+        """4|Ric(T)|^2 - 3 Ric(T,T)^2, which is C - 2B Ric(T,T) on a conformally flat metric."""
+        return 4.0 * self.norm_sq - 3.0 * (self.t_component * self.t_component)
 
 
 @dataclass(frozen=True)
@@ -63,34 +69,31 @@ def ricci_frame_matrix(geo):
 
 def ric_operator_assembled(omega, scalar_s, x_omega, y_omega):
     """The Ricci operator matrix built from first-order twist data."""
+    w2 = omega * omega
     return 0.5 * np.array([
-        [omega**2, -y_omega, x_omega],
-        [-y_omega, scalar_s - omega**2 / 2.0, 0.0 * omega],
-        [x_omega, 0.0 * omega, scalar_s - omega**2 / 2.0],
+        [w2, -y_omega, x_omega],
+        [-y_omega, scalar_s - w2 / 2.0, 0.0 * omega],
+        [x_omega, 0.0 * omega, scalar_s - w2 / 2.0],
     ])
 
 
 def spectrum_closed_form(omega, scalar_s, grad_omega_sq):
     """Eigenvalues of the Ricci operator: lam1 (+sqrt branch), lam2, lam3."""
-    delta = 0.25 * (scalar_s - 1.5 * omega**2) ** 2 + grad_omega_sq
+    w2 = omega * omega
+    gap = scalar_s - 1.5 * w2
+    delta = 0.25 * (gap * gap) + grad_omega_sq
     root = np.sqrt(delta)
-    lam1 = scalar_s / 4.0 + omega**2 / 8.0 + root / 2.0
-    lam2 = scalar_s / 4.0 + omega**2 / 8.0 - root / 2.0
-    lam3 = scalar_s / 2.0 - omega**2 / 4.0
+    lam1 = scalar_s / 4.0 + w2 / 8.0 + root / 2.0
+    lam2 = scalar_s / 4.0 + w2 / 8.0 - root / 2.0
+    lam3 = scalar_s / 2.0 - w2 / 4.0
     return (lam1, lam2, lam3), delta
 
 
-def twist_data(geo):
-    """(omega, S, X(omega), Y(omega), Ric(T)) values of a scalar or batched Geometry."""
-    omega = geo.omega.value
-    xw, yw = (d.value for d in geo.omega_xy)
-    ric_t = RicciOfT(omega**2 / 2.0, -yw / 2.0, xw / 2.0)
-    return omega, geo.scalar.value, xw, yw, ric_t
-
-
 def curvature_packet(geo):
-    omega, s, xw, yw, ric_t = twist_data(geo)
-    grad_sq = xw**2 + yw**2
+    """omega, S, X(omega), Y(omega), Ric(T), |grad omega|^2 and the Ricci spectrum (Riemannian)."""
+    omega, s = geo.omega.value, geo.scalar.value
+    xw, yw = (d.value for d in geo.omega_xy)
+    grad_sq = xw * xw + yw * yw
     spectrum, _ = spectrum_closed_form(omega, s, grad_sq)
     return CurvaturePacket(
         scalar_S=s,
@@ -98,7 +101,7 @@ def curvature_packet(geo):
         spectrum=spectrum,
         omega=omega,
         grad_omega_sq=grad_sq,
-        ric_of_T=ric_t,
+        ric_of_T=RicciOfT(omega * omega / 2.0, -yw / 2.0, xw / 2.0),
     )
 
 
@@ -113,10 +116,15 @@ def scalar_and_ric_tt(spec, r, theta):
     return np.asarray(geo.scalar.value), np.asarray(ricci_tt(geo))
 
 
+def quotient_criterion(s, ric_tt, signature):
+    """S + g(T,T) Ric(T,T): twice the Gaussian curvature of the quotient by T, both signatures."""
+    return s + g_tt(signature) * ric_tt
+
+
 def gaussian_identity_residual(geo):
-    """| -phi_rr/phi - (S + Ric(T,T))/2 |, the quotient Gaussian-curvature law."""
+    """| -phi_rr/phi - (S + g(T,T) Ric(T,T))/2 |, the quotient Gaussian-curvature law."""
     lhs = -geo.phi.d(2, 0) / geo.phi.value
-    rhs = 0.5 * (geo.scalar.value + ricci_tt(geo))
+    rhs = 0.5 * quotient_criterion(geo.scalar.value, ricci_tt(geo), geo.spec.signature)
     return np.abs(lhs - rhs)
 
 
@@ -138,14 +146,15 @@ def hamilton_inequality(geo):
     needed when no Ricci eigenvalue may exceed the sum of the others.
     Returns the HamiltonVerdict and whether the inequality holds everywhere.
     """
-    omega, s, xw, yw, ric_t = twist_data(geo)
-    ric_tt = ric_t.t_component
+    pk = curvature_packet(geo)
+    omega, s, ric_tt = pk.omega, pk.scalar_S, pk.ric_of_T.t_component
     undefined = (np.abs(omega) < TWIST_FLOOR) | (ric_tt <= 0.0)
     if np.any(undefined):
         p = geo.point_at(int(np.argmax(undefined)))
         raise TwistZero(f"twist vanishes at {p}; inequality undefined")
-    rhs = 2.0 * ric_t.norm_sq / ric_tt - ric_tt
-    rhs_strict = 2.0 * (xw**2 + yw**2) / omega**2 + omega**2
+    w2 = omega * omega
+    rhs = 2.0 * pk.ric_of_T.norm_sq / ric_tt - ric_tt
+    rhs_strict = 2.0 * pk.grad_omega_sq / w2 + w2
     verdict = HamiltonVerdict(scalar_S=s, rhs=rhs,
                               holds=s > rhs, rhs_strict=rhs_strict,
                               holds_strict=s > rhs_strict)

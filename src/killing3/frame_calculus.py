@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, JetOrderError
 from .jets import MAX_ORDER, NCOEFFS, Jet2, contract, reciprocal, stack
-from .tensor_core import LORENTZIAN
+from .tensor_core import LORENTZIAN, g_tt
 
 #: the metric is degenerate where phi falls to this value
 PHI_CUTOFF = 1e-8
@@ -70,7 +70,7 @@ class Geometry:
             what = f"phi <= {PHI_CUTOFF}" if low.flat[i] else "metric entries overflow"
             r, theta = self.point_at(i)
             raise DomainError(f"{what} at (r, theta) = ({r:.6g}, {theta:.6g})")
-        self._eta = -1.0 if spec.signature == LORENTZIAN else 1.0
+        self._eta = g_tt(spec.signature)
 
     def point_at(self, i):
         """The (r, theta) point at flat index i of the batch."""
@@ -263,45 +263,37 @@ class Geometry:
         return self.dirderiv(x, self.omega), self.dirderiv(y, self.omega)
 
     @cached_property
-    def omega_derivs(self):
-        _, x, y = self.frame
-        if self.omega.order < 2:
-            raise JetOrderError("Cotton-York needs twist jets to order 2")
-        xw, yw = self.omega_xy
-        return {"X": xw, "Y": yw,
-                "XX": self.dirderiv(x, xw).value, "YY": self.dirderiv(y, yw).value,
-                "YX": self.dirderiv(y, xw).value, "XY": self.dirderiv(x, yw).value}
-
-    @cached_property
     def cotton_york_matrix(self):
         """CY values against {T, X, Y}; shape (3, 3) + batch."""
         _, x, y = self.frame
         s = self.scalar
-        if s.order < 1:
+        if s.order < 1:  # S has order n - 2 and the twist n - 1: both need n >= 3
             raise JetOrderError("Cotton-York needs scalar-curvature jets to order 1")
         w = self.omega.value
-        od = self.omega_derivs
-        xw, yw = od["X"].value, od["Y"].value
+        xw_jet, yw_jet = self.omega_xy
+        xw, yw = xw_jet.value, yw_jet.value
+        xxw, yyw = self.dirderiv(x, xw_jet).value, self.dirderiv(y, yw_jet).value
+        yxw, xyw = self.dirderiv(y, xw_jet).value, self.dirderiv(x, yw_jet).value
         xs = self.dirderiv(x, s).value
         ys = self.dirderiv(y, s).value
         dy = self.div_Y.value
         sv = s.value
         w3 = w * w * w
         c1 = [
-            -0.75 * w3 + 0.5 * sv * w + 0.5 * dy * yw + 0.5 * (od["XX"] + od["YY"]),
+            -0.75 * w3 + 0.5 * sv * w + 0.5 * dy * yw + 0.5 * (xxw + yyw),
             -0.25 * ys + 1.25 * w * yw,
             0.25 * xs - 1.25 * w * xw,
         ]
         c2 = [
             1.25 * w * yw - 0.25 * ys,
-            0.375 * w3 - 0.25 * sv * w - 0.5 * od["YY"],
-            0.5 * od["YX"],
+            0.375 * w3 - 0.25 * sv * w - 0.5 * yyw,
+            0.5 * yxw,
         ]
         c3 = [
             0.25 * xs - 1.25 * w * xw,
             # written via the X(Y(omega)) route so the c23 = c32 symmetry is an
             # emergent numerical check, not a transcription tautology
-            0.5 * (od["XY"] - xw * dy),
-            0.375 * w3 - 0.25 * sv * w - 0.5 * yw * dy - 0.5 * od["XX"],
+            0.5 * (xyw - xw * dy),
+            0.375 * w3 - 0.25 * sv * w - 0.5 * yw * dy - 0.5 * xxw,
         ]
         return np.swapaxes(np.array([c1, c2, c3]), 0, 1)

@@ -1,6 +1,7 @@
 """Bridge between the Riemannian metric and its Lorentzian partner g_L = g_R - 2 (T^b)^2.
 
-Both metrics share (phi, h, k) and the Killing field T; the Lorentzian
+Both metrics share (phi, h, k) and the Killing field T, with g(T,T) = +1 and -1,
+and so the quotient by T and its criterion S + g(T,T) Ric(T,T); the Lorentzian
 curvature is computed through the same coordinate Christoffel pipeline with
 signature-aware index raising, so the curvature relations below are genuine
 cross-checks rather than restatements.
@@ -12,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completeness_probe import CurvatureProfile, completeness_verdict
-from .curvature_engine import ricci_tt, scalar_and_ric_tt
+from .completeness_probe import CurvatureProfile, completeness_verdict, criterion_mesh
+from .curvature_engine import ricci_tt
 from .errors import AlreadyLorentzian
 from .frame_calculus import Geometry
 from .metric_family import MetricSpec
-from .tensor_core import LORENTZIAN, RIEMANNIAN
+from .tensor_core import LORENTZIAN
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,13 @@ def lorentz_relations_check(geo, partner=None):
 
 
 def lorentz_completeness(pair, r_max, n_r=64, n_theta=32):
-    """Verdict from the Lorentzian-form criterion S_L - Ric_L(T,T).
+    """Verdict from the partner's criterion S_L + g(T,T) Ric_L(T,T) = S_L - Ric_L(T,T).
 
-    Also reports the max pointwise disagreement with the Riemannian-form
-    quantity S_R + Ric_R(T,T), which should vanish identically.
+    Also reports the max pointwise disagreement with the Riemannian mesh of the
+    same criterion, S_R + Ric_R(T,T), which should vanish identically.
     """
-    radii, rr, tt = CurvatureProfile.mesh(r_max, n_r, n_theta)
-    s_l, ric_l = scalar_and_ric_tt(pair.lorentzian, rr, tt)
-    s_r, ric_r = scalar_and_ric_tt(pair.riemannian, rr, tt)
-    crit_l = s_l - ric_l
-    agreement = float(np.max(np.abs(crit_l - (s_r + ric_r))))
+    radii, crit_l = criterion_mesh(pair.lorentzian, r_max, n_r, n_theta)
+    _, crit_r = criterion_mesh(pair.riemannian, r_max, n_r, n_theta)
+    agreement = float(np.max(np.abs(crit_l - crit_r)))
     profile = CurvatureProfile.from_minima(radii, np.min(crit_l, axis=1), n_theta)
     return completeness_verdict(profile), profile, agreement
-

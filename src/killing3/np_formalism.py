@@ -16,7 +16,7 @@ import numpy as np
 from . import jets
 from .errors import EmptyGrid, NotUnitLength
 from .frame_calculus import Geometry
-from .tensor_core import LORENTZIAN
+from .tensor_core import g_tt
 
 UNIT_TOL = 1e-9
 
@@ -191,7 +191,7 @@ def killing_test(geo, components=None):
         vjet = geo.frame[0]
     else:
         vjet = jets.stack([f.jet(geo.r, geo.theta, geo.order) for f in components])
-    eps = -1.0 if geo.spec.signature == LORENTZIAN else 1.0
+    eps = g_tt(geo.spec.signature)
     norm = geo.ip(vjet, vjet).value
     off = ~(np.abs(norm - eps) <= UNIT_TOL)  # NaN is off too
     if np.any(off):

@@ -1,4 +1,4 @@
-"""Fixed-size 3x3 tensor utilities: Gram audits and Riemann storage."""
+"""Signatures and their g(T, T); fixed-size 3x3 tensor utilities: Gram audits, Riemann storage."""
 
 from __future__ import annotations
 
@@ -9,11 +9,14 @@ from .errors import NonFinite
 RIEMANNIAN = "riemannian"
 LORENTZIAN = "lorentzian"
 
+
+def g_tt(signature):
+    """g(T, T) of the unit Killing field T: -1 on the Lorentzian partner, where T is timelike."""
+    return -1.0 if signature == LORENTZIAN else 1.0
+
+
 #: Gram matrices of an orthonormal frame per signature (frame order T, X, Y)
-GRAM = {
-    RIEMANNIAN: np.diag([1.0, 1.0, 1.0]),
-    LORENTZIAN: np.diag([-1.0, 1.0, 1.0]),
-}
+GRAM = {sig: np.diag([g_tt(sig), 1.0, 1.0]) for sig in (RIEMANNIAN, LORENTZIAN)}
 
 
 def gram_residual(frame, g, signature=RIEMANNIAN):

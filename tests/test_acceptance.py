@@ -12,11 +12,10 @@ import pytest
 
 from killing3 import fields, jets
 from killing3.cli import sample_points
-from killing3.completeness_probe import (COMPLETE, INCOMPLETE,
+from killing3.completeness_probe import (COMPLETE, INCOMPLETE, CurvatureProfile,
                                          completeness_verdict,
                                          curvature_profile, integrate_geodesic,
-                                         make_state, projection_residual,
-                                         synthetic_profile)
+                                         make_state, projection_residual)
 from killing3.conformal_family import FamilyParams, solve_omega_ode
 from killing3.cotton_york import (FLAT, NOT_FLAT, cotton_york,
                                   cotton_york_norms, flatness_verdict)
@@ -210,7 +209,7 @@ def test_criterion_11_completeness_criterion():
     constant +1 synthetic -> Incomplete."""
     hyp = curvature_profile(catalog("hyperbolic"), 5.0)
     flat = curvature_profile(catalog("flat"), 5.0)
-    synth = synthetic_profile(np.linspace(1.0, 10.0, 32), np.ones(32))
+    synth = CurvatureProfile.from_minima(np.linspace(1.0, 10.0, 32), np.ones(32), 0)
     ok = (completeness_verdict(hyp) == COMPLETE
           and abs(hyp.tail_estimate + 2.0) < 1e-9
           and completeness_verdict(flat) == COMPLETE

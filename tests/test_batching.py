@@ -25,8 +25,7 @@ from killing3.cotton_york import cotton_york, flatness_verdict, tmg_residual
 from killing3.curvature_engine import (christoffels, curvature_packet,
                                        gaussian_identity_residual,
                                        hamilton_inequality, ricci_tt, riemann,
-                                       spectrum_vs_eigensolve_residual,
-                                       twist_data)
+                                       spectrum_vs_eigensolve_residual)
 from killing3.frame_calculus import Geometry
 from killing3.jets import NCOEFFS
 from killing3.lorentz_bridge import (flip_residual, lorentz_relations_check,
@@ -138,12 +137,11 @@ def test_flatness_batch_matches_pointwise(name):
     assert fit.cy_max == max(fit.cy_norms)
 
     packets = [curvature_packet(Geometry(spec, *p)) for p in pts]
-    arr = np.asarray(pts)
-    omega, s, xw, yw, ric_t = twist_data(Geometry(spec, arr[:, 0], arr[:, 1]))
-    _close(omega, [pk.omega for pk in packets])
-    _close(s, [pk.scalar_S for pk in packets])
-    _close(xw**2 + yw**2, [pk.grad_omega_sq for pk in packets])
-    _close(ric_t.norm_sq, [pk.ric_of_T.norm_sq for pk in packets])
+    batch = curvature_packet(Geometry(spec, *np.transpose(pts)))
+    _close(batch.omega, [pk.omega for pk in packets])
+    _close(batch.scalar_S, [pk.scalar_S for pk in packets])
+    _close(batch.grad_omega_sq, [pk.grad_omega_sq for pk in packets])
+    _close(batch.ric_of_T.norm_sq, [pk.ric_of_T.norm_sq for pk in packets])
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -268,12 +266,17 @@ STAGES = ("g", "ginv", "gamma", "ric", "scalar", "omega", "connection")
 
 
 def _stage_values(geo):
-    """Each stage's values, then Cotton-York and, on a Riemannian spec, spin and structure."""
+    """Each stage's values, then Cotton-York and, on a Riemannian spec, spin, structure,
+    the curvature packet and the TMG residual."""
     values = {stage: getattr(geo, stage).value for stage in STAGES}
     values |= {"cotton_york_matrix": geo.cotton_york_matrix, "cy_norm": cotton_york(geo).norm}
     if geo.spec.signature == RIEMANNIAN:
+        pk = curvature_packet(geo)
         values |= {"spin": np.array([j.value for j in geo.spin]),
-                   "structure": structure_residuals(geo).max_abs()}
+                   "structure": structure_residuals(geo).max_abs(),
+                   "grad_omega_sq": pk.grad_omega_sq, "ric_of_T.norm_sq": pk.ric_of_T.norm_sq,
+                   "spectrum": np.array(pk.spectrum), "ric_operator": pk.ric_operator,
+                   "tmg_residual": tmg_residual(geo)}
     return values
 
 

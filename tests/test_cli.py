@@ -522,6 +522,18 @@ def test_verify_rejects_lorentzian_spec(tmp_path, capsys):
     assert "already Lorentzian" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify", "flatness"])
+def test_riemannian_commands_refuse_a_lorentzian_spec(tmp_path, capsys, command):
+    # the closed-form spectrum, the identities and the Cotton-York assembly hold for
+    # g(T,T) = +1: on hopf's partner analyze reported the spectrum (1, 0.5, 1), where
+    # diag(-1, 1, 1) Ric has the eigenvalues (-0.5, 1.5, 1.5)
+    spec = _write_spec(tmp_path, "catalog = hopf\nR = 2\nsignature = lorentzian")
+    assert main([command, "--spec", spec, "--points", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"killing3: {command} checks the Riemannian identities; run "
+                                 "`lorentz` on the Riemannian spec for the Lorentzian relations\n")
+
+
 def test_family_command(tmp_path):
     spec = _write_spec(tmp_path,
                        "catalog = cf_family\nB = 0\nC = 1\nomega0 = 0\nsign = 1")

@@ -3,11 +3,10 @@ import pytest
 
 from killing3 import jets
 from killing3.completeness_probe import (COMPLETE, INCOMPLETE, INCONCLUSIVE,
-                                         completeness_verdict,
+                                         CurvatureProfile, completeness_verdict,
                                          curvature_profile, integrate_geodesic,
                                          integrate_quotient_geodesic,
-                                         make_state, projection_residual,
-                                         synthetic_profile)
+                                         make_state, projection_residual)
 from killing3.errors import BadParams, BlowUp, EmptyProfile, NotUnitLength, StepFailure
 from killing3.fields import constant, from_expr
 from killing3.frame_calculus import Geometry
@@ -33,18 +32,18 @@ def test_hopf_profile_constant_eight():
 
 
 def test_synthetic_incomplete_profile():
-    prof = synthetic_profile(np.linspace(1.0, 10.0, 40), np.ones(40))
+    prof = CurvatureProfile.from_minima(np.linspace(1.0, 10.0, 40), np.ones(40), 0)
     assert completeness_verdict(prof) == INCOMPLETE
 
 
 def test_oscillating_tail_is_inconclusive():
     radii = np.linspace(1.0, 10.0, 40)
-    prof = synthetic_profile(radii, 1.0 + 0.8 * np.sin(radii * 3.0))
+    prof = CurvatureProfile.from_minima(radii, 1.0 + 0.8 * np.sin(radii * 3.0), 0)
     assert completeness_verdict(prof) == INCONCLUSIVE
 
 
 def test_empty_profile_raises():
-    prof = synthetic_profile(np.array([1.0]), np.array([0.0]))
+    prof = CurvatureProfile.from_minima(np.array([1.0]), np.array([0.0]), 0)
     object.__setattr__(prof, "radii", np.array([]))
     with pytest.raises(EmptyProfile):
         completeness_verdict(prof)

@@ -13,6 +13,7 @@ from killing3.curvature_engine import (christoffels, curvature_packet,
                                        spectrum_vs_eigensolve_residual)
 from killing3.errors import NonFinite, TwistZero
 from killing3.frame_calculus import Geometry
+from killing3.lorentz_bridge import to_lorentz
 from killing3.metric_family import catalog
 from oracles import bisect_eigenvalues, fd_christoffels, fd_ricci, fd_scalar
 
@@ -155,10 +156,13 @@ def test_ric_of_t_norm():
 
 
 def test_gaussian_identity(catalogs):
-    for spec in catalogs.values():
-        res = gaussian_identity_residual(Geometry(spec, np.array([0.4, 0.8, 1.2]),
-                                                  np.array([0.0, 2.0, 4.0])))
-        assert np.max(res) < 1e-10
+    # -phi_rr/phi = (S + g(T,T) Ric(T,T))/2 on each metric and on its Lorentzian partner
+    cf_family = catalog("cf_family", {"B": 0.3, "C": 1.0})
+    for name, spec in {**catalogs, "cf_family": cf_family}.items():
+        for s in (spec, to_lorentz(spec).lorentzian):
+            res = gaussian_identity_residual(Geometry(s, np.array([0.4, 0.8, 1.2]),
+                                                      np.array([0.0, 2.0, 4.0])))
+            assert np.max(res) < 1e-10, (name, s.signature)
 
 
 def test_hamilton_inequality_hopf_vs_nil():

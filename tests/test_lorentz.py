@@ -126,6 +126,9 @@ def test_completeness_agreement():
         rprof = curvature_profile(pair.riemannian, r_max)
         np.testing.assert_allclose(rprof.inf_values, profile.inf_values,
                                    atol=1e-8)
+        # the partner's own profile is the same criterion, S_L + g(T,T) Ric_L(T,T)
+        lprof = curvature_profile(pair.lorentzian, r_max)
+        assert lprof.inf_values.tobytes() == profile.inf_values.tobytes()
 
 
 def test_quotient_gaussian_curvature_identity():
