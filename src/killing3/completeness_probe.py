@@ -189,11 +189,10 @@ def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401):
         raise NotUnitLength(f"initial speed {init.speed} is not 1")
 
     def rhs(_, y):
-        gam = christoffels(Geometry(spec, y[1], y[2], order=1))
-        v, out = y[3:], np.empty(6)
-        out[:3] = v
-        out[3:] = [-v @ gam[c] @ v for c in range(3)]
-        return out
+        gam, v = christoffels(Geometry(spec, y[1], y[2], order=1)), y[3:]
+        # a fresh array each call: DOP853 keeps it; row c of the acceleration is
+        # -v @ gam[c] @ v bit for bit, which (-v @ gam) @ v is not
+        return np.concatenate((v, np.vecdot(-v @ gam, v)))
 
     y0 = np.array([init.t, init.r, init.theta, *init.velocities])
     sol = _integrate(spec, rhs, y0, length, step_tol, n_samples, "geodesic", 1)

@@ -146,6 +146,7 @@ def hamilton_inequality(geo):
     needed when no Ricci eigenvalue may exceed the sum of the others.
     Returns the HamiltonVerdict and whether the inequality holds everywhere.
     """
+    geo.riemannian_only("Hamilton's inequality is")
     pk = curvature_packet(geo)
     omega, s, ric_tt = pk.omega, pk.scalar_S, pk.ric_of_T.t_component
     undefined = (np.abs(omega) < TWIST_FLOOR) | (ric_tt <= 0.0)

@@ -37,6 +37,15 @@ PHI_CUTOFF = 1e-8
 _SQRT2 = np.sqrt(2.0)
 
 
+class stage(cached_property):
+    """cached_property without Python 3.11's lock on each first read; stores into __dict__."""
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class Geometry:
     """All frame/curvature data of a metric spec at one point or a batch.
 
@@ -72,6 +81,11 @@ class Geometry:
             raise DomainError(f"{what} at (r, theta) = ({r:.6g}, {theta:.6g})")
         self._eta = g_tt(spec.signature)
 
+    def riemannian_only(self, what):
+        """DomainError on the Lorentzian partner, where ``what`` has no formula here."""
+        if self.spec.signature == LORENTZIAN:
+            raise DomainError(f"{what} defined for the Riemannian case")
+
     def point_at(self, i):
         """The (r, theta) point at flat index i of the batch."""
         return float(self.r.flat[i]), float(self.theta.flat[i])
@@ -102,7 +116,7 @@ class Geometry:
             return x
         return x * np.array([self._eta, 1.0, 1.0]).reshape((3,) + (1,) * (1 - axis + self.r.ndim))
 
-    @cached_property
+    @stage
     def coframe(self):
         """Matrix jets E = [[1, -k, -phi h], [0, 1, 0], [0, 0, phi]] and
         F = E^-1 = [[1, k, h], [0, 1, 0], [0, 0, 1/phi]]."""
@@ -114,25 +128,25 @@ class Geometry:
         f[:, 2, 2] = reciprocal(self.phi).coeffs
         return Jet2(e, self.order), Jet2(f, self.order)
 
-    @cached_property
+    @stage
     def g(self):
         """g = E^T eta E."""
         e = self.coframe[0]
         return contract("ia,ib->ab", self._eta_scaled(e, 0), e)
 
-    @cached_property
+    @stage
     def ginv(self):
         """g^-1 = F eta F^T, one order below the Geometry's: no consumer contracts it higher."""
         f = self.coframe[1].truncated(max(self.order - 1, 0))
         return contract("ai,bi->ab", self._eta_scaled(f, 1), f)
 
-    @cached_property
+    @stage
     def gamma(self):
         """Christoffel symbols gamma[c][a][b] = Gamma^c_{ab}."""
-        dg = self.grad(self.g)                           # d_e g_ab at [e][a][b]
-        t1 = Jet2(dg.coeffs.swapaxes(1, 2), dg.order)    # d_a g_db at [d][a][b]
-        low = (t1 + Jet2(t1.coeffs.swapaxes(2, 3), t1.order) - dg) * 0.5
-        return contract("cd,dab->cab", self.ginv, low)
+        dg = self.grad(self.g)                  # d_e g_ab at [e][a][b]
+        t1 = dg.coeffs.swapaxes(1, 2)           # d_a g_db at [d][a][b]
+        low = (t1 + t1.swapaxes(2, 3) - dg.coeffs) * 0.5
+        return contract("cd,dab->cab", self.ginv, Jet2(low, dg.order))
 
     def nabla(self, v):
         """(nabla_a V)^c = d_a V^c + Gamma^c_ab V^b at [a][c], or [j][a][c] for vectors [j][c],
@@ -151,7 +165,7 @@ class Geometry:
 
     # -- curvature ----------------------------------------------------------
 
-    @cached_property
+    @stage
     def riem_ud(self):
         """R^d_{c a b}: R(e_a, e_b) e_c = R^d_{cab} e_d, stored [d][c][a][b]."""
         gam = self.gamma
@@ -159,12 +173,12 @@ class Geometry:
         half = self.grad(gam).einsum("adbc->dcab") + contract("dae,ebc->dcab", gam, gam)
         return half - half.einsum("dcab->dcba")
 
-    @cached_property
+    @stage
     def riem_low(self):
         """Fully covariant R(e_a, e_b, e_c, e_w), stored [a][b][c][w]."""
         return contract("dw,dcab->abcw", self.g, self.riem_ud)
 
-    @cached_property
+    @stage
     def ric(self):
         """Ricci tensor ric[b][c] = d_a G^a_bc - d_b G^a_ac + G^a_ae G^e_bc - G^a_be G^e_ac."""
         gam = self.gamma
@@ -174,57 +188,56 @@ class Geometry:
         return (self.grad(gam).einsum("aabc->bc") - self.grad(trace)
                 + contract("e,ebc->bc", low_trace, low) - contract("abe,eac->bc", low, low))
 
-    @cached_property
+    @stage
     def scalar(self):
         return contract("bc,bc->", self.ginv, self.ric)
 
     # -- canonical frame -----------------------------------------------------
 
-    @cached_property
+    @stage
     def frame(self):
         """Rank-1 jets T = d_t, X = h d_t + d_theta / phi, Y = k d_t + d_r: columns 0, 2, 1 of F."""
         f = self.coframe[1]
         return f[:, 0], f[:, 2], f[:, 1]
 
-    @cached_property
+    @stage
     def m_leg(self):
         _, x, y = self.frame
         return (x + (-1j) * y) * (1.0 / _SQRT2), (x + 1j * y) * (1.0 / _SQRT2)
 
     # -- the frame connection, and what it gives ------------------------------
 
-    @cached_property
+    @stage
     def connection(self):
         """C[i][j][k] = g(nabla_{e_i} e_j, e_k) of the frame (T, X, Y)."""
         return self.connection_of(self.frame)
 
-    @cached_property
+    @stage
     def div_T(self):
         c = self.connection
         return c[1, 0, 1] + c[2, 0, 2]
 
-    @cached_property
+    @stage
     def omega(self):
         """Signed twist g(T, [X, Y])."""
         t, x, y = self.frame
         return self.ip(t, self.dirderiv(x, y) - self.dirderiv(y, x))
 
-    @cached_property
+    @stage
     def shear(self):
         """Complex shear sigma1 + i sigma2 of T for the canonical frame."""
         c = self.connection
         return (c[2, 0, 2] - c[1, 0, 1]) * 0.5 + 0.5j * (c[2, 0, 1] + c[1, 0, 2])
 
-    @cached_property
+    @stage
     def div_Y(self):
         c = self.connection
         return self._eta * c[0, 2, 0] + c[1, 2, 1] + c[2, 2, 2]
 
-    @cached_property
+    @stage
     def spin(self):
         """kappa, rho, sigma, epsilon, beta of the frame {T, m, mbar} (jets), from C elementwise."""
-        if self.spec.signature == LORENTZIAN:
-            raise DomainError("spin coefficients are defined for the Riemannian case")
+        self.riemannian_only("spin coefficients are")
         c, s = self.connection, 1.0 / _SQRT2
         return ((c[0, 0, 2] * 1j - c[0, 0, 1]) * s,
                 ((c[1, 0, 2] - c[2, 0, 1]) * 1j - c[1, 0, 1] - c[2, 0, 2]) * 0.5,
@@ -240,7 +253,7 @@ class Geometry:
 
     # -- Ricci in the frame ---------------------------------------------------
 
-    @cached_property
+    @stage
     def ric_frame(self):
         """Ricci bilinear on the frame; the m-leg entries follow by bilinearity."""
         legs = stack(self.frame)  # [i][a]: leg i of T, X, Y
@@ -256,15 +269,16 @@ class Geometry:
 
     # -- derived scalars for the Cotton-York block ----------------------------
 
-    @cached_property
+    @stage
     def omega_xy(self):
         """Jets of X(omega) and Y(omega)."""
         _, x, y = self.frame
         return self.dirderiv(x, self.omega), self.dirderiv(y, self.omega)
 
-    @cached_property
+    @stage
     def cotton_york_matrix(self):
         """CY values against {T, X, Y}; shape (3, 3) + batch."""
+        self.riemannian_only("the Cotton-York matrix is")
         _, x, y = self.frame
         s = self.scalar
         if s.order < 1:  # S has order n - 2 and the twist n - 1: both need n >= 3

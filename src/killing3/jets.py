@@ -30,6 +30,7 @@ from functools import lru_cache
 from math import comb, prod
 
 import numpy as np
+from numpy._core.multiarray import c_einsum  # np.einsum(optimize=False), undispatched
 
 from .errors import JetOrderError
 
@@ -66,7 +67,7 @@ def _leibniz_terms(order):
             (r3, n3), (r4, n4) = blocks[3:5]
             complex_ = [(slice(r3 + n3 - n4, r3 + n3), slice(r4, r4 + n4))] + real[:2] + real[3:]
     left, right, weight = (np.array(col) for col in zip(*terms))
-    back = np.argsort(rank) if order > 0 else None  # block 0 in INDEX order, as a new array
+    back = np.argsort(rank) if order > 1 else None  # block 0 in INDEX order; at order <= 1 it is
     return (left, right, weight, weight if np.any(weight != 1) else None,
             {False: real, True: complex_}, back)
 
@@ -100,16 +101,16 @@ def _product(spec, a, b):
     x, y = a.coeffs.take(left, 0), b.coeffs.take(right, 0)
     if batch and prod(x.shape[batch[0]:]) * prod(y.shape[batch[1]:]) < 2:
         # at one point numpy would sum a tensor index as a SIMD dot, in another order
-        terms = np.einsum(weighted, weight, x, y)
+        terms = c_einsum(weighted, weight, x, y)
     else:
         if scale is not None:  # w * x exactly as the weighted einsum forms it
             np.multiply(x.T, scale, out=x.T)
-        terms = np.einsum(plain, x, y)
+        terms = c_einsum(plain, x, y)
     del x, y  # freed before the output is allocated
     for into, rows in steps[terms.dtype.kind == "c"]:
         acc = terms[into]
         acc += terms[rows]
-    return Jet2(terms if back is None else terms.take(back, 0), order)
+    return Jet2(terms[:NCOEFFS[order]] if back is None else terms.take(back, 0), order)
 
 
 def contract(subscripts, a, b):

@@ -9,13 +9,12 @@ of twist and shear under conformal rescaling.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
 from . import jets
 from .errors import EmptyGrid, NotUnitLength
-from .frame_calculus import Geometry
+from .frame_calculus import Geometry, stage
 from .tensor_core import g_tt
 
 UNIT_TOL = 1e-9
@@ -266,15 +265,15 @@ class _ConformalGeometry(Geometry):
         super().__init__(spec, r, theta, order)
         self._f = f_field.jet(self.r, self.theta, self.order)
 
-    @cached_property
+    @stage
     def g(self):
         return jets.contract(",ab->ab", jets.exp(2.0 * self._f), Geometry.g.func(self))
 
-    @cached_property
+    @stage
     def ginv(self):
         return jets.contract(",ab->ab", jets.exp(-2.0 * self._f), Geometry.ginv.func(self))
 
-    @cached_property
+    @stage
     def frame(self):
         scale = jets.exp(-self._f)
         return tuple(jets.contract(",a->a", scale, leg) for leg in Geometry.frame.func(self))

@@ -266,13 +266,13 @@ STAGES = ("g", "ginv", "gamma", "ric", "scalar", "omega", "connection")
 
 
 def _stage_values(geo):
-    """Each stage's values, then Cotton-York and, on a Riemannian spec, spin, structure,
-    the curvature packet and the TMG residual."""
+    """Each stage's values, then, on a Riemannian spec, Cotton-York, spin, structure, the
+    curvature packet and the TMG residual (the Lorentzian partner refuses them)."""
     values = {stage: getattr(geo, stage).value for stage in STAGES}
-    values |= {"cotton_york_matrix": geo.cotton_york_matrix, "cy_norm": cotton_york(geo).norm}
     if geo.spec.signature == RIEMANNIAN:
         pk = curvature_packet(geo)
-        values |= {"spin": np.array([j.value for j in geo.spin]),
+        values |= {"cotton_york_matrix": geo.cotton_york_matrix, "cy_norm": cotton_york(geo).norm,
+                   "spin": np.array([j.value for j in geo.spin]),
                    "structure": structure_residuals(geo).max_abs(),
                    "grad_omega_sq": pk.grad_omega_sq, "ric_of_T.norm_sq": pk.ric_of_T.norm_sq,
                    "spectrum": np.array(pk.spectrum), "ric_operator": pk.ric_operator,

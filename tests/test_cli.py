@@ -574,6 +574,20 @@ def test_default_hopf_geodesic_step_count(tmp_path, solver_nfev):
     assert code == 0 and solver_nfev == [3899]
 
 
+@pytest.mark.parametrize("text, nfev, c_drift, speed_drift", [
+    ("catalog = nil", 1136, 1.71294534112576e-10, 6.956668574531476e-11),
+    ("catalog = cf_family\nB = 0.3\nC = 1", 5432, 7.347733532725442e-11, 7.921663325305417e-11),
+    ("catalog = hopf\nR = 2\nsignature = lorentzian", 5633, 9.68717328575508e-11,
+     2.1176127518174326e-10)])
+def test_default_geodesic_step_counts_and_drifts(tmp_path, solver_nfev, text, nfev, c_drift,
+                                                 speed_drift):
+    # the same last-bit pin on a constant, an elliptic and a Lorentzian field
+    report, code = run(RunConfig(command="geodesic", spec_path=_write_spec(tmp_path, text)))
+    assert code == 0 and solver_nfev == [nfev]
+    assert (report.summary["max_c_drift"], report.summary["max_speed_drift"]) == (c_drift,
+                                                                                  speed_drift)
+
+
 @pytest.mark.parametrize("out", ["missing/r.txt", "a_directory"])
 def test_out_that_cannot_be_written_exits_2(tmp_path, capsys, out):
     spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")

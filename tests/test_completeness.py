@@ -1,16 +1,20 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
-from killing3 import jets
+from killing3 import completeness_probe, jets
 from killing3.completeness_probe import (COMPLETE, INCOMPLETE, INCONCLUSIVE,
-                                         CurvatureProfile, completeness_verdict,
+                                         CurvatureProfile, GeodesicState, completeness_verdict,
                                          curvature_profile, integrate_geodesic,
                                          integrate_quotient_geodesic,
                                          make_state, projection_residual)
 from killing3.errors import BadParams, BlowUp, EmptyProfile, NotUnitLength, StepFailure
 from killing3.fields import constant, from_expr
+from killing3.curvature_engine import christoffels
 from killing3.frame_calculus import Geometry
-from killing3.metric_family import MetricSpec, catalog
+from killing3.lorentz_bridge import to_lorentz
+from killing3.metric_family import CATALOG_NAMES, MetricSpec, catalog
 
 
 def test_hyperbolic_profile_constant():
@@ -202,4 +206,60 @@ def test_rhs_geometry_jet_budget(monkeypatch):
 
     monkeypatch.setattr(jets.Jet2, "__init__", counted)
     Geometry(catalog("hopf", {"R": 2.0}), 0.7, 0.1, order=1).gamma
-    assert len(built) <= 32
+    assert len(built) <= 28
+
+
+class _Captured(Exception):
+    pass
+
+
+def _geodesic_rhs(monkeypatch, spec):
+    """The right-hand side integrate_geodesic hands its solver, caught before the solve."""
+    rhs = []
+
+    def capture(fun, *args):
+        rhs.append(fun)
+        raise _Captured
+
+    monkeypatch.setattr(completeness_probe, "solve_ivp", capture)
+    with pytest.raises(_Captured):
+        integrate_geodesic(spec, GeodesicState(0.0, 0.5, 0.0, np.zeros(3), 0.0, 1.0), 1.0)
+    return rhs[0]
+
+
+def _rhs_specs():
+    """Every catalog, each one's Lorentzian partner and a theta-dependent triple."""
+    specs = [catalog(name) for name in CATALOG_NAMES]
+    specs += [to_lorentz(spec).lorentzian for spec in specs]
+    return specs + [MetricSpec(from_expr(lambda r, t: 1.0 + 0.2 * jets.sin(r) * jets.cos(t)),
+                               from_expr(lambda r, t: r * (-0.5) + 0.1 * jets.sin(t)),
+                               from_expr(lambda r, t: 0.1 * r * jets.sin(t)))]
+
+
+def test_rhs_acceleration_is_the_per_row_contraction_bit_for_bit(monkeypatch):
+    # the geodesic's step control follows the last bit of the acceleration (criterion 10)
+    rng = np.random.default_rng(2021)
+    for spec in _rhs_specs():
+        rhs = _geodesic_rhs(monkeypatch, spec)
+        for _ in range(100):
+            y = np.concatenate([rng.normal(size=1), rng.uniform([0.2, 0.0], [1.2, 6.0]),
+                                rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)])
+            gam, v = christoffels(Geometry(spec, y[1], y[2], order=1)), y[3:]
+            rows = np.array([-v @ gam[c] @ v for c in range(3)])
+            out = rhs(0.0, y)
+            assert out[:3].tobytes() == v.tobytes() and out[3:].tobytes() == rows.tobytes()
+
+
+def test_geometry_stages_are_cached_properties_computed_once(monkeypatch):
+    stages = {name: attr for name, attr in vars(Geometry).items()
+              if isinstance(attr, cached_property)}
+    assert {"coframe", "g", "ginv", "gamma", "riem_ud", "ric", "scalar", "ric_frame", "omega",
+            "spin", "cotton_york_matrix"} <= stages.keys()
+    calls = []
+    for name, stage in stages.items():
+        monkeypatch.setattr(stage, "func", lambda geo, f=stage.func, name=name:
+                            calls.append(name) or f(geo))
+    geo = Geometry(catalog("hopf", {"R": 2.0}), np.array([0.7, 0.9]), np.array([0.1, 2.0]))
+    first = {name: getattr(geo, name) for name in stages}
+    assert all(getattr(geo, name) is value for name, value in first.items())
+    assert sorted(calls) == sorted(stages)

@@ -3,8 +3,9 @@ import pytest
 
 from killing3 import cli
 from killing3.completeness_probe import COMPLETE, curvature_profile
-from killing3.curvature_engine import scalar_and_ric_tt
-from killing3.errors import AlreadyLorentzian
+from killing3.conformal_family import wpde_residual
+from killing3.curvature_engine import hamilton_inequality, scalar_and_ric_tt
+from killing3.errors import AlreadyLorentzian, DomainError
 from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import (flip_residual, lorentz_completeness,
                                      lorentz_relations_check, timelike_residual,
@@ -71,6 +72,30 @@ def test_relations_check_rejects_lorentzian_geometry():
     pair = to_lorentz(catalog("nil", {"omega0": 1.0}))
     with pytest.raises(AlreadyLorentzian):
         lorentz_relations_check(Geometry(pair.lorentzian, 0.5, 1.0))
+
+
+def _hopf_partner():
+    """hopf R = 2's Lorentzian partner at (0.5, 0.1) and (0.9, 2.0)."""
+    pair = to_lorentz(catalog("hopf", {"R": 2.0}))
+    return Geometry(pair.lorentzian, np.array([0.5, 0.9]), np.array([0.1, 2.0]))
+
+
+def test_cotton_york_matrix_refuses_lorentzian_geometry():
+    with pytest.raises(DomainError, match="^the Cotton-York matrix is defined for the "
+                                          "Riemannian case$"):
+        _hopf_partner().cotton_york_matrix
+
+
+def test_hamilton_inequality_refuses_lorentzian_geometry():
+    with pytest.raises(DomainError, match="^Hamilton's inequality is defined for the "
+                                          "Riemannian case$"):
+        hamilton_inequality(_hopf_partner())
+
+
+def test_wpde_residual_refuses_lorentzian_geometry():
+    with pytest.raises(DomainError, match="^the flatness identity is defined for the "
+                                          "Riemannian case$"):
+        wpde_residual(_hopf_partner(), 0.3, 1.0)
 
 
 def test_flat_is_minkowski():
