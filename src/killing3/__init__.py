@@ -6,9 +6,9 @@ specified by the scalar profile triple (phi, h, k).  Modules:
 
 * ``jets`` / ``fields``     exact derivative-carrying scalar and tensor jets
 * ``frame_calculus``        the batched Geometry: domain check, metric, connection, Ricci, frame data
-* ``tensor_core``           Gram audits, Riemann storage
+* ``tensor_core``           signatures, g(T, T) and Gram audits
 * ``metric_family``         the (phi, h, k) spec, catalog metrics, CSV grids
-* ``curvature_engine``      Christoffels, curvature, Ricci-operator spectrum
+* ``curvature_engine``      Christoffels, Ricci operator and its spectrum
 * ``np_formalism``          spin coefficients, kinematics, structure equations
 * ``cotton_york``           conformal-flatness tests and the (B, C) fit
 * ``conformal_family``      the twist ODE and conformally flat built metrics
@@ -27,7 +27,7 @@ from .cotton_york import (CottonYorkMatrix, FlatnessFit, cotton_york,
                           flatness_verdict, tmg_residual)
 from .curvature_engine import (CurvaturePacket, RicciOfT, christoffels,
                                curvature_packet, gaussian_identity_residual,
-                               hamilton_inequality, riemann)
+                               hamilton_inequality)
 from .errors import Killing3Error
 from .fields import ScalarField, constant, from_expr, from_grid
 from .frame_calculus import Geometry
@@ -39,7 +39,7 @@ from .np_formalism import (KinematicData, SpinCoefficients, StructureResiduals,
                            conformal_rescale_check, killing_test, kinematics,
                            rotate_frame, spin_coefficients,
                            structure_residuals)
-from .tensor_core import LORENTZIAN, RIEMANNIAN, Riemann4, gram_residual
+from .tensor_core import LORENTZIAN, RIEMANNIAN, gram_residual
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,7 @@ __all__ = [
     "CottonYorkMatrix", "CurvaturePacket", "CurvatureProfile", "FamilyParams",
     "FlatnessFit", "GeodesicState", "GeodesicTrajectory", "Geometry", "Jet2",
     "Killing3Error", "KinematicData", "LORENTZIAN", "MetricSpec",
-    "OmegaSolution", "RIEMANNIAN", "RicciOfT", "Riemann4", "ScalarField",
+    "OmegaSolution", "RIEMANNIAN", "RicciOfT", "ScalarField",
     "SignaturePair", "SpinCoefficients", "StructureResiduals",
     "build_cf_metric", "catalog", "christoffels", "completeness_verdict",
     "conformal_rescale_check", "constant", "cotton_york", "curvature_packet",
@@ -55,7 +55,7 @@ __all__ = [
     "gaussian_identity_residual", "gram_residual", "hamilton_inequality",
     "integrate_geodesic", "killing_test", "kinematics", "load_grid_csv",
     "lorentz_completeness", "lorentz_relations_check", "make_state",
-    "metric_components", "projection_residual", "riemann", "rotate_frame",
+    "metric_components", "projection_residual", "rotate_frame",
     "solve_omega_ode", "spin_coefficients", "structure_residuals",
     "tmg_residual", "to_lorentz", "wpde_residual",
 ]

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, field as dc_field, replace
@@ -401,12 +402,20 @@ def _parse_tol(items):
             raise argparse.ArgumentTypeError(
                 f"--tol name must be one of {', '.join(TOLERANCE_NAMES)}, got {name!r}")
         tols[name] = float(val)
-        if not np.isfinite(tols[name]):
-            raise argparse.ArgumentTypeError(f"--tol {name} must be finite, got {val!r}")
+        # a residual or drift is never below a tolerance <= 0, so such a run could only fail
+        if not (np.isfinite(tols[name]) and tols[name] > 0.0):
+            raise argparse.ArgumentTypeError(
+                f"--tol {name} must be finite and positive, got {val!r}")
     return tols
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        # Python 3.13's rule: "-" then a digit or ".digit" is a value, so `--init -1,0.7,...`
+        # and `--grid -0.5:1.2,0:6` parse; before 3.13 only a lone number such as -1 did
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         # one stderr line and exit 2, like every other refused input
         self.exit(2, f"killing3: {message}\n")

@@ -70,7 +70,7 @@ class FlatnessFit:
     verdict: str
     cy_max: float
     constant_omega: bool
-    nonunique: bool         # (B, C) determined only up to a line (constant omega)
+    nonunique: bool         # (B, C) determined only up to a line (rank-deficient fit)
     n_points: int
     cy_norms: np.ndarray    # ||CY|| at each point, of the geometry's batch shape
 
@@ -83,10 +83,11 @@ def flatness_verdict(geo):
     """Fit the flatness constants (B, C) and combine with the CY norm sweep.
 
     The identity fitted is 4|Ric(T)|^2 = 3 Ric(T,T)^2 - 2B Ric(T,T) + C over
-    the points of ``geo``.  For constant twist the identity degenerates to one
-    linear constraint; the representative B = 0 is reported and flagged
-    nonunique, and the shortcut criterion S = 3 Ric(T,T) decides flatness
-    directly.
+    the points of ``geo``.  Where the points give one linear constraint only
+    (one point, or one value of Ric(T,T)), the representative B = 0 is reported
+    and flagged nonunique.  For a twist constant over two or more points the
+    shortcut criterion S = 3 Ric(T,T) decides flatness directly; a single point
+    shows no spread, so there the CY norm decides.
     """
     n_points = np.size(geo.r)
     if not n_points:
@@ -100,14 +101,13 @@ def flatness_verdict(geo):
     grid_sampled = _is_grid_sampled(geo.spec)
     const_tol = CONST_OMEGA_TOL_GRID if grid_sampled else CONST_OMEGA_TOL
     omega_scale = max(1.0, float(np.max(np.abs(omegas))))
-    constant_omega = float(np.ptp(omegas)) < const_tol * omega_scale
-    if constant_omega:
-        b_fit, nonunique = 0.0, True
-        c_fit = float(np.mean(y))
-    else:
+    constant_omega = n_points > 1 and float(np.ptp(omegas)) < const_tol * omega_scale
+    b_fit, c_fit, nonunique = 0.0, float(np.mean(y)), True
+    if not constant_omega:
         a = np.column_stack([-2.0 * np.ravel(ric_tt), np.ones(n_points)])
-        (b_fit, c_fit), *_ = np.linalg.lstsq(a, np.ravel(y), rcond=None)
-        nonunique = False
+        (b, c), _, rank, _ = np.linalg.lstsq(a, np.ravel(y), rcond=None)
+        if rank == 2:
+            b_fit, c_fit, nonunique = b, c, False
     residual = np.abs(y - (-2.0 * b_fit * ric_tt + c_fit))
     residual_max = float(np.max(residual))
 

@@ -1,4 +1,4 @@
-"""Christoffel symbols, curvature, the Ricci operator and its closed-form spectrum.
+"""Christoffel symbols, the Ricci operator and its closed-form spectrum.
 
 The point-level analyses take a ``Geometry``, one point or a batch, and return
 values of its batch shape: a one-point call is a view of the batched one.
@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NonFinite, TwistZero
 from .frame_calculus import Geometry
-from .tensor_core import Riemann4, g_tt
+from .tensor_core import g_tt
 
 TWIST_FLOOR = 1e-12
 
@@ -20,11 +20,6 @@ TWIST_FLOOR = 1e-12
 def christoffels(geo):
     """Gamma^c_{ab} values indexed [c][a][b] + batch, coordinates (t, r, theta)."""
     return geo.gamma.value
-
-
-def riemann(geo):
-    """Fully covariant curvature tensor R(e_a, e_b, e_c, e_d) in coordinates, per point."""
-    return Riemann4(geo.riem_low.value)
 
 
 @dataclass(frozen=True)

@@ -166,19 +166,6 @@ class Geometry:
     # -- curvature ----------------------------------------------------------
 
     @stage
-    def riem_ud(self):
-        """R^d_{c a b}: R(e_a, e_b) e_c = R^d_{cab} e_d, stored [d][c][a][b]."""
-        gam = self.gamma
-        # d_a Gamma^d_bc + Gamma^d_ae Gamma^e_bc, antisymmetrised in (a, b)
-        half = self.grad(gam).einsum("adbc->dcab") + contract("dae,ebc->dcab", gam, gam)
-        return half - half.einsum("dcab->dcba")
-
-    @stage
-    def riem_low(self):
-        """Fully covariant R(e_a, e_b, e_c, e_w), stored [a][b][c][w]."""
-        return contract("dw,dcab->abcw", self.g, self.riem_ud)
-
-    @stage
     def ric(self):
         """Ricci tensor ric[b][c] = d_a G^a_bc - d_b G^a_ac + G^a_ae G^e_bc - G^a_be G^e_ac."""
         gam = self.gamma

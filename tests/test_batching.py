@@ -24,7 +24,7 @@ from killing3.conformal_family import wpde_residual
 from killing3.cotton_york import cotton_york, flatness_verdict, tmg_residual
 from killing3.curvature_engine import (christoffels, curvature_packet,
                                        gaussian_identity_residual,
-                                       hamilton_inequality, ricci_tt, riemann,
+                                       hamilton_inequality, ricci_tt,
                                        spectrum_vs_eigensolve_residual)
 from killing3.frame_calculus import Geometry
 from killing3.jets import NCOEFFS
@@ -70,12 +70,6 @@ ANGLE = fields.from_expr(lambda r, t: 0.7 * jets.sin(r) + 0.4 * jets.cos(t) + 0.
 CONFORMAL_F = fields.from_expr(lambda r, t: 0.3 * r + 0.2 * jets.sin(t))
 
 
-def _riemann(geo):
-    r4 = riemann(geo)
-    return (r4.components, r4.antisymmetry_residual(), r4.pair_symmetry_residual(),
-            r4.first_bianchi_residual())
-
-
 def _rotate_frame(geo):
     rot = rotate_frame(geo, ANGLE)
     return rot, rot.max_law_residual()
@@ -94,7 +88,6 @@ ANALYSES = {
     "spectrum_vs_eigensolve_residual":
         lambda geo: spectrum_vs_eigensolve_residual(curvature_packet(geo)),
     "christoffels": christoffels,
-    "riemann": _riemann,
     "rotate_frame": _rotate_frame,
     "conformal_rescale_check": lambda geo: conformal_rescale_check(geo, CONFORMAL_F),
     "hamilton_inequality": lambda geo: hamilton_inequality(geo)[0],

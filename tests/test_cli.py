@@ -335,12 +335,36 @@ def _exit_code(argv):
     ("geodesic", ["--tol", "residual=1e-6"]),
     ("analyze", ["--length", "5"]),
     ("analyze", ["--init", "0,0.5,0,1,0,0"]),
+    # no residual or drift is below a tolerance <= 0
+    ("verify", ["--tol", "residual=-1"]),
+    ("verify", ["--tol", "residual=0"]),
+    ("geodesic", ["--tol", "drift=0"]),
+    ("geodesic", ["--tol", "drift=-1e-9"]),
 ])
 def test_main_rejects_bad_flag_values(tmp_path, capsys, command, flags):
     spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
     assert _exit_code([command, "--spec", spec, "--points", "4"] + flags) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("geodesic", "--init", "-1,0.7,0,0.3,0.8,0.4"),
+    ("geodesic", "--init", "0,0.7,0,-.3,0.8,0.4"),
+    ("analyze", "--grid", "-0.5:1.2,0:6"),
+    ("analyze", "--grid", "-.5:1.2,0:6"),
+])
+def test_flag_value_with_a_leading_minus_in_either_spelling(tmp_path, capsys, command, flag,
+                                                            value):
+    # before Python 3.13, argparse took `--init -1,...` for a missing value (exit 2)
+    spec = _write_spec(tmp_path, "catalog = nil")
+    argv = [command, "--spec", spec, "--format", "jsonl"]
+    reports = []
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        assert main(argv + spelling) == 0
+        reports.append(capsys.readouterr())
+    assert reports[0].err == reports[1].err == ""
+    assert reports[0].out == reports[1].out != ""
 
 
 @pytest.mark.parametrize("command", ["analyze", "geodesic"])
@@ -539,6 +563,14 @@ def test_family_command(tmp_path):
                        "catalog = cf_family\nB = 0\nC = 1\nomega0 = 0\nsign = 1")
     assert main(["family", "--spec", spec, "--points", "8",
                  "--grid", "0.1:1.0,0:6", "--expect", "Flat"]) == 0
+
+
+@pytest.mark.parametrize("command", ["flatness", "family"])
+def test_cf_family_is_flat_at_one_point(tmp_path, capsys, command):
+    # a single sample has no twist spread, yet cf_family's twist is not constant
+    spec = _write_spec(tmp_path, "catalog = cf_family\nB = 0.3\nC = 1")
+    assert main([command, "--spec", spec, "--points", "1", "--expect", "Flat"]) == 0
+    assert "verdict = Flat" in capsys.readouterr().out
 
 
 def test_family_on_the_separatrix(tmp_path):

@@ -253,7 +253,7 @@ def test_rhs_acceleration_is_the_per_row_contraction_bit_for_bit(monkeypatch):
 def test_geometry_stages_are_cached_properties_computed_once(monkeypatch):
     stages = {name: attr for name, attr in vars(Geometry).items()
               if isinstance(attr, cached_property)}
-    assert {"coframe", "g", "ginv", "gamma", "riem_ud", "ric", "scalar", "ric_frame", "omega",
+    assert {"coframe", "g", "ginv", "gamma", "ric", "scalar", "ric_frame", "omega",
             "spin", "cotton_york_matrix"} <= stages.keys()
     calls = []
     for name, stage in stages.items():

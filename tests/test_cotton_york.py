@@ -81,6 +81,20 @@ def test_flatness_verdict_cf_family():
     assert fit.residual_max < 1e-6
 
 
+@pytest.mark.parametrize("spec, verdict", [
+    (catalog("hopf", {"R": 2.0}), FLAT),
+    (catalog("cf_family", {"B": 0.3, "C": 1.0}), FLAT),
+    (catalog("nil"), NOT_FLAT),
+], ids=["hopf", "cf_family", "nil"])
+def test_flatness_verdict_at_one_point(spec, verdict):
+    # one point shows no twist spread, so the constant-twist shortcut S = 3 Ric(T,T), false on
+    # cf_family, must not fire; the one-point fit is rank 1, and the CY norm decides
+    fit = flatness_verdict(Geometry(spec, 0.6, 1.0))
+    assert fit.verdict == verdict
+    assert not fit.constant_omega and fit.nonunique
+    assert fit.B == 0.0 and fit.residual_max == 0.0
+
+
 def test_flatness_verdict_empty():
     with pytest.raises(EmptyGrid):
         flatness_verdict(Geometry(catalog("flat"), [], []))

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from killing3.curvature_engine import (christoffels, curvature_packet,
                                        gaussian_identity_residual,
                                        hamilton_inequality, ricci_frame_matrix,
-                                       ric_operator_assembled, riemann,
+                                       ric_operator_assembled,
                                        spectrum_closed_form,
                                        spectrum_vs_eigensolve_residual)
 from killing3.errors import NonFinite, TwistZero
 from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import to_lorentz
 from killing3.metric_family import catalog
-from oracles import bisect_eigenvalues, fd_christoffels, fd_ricci, fd_scalar
+from oracles import (bisect_eigenvalues, fd_christoffels, fd_metric, fd_ricci, fd_riemann,
+                     fd_scalar)
 
 POINTS = [(0.35, 0.4), (0.8, 2.1), (1.1, 5.0)]
 
@@ -46,14 +47,6 @@ def test_hyperbolic_christoffel_value():
     assert gam[1, 2, 2] == pytest.approx(-np.cosh(1.0) * np.sinh(1.0), rel=1e-12)
 
 
-def test_riemann_symmetries(catalogs):
-    for spec in catalogs.values():
-        r4 = riemann(Geometry(spec, 0.7, 1.2))
-        assert r4.antisymmetry_residual() < 1e-11
-        assert r4.pair_symmetry_residual() < 1e-11
-        assert r4.first_bianchi_residual() < 1e-11
-
-
 def test_ricci_against_fd_oracle(catalogs):
     for name, spec in catalogs.items():
         for p in POINTS[:2]:
@@ -62,34 +55,48 @@ def test_ricci_against_fd_oracle(catalogs):
             assert pk.scalar_S == pytest.approx(s_fd, abs=5e-6), name
 
 
+def _frame_sectional(geo):
+    """Sectional curvatures of the frame planes (X, Y), (T, X), (T, Y): in three dimensions
+    the plane with unit normal n has S/2 - Ric(n, n)."""
+    rf, half_s = geo.ric_frame, geo.scalar.value / 2.0
+    return [half_s - rf[n].value for n in ("TT", "YY", "XX")]
+
+
 def test_hopf_sectional_curvature():
     # round sphere of radius R: every frame plane has curvature 1/R^2
     for radius in (1.0, 2.0):
         spec = catalog("hopf", {"R": radius})
         geo = Geometry(spec, radius * np.array([0.3, 0.6, 1.1]), np.array([0.1, 2.0, 4.5]))
-        comp = riemann(geo).components
-        e = np.array([[leg[c].value for c in range(3)] for leg in geo.frame])  # T, X, Y
-        for a, b in [(1, 2), (0, 1), (0, 2)]:  # R(X,Y,Y,X), R(T,X,X,T), R(T,Y,Y,T)
-            sec = np.einsum("abcw...,a...,b...,c...,w...->...",
-                            comp, e[a], e[b], e[b], e[a])
+        for sec in _frame_sectional(geo):
             np.testing.assert_allclose(sec, 1.0 / radius**2, rtol=0, atol=1e-12)
 
 
 def test_nil_sectional_curvature():
-    # nil with omega0 = 1: R(X,Y,Y,X) = S/2 - 3 omega^2/4 = -3/4... direct value
-    spec = catalog("nil", {"omega0": 1.0})
-    from killing3.frame_calculus import Geometry
+    # nil with omega0 = 1: K(X, Y) = S/2 - Ric(T, T) = -1/4 - 1/2
+    geo = Geometry(catalog("nil", {"omega0": 1.0}), 0.7, 0.2)
+    assert _frame_sectional(geo)[0] == pytest.approx(-0.75, abs=1e-12)
 
-    geo = Geometry(spec, 0.7, 0.2)
-    t, x, y = geo.frame
-    low = geo.riem_low
-    sec = 0.0
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for w in range(3):
-                    sec += (low[a][b][c][w] * x[a] * y[b] * y[c] * x[w]).value
-    assert sec == pytest.approx(-0.75, abs=1e-12)
+
+def _riemann_from_ricci(geo):
+    """R(e_a, e_b, e_c, e_w) = -[g_ac R_bw - g_aw R_bc + g_bw R_ac - g_bc R_aw
+    - (S/2)(g_ac g_bw - g_aw g_bc)]: in three dimensions the Weyl tensor vanishes."""
+    g, ric, s = geo.g.value, geo.ric.value, geo.scalar.value
+    gg = np.einsum("ac,bw->abcw", g, g)
+    gr = np.einsum("ac,bw->abcw", g, ric) + np.einsum("ac,bw->abcw", ric, g)
+    return -(gr - gr.swapaxes(2, 3) - 0.5 * s * (gg - gg.swapaxes(2, 3)))
+
+
+@pytest.mark.parametrize("spec", [
+    catalog("hopf", {"R": 1.0}), catalog("hopf", {"R": 2.0}), catalog("nil"),
+    catalog("hyperbolic"), catalog("cf_family", {"B": 0.3, "C": 1.0}),
+    to_lorentz(catalog("hopf", {"R": 2.0})).lorentzian,
+], ids=["hopf", "hopf_r2", "nil", "hyperbolic", "cf_family", "hopf_lorentzian"])
+def test_ricci_determines_riemann_against_fd_oracle(spec):
+    # the full Ricci tensor, S and g, against a Riemann tensor by finite differences of g
+    for r, theta in POINTS:
+        fd = np.einsum("dw,dcab->abcw", fd_metric(spec, r, theta), fd_riemann(spec, r, theta))
+        np.testing.assert_allclose(_riemann_from_ricci(Geometry(spec, r, theta)), fd,
+                                   rtol=0, atol=1e-6, err_msg=f"{spec.name} at {(r, theta)}")
 
 
 def test_packet_values_hopf():
