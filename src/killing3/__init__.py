@@ -5,9 +5,9 @@ The canonical metric is g = (T^b)^2 + dr^2 + phi^2 dtheta^2 in coordinates
 specified by the scalar profile triple (phi, h, k).  Modules:
 
 * ``jets`` / ``fields``     exact derivative-carrying scalar and tensor jets
-* ``frame_calculus``        the batched Geometry: domain check, metric, connection, Ricci, frame data
-* ``tensor_core``           signatures, g(T, T) and Gram audits
-* ``metric_family``         the (phi, h, k) spec, catalog metrics, CSV grids
+* ``frame_calculus``        the signatures and g(T, T); the batched Geometry: domain check,
+                            metric, connection, Ricci, frame data
+* ``metric_family``         the (phi, h, k) spec, catalog metrics, CSV grids, the frame's Gram audit
 * ``curvature_engine``      Christoffels, Ricci operator and its spectrum
 * ``np_formalism``          spin coefficients, kinematics, structure equations
 * ``cotton_york``           conformal-flatness tests and the (B, C) fit
@@ -30,7 +30,7 @@ from .curvature_engine import (CurvaturePacket, RicciOfT, christoffels,
                                hamilton_inequality)
 from .errors import Killing3Error
 from .fields import ScalarField, constant, from_expr, from_grid
-from .frame_calculus import Geometry
+from .frame_calculus import LORENTZIAN, RIEMANNIAN, Geometry
 from .jets import Jet2
 from .lorentz_bridge import (SignaturePair, lorentz_completeness,
                              lorentz_relations_check, to_lorentz)
@@ -39,7 +39,6 @@ from .np_formalism import (KinematicData, SpinCoefficients, StructureResiduals,
                            conformal_rescale_check, killing_test, kinematics,
                            rotate_frame, spin_coefficients,
                            structure_residuals)
-from .tensor_core import LORENTZIAN, RIEMANNIAN, gram_residual
 
 __version__ = "0.1.0"
 
@@ -52,7 +51,7 @@ __all__ = [
     "build_cf_metric", "catalog", "christoffels", "completeness_verdict",
     "conformal_rescale_check", "constant", "cotton_york", "curvature_packet",
     "curvature_profile", "flatness_verdict", "from_expr", "from_grid",
-    "gaussian_identity_residual", "gram_residual", "hamilton_inequality",
+    "gaussian_identity_residual", "hamilton_inequality",
     "integrate_geodesic", "killing_test", "kinematics", "load_grid_csv",
     "lorentz_completeness", "lorentz_relations_check", "make_state",
     "metric_components", "projection_residual", "rotate_frame",

@@ -41,11 +41,10 @@ from .curvature_engine import (curvature_packet, gaussian_identity_residual,
                                spectrum_vs_eigensolve_residual)
 from .errors import (BadParams, Killing3Error, NonFinite, ParseError,
                      UnknownCatalogName)
-from .frame_calculus import Geometry
+from .frame_calculus import LORENTZIAN, RIEMANNIAN, Geometry
 from .lorentz_bridge import flip_residual, lorentz_relations_check, timelike_residual, to_lorentz
 from .metric_family import CATALOG_PARAMS, catalog, frame_gram_residual, load_grid_csv
 from .np_formalism import kinematics, structure_residuals
-from .tensor_core import LORENTZIAN, RIEMANNIAN
 
 #: the sampling box (r_min, r_max, theta_min, theta_max)
 DEFAULT_GRID = (0.2, 1.2, 0.0, 6.0)
@@ -112,27 +111,24 @@ def parse_metric_spec(text):
             key, (_, ln2) = next(iter(entries.items()))
             raise ParseError(f"unexpected key {key!r} with grid_csv", line=ln2)
         spec = load_grid_csv(path)
-        return spec.with_signature(signature)
-
-    if "catalog" not in entries:
-        raise ParseError("missing `catalog = <name>` (or grid_csv)")
-    name, ln = entries.pop("catalog")
-    if name not in CATALOG_PARAMS:
-        raise UnknownCatalogName(f"unknown catalog metric {name!r}")
-    params = {}
-    for key, (val, ln) in entries.items():
-        if key not in CATALOG_PARAMS[name]:
-            raise ParseError(f"unexpected key {key!r} for catalog {name}", line=ln)
-        try:
-            params[key] = float(val)
-        except ValueError:
-            raise ParseError(f"non-numeric value for {key!r}: {val!r}", line=ln)
-        if not np.isfinite(params[key]):
-            raise ParseError(f"non-finite value for {key!r}: {val!r}", line=ln)
-    spec = catalog(name, params)
-    if signature == LORENTZIAN:
-        spec = spec.with_signature(LORENTZIAN)
-    return spec
+    else:
+        if "catalog" not in entries:
+            raise ParseError("missing `catalog = <name>` (or grid_csv)")
+        name, ln = entries.pop("catalog")
+        if name not in CATALOG_PARAMS:
+            raise UnknownCatalogName(f"unknown catalog metric {name!r}")
+        params = {}
+        for key, (val, ln) in entries.items():
+            if key not in CATALOG_PARAMS[name]:
+                raise ParseError(f"unexpected key {key!r} for catalog {name}", line=ln)
+            try:
+                params[key] = float(val)
+            except ValueError:
+                raise ParseError(f"non-numeric value for {key!r}: {val!r}", line=ln)
+            if not np.isfinite(params[key]):
+                raise ParseError(f"non-finite value for {key!r}: {val!r}", line=ln)
+        spec = catalog(name, params)
+    return spec.with_signature(signature)
 
 
 def sample_points(grid, n_points, seed):

@@ -19,8 +19,8 @@ import numpy as np
 
 from .curvature_engine import christoffels, quotient_criterion, scalar_and_ric_tt
 from .errors import BadParams, BlowUp, DomainError, EmptyProfile, NotUnitLength, StepFailure
-from .frame_calculus import Geometry
-from .metric_family import PHI_CUTOFF, metric_components
+from .frame_calculus import PHI_CUTOFF, Geometry
+from .metric_family import metric_components
 
 COMPLETE = "CompleteCriterion"
 INCOMPLETE = "IncompleteCriterion"

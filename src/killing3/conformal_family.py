@@ -19,8 +19,8 @@ from .curvature_engine import curvature_packet
 from .errors import EnergyDriftExceeded, InadmissibleParams, PhiVanishes
 from .fields import ScalarField
 from .jets import INDEX, NCOEFFS, Jet2
-from .metric_family import PHI_CUTOFF, MetricSpec
-from .tensor_core import RIEMANNIAN
+from .frame_calculus import PHI_CUTOFF, RIEMANNIAN
+from .metric_family import MetricSpec
 
 ENERGY_TOL = 1e-8
 #: the largest C + B^2, and B^2, admitted: the periods in the span grow as

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, TwistZero
-from .frame_calculus import Geometry
-from .tensor_core import g_tt
+from .frame_calculus import Geometry, g_tt
 
 TWIST_FLOOR = 1e-12
 

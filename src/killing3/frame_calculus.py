@@ -12,7 +12,7 @@ Ricci to S is one or two ``contract`` products.  Coordinates are ordered
 
 One coframe E = [[1, -k, -phi h], [0, 1, 0], [0, 0, phi]] and its inverse F,
 built once per Geometry, give g = E^T eta E, g^-1 = F eta F^T and the frame;
-eta = diag(+-1, 1, 1), and the Lorentzian partner flips only its first sign.
+eta = diag(g_tt(signature), 1, 1): the Lorentzian partner flips only its first sign.
 The frame is the one dual to E, T = d_t, X = h d_t + (1/phi) d_theta and
 Y = k d_t + d_r (columns 0, 2, 1 of F), with the complex leg
 m = (X - iY)/sqrt(2).  The frame connection C_ijk = g(nabla_{e_i} e_j, e_k)
@@ -30,11 +30,17 @@ import numpy as np
 
 from .errors import DomainError, JetOrderError
 from .jets import MAX_ORDER, NCOEFFS, Jet2, contract, reciprocal, stack
-from .tensor_core import LORENTZIAN, g_tt
 
+RIEMANNIAN = "riemannian"
+LORENTZIAN = "lorentzian"
 #: the metric is degenerate where phi falls to this value
 PHI_CUTOFF = 1e-8
 _SQRT2 = np.sqrt(2.0)
+
+
+def g_tt(signature):
+    """g(T, T) of the unit Killing field T: -1 on the Lorentzian partner, where T is timelike."""
+    return -1.0 if signature == LORENTZIAN else 1.0
 
 
 class stage(cached_property):

@@ -16,9 +16,8 @@ import numpy as np
 from .completeness_probe import CurvatureProfile, completeness_verdict, criterion_mesh
 from .curvature_engine import ricci_tt
 from .errors import AlreadyLorentzian
-from .frame_calculus import Geometry
+from .frame_calculus import LORENTZIAN, Geometry
 from .metric_family import MetricSpec
-from .tensor_core import LORENTZIAN
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,7 @@ import numpy as np
 from . import fields, jets
 from .errors import BadParams, UnknownCatalogName
 from .fields import ScalarField
-from .frame_calculus import PHI_CUTOFF, Geometry  # PHI_CUTOFF is re-exported
-from .tensor_core import RIEMANNIAN, gram_residual
+from .frame_calculus import RIEMANNIAN, Geometry, g_tt
 
 #: the parameters each catalog metric accepts, with their defaults
 CATALOG_PARAMS = {
@@ -63,8 +62,11 @@ def metric_components(spec, p):
 
 
 def frame_gram_residual(geo):
-    """Per-point max deviation of the Gram matrix of ``geo.frame`` from the signature's."""
-    return gram_residual(jets.stack(geo.frame).value, geo.g.value, geo.spec.signature)
+    """Per-point max deviation of g(e_i, e_j) of ``geo.frame`` (T, X, Y) from
+    diag(g_tt, 1, 1), g_tt read from the spec's signature, not from the Geometry's eta."""
+    e = jets.stack(geo.frame).value
+    gram = np.einsum("ia...,ab...,jb...->...ij", e, geo.g.value, e)
+    return np.max(np.abs(gram - np.diag([g_tt(geo.spec.signature), 1.0, 1.0])), axis=(-2, -1))
 
 
 # -- catalog -----------------------------------------------------------------
@@ -103,9 +105,12 @@ def catalog(name, params=None):
                           RIEMANNIAN, "hyperbolic", {})
     from .conformal_family import FamilyParams, build_cf_metric
 
+    sign = float(params["sign"])
+    if sign not in (1.0, -1.0):  # int() would read 1.7 as 1
+        raise BadParams(f"cf_family sign must be 1 or -1, got {params['sign']}")
     return build_cf_metric(FamilyParams(
         B=float(params["B"]), C=float(params["C"]),
-        omega0=float(params["omega0"]), omega_r0_sign=int(params["sign"])))
+        omega0=float(params["omega0"]), omega_r0_sign=int(sign)))
 
 
 # -- grid-sampled input -------------------------------------------------------

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import jets
 from .errors import EmptyGrid, NotUnitLength
-from .frame_calculus import Geometry, stage
-from .tensor_core import g_tt
+from .frame_calculus import Geometry, g_tt, stage
 
 UNIT_TOL = 1e-9
 

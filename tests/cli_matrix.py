@@ -12,7 +12,9 @@ two output directories shows every report that changed, to the byte, and
     python tests/cli_matrix.py --compare A B
 
 prints, for each run, whether its exit code, stderr or text stdout changed and the
-largest |difference| per jsonl field (``record.<key>``, ``summary.<key>``).
+largest |difference| per jsonl field (``record.<key>``, ``summary.<key>``), and names
+each run that either directory lacks; it exits 1 if any run differs or is missing, so
+it serves as a gate.
 """
 
 import contextlib
@@ -96,13 +98,22 @@ def _jsonl_deltas(a, b):
 
 
 def compare(a, b):
-    """Print what differs between the run files of two output directories."""
-    a, b = Path(a), Path(b)
-    stems = sorted(p.name[:-len(".code")] for p in a.glob("*.code"))
+    """Print what differs between the run files of two output directories; the number of
+    runs that differ or that either directory lacks (any of the run's three files)."""
+    dirs = Path(a), Path(b)
+    stems = sorted({p.name[:-len(".code")] for d in dirs for p in d.glob("*.code")})
+    failed = 0
     for stem in stems:
-        texts = {ext: [(d / f"{stem}.{ext}").read_text() for d in (a, b)]
+        lacking = [str(d) for d in dirs
+                   if not all((d / f"{stem}.{ext}").is_file() for ext in ("code", "err", "out"))]
+        if lacking:
+            print(f"{stem}: missing from {' and '.join(lacking)}")
+            failed += 1
+            continue
+        texts = {ext: [(d / f"{stem}.{ext}").read_text() for d in dirs]
                  for ext in ("code", "err", "out")}
         changed = [ext for ext, (x, y) in texts.items() if x != y]
+        failed += bool(changed)
         named = [ext for ext in changed if not (ext == "out" and stem.endswith(".jsonl"))]
         if named:
             print(f"{stem}: {', '.join(named)} differ")
@@ -114,12 +125,15 @@ def compare(a, b):
             for key, delta in worst.items():
                 if delta:
                     print(f"{stem}: {key} {'differs' if delta == math.inf else f'{delta:.3g}'}")
+            if not any(worst.values()):  # the same values, spelled otherwise
+                print(f"{stem}: out differ")
     print(f"{len(stems)} runs compared")
+    return failed
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "--compare":
-        compare(*sys.argv[2:])
+        sys.exit(1 if compare(*sys.argv[2:]) else 0)
     elif len(sys.argv) == 2:
         run_matrix(sys.argv[1])
     else:

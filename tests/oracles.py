@@ -9,7 +9,7 @@ tolerances are looser than the library's analytic-jet tolerances.
 
 import numpy as np
 
-from killing3.tensor_core import LORENTZIAN
+from killing3 import LORENTZIAN
 
 
 def fd_metric(spec, r, theta):

@@ -18,7 +18,7 @@ from cli_matrix import hopf_grid_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killing3 import fields, jets
+from killing3 import RIEMANNIAN, fields, jets
 from killing3.cli import _RUNNERS, RunConfig
 from killing3.conformal_family import wpde_residual
 from killing3.cotton_york import cotton_york, flatness_verdict, tmg_residual
@@ -35,7 +35,6 @@ from killing3.metric_family import (CATALOG_NAMES, MetricSpec, catalog, frame_gr
 from killing3.np_formalism import (conformal_rescale_check, killing_test,
                                    kinematics, rotate_frame, spin_coefficients,
                                    structure_residuals)
-from killing3.tensor_core import RIEMANNIAN
 
 TOL = 1e-13
 

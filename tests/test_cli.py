@@ -1,6 +1,9 @@
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -9,6 +12,7 @@ import pytest
 from cli_matrix import compare, run_matrix
 from hypothesis import given, settings, strategies as st
 
+import killing3
 from killing3.cli import (_RUNNERS, RunConfig, build_parser, load_jsonl_report,
                           main, parse_metric_spec, render_report, run,
                           sample_points)
@@ -80,12 +84,16 @@ def test_parse_lorentzian_signature():
 
 
 @pytest.mark.parametrize("text", ["catalog = nil\nomega0 = nan",
-                                  "catalog = hopf\nR = inf"])
-def test_parse_rejects_non_finite_with_line(tmp_path, text):
+                                  "catalog = hopf\nR = inf",
+                                  "catalog = hopf\nR =",
+                                  "grid_csv = x.csv\nR = 2"])
+def test_parse_rejects_non_finite_with_line(tmp_path, capsys, text):
     with pytest.raises(ParseError) as exc:
         parse_metric_spec(text)
     assert exc.value.line == 2
     assert main(["analyze", "--spec", _write_spec(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("killing3: line 2: ") and len(err.strip().splitlines()) == 1
 
 
 def _grid_spec_text(tmp_path, n_r=8, n_t=8, cell="0.0"):
@@ -340,6 +348,7 @@ def _exit_code(argv):
     ("verify", ["--tol", "residual=0"]),
     ("geodesic", ["--tol", "drift=0"]),
     ("geodesic", ["--tol", "drift=-1e-9"]),
+    ("verify", ["--tol", "residual"]),
 ])
 def test_main_rejects_bad_flag_values(tmp_path, capsys, command, flags):
     spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
@@ -586,6 +595,16 @@ def test_family_on_the_separatrix(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["family", "analyze"])
+@pytest.mark.parametrize("sign", ["1.7", "-1.2", "0", "0.5"])
+def test_cf_family_sign_other_than_one_or_minus_one_exit_2(tmp_path, capsys, command, sign):
+    # int() of the parsed float would have run 1.7 as +1 and -1.2 as -1
+    spec = _write_spec(tmp_path, f"catalog = cf_family\nB = 0.3\nC = 1\nsign = {sign}")
+    assert main([command, "--spec", spec, "--points", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"killing3: cf_family sign must be 1 or -1, got {float(sign)}\n"
+
+
+@pytest.mark.parametrize("command", ["family", "analyze"])
 def test_cf_family_with_negative_omega_r_sign(tmp_path, command):
     # phi = sign h(theta) omega_r stays positive when omega_r(0) < 0
     spec = _write_spec(tmp_path, "catalog = cf_family\nB = 0.3\nC = 1\nsign = -1")
@@ -691,3 +710,41 @@ def test_cli_matrix_compare_names_each_changed_field(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "x.lorentz.jsonl: code differ", "x.verify.jsonl: record.s 0.25",
         "x.verify.jsonl: verdict differs", "x.verify.text: out differ", "3 runs compared"]
+
+
+def test_cli_matrix_compare_exits_1_on_a_changed_or_missing_run(tmp_path):
+    def write(side, stem, code="0\n", out="", exts=("out", "err", "code")):
+        (tmp_path / side).mkdir(exist_ok=True)
+        for ext, text in (("out", out), ("err", ""), ("code", code)):
+            if ext in exts:
+                (tmp_path / side / f"{stem}.{ext}").write_text(text)
+
+    def gate():
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(killing3.__file__))}
+        script = os.path.join(os.path.dirname(__file__), "cli_matrix.py")
+        return subprocess.run([sys.executable, script, "--compare", str(tmp_path / "a"),
+                               str(tmp_path / "b")], capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    for side in "ab":
+        write(side, "x.verify.text")
+    same = gate()
+    assert (same.returncode, same.stdout, same.stderr) == (0, "1 runs compared\n", "")
+    write("a", "y.analyze.text")
+    write("b", "z.lorentz.text")
+    write("a", "w.flatness.text")
+    write("b", "w.flatness.text", exts=("err", "code"))  # its stdout file is lacking
+    a, b = tmp_path / "a", tmp_path / "b"
+    missing = gate()
+    assert (missing.returncode, missing.stdout.splitlines()) == (1, [
+        f"w.flatness.text: missing from {b}", f"y.analyze.text: missing from {b}",
+        f"z.lorentz.text: missing from {a}", "4 runs compared"])
+    write("b", "x.verify.text", code="1\n")
+    write("a", "v.analyze.jsonl", out='{"s": 1.0}\n')
+    write("b", "v.analyze.jsonl", out='{"s": 1.00}\n')  # the same value, spelled otherwise
+    for stem in ("w.flatness.text", "y.analyze.text", "z.lorentz.text"):
+        for side in "ab":
+            write(side, stem)
+    changed = gate()
+    assert (changed.returncode, changed.stdout.splitlines()) == (
+        1, ["v.analyze.jsonl: out differ", "x.verify.text: code differ", "5 runs compared"])

@@ -40,6 +40,20 @@ def test_synthetic_incomplete_profile():
     assert completeness_verdict(prof) == INCOMPLETE
 
 
+_ZERO, _TEN = completeness_probe.TOL_ZERO, 10.0 * completeness_probe.TOL_ZERO
+
+
+@pytest.mark.parametrize("tail, verdict", [
+    (-1.0, COMPLETE), (0.0, COMPLETE), (_ZERO, COMPLETE),
+    (np.nextafter(_ZERO, 1.0), INCONCLUSIVE), (5e-6, INCONCLUSIVE), (_TEN, INCONCLUSIVE),
+    (np.nextafter(_TEN, 1.0), INCOMPLETE), (1.0, INCOMPLETE)])
+def test_calm_tail_verdict_bands(tail, verdict):
+    """Complete up to TOL_ZERO = 1e-6, Inconclusive up to 10 TOL_ZERO, Incomplete above."""
+    prof = CurvatureProfile.from_minima(np.linspace(1.0, 10.0, 40), np.full(40, tail), 0)
+    assert prof.tail_estimate == tail and prof.tail_oscillation == 0.0
+    assert completeness_verdict(prof) == verdict
+
+
 def test_oscillating_tail_is_inconclusive():
     radii = np.linspace(1.0, 10.0, 40)
     prof = CurvatureProfile.from_minima(radii, 1.0 + 0.8 * np.sin(radii * 3.0), 0)

@@ -165,7 +165,7 @@ def test_separatrix_is_homoclinic():
 
 def test_separatrix_metric_stays_above_phi_cutoff():
     from killing3.cotton_york import FLAT, flatness_verdict
-    from killing3.metric_family import PHI_CUTOFF
+    from killing3.frame_calculus import PHI_CUTOFF
 
     # the tail without a turning point lies at r < 0 for omega0 = 1, at r > 0 for -1
     for omega0 in (1.0, -1.0):

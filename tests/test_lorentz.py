@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from killing3 import cli
+from killing3 import LORENTZIAN, cli
 from killing3.completeness_probe import COMPLETE, curvature_profile
 from killing3.conformal_family import wpde_residual
 from killing3.curvature_engine import hamilton_inequality, scalar_and_ric_tt
@@ -11,7 +11,6 @@ from killing3.lorentz_bridge import (flip_residual, lorentz_completeness,
                                      lorentz_relations_check, timelike_residual,
                                      to_lorentz)
 from killing3.metric_family import CATALOG_NAMES, catalog, metric_components
-from killing3.tensor_core import LORENTZIAN
 
 POINTS = [(0.35, 0.4), (0.8, 2.1), (1.1, 5.0)]
 

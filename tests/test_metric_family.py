@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killing3 import fields, jets
+from killing3 import LORENTZIAN, RIEMANNIAN, fields, jets
 from killing3.errors import BadParams, DomainError, UnknownCatalogName
-from killing3.frame_calculus import Geometry
+from killing3.frame_calculus import Geometry, g_tt
+from killing3.lorentz_bridge import to_lorentz
 from killing3.metric_family import (CATALOG_NAMES, GRID_CSV_HEADER, MetricSpec,
                                     catalog, frame_gram_residual, load_grid_csv,
                                     metric_components, to_grid_sampled)
-from killing3.tensor_core import LORENTZIAN, RIEMANNIAN
 from oracles import fd_metric, fd_twist
 
 
@@ -74,6 +74,19 @@ def test_frame_gram_on_all_catalogs():
             spec = _catalog(name).with_signature(signature)
             geo = Geometry(spec, [0.3, 0.9, 1.2], [0.0, 2.5, -1.0])
             assert np.max(frame_gram_residual(geo)) < 1e-12, (name, signature)
+
+
+def test_gram_audit_reads_g_tt_from_the_spec():
+    assert g_tt(LORENTZIAN) == -1.0
+    assert g_tt(RIEMANNIAN) == 1.0
+    for signature in (RIEMANNIAN, LORENTZIAN):  # the flat frame is the coordinate basis
+        geo = Geometry(catalog("flat").with_signature(signature), [0.4, 0.9], [1.0, 4.0])
+        assert np.all(frame_gram_residual(geo) == 0.0), signature
+    for name in CATALOG_NAMES:
+        pair = to_lorentz(_catalog(name))
+        partner = Geometry(pair.lorentzian, [0.4, 0.9], [1.0, 4.0])
+        partner.g = Geometry(pair.riemannian, partner.r, partner.theta).g  # the wrong signature
+        np.testing.assert_allclose(frame_gram_residual(partner), 2.0, rtol=1e-12, err_msg=name)
 
 
 @pytest.mark.parametrize("signature", [RIEMANNIAN, LORENTZIAN])

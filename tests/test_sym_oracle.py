@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from killing3 import fields, jets
+from killing3 import LORENTZIAN, fields, jets
 from killing3.cotton_york import cotton_york
 from killing3.curvature_engine import christoffels, ricci_frame_matrix, ricci_tt
 from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import lorentz_relations_check
 from killing3.metric_family import MetricSpec, catalog
-from killing3.tensor_core import LORENTZIAN
 from sym_oracle import Derivation, r, theta
 
 RTOL = 1e-12
