@@ -3,8 +3,8 @@
 Commands
 --------
 analyze   curvature packet + kinematics sweep over sampled points
-verify    full identity-residual suite (structure equations, Bianchi,
-          Gaussian-curvature relation, spectrum agreement, Lorentz relations)
+verify    full identity-residual suite (structure, Bianchi, Gaussian curvature,
+          closed-form spectrum vs the Geometry's frame Ricci, Lorentz relations)
 flatness  Cotton-York sweep + (B, C) quadratic fit
 geodesic  trajectory integration with conserved-quantity drift report
 family    twist-ODE solve + built metric + flatness audit
@@ -208,7 +208,7 @@ def _run_verify(spec, config):
     columns = {
         "structure": structure_residuals(geo).max_abs(),
         "gaussian": gaussian_identity_residual(geo),
-        "spectrum_agreement": spectrum_vs_eigensolve_residual(curvature_packet(geo)),
+        "spectrum_agreement": spectrum_vs_eigensolve_residual(geo),
         "gram": frame_gram_residual(geo),
         "lorentz_ric": ric_res,
         "lorentz_scalar": s_res,

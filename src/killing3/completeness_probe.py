@@ -29,7 +29,8 @@ INCONCLUSIVE = "Inconclusive"
 #: all verdicts are criterion evaluations under the global-chart hypothesis
 VERDICT_NOTE = "criterion evaluation on R^3 hypothesis"
 
-TOL_ZERO = 1e-6
+#: calm-tail verdict bands: Complete up to TOL_ZERO, Inconclusive up to TOL_INCOMPLETE
+TOL_ZERO, TOL_INCOMPLETE = 1e-6, 1e-5
 #: the largest |speed - 1| a geodesic may start with
 UNIT_TOL = 1e-8
 #: relative oscillation of the tail quartile beyond which no verdict is given
@@ -87,7 +88,7 @@ def completeness_verdict(profile):
         return INCONCLUSIVE
     if profile.tail_estimate <= TOL_ZERO:
         return COMPLETE
-    if profile.tail_estimate > 10.0 * TOL_ZERO:
+    if profile.tail_estimate > TOL_INCOMPLETE:
         return INCOMPLETE
     return INCONCLUSIVE
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_engine import curvature_packet, ricci_frame_matrix
+from .curvature_engine import curvature_packet
 from .errors import EmptyGrid
 from .fields import GRID_SAMPLED
 from .frame_calculus import Geometry
@@ -138,5 +138,5 @@ def flatness_verdict(geo):
 
 def tmg_residual(geo):
     """Frobenius distance from CY to the traceless Ricci tensor (frame components)."""
-    traceless = ricci_frame_matrix(geo) - np.multiply.outer(np.eye(3), geo.scalar.value / 3.0)
+    traceless = geo.ric_frame.value - np.multiply.outer(np.eye(3), geo.scalar.value / 3.0)
     return CottonYorkMatrix(geo.cotton_york_matrix - traceless).norm

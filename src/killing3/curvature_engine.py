@@ -1,7 +1,9 @@
-"""Christoffel symbols, the Ricci operator and its closed-form spectrum.
+"""Christoffel symbols, the curvature packet and its closed-form Ricci spectrum.
 
 The point-level analyses take a ``Geometry``, one point or a batch, and return
 values of its batch shape: a one-point call is a view of the batched one.
+The packet holds the paper's closed forms in (omega, S, X(omega), Y(omega)), and
+``spectrum_vs_eigensolve_residual`` holds its spectrum to the Geometry's ``ric_frame``.
 """
 
 from __future__ import annotations
@@ -42,33 +44,13 @@ class RicciOfT:
 
 @dataclass(frozen=True)
 class CurvaturePacket:
-    """Curvature data of a Geometry; every value has the geometry's batch shape."""
+    """Closed-form curvature data of a Geometry; every value has the geometry's batch shape."""
 
     scalar_S: np.ndarray
-    ric_operator: np.ndarray  # (3, 3) + batch, from (omega, S, X(omega), Y(omega))
     spectrum: tuple           # (lam1, lam2, lam3) closed forms, lam1 >= lam2
     omega: np.ndarray
     grad_omega_sq: np.ndarray
     ric_of_T: RicciOfT
-
-
-def ricci_frame_matrix(geo):
-    rf = geo.ric_frame
-    return np.array([
-        [rf["TT"].value, rf["TX"].value, rf["TY"].value],
-        [rf["TX"].value, rf["XX"].value, rf["XY"].value],
-        [rf["TY"].value, rf["XY"].value, rf["YY"].value],
-    ])
-
-
-def ric_operator_assembled(omega, scalar_s, x_omega, y_omega):
-    """The Ricci operator matrix built from first-order twist data."""
-    w2 = omega * omega
-    return 0.5 * np.array([
-        [w2, -y_omega, x_omega],
-        [-y_omega, scalar_s - w2 / 2.0, 0.0 * omega],
-        [x_omega, 0.0 * omega, scalar_s - w2 / 2.0],
-    ])
 
 
 def spectrum_closed_form(omega, scalar_s, grad_omega_sq):
@@ -91,7 +73,6 @@ def curvature_packet(geo):
     spectrum, _ = spectrum_closed_form(omega, s, grad_sq)
     return CurvaturePacket(
         scalar_S=s,
-        ric_operator=ric_operator_assembled(omega, s, xw, yw),
         spectrum=spectrum,
         omega=omega,
         grad_omega_sq=grad_sq,
@@ -156,10 +137,11 @@ def hamilton_inequality(geo):
     return verdict, bool(np.all(verdict.holds))
 
 
-def spectrum_vs_eigensolve_residual(packet):
-    """Multiset distance between the closed-form spectrum and an eigensolve of Ham1, per point."""
-    closed = np.sort(np.stack(packet.spectrum, axis=-1), axis=-1)
-    mats = np.moveaxis(packet.ric_operator, (0, 1), (-2, -1))
+def spectrum_vs_eigensolve_residual(geo):
+    """Multiset distance between the packet's closed-form spectrum and an eigensolve of the
+    Geometry's Ricci on the frame, per point."""
+    mats = np.moveaxis(geo.ric_frame.value, (0, 1), (-2, -1))
     if not np.all(np.isfinite(mats)):
-        raise NonFinite("Ricci operator has non-finite entries")
+        raise NonFinite("Ricci on the frame has non-finite entries")
+    closed = np.sort(np.stack(curvature_packet(geo).spectrum, axis=-1), axis=-1)
     return np.max(np.abs(closed - np.linalg.eigvalsh(mats)), axis=-1)

@@ -248,17 +248,9 @@ class Geometry:
 
     @stage
     def ric_frame(self):
-        """Ricci bilinear on the frame; the m-leg entries follow by bilinearity."""
+        """Ricci on the frame, the rank-2 jet ric_frame[i][j] = Ric(e_i, e_j) of (T, X, Y)."""
         legs = stack(self.frame)  # [i][a]: leg i of T, X, Y
-        rf = contract("ib,jb->ij", contract("ia,ab->ib", legs, self.ric), legs)
-        tx, ty, xx, yy, xy = rf[0, 1], rf[0, 2], rf[1, 1], rf[2, 2], rf[1, 2]
-        # m = (X - iY)/sqrt(2)
-        return {"TT": rf[0, 0], "TX": tx, "TY": ty, "XX": xx, "YY": yy, "XY": xy,
-                "Tm": (tx + (-1j) * ty) * (1.0 / _SQRT2),
-                "Tmbar": (tx + 1j * ty) * (1.0 / _SQRT2),
-                "mm": (xx - yy + (-2j) * xy) * 0.5,
-                "mbarmbar": (xx - yy + 2j * xy) * 0.5,
-                "mmbar": (xx + yy) * 0.5}
+        return contract("ib,jb->ij", contract("ia,ab->ib", legs, self.ric), legs)
 
     # -- derived scalars for the Cotton-York block ----------------------------
 

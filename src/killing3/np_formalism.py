@@ -16,6 +16,7 @@ from . import jets
 from .errors import EmptyGrid, NotUnitLength
 from .frame_calculus import Geometry, g_tt, stage
 
+_RSQRT2 = 1.0 / np.sqrt(2.0)
 UNIT_TOL = 1e-9
 
 
@@ -89,6 +90,11 @@ def structure_residuals(geo):
     m, mbar = geo.m_leg
     kappa, rho, sigma, eps, beta = geo.spin
     rf = geo.ric_frame
+    tx, ty, xx, yy, xy = rf[0, 1], rf[0, 2], rf[1, 1], rf[2, 2], rf[1, 2]
+    # Ricci on the m legs by bilinearity, m = (X - iY)/sqrt(2)
+    rf_tm, rf_tmbar = (tx + (-1j) * ty) * _RSQRT2, (tx + 1j * ty) * _RSQRT2
+    rf_mm, rf_mbarmbar = (xx - yy + (-2j) * xy) * 0.5, (xx - yy + 2j * xy) * 0.5
+    rf_tt, rf_mmbar = rf[0, 0], (xx + yy) * 0.5
 
     def dd(u, f):
         """U(f) at the points, from a product of order 0: only values are read."""
@@ -100,10 +106,8 @@ def structure_residuals(geo):
     kap, rh, sig, ep, bet = v(kappa), v(rho), v(sigma), v(eps), v(beta)
     # squares as products: a width-1 Geometry's numpy scalars would take pow's bits
     kap2, sig2, rh2, bet2 = (abs(x) * abs(x) for x in (kap, sig, rh, bet))
-    ric_tt = v(rf["TT"])
-    ric_tm, ric_tmbar = v(rf["Tm"]), v(rf["Tmbar"])
-    ric_mm, ric_mbarmbar = v(rf["mm"]), v(rf["mbarmbar"])
-    ric_mmbar = v(rf["mmbar"])
+    ric_tt, ric_tm, ric_tmbar = v(rf_tt), v(rf_tm), v(rf_tmbar)
+    ric_mm, ric_mbarmbar, ric_mmbar = v(rf_mm), v(rf_mbarmbar), v(rf_mmbar)
 
     s1 = (dd(t, rho) - dd(mbar, kappa)
           - (kap2 + sig2 + rh * rh + kap * np.conj(bet)
@@ -129,11 +133,11 @@ def structure_residuals(geo):
     lie2 = dd(m, mbar) - dd(mbar, m) - combo(np.conj(rh) - rh, np.conj(bet), -bet)
     lie_mmbar = np.max(np.abs(lie2), axis=0)
 
-    bid1 = (dd(t, rf["Tm"]) - 0.5 * dd(m, rf["TT"]) + dd(mbar, rf["mm"])
+    bid1 = (dd(t, rf_tm) - 0.5 * dd(m, rf_tt) + dd(mbar, rf_mm)
             - (kap * (ric_tt - ric_mmbar) + (ep + 2 * rh + np.conj(rh)) * ric_tm
                + sig * ric_tmbar - (np.conj(kap) + 2 * np.conj(bet)) * ric_mm))
-    bid2 = (dd(m, rf["Tmbar"]) + dd(mbar, rf["Tm"])
-            - dd(t, rf["mmbar"] - rf["TT"] * 0.5)
+    bid2 = (dd(m, rf_tmbar) + dd(mbar, rf_tm)
+            - dd(t, rf_mmbar - rf_tt * 0.5)
             - ((rh + np.conj(rh)) * (ric_tt - ric_mmbar)
                - np.conj(sig) * ric_mm - sig * ric_mbarmbar
                - (2 * np.conj(kap) + np.conj(bet)) * ric_tm

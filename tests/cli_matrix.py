@@ -11,10 +11,11 @@ two output directories shows every report that changed, to the byte, and
 
     python tests/cli_matrix.py --compare A B
 
-prints, for each run, whether its exit code, stderr or text stdout changed and the
-largest |difference| per jsonl field (``record.<key>``, ``summary.<key>``), and names
-each run that either directory lacks; it exits 1 if any run differs or is missing, so
-it serves as a gate.
+prints, for each run, whether its exit code or stderr changed and the largest
+|difference| per field of its stdout: each jsonl field (``record.<key>``,
+``summary.<key>``), or each ``  key = value`` summary line of a text report.  It
+names each run that either directory lacks, and exits 1 if any run differs or is
+missing, so it serves as a gate.
 """
 
 import contextlib
@@ -79,18 +80,31 @@ def _leaves(obj, key=""):
         yield key, obj
 
 
-def _jsonl_deltas(a, b):
-    """The largest |a - b| per field of two jsonl reports, inf where a non-number differs;
+def _fields(line, jsonl):
+    """(field, value) of one stdout line: its jsonl leaves, or the ``  key = value`` of a
+    text summary line with the value a float where it reads as one (other lines: none)."""
+    if jsonl:
+        return list(_leaves(json.loads(line)))
+    key, eq, value = line.strip().partition(" = ")
+    if not (line.startswith("  ") and eq):
+        return []
+    with contextlib.suppress(ValueError):
+        value = float(value)
+    return [(key, value)]
+
+
+def _deltas(a, b, jsonl):
+    """The largest |a - b| per field of two reports, inf where a non-number differs;
     None if the two do not hold the same fields in the same order."""
     worst = {}
     lines_a, lines_b = a.splitlines(), b.splitlines()
     if len(lines_a) != len(lines_b):
         return None
     for x, y in zip(lines_a, lines_b):
-        leaves_a, leaves_b = list(_leaves(json.loads(x))), list(_leaves(json.loads(y)))
-        if [k for k, _ in leaves_a] != [k for k, _ in leaves_b]:
+        fields_a, fields_b = _fields(x, jsonl), _fields(y, jsonl)
+        if [k for k, _ in fields_a] != [k for k, _ in fields_b]:
             return None
-        for (key, u), (_, v) in zip(leaves_a, leaves_b):
+        for (key, u), (_, v) in zip(fields_a, fields_b):
             numbers = all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in (u, v))
             delta = abs(u - v) if numbers else (0.0 if u == v else math.inf)
             worst[key] = max(worst.get(key, 0.0), delta)
@@ -114,11 +128,11 @@ def compare(a, b):
                  for ext in ("code", "err", "out")}
         changed = [ext for ext, (x, y) in texts.items() if x != y]
         failed += bool(changed)
-        named = [ext for ext in changed if not (ext == "out" and stem.endswith(".jsonl"))]
+        named = [ext for ext in changed if ext != "out"]
         if named:
             print(f"{stem}: {', '.join(named)} differ")
-        if stem.endswith(".jsonl") and "out" in changed:
-            worst = _jsonl_deltas(*texts["out"])
+        if "out" in changed:
+            worst = _deltas(*texts["out"], jsonl=stem.endswith(".jsonl"))
             if worst is None:
                 print(f"{stem}: the reports hold different fields")
                 continue

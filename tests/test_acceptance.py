@@ -79,7 +79,7 @@ def test_criterion_02_hopf_conformally_flat_32x32():
     cy_max = float(np.max(cotton_york_norms(spec, rr, tt)))   # full Y1-Y3 path
     geo = Geometry(spec, rr, tt, order=2)
     shortcut = float(np.max(np.abs(geo.scalar.value
-                                   - 3.0 * geo.ric_frame["TT"].value)))
+                                   - 3.0 * geo.ric_frame.value[0, 0])))
     elapsed = time.perf_counter() - t0
     ok = cy_max < 1e-8 and shortcut < 1e-8 and elapsed < 5.0
     _verdict(2, ok, f"cy {cy_max:.2e}, S-3Ric(T,T) {shortcut:.2e}, "
@@ -138,7 +138,7 @@ def test_criterion_06_spectrum_agreement():
     for name, spec in _catalogs().items():
         geo = Geometry(spec, *np.transpose(sample_points(_box_for(name), 100, 42)))
         worst = max(worst,
-                    float(np.max(spectrum_vs_eigensolve_residual(curvature_packet(geo)))))
+                    float(np.max(spectrum_vs_eigensolve_residual(geo))))
     pk = curvature_packet(Geometry(catalog("hopf", {"R": 1.0}), 0.6, 0.3))
     hopf_err = float(np.max(np.abs(np.asarray(pk.spectrum) - 2.0)))
     ok = worst < 1e-9 and hopf_err < 1e-9

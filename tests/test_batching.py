@@ -84,8 +84,7 @@ ANALYSES = {
     "tmg_residual": tmg_residual,
     "wpde_residual": lambda geo: wpde_residual(geo, 0.3, 1.0),
     "lorentz_relations_check": lorentz_relations_check,
-    "spectrum_vs_eigensolve_residual":
-        lambda geo: spectrum_vs_eigensolve_residual(curvature_packet(geo)),
+    "spectrum_vs_eigensolve_residual": spectrum_vs_eigensolve_residual,
     "christoffels": christoffels,
     "rotate_frame": _rotate_frame,
     "conformal_rescale_check": lambda geo: conformal_rescale_check(geo, CONFORMAL_F),
@@ -189,8 +188,7 @@ def _pointwise_record(command, spec, p):
     if command == "verify":
         return {"structure": structure_residuals(geo).max_abs(),
                 "gaussian": gaussian_identity_residual(geo),
-                "spectrum_agreement": spectrum_vs_eigensolve_residual(
-                    curvature_packet(geo)),
+                "spectrum_agreement": spectrum_vs_eigensolve_residual(geo),
                 "gram": frame_gram_residual(geo),
                 "lorentz_ric": ric_res, "lorentz_scalar": s_res}
     return {"flip": flip_residual(geo, partner), "timelike": timelike_residual(partner),
@@ -267,7 +265,7 @@ def _stage_values(geo):
                    "spin": np.array([j.value for j in geo.spin]),
                    "structure": structure_residuals(geo).max_abs(),
                    "grad_omega_sq": pk.grad_omega_sq, "ric_of_T.norm_sq": pk.ric_of_T.norm_sq,
-                   "spectrum": np.array(pk.spectrum), "ric_operator": pk.ric_operator,
+                   "spectrum": np.array(pk.spectrum), "ric_frame": geo.ric_frame.value,
                    "tmg_residual": tmg_residual(geo)}
     return values
 

@@ -742,9 +742,16 @@ def test_cli_matrix_compare_exits_1_on_a_changed_or_missing_run(tmp_path):
     write("b", "x.verify.text", code="1\n")
     write("a", "v.analyze.jsonl", out='{"s": 1.0}\n')
     write("b", "v.analyze.jsonl", out='{"s": 1.00}\n')  # the same value, spelled otherwise
+    summary = "killing3 flatness: pass\n  verdict = {}\n  B = {}\n  n_points = 64\n"
+    write("a", "u.flatness.text", out=summary.format("Flat", "0.25"))
+    write("b", "u.flatness.text", out=summary.format("NotFlat", "0.5"))
+    write("a", "t.flatness.text", out=summary.format("Flat", "0.25"))
+    write("b", "t.flatness.text", out=summary.format("Flat", "0.250"))
     for stem in ("w.flatness.text", "y.analyze.text", "z.lorentz.text"):
         for side in "ab":
             write(side, stem)
     changed = gate()
     assert (changed.returncode, changed.stdout.splitlines()) == (
-        1, ["v.analyze.jsonl: out differ", "x.verify.text: code differ", "5 runs compared"])
+        1, ["t.flatness.text: out differ", "u.flatness.text: verdict differs",
+            "u.flatness.text: B 0.25", "v.analyze.jsonl: out differ",
+            "x.verify.text: code differ", "7 runs compared"])

@@ -40,7 +40,7 @@ def test_synthetic_incomplete_profile():
     assert completeness_verdict(prof) == INCOMPLETE
 
 
-_ZERO, _TEN = completeness_probe.TOL_ZERO, 10.0 * completeness_probe.TOL_ZERO
+_ZERO, _TEN = completeness_probe.TOL_ZERO, completeness_probe.TOL_INCOMPLETE
 
 
 @pytest.mark.parametrize("tail, verdict", [
@@ -48,7 +48,8 @@ _ZERO, _TEN = completeness_probe.TOL_ZERO, 10.0 * completeness_probe.TOL_ZERO
     (np.nextafter(_ZERO, 1.0), INCONCLUSIVE), (5e-6, INCONCLUSIVE), (_TEN, INCONCLUSIVE),
     (np.nextafter(_TEN, 1.0), INCOMPLETE), (1.0, INCOMPLETE)])
 def test_calm_tail_verdict_bands(tail, verdict):
-    """Complete up to TOL_ZERO = 1e-6, Inconclusive up to 10 TOL_ZERO, Incomplete above."""
+    """Complete up to 1e-6 (TOL_ZERO), Inconclusive up to 1e-5 (TOL_INCOMPLETE), then Incomplete."""
+    assert _TEN == 1e-5
     prof = CurvatureProfile.from_minima(np.linspace(1.0, 10.0, 40), np.full(40, tail), 0)
     assert prof.tail_estimate == tail and prof.tail_oscillation == 0.0
     assert completeness_verdict(prof) == verdict

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +5,11 @@ from hypothesis import strategies as st
 
 from killing3.curvature_engine import (christoffels, curvature_packet,
                                        gaussian_identity_residual,
-                                       hamilton_inequality, ricci_frame_matrix,
-                                       ric_operator_assembled,
-                                       spectrum_closed_form,
+                                       hamilton_inequality, spectrum_closed_form,
                                        spectrum_vs_eigensolve_residual)
 from killing3.errors import NonFinite, TwistZero
 from killing3.frame_calculus import Geometry
+from killing3.jets import Jet2
 from killing3.lorentz_bridge import to_lorentz
 from killing3.metric_family import catalog
 from oracles import (bisect_eigenvalues, fd_christoffels, fd_metric, fd_ricci, fd_riemann,
@@ -58,8 +55,8 @@ def test_ricci_against_fd_oracle(catalogs):
 def _frame_sectional(geo):
     """Sectional curvatures of the frame planes (X, Y), (T, X), (T, Y): in three dimensions
     the plane with unit normal n has S/2 - Ric(n, n)."""
-    rf, half_s = geo.ric_frame, geo.scalar.value / 2.0
-    return [half_s - rf[n].value for n in ("TT", "YY", "XX")]
+    rf, half_s = geo.ric_frame.value, geo.scalar.value / 2.0
+    return [half_s - rf[n, n] for n in (0, 2, 1)]
 
 
 def test_hopf_sectional_curvature():
@@ -106,7 +103,7 @@ def test_packet_values_hopf():
     assert pk.scalar_S == pytest.approx(6.0, rel=1e-12)
     assert pk.ric_of_T.t_component == pytest.approx(2.0, rel=1e-12)
     np.testing.assert_allclose(pk.spectrum, [2.0, 2.0, 2.0], atol=1e-11)
-    np.testing.assert_allclose(ricci_frame_matrix(geo), 2.0 * np.eye(3), atol=1e-11)
+    np.testing.assert_allclose(geo.ric_frame.value, 2.0 * np.eye(3), atol=1e-11)
 
 
 def test_packet_values_nil():
@@ -116,26 +113,59 @@ def test_packet_values_nil():
     assert pk.spectrum[0] >= pk.spectrum[1]  # closed-form ordering
 
 
+def _closed_form_ricci(ric_t, s, omega):
+    """Ricci on (T, X, Y) from the paper's closed forms: Ric(T) in the T row and column,
+    S/2 - omega^2/4 on the X-Y diagonal and 0 off it."""
+    t, x, y = ric_t
+    diag = s / 2.0 - omega * omega / 4.0
+    zero = 0.0 * diag
+    return np.array([[t, x, y], [x, diag, zero], [y, zero, diag]])
+
+
 def test_ric_operator_matches_direct_ricci(catalogs):
     for name, spec in catalogs.items():
         for p in POINTS:
             geo = Geometry(spec, *p)
-            np.testing.assert_allclose(
-                curvature_packet(geo).ric_operator, ricci_frame_matrix(geo), atol=1e-10,
-                err_msg=f"{name} at {p}")
+            pk = curvature_packet(geo)
+            rt = pk.ric_of_T
+            closed = _closed_form_ricci((rt.t_component, rt.x_component, rt.y_component),
+                                        pk.scalar_S, pk.omega)
+            np.testing.assert_allclose(geo.ric_frame.value, closed, rtol=0, atol=1e-10,
+                                       err_msg=f"{name} at {p}")
 
 
 def test_spectrum_closed_form_vs_eigensolve(catalogs):
     for spec in catalogs.values():
         for p in POINTS:
-            pk = curvature_packet(Geometry(spec, *p))
-            assert spectrum_vs_eigensolve_residual(pk) < 1e-9
+            assert spectrum_vs_eigensolve_residual(Geometry(spec, *p)) < 1e-9
+
+
+def _with_ric_frame(geo, change):
+    """geo with its ric_frame stage replaced by change(coefficients)."""
+    rf = geo.ric_frame
+    geo.__dict__["ric_frame"] = Jet2(change(rf.coeffs.copy()), rf.order)
+    return geo
+
+
+@pytest.mark.parametrize("spec", [
+    catalog("hopf", {"R": 2.0}), catalog("nil"), catalog("cf_family", {"B": 0.3, "C": 1.0}),
+], ids=["hopf", "nil", "cf_family"])
+def test_spectrum_residual_reads_the_geometry_ricci(spec):
+    # a 1e-3 shift of Ric(X, X) moves the eigensolve away from the closed forms at every point
+    def shift_xx(c):
+        c[0, 1, 1] += 1e-3
+        return c
+
+    r, theta = np.linspace(0.3, 1.1, 9), np.linspace(0.0, 6.0, 9)
+    assert np.max(spectrum_vs_eigensolve_residual(Geometry(spec, r, theta))) < 1e-12
+    res = spectrum_vs_eigensolve_residual(_with_ric_frame(Geometry(spec, r, theta), shift_xx))
+    assert np.min(res) >= 1e-4
 
 
 def test_spectrum_residual_rejects_non_finite():
-    pk = curvature_packet(Geometry(catalog("nil"), 0.4, 0.9))
+    geo = _with_ric_frame(Geometry(catalog("nil"), 0.4, 0.9), lambda c: np.full_like(c, np.nan))
     with pytest.raises(NonFinite):
-        spectrum_vs_eigensolve_residual(replace(pk, ric_operator=np.full((3, 3), np.nan)))
+        spectrum_vs_eigensolve_residual(geo)
 
 
 def test_bisection_oracle_with_tiny_householder_vector():
@@ -150,7 +180,8 @@ def test_bisection_oracle_with_tiny_householder_vector():
 def test_closed_form_spectrum_against_bisection_oracle(entries):
     omega, s, x_omega, y_omega = entries
     lams, _ = spectrum_closed_form(omega, s, x_omega**2 + y_omega**2)
-    oracle = bisect_eigenvalues(ric_operator_assembled(omega, s, x_omega, y_omega))
+    oracle = bisect_eigenvalues(
+        _closed_form_ricci((omega * omega / 2.0, -y_omega / 2.0, x_omega / 2.0), s, omega))
     np.testing.assert_allclose(oracle, np.sort(lams), atol=1e-8)
 
 

@@ -2,9 +2,10 @@
 
 One batched Geometry per metric is held to the sympy derivation at 1e-12,
 relative to the scale of each quantity: Christoffel symbols, S, Ric(T, T),
-the twist, the Ricci tensor on the frame {T, X, Y} and the Cotton-York norm,
-plus S and Ric(T, T) of each Lorentzian partner, and the Lorentz relations
-between the two signatures on every oracle metric.
+the twist, the Ricci tensor on the frame {T, X, Y}, the packet's closed-form
+Ricci spectrum against the eigenvalues of that symbolic Ricci, and the
+Cotton-York norm, plus S and Ric(T, T) of each Lorentzian partner, and the
+Lorentz relations between the two signatures on every oracle metric.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import sympy as sp
 
 from killing3 import LORENTZIAN, fields, jets
 from killing3.cotton_york import cotton_york
-from killing3.curvature_engine import christoffels, ricci_frame_matrix, ricci_tt
+from killing3.curvature_engine import christoffels, curvature_packet, ricci_tt
 from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import lorentz_relations_check
 from killing3.metric_family import MetricSpec, catalog
@@ -30,6 +31,14 @@ def _theta_triple_spec():
         name="theta_triple")
 
 
+def _theta_triple_2_spec():
+    return MetricSpec(
+        fields.from_expr(lambda r, t: jets.cosh(r) * (1.0 + jets.sin(t) * 0.25)),
+        fields.from_expr(lambda r, t: jets.exp(-r) * jets.cos(t) * (1.0 / 3.0)),
+        fields.from_expr(lambda r, t: r * jets.sin(t * 2.0) * (1.0 / 6.0)),
+        name="theta_triple_2")
+
+
 #: name -> (spec factory, the same (phi, h, k) in sympy)
 CASES = {
     "hopf": (lambda: catalog("hopf", {"R": 2.0}), (sp.sin(r), -sp.tan(r / 2), 0)),
@@ -38,6 +47,9 @@ CASES = {
     "theta_triple": (_theta_triple_spec,
                      (sp.sin(r) * (1 + sp.cos(theta) / 5), r**2 / 3 + sp.sin(theta) / 7,
                       sp.cos(r) * sp.sin(theta) / 5)),
+    "theta_triple_2": (_theta_triple_2_spec,
+                       (sp.cosh(r) * (1 + sp.sin(theta) / 4), sp.exp(-r) * sp.cos(theta) / 3,
+                        r * sp.sin(2 * theta) / 6)),
 }
 
 _rng = np.random.default_rng(11)
@@ -69,7 +81,10 @@ def test_geometry_matches_sympy(riemannian, name):
     _assert_close(geo.scalar.value, oracle["scalar"], f"{name} S")
     _assert_close(ricci_tt(geo), oracle["ric_tt"], f"{name} Ric(T,T)")
     _assert_close(geo.omega.value, oracle["omega"], f"{name} omega")
-    _assert_close(ricci_frame_matrix(geo), oracle["ric_frame"], f"{name} Ricci on the frame")
+    _assert_close(geo.ric_frame.value, oracle["ric_frame"], f"{name} Ricci on the frame")
+    eig = np.linalg.eigvalsh(np.moveaxis(oracle["ric_frame"], (0, 1), (-2, -1)))
+    _assert_close(np.sort(np.stack(curvature_packet(geo).spectrum, axis=-1), axis=-1), eig,
+                  f"{name} closed-form spectrum")
     _assert_close(cotton_york(geo).norm, oracle["cy_norm"], f"{name} |CY|")
 
 
