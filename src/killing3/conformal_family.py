@@ -230,6 +230,5 @@ def build_cf_metric(params):
 
 def wpde_residual(geo, B, C):
     """|4 |Ric(T)|^2 - 3 Ric(T,T)^2 + 2B Ric(T,T) - C| at the points of geo."""
-    geo.riemannian_only("the flatness identity is")
     ric_t = curvature_packet(geo).ric_of_T
     return np.abs(ric_t.flatness_form + 2.0 * B * ric_t.t_component - C)

@@ -67,6 +67,7 @@ def spectrum_closed_form(omega, scalar_s, grad_omega_sq):
 
 def curvature_packet(geo):
     """omega, S, X(omega), Y(omega), Ric(T), |grad omega|^2 and the Ricci spectrum (Riemannian)."""
+    geo.riemannian_only("the curvature packet is")
     omega, s = geo.omega.value, geo.scalar.value
     xw, yw = (d.value for d in geo.omega_xy)
     grad_sq = xw * xw + yw * yw
@@ -121,7 +122,6 @@ def hamilton_inequality(geo):
     needed when no Ricci eigenvalue may exceed the sum of the others.
     Returns the HamiltonVerdict and whether the inequality holds everywhere.
     """
-    geo.riemannian_only("Hamilton's inequality is")
     pk = curvature_packet(geo)
     omega, s, ric_tt = pk.omega, pk.scalar_S, pk.ric_of_T.t_component
     undefined = (np.abs(omega) < TWIST_FLOOR) | (ric_tt <= 0.0)

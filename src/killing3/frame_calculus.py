@@ -19,7 +19,9 @@ m = (X - iY)/sqrt(2).  The frame connection C_ijk = g(nabla_{e_i} e_j, e_k)
 gives the divergences and the shear as index reads, and the spin coefficients
 as fixed elementwise combinations of its entries, since T, m and mbar have
 constant coefficients in (T, X, Y); the twist stays on the Lie bracket,
-independent of the Christoffel symbols.
+independent of the Christoffel symbols.  A changed frame is a Geometry subclass
+that overrides one stage (the rotated frame ``frame``, the conformally rescaled
+metric ``coframe``), and every later stage follows from it.
 """
 
 from __future__ import annotations
@@ -161,14 +163,6 @@ class Geometry:
         gam = self.gamma.truncated(max(self.order - 2, 0))
         return self.grad(v).einsum(f"a{j}c->{j}ac") + contract(f"cab,{j}b->{j}ac", gam, v)
 
-    def connection_of(self, legs):
-        """C[i][j][k] = g(nabla_{e_i} e_j, e_k) of three real or complex legs."""
-        e = stack(legs)                                   # [i][a]: leg i
-        nab = self.nabla(e)                               # [j][a][c]
-        e = Jet2(e.coeffs[:NCOEFFS[nab.order]], nab.order)  # no higher order than C has
-        dual = contract("ka,ab->kb", e, self.g)           # g(e_k, .)
-        return contract("ia,jak->ijk", e, contract("jac,kc->jak", nab, dual))
-
     # -- curvature ----------------------------------------------------------
 
     @stage
@@ -203,7 +197,11 @@ class Geometry:
     @stage
     def connection(self):
         """C[i][j][k] = g(nabla_{e_i} e_j, e_k) of the frame (T, X, Y)."""
-        return self.connection_of(self.frame)
+        e = stack(self.frame)                   # [i][a]: leg i
+        nab = self.nabla(e)                     # [j][a][c]
+        e = e.truncated(nab.order)              # no higher order than C has
+        dual = contract("ka,ab->kb", e, self.g)  # g(e_k, .)
+        return contract("ia,jak->ijk", e, contract("jac,kc->jak", nab, dual))
 
     @stage
     def div_T(self):
@@ -238,11 +236,6 @@ class Geometry:
                 ((c[0, 1, 2] - c[0, 2, 1]) * 1j + c[0, 1, 1] + c[0, 2, 2]) * 0.5,
                 ((c[1, 1, 2] - c[1, 2, 1] - c[2, 1, 1] - c[2, 2, 2]) * 1j
                  + c[1, 1, 1] + c[1, 2, 2] + c[2, 1, 2] - c[2, 2, 1]) * (0.5 * s))
-
-    def spin_of(self, t, m, mbar):
-        """kappa, rho, sigma, epsilon, beta of a frame {t, m, mbar} (jets)."""
-        c = self.connection_of((t, m, mbar))
-        return -c[0, 0, 1], -c[2, 0, 1], -c[1, 0, 1], c[0, 1, 2], c[1, 1, 2]
 
     # -- Ricci in the frame ---------------------------------------------------
 

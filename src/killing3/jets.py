@@ -14,8 +14,8 @@ Every product of two jets, scalar or tensor, goes through one Leibniz kernel:
 result's order, makes one ``np.einsum`` over the tensor indices and sums the
 terms t0, t1, ... of each output coefficient in place, whole slices of a
 term-major layout at a time, in ``np.add.reduceat``'s order, so its bits are
-reduceat's: t0 + (((t1 + t2) + t3) + ...), and for six complex terms
-t0 + (((t1 + t2) + (t3 + t4)) + t5), where numpy uses eight accumulators.
+reduceat's: t0 + (((t1 + t2) + t3) + ...).  A complex product sums its real
+and imaginary parts each in that order.
 
 A jet of order n carries exactly ``NCOEFFS[n]`` coefficient rows and computes
 only those: an elementary function of f is a Taylor series in the value-free
@@ -57,19 +57,14 @@ def _leibniz_terms(order):
         have = [groups[n][k] for n in rank if len(groups[n]) > k]
         blocks.append((len(terms), len(have)))
         terms += have
-    real = complex_ = []
+    steps = []
     if order > 0:  # blocks 2, 3, ... add into the end of block 1, then block 1 into block 0
         acc, n_acc = blocks[1]
-        real = [(slice(acc + n_acc - n, acc + n_acc), slice(row, row + n))
-                for row, n in blocks[2:]] + [(slice(acc - n_acc, acc), slice(acc, acc + n_acc))]
-        complex_ = real
-        if order == MAX_ORDER:  # block 4 first into the end of block 3, not into block 1
-            (r3, n3), (r4, n4) = blocks[3:5]
-            complex_ = [(slice(r3 + n3 - n4, r3 + n3), slice(r4, r4 + n4))] + real[:2] + real[3:]
+        steps = [(slice(acc + n_acc - n, acc + n_acc), slice(row, row + n))
+                 for row, n in blocks[2:]] + [(slice(acc - n_acc, acc), slice(acc, acc + n_acc))]
     left, right, weight = (np.array(col) for col in zip(*terms))
     back = np.argsort(rank) if order > 1 else None  # block 0 in INDEX order; at order <= 1 it is
-    return (left, right, weight, weight if np.any(weight != 1) else None,
-            {False: real, True: complex_}, back)
+    return left, right, weight, weight if np.any(weight != 1) else None, steps, back
 
 
 _TERMS = [_leibniz_terms(n) for n in range(MAX_ORDER + 1)]
@@ -107,7 +102,7 @@ def _product(spec, a, b):
             np.multiply(x.T, scale, out=x.T)
         terms = c_einsum(plain, x, y)
     del x, y  # freed before the output is allocated
-    for into, rows in steps[terms.dtype.kind == "c"]:
+    for into, rows in steps:
         acc = terms[into]
         acc += terms[rows]
     return Jet2(terms[:NCOEFFS[order]] if back is None else terms.take(back, 0), order)
@@ -312,11 +307,6 @@ def tan(f):
     t = np.tan(f.value)
     s2 = 1.0 + t * t  # sec^2
     return _series(f, [t, s2, t * s2, s2 * (4 * t * t + 2 * s2) / 6.0])
-
-
-def sinh(f):
-    s, c = np.sinh(f.value), np.cosh(f.value)
-    return _series(f, [s, c, s / 2.0, c / 6.0])
 
 
 def cosh(f):

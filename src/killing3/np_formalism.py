@@ -232,22 +232,36 @@ class RotatedFrame:
         return np.max([np.abs(v) for v in self.law_residuals.values()], axis=0)
 
 
+class _RotatedGeometry(Geometry):
+    """Geometry of the frame turned by an angle field a: m* = e^{ia} m."""
+
+    def __init__(self, spec, r, theta, angle_field, order=None):
+        super().__init__(spec, r, theta, order)
+        self.angle = angle_field.jet(self.r, self.theta, self.order)
+
+    @stage
+    def frame(self):
+        """T, X* = cos a X + sin a Y and Y* = cos a Y - sin a X."""
+        t, x, y = Geometry.frame.func(self)
+        c, s, legs = jets.cos(self.angle), jets.sin(self.angle), jets.stack([x, y])
+        return (t, jets.contract("i,ia->a", jets.stack([c, s]), legs),
+                jets.contract("i,ia->a", jets.stack([-s, c]), legs))
+
+
 def rotate_frame(geo, angle_field):
     """Recompute spin coefficients in the rotated frame m* = e^{i theta} m.
 
     ``angle_field`` is a ScalarField giving the rotation angle over (r, theta).
-    The residuals compare the recomputed coefficients against the predicted
+    The rotated coefficients are the ``spin`` of a Geometry whose frame stage
+    is turned by the angle.  The residuals compare them against the predicted
     transformation laws (kappa scales by the phase, sigma by its square,
     rho is invariant, epsilon and beta pick up derivative terms).
     """
-    t, _, _ = geo.frame
-    m, _ = geo.m_leg
-    th = angle_field.jet(geo.r, geo.theta, geo.order)
-    phase = jets.exp(1j * th)
-    ms = jets.contract(",a->a", phase, m)
-    kappa_s, rho_s, sigma_s, eps_s, beta_s = (j.value for j in geo.spin_of(t, ms, ms.conj()))
+    rot = _RotatedGeometry(geo.spec, geo.r, geo.theta, angle_field, geo.order)
+    t, m, th = geo.frame[0], geo.m_leg[0], rot.angle
+    kappa_s, rho_s, sigma_s, eps_s, beta_s = (j.value for j in rot.spin)
     kappa, rho, sigma, eps, beta = (j.value for j in geo.spin)
-    ph = phase.value
+    ph = np.exp(1j * th.value)
     laws = {
         "kappa": kappa_s - ph * kappa,
         "rho": rho_s - rho,
@@ -269,17 +283,11 @@ class _ConformalGeometry(Geometry):
         self._f = f_field.jet(self.r, self.theta, self.order)
 
     @stage
-    def g(self):
-        return jets.contract(",ab->ab", jets.exp(2.0 * self._f), Geometry.g.func(self))
-
-    @stage
-    def ginv(self):
-        return jets.contract(",ab->ab", jets.exp(-2.0 * self._f), Geometry.ginv.func(self))
-
-    @stage
-    def frame(self):
-        scale = jets.exp(-self._f)
-        return tuple(jets.contract(",a->a", scale, leg) for leg in Geometry.frame.func(self))
+    def coframe(self):
+        """e^f E and e^-f F: the metric, its inverse and the frame follow."""
+        e, f = Geometry.coframe.func(self)
+        return (jets.contract(",ab->ab", jets.exp(self._f), e),
+                jets.contract(",ab->ab", jets.exp(-self._f), f))
 
 
 @dataclass(frozen=True)

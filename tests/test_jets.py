@@ -194,7 +194,8 @@ def test_contract_matches_leibniz_loop(subscripts, complex_):
 
 def _reduceat_kernel(subscripts, a, b):
     """The Leibniz kernel as it was before the slice sums: the gathered terms, one
-    weighted einsum, and ``np.add.reduceat`` over the terms of each coefficient."""
+    weighted einsum, and ``np.add.reduceat`` over the terms of each coefficient, of
+    the real and the imaginary parts apart when the terms are complex."""
     order = min(a.order, b.order)
     pos = {ij: k for k, ij in enumerate(INDEX)}
     left, right, weight, starts = [], [], [], []
@@ -209,7 +210,11 @@ def _reduceat_kernel(subscripts, a, b):
     l_axes, r_axes = inputs.split(",")
     terms = np.einsum(f"Z,Z{l_axes}...,Z{r_axes}...->Z{out}...", np.array(weight, dtype=float),
                       a.coeffs.take(left, 0), b.coeffs.take(right, 0))
-    return np.add.reduceat(terms, starts, axis=0)
+    if not np.iscomplexobj(terms):
+        return np.add.reduceat(terms, starts, axis=0)
+    out = np.add.reduceat(terms.real, starts, axis=0).astype(terms.dtype)
+    out.imag = np.add.reduceat(terms.imag, starts, axis=0)
+    return out
 
 
 def _wide_jet(rng, order, rank, batch, complex_, strided):
@@ -326,7 +331,7 @@ def test_a_number_or_batch_array_shifts_only_the_value_row(kind, a, b, order):
 
 # -- truncation by order -------------------------------------------------------
 
-ELEMENTARY = ["sin", "cos", "tan", "exp", "sinh", "cosh", "reciprocal", "sqrt", "log"]
+ELEMENTARY = ["sin", "cos", "tan", "exp", "cosh", "reciprocal", "sqrt", "log"]
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,8 @@ import pytest
 from killing3 import LORENTZIAN, cli
 from killing3.completeness_probe import COMPLETE, curvature_profile
 from killing3.conformal_family import wpde_residual
-from killing3.curvature_engine import hamilton_inequality, scalar_and_ric_tt
+from killing3.curvature_engine import (hamilton_inequality, scalar_and_ric_tt,
+                                       spectrum_vs_eigensolve_residual)
 from killing3.errors import AlreadyLorentzian, DomainError
 from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import (flip_residual, lorentz_completeness,
@@ -86,15 +87,23 @@ def test_cotton_york_matrix_refuses_lorentzian_geometry():
 
 
 def test_hamilton_inequality_refuses_lorentzian_geometry():
-    with pytest.raises(DomainError, match="^Hamilton's inequality is defined for the "
+    with pytest.raises(DomainError, match="^the curvature packet is defined for the "
                                           "Riemannian case$"):
         hamilton_inequality(_hopf_partner())
 
 
 def test_wpde_residual_refuses_lorentzian_geometry():
-    with pytest.raises(DomainError, match="^the flatness identity is defined for the "
+    with pytest.raises(DomainError, match="^the curvature packet is defined for the "
                                           "Riemannian case$"):
         wpde_residual(_hopf_partner(), 0.3, 1.0)
+
+
+def test_spectrum_check_refuses_lorentzian_geometry():
+    # the closed-form spectrum is Riemannian; on the partner it would differ from the
+    # eigensolve by a silent 0.5
+    with pytest.raises(DomainError, match="^the curvature packet is defined for the "
+                                          "Riemannian case$"):
+        spectrum_vs_eigensolve_residual(_hopf_partner())
 
 
 def test_flat_is_minkowski():

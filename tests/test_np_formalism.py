@@ -5,8 +5,8 @@ from killing3 import fields, jets
 from killing3.errors import EmptyGrid, NotUnitLength
 from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import to_lorentz
-from killing3.metric_family import MetricSpec, catalog
-from killing3.np_formalism import (conformal_rescale_check, killing_test,
+from killing3.metric_family import MetricSpec, catalog, frame_gram_residual
+from killing3.np_formalism import (_ConformalGeometry, conformal_rescale_check, killing_test,
                                    kinematics, rotate_frame,
                                    spin_coefficients, structure_residuals)
 
@@ -139,6 +139,22 @@ def test_rotation_laws_seeded_angles():
         assert rot.coefficients.rho == pytest.approx(base.rho, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["hopf", "nil", "hyperbolic", "cf_family"])
+def test_rotated_frame_is_the_same_pipeline(name):
+    # a zero angle leaves the frame's bits, so the rotated Geometry's own spin
+    # is spin_coefficients' to the bit; a constant angle only multiplies by phases
+    geo = Geometry(catalog(name), np.array([0.4, 0.8]), np.array([0.1, 1.0]))
+    base = spin_coefficients(geo)
+    zero = rotate_frame(geo, fields.constant(0.0)).coefficients
+    turned = rotate_frame(geo, fields.constant(0.7)).coefficients
+    ph = np.exp(0.7j)
+    for key, phase in [("kappa", ph), ("rho", 1.0), ("sigma", ph * ph),
+                       ("epsilon", 1.0), ("beta", ph)]:
+        assert getattr(zero, key).tobytes() == getattr(base, key).tobytes(), key
+        np.testing.assert_allclose(getattr(turned, key), phase * getattr(base, key),
+                                   rtol=0, atol=1e-12, err_msg=key)
+
+
 def test_conformal_rescaling_laws():
     rng = np.random.default_rng(11)
     for name in ("hopf", "hyperbolic"):
@@ -147,9 +163,16 @@ def test_conformal_rescaling_laws():
             a, b = rng.normal(scale=0.4, size=2)
             f = fields.from_expr(
                 lambda r, t, a=a, b=b: a * r + b * jets.sin(t))
-            cc = conformal_rescale_check(Geometry(spec, 0.7, 1.3), f)
+            geo = Geometry(spec, 0.7, 1.3)
+            cc = conformal_rescale_check(geo, f)
             assert cc.residual_omega < 1e-10
             assert cc.residual_shear < 1e-10
+            # the rescaled metric and frame come from one rescaled coframe
+            conf = _ConformalGeometry(spec, geo.r, geo.theta, f, geo.order)
+            assert frame_gram_residual(conf) <= 1e-13
+            np.testing.assert_allclose(conf.g.value,
+                                       np.exp(2.0 * f.value(geo.r, geo.theta)) * geo.g.value,
+                                       rtol=0, atol=1e-13)
 
 
 def test_conformal_rescaling_preserves_twist_free():
