@@ -281,10 +281,10 @@ def _run_family(spec, config):
 
 def _run_lorentz(spec, config):
     tol = config.tolerances.get("residual", DEFAULT_TOL)
-    pair = to_lorentz(spec)
+    to_lorentz(spec)  # refuses a Lorentzian spec with AlreadyLorentzian's message
     geo = _sweep(spec, config, order=2)  # values of g, g^-1, S and Ric only
-    partner = Geometry(pair.lorentzian, geo.r, geo.theta, order=2)
-    ric_res, s_res = lorentz_relations_check(geo, partner)
+    partner = geo.partner
+    ric_res, s_res = lorentz_relations_check(geo)
     columns = {
         "flip": flip_residual(geo, partner),
         "timelike": timelike_residual(partner),

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature_engine import christoffels, quotient_criterion, scalar_and_ric_tt
-from .errors import BadParams, BlowUp, DomainError, EmptyProfile, NotUnitLength, StepFailure
+from .errors import (BadParams, BlowUp, DomainError, EmptyGrid, EmptyProfile, NotUnitLength,
+                     StepFailure)
 from .frame_calculus import PHI_CUTOFF, Geometry
 from .metric_family import metric_components
 
@@ -68,6 +69,8 @@ class CurvatureProfile:
 
 def criterion_mesh(spec, r_max, n_r, n_theta):
     """Radii r_max/n_r .. r_max and S + g(T,T) Ric(T,T) on the (radius, theta) mesh."""
+    if n_r < 1 or n_theta < 1:
+        raise EmptyGrid(f"criterion mesh of {n_r} radii x {n_theta} angles has no point")
     radii = np.linspace(r_max / n_r, r_max, n_r)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     s, ric_tt = scalar_and_ric_tt(spec, *np.meshgrid(radii, thetas, indexing="ij"))

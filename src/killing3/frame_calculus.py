@@ -10,9 +10,9 @@ tensor is one tensor-valued jet, and each step from metric to Christoffels to
 Ricci to S is one or two ``contract`` products.  Coordinates are ordered
 (t, r, theta); all scalars are t-independent by construction.
 
-One coframe E = [[1, -k, -phi h], [0, 1, 0], [0, 0, phi]] and its inverse F,
-built once per Geometry, give g = E^T eta E, g^-1 = F eta F^T and the frame;
-eta = diag(g_tt(signature), 1, 1): the Lorentzian partner flips only its first sign.
+One coframe E = [[1, -k, -phi h], [0, 1, 0], [0, 0, phi]] and its inverse F, built once
+per Geometry, give g = E^T eta E, g^-1 = F eta F^T and the frame; eta = diag(g_tt, 1, 1),
+and ``partner``, the other signature's Geometry on the same E and F, flips its first sign.
 The frame is the one dual to E, T = d_t, X = h d_t + (1/phi) d_theta and
 Y = k d_t + d_r (columns 0, 2, 1 of F), with the complex leg
 m = (X - iY)/sqrt(2).  The frame connection C_ijk = g(nabla_{e_i} e_j, e_k)
@@ -178,6 +178,17 @@ class Geometry:
     @stage
     def scalar(self):
         return contract("bc,bc->", self.ginv, self.ric)
+
+    @stage
+    def partner(self):
+        """The other signature's Geometry at these points, to order min(n, 2) for values of S and
+        Ric: this one's fields and coframe, truncated, with eta negated; no field is evaluated."""
+        twin, order, eta = Geometry.__new__(Geometry), min(self.order, 2), -self._eta
+        vars(twin).update({f: getattr(self, f).truncated(order) for f in ("phi", "h", "k")},
+                          coframe=tuple(m.truncated(order) for m in self.coframe), _eta=eta,
+                          spec=self.spec.with_signature(LORENTZIAN if eta < 0 else RIEMANNIAN),
+                          r=self.r, theta=self.theta, order=order)
+        return twin
 
     # -- canonical frame -----------------------------------------------------
 

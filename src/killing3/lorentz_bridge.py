@@ -1,10 +1,10 @@
 """Bridge between the Riemannian metric and its Lorentzian partner g_L = g_R - 2 (T^b)^2.
 
 Both metrics share (phi, h, k) and the Killing field T, with g(T,T) = +1 and -1,
-and so the quotient by T and its criterion S + g(T,T) Ric(T,T); the Lorentzian
-curvature is computed through the same coordinate Christoffel pipeline with
-signature-aware index raising, so the curvature relations below are genuine
-cross-checks rather than restatements.
+and so the quotient by T and its criterion S + g(T,T) Ric(T,T).  A Riemannian
+Geometry's ``partner`` shares its field jets and coframe, and its curvature goes
+through the same coordinate Christoffel pipeline with signature-aware index
+raising, so the curvature relations below are genuine cross-checks.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .completeness_probe import CurvatureProfile, completeness_verdict, criterion_mesh
 from .curvature_engine import ricci_tt
 from .errors import AlreadyLorentzian
-from .frame_calculus import LORENTZIAN, Geometry
+from .frame_calculus import LORENTZIAN
 from .metric_family import MetricSpec
 
 
@@ -46,17 +46,12 @@ def timelike_residual(partner):
     return np.abs(np.einsum("a...,ab...,b...->...", t_flat, partner.ginv.value, t_flat) + 1.0)
 
 
-def lorentz_relations_check(geo, partner=None):
-    """Residuals of Ric_L(T,T) = Ric_R(T,T) and S_L = S_R + 2 Ric_R(T,T) at geo's points.
-
-    ``geo`` is Riemannian; its Lorentzian ``partner`` is built at the same
-    points unless given, at order min(n, 2): only the values of S and Ric are read.
-    """
-    if partner is None:
-        partner = Geometry(to_lorentz(geo.spec).lorentzian, geo.r, geo.theta,
-                           order=min(geo.order, 2))
-    s_r, s_l = geo.scalar.value, partner.scalar.value
-    ric_r, ric_l = ricci_tt(geo), ricci_tt(partner)
+def lorentz_relations_check(geo):
+    """Residuals of Ric_L(T,T) = Ric_R(T,T) and S_L = S_R + 2 Ric_R(T,T) at the points of the
+    Riemannian ``geo``, the Lorentzian side read from ``geo.partner``."""
+    to_lorentz(geo.spec)  # AlreadyLorentzian on a Lorentzian geo
+    s_r, s_l = geo.scalar.value, geo.partner.scalar.value
+    ric_r, ric_l = ricci_tt(geo), ricci_tt(geo.partner)
     return np.abs(ric_l - ric_r), np.abs(s_l - (s_r + 2.0 * ric_r))
 
 

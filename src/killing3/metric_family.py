@@ -81,6 +81,8 @@ def catalog(name, params=None):
     if extra:
         raise BadParams(f"unexpected parameters: {sorted(extra)}")
     params = {**CATALOG_PARAMS[name], **params}
+    if not np.all(np.isfinite([float(value) for value in params.values()])):  # R <= 0 passes NaN
+        raise BadParams(f"{name} parameters must be finite, got {params}")
     if name == "flat":
         return MetricSpec(fields.constant(1.0), fields.constant(0.0),
                           fields.constant(0.0), RIEMANNIAN, "flat", {})

@@ -1,13 +1,14 @@
 """Batched analyses must reproduce their width-1 calls.
 
 Every point-level analysis takes a ``Geometry`` and returns values of its
-batch shape, so a sweep over n points builds one batched ``Geometry`` per
-signature and the same function called on a one-point ``Geometry`` is the
-per-point view.  These tests hold the batched columns to the width-1 calls
-at 1e-13, for the analyses themselves, for the reductions over the points
-(``flatness_verdict`` and ``killing_test``), and for the ``analyze``,
-``verify`` and ``lorentz`` sweep records; they also count the ``Geometry``
-builds of each sweep.  The ``Geometry`` stages themselves match bit for bit.
+batch shape, so a sweep over n points builds one batched ``Geometry``, whose
+``partner`` is its Lorentzian side, and the same function called on a
+one-point ``Geometry`` is the per-point view.  These tests hold the batched
+columns to the width-1 calls at 1e-13, for the analyses themselves, for the
+reductions over the points (``flatness_verdict`` and ``killing_test``), and
+for the ``analyze``, ``verify`` and ``lorentz`` sweep records; they also count
+the ``Geometry`` builds and field evaluations of each sweep.  The ``Geometry``
+stages themselves match bit for bit.
 """
 
 import dataclasses
@@ -183,8 +184,8 @@ def _pointwise_record(command, spec, p):
                 "omega": pk.omega, "div": kin.divergence,
                 "shear": abs(kin.shear), "spectrum": list(pk.spectrum),
                 "cy_norm": cotton_york(geo).norm}
-    partner = Geometry(to_lorentz(spec).lorentzian, *p)
-    ric_res, s_res = lorentz_relations_check(geo, partner)
+    partner = geo.partner
+    ric_res, s_res = lorentz_relations_check(geo)
     if command == "verify":
         return {"structure": structure_residuals(geo).max_abs(),
                 "gaussian": gaussian_identity_residual(geo),
@@ -228,12 +229,23 @@ def _count_builds(monkeypatch):
 
 
 @pytest.mark.parametrize("command, builds",
-                         [("analyze", 1), ("verify", 2), ("lorentz", 2), ("flatness", 1)])
+                         [("analyze", 1), ("verify", 1), ("lorentz", 1), ("flatness", 1)])
 def test_sweep_geometry_builds(monkeypatch, command, builds):
-    """One Geometry per signature: the Riemannian sweep, plus its Lorentzian partner."""
+    """One Geometry per sweep: its Lorentzian partner is derived from it, not built."""
     count = _count_builds(monkeypatch)
     _RUNNERS[command](SPECS["hopf"](), _sweep_config(command))
     assert len(count) == builds
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "lorentz", "flatness"])
+def test_sweep_evaluates_each_field_once(monkeypatch, command):
+    # phi, h and k once each: the Lorentzian partner reuses the sweep's field jets
+    calls, jet = [], fields.ScalarField.jet
+    monkeypatch.setattr(fields.ScalarField, "jet",
+                        lambda field, *args: calls.append(field) or jet(field, *args))
+    spec = SPECS["hopf"]()
+    _RUNNERS[command](spec, _sweep_config(command))
+    assert sorted(map(id, calls)) == sorted(map(id, (spec.phi, spec.h, spec.k)))
 
 
 def test_killing_test_geometry_builds(monkeypatch):

@@ -9,11 +9,12 @@ from killing3.completeness_probe import (COMPLETE, INCOMPLETE, INCONCLUSIVE,
                                          curvature_profile, integrate_geodesic,
                                          integrate_quotient_geodesic,
                                          make_state, projection_residual)
-from killing3.errors import BadParams, BlowUp, EmptyProfile, NotUnitLength, StepFailure
+from killing3.errors import (BadParams, BlowUp, EmptyGrid, EmptyProfile, NotUnitLength,
+                            StepFailure)
 from killing3.fields import constant, from_expr
 from killing3.curvature_engine import christoffels
 from killing3.frame_calculus import Geometry
-from killing3.lorentz_bridge import to_lorentz
+from killing3.lorentz_bridge import lorentz_completeness, to_lorentz
 from killing3.metric_family import CATALOG_NAMES, MetricSpec, catalog
 
 
@@ -66,6 +67,16 @@ def test_empty_profile_raises():
     object.__setattr__(prof, "radii", np.array([]))
     with pytest.raises(EmptyProfile):
         completeness_verdict(prof)
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(0, 32), (64, 0), (-1, 32), (64, -3), (0, 0)])
+def test_empty_mesh_is_refused(n_r, n_theta):
+    # n_r = 0 divided by zero, n_theta = 0 took numpy's min of an empty array
+    pair = to_lorentz(catalog("hopf", {"R": 2.0}))
+    with pytest.raises(EmptyGrid, match="has no point"):
+        curvature_profile(pair.riemannian, 2.9, n_r=n_r, n_theta=n_theta)
+    with pytest.raises(EmptyGrid, match="has no point"):
+        lorentz_completeness(pair, 2.9, n_r, n_theta)
 
 
 def test_profile_refinement_consistency():

@@ -4,7 +4,7 @@ import pytest
 from killing3.cotton_york import (FLAT, NOT_FLAT, cotton_york,
                                   cotton_york_norms, flatness_verdict,
                                   tmg_residual)
-from killing3.errors import EmptyGrid
+from killing3.errors import EmptyGrid, JetOrderError
 from killing3.frame_calculus import Geometry
 from killing3.metric_family import catalog, to_grid_sampled
 
@@ -33,6 +33,13 @@ def test_nil_cotton_york_matrix():
     cy = cotton_york(Geometry(spec, 0.7, 0.2))
     np.testing.assert_allclose(cy.raw, np.diag([-1.0, 0.5, 0.5]), atol=1e-12)
     assert cy.norm == pytest.approx(np.sqrt(1.5), rel=1e-12)
+
+
+def test_cotton_york_matrix_needs_order_three():
+    # S carries order n - 2: at n = 2 it has no first derivatives for X(S) and Y(S)
+    geo = Geometry(catalog("nil", {"omega0": 1.0}), [0.5, 0.9], [1.0, 4.0], order=2)
+    with pytest.raises(JetOrderError, match="^Cotton-York needs scalar-curvature jets to order 1$"):
+        geo.cotton_york_matrix
 
 
 def test_symmetry_and_trace_emerge():

@@ -314,6 +314,28 @@ def test_field_jet_truncates_a_higher_order_and_refuses_a_lower_one():
         short.jet(r, theta, 2)
 
 
+def test_field_jet_refuses_an_order_above_max_order():
+    with pytest.raises(JetOrderError, match=f"^order {MAX_ORDER + 1} requested, above MAX_ORDER"):
+        fields.from_expr(sample_expr).jet(0.4, 0.3, MAX_ORDER + 1)
+
+
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+def test_expression_of_a_number_is_a_constant_jet(order):
+    r, theta = np.array([0.4, 0.9, 1.3]), np.array([0.3, -1.2, 2.0])
+    j = fields.from_expr(lambda r, t: 2.5).jet(r, theta, order)
+    assert j.order == order and j.coeffs.shape == (NCOEFFS[order], 3)
+    np.testing.assert_array_equal(j.value, 2.5)
+    np.testing.assert_array_equal(j.coeffs[1:], 0.0)
+
+
+@pytest.mark.parametrize("divisor", [4.0, -0.5j, np.array([2.0, -3.0, 0.25])])
+def test_jet_divided_by_a_number_scales_every_row(divisor):
+    f = sample_expr(*variables(np.array([0.4, 0.9, 1.3]), np.array([0.3, -1.2, 2.0])))
+    out = f / divisor
+    assert out.order == f.order
+    np.testing.assert_array_equal(out.coeffs, f.coeffs / divisor)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["real", "complex", "batch"]), st.floats(-3.0, 3.0),
        st.floats(-3.0, 3.0), st.integers(0, MAX_ORDER))

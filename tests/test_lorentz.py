@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from killing3 import LORENTZIAN, cli
+from cli_matrix import hopf_grid_csv
+from test_sym_oracle import CASES
+
+from killing3 import LORENTZIAN, RIEMANNIAN, cli
 from killing3.completeness_probe import COMPLETE, curvature_profile
 from killing3.conformal_family import wpde_residual
 from killing3.curvature_engine import (hamilton_inequality, scalar_and_ric_tt,
@@ -11,7 +14,7 @@ from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import (flip_residual, lorentz_completeness,
                                      lorentz_relations_check, timelike_residual,
                                      to_lorentz)
-from killing3.metric_family import CATALOG_NAMES, catalog, metric_components
+from killing3.metric_family import CATALOG_NAMES, catalog, load_grid_csv, metric_components
 
 POINTS = [(0.35, 0.4), (0.8, 2.1), (1.1, 5.0)]
 
@@ -27,24 +30,50 @@ def test_to_lorentz_flip_invariants():
             assert timelike_residual(partner) < 1e-12
 
 
-class _Unflipped(Geometry):
-    """Treats every spec as Riemannian: eta = +1 whatever the signature."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._eta = 1.0
-
-
 def test_lorentz_flip_column_sees_an_unflipped_partner(monkeypatch):
     # a partner that keeps g_R misses the flip by 2 T^b_t T^b_t = 2 at every
     # point (hopf R = 2 has |phi h| < 1 on this grid); a flip column computed
     # from the flip formula itself would still read 0
-    monkeypatch.setattr(cli, "Geometry", _Unflipped)
+    unflipped = property(lambda geo: Geometry(geo.spec, geo.r, geo.theta, order=2))  # eta = +1
+    monkeypatch.setattr(Geometry, "partner", unflipped)
     config = cli.RunConfig(command="lorentz", spec_path="",
                            grid=(0.3, 1.1, 0.0, 2 * np.pi), n_points=12)
     records, summary, ok = cli._RUNNERS["lorentz"](catalog("hopf", {"R": 2.0}), config)
     np.testing.assert_allclose([rec["flip"] for rec in records], 2.0, rtol=1e-12)
     assert summary["max_timelike"] == pytest.approx(2.0) and not ok
+
+
+def _partner_specs():
+    """hopf (R = 2), nil, hyperbolic, cf_family (B = 0.3, C = 1), the two theta-dependent
+    oracle triples and hopf (R = 2) on the 24 x 24 grid."""
+    specs = {name: catalog(name, params) for name, params in
+             [("hopf", {"R": 2.0}), ("nil", None), ("hyperbolic", None),
+              ("cf_family", {"B": 0.3, "C": 1.0})]}
+    specs |= {name: CASES[name][0]() for name in ("theta_triple", "theta_triple_2")}
+    return specs | {"grid": load_grid_csv(hopf_grid_csv())}
+
+
+PARTNER_SPECS = _partner_specs()
+
+
+@pytest.mark.parametrize("order", [3, 2])
+@pytest.mark.parametrize("signature", [RIEMANNIAN, LORENTZIAN])
+@pytest.mark.parametrize("name", sorted(PARTNER_SPECS))
+def test_partner_is_the_other_signatures_geometry_bit_for_bit(name, signature, order):
+    # the partner reuses its twin's field and coframe jets, truncated to order min(n, 2);
+    # a fresh Geometry of the other signature evaluates them at that order
+    spec = PARTNER_SPECS[name].with_signature(signature)
+    other = spec.with_signature(LORENTZIAN if signature == RIEMANNIAN else RIEMANNIAN)
+    rng = np.random.default_rng(5)
+    rs, thetas = rng.uniform(0.3, 1.1, 9), rng.uniform(0.0, 6.2, 9)
+    for r, theta in [(rs, thetas)] + list(zip(rs, thetas)):  # the batch, then width 1
+        partner = Geometry(spec, r, theta, order).partner
+        fresh = Geometry(other, r, theta, min(order, 2))
+        assert partner.spec.signature == other.signature and partner.order == fresh.order
+        for stage in ("g", "ginv", "gamma", "ric", "scalar"):
+            value = getattr(partner, stage).value
+            assert value.tobytes() == getattr(fresh, stage).value.tobytes(), (stage, r, theta)
+            assert value.shape == getattr(fresh, stage).value.shape
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

@@ -34,6 +34,15 @@ def test_bad_params():
         catalog("nil", {"radius": 1.0})
 
 
+@pytest.mark.parametrize("name, params", [
+    ("hopf", {"R": np.nan}), ("hopf", {"R": np.inf}), ("nil", {"omega0": np.nan}),
+    ("nil", {"omega0": -np.inf}), ("cf_family", {"B": 0.3, "C": np.nan})])
+def test_non_finite_params_are_refused(name, params):
+    # a NaN radius passed R <= 0, and its Geometry reported S = nan with no error
+    with pytest.raises(BadParams, match=f"^{name} parameters must be finite"):
+        catalog(name, params)
+
+
 def test_flat_metric_is_euclidean():
     spec = catalog("flat")
     g = metric_components(spec, (0.4, 1.0))
