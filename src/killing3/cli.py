@@ -10,7 +10,7 @@ geodesic  trajectory integration with conserved-quantity drift report
 family    twist-ODE solve + built metric + flatness audit
 lorentz   signature-pair curvature relations
 
-analyze, verify and flatness hold for g(T,T) = +1 only: their sweep refuses a
+analyze, verify, flatness and family hold for g(T,T) = +1 only: they refuse a
 Lorentzian spec with exit 2, and ``lorentz`` on the Riemannian spec checks its partner.
 
 Exit codes: 0 pass, 1 verdict failure, 2 parse/config error, 3 numeric/domain
@@ -159,15 +159,20 @@ def _max_workers():
     return 1  # the sweeps run in one thread; perfbench/run.py records this
 
 
+def _refuse_lorentzian(spec, command):
+    """BadParams on a Lorentzian spec, for a command that checks the Riemannian identities."""
+    if spec.signature != RIEMANNIAN:
+        raise BadParams(f"{command} checks the Riemannian identities; run `lorentz` "
+                        "on the Riemannian spec for the Lorentzian relations")
+
+
 def _sweep(spec, config, order=None):
     """The Geometry of the command's sampled points, one batch of width n.
 
     BadParams on a Lorentzian spec, DomainError if the metric is not defined at
     one of the points.
     """
-    if spec.signature != RIEMANNIAN:
-        raise BadParams(f"{config.command} checks the Riemannian identities; run `lorentz` "
-                        "on the Riemannian spec for the Lorentzian relations")
+    _refuse_lorentzian(spec, config.command)
     pts = sample_points(config.grid, config.n_points, config.seed)
     return Geometry(spec, pts[:, 0], pts[:, 1], order)
 
@@ -257,6 +262,7 @@ def _run_geodesic(spec, config):
 def _run_family(spec, config):
     if spec.name != "cf_family":
         raise BadParams("`family` needs a cf_family spec")
+    _refuse_lorentzian(spec, config.command)  # it sweeps the built metric, always Riemannian
     meta = spec.params
     params = FamilyParams(B=meta["B"], C=meta["C"], omega0=meta["omega0"],
                           omega_r0_sign=int(meta["sign"]))

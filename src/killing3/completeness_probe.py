@@ -2,9 +2,10 @@
 
 The criterion evaluated is: completeness (on the global-chart hypothesis)
 holds iff the lim inf over |p| >= r of S + g(T,T) Ric(T,T), twice the quotient's
-Gaussian curvature (S_L - Ric_L(T,T) for a timelike T), is <= 0 as r grows.  On a
-finite window this is necessarily an extrapolation, so verdicts carry the
-tail estimate and window for the user to judge.
+Gaussian curvature (S_L - Ric_L(T,T) for a timelike T), is <= 0 as r grows.  It is
+read off the order-2 Geometry of one (radius, theta) mesh.  On a finite window this is
+necessarily an extrapolation, so verdicts carry the tail estimate and window for the
+user to judge.
 
 Geodesics carry two exact first integrals -- the Killing momentum c = g(T, y')
 and the speed g(y', y') -- whose drift is the integration quality report.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_engine import christoffels, quotient_criterion, scalar_and_ric_tt
+from .curvature_engine import christoffels, quotient_criterion
 from .errors import (BadParams, BlowUp, DomainError, EmptyGrid, EmptyProfile, NotUnitLength,
                      StepFailure)
 from .frame_calculus import PHI_CUTOFF, Geometry
@@ -68,19 +69,20 @@ class CurvatureProfile:
 
 
 def criterion_mesh(spec, r_max, n_r, n_theta):
-    """Radii r_max/n_r .. r_max and S + g(T,T) Ric(T,T) on the (radius, theta) mesh."""
+    """Radii r_max/n_r .. r_max and the order-2 Geometry of the (radius, theta) mesh."""
     if n_r < 1 or n_theta < 1:
         raise EmptyGrid(f"criterion mesh of {n_r} radii x {n_theta} angles has no point")
+    if not 0.0 < r_max < np.inf:  # NaN fails too
+        raise BadParams(f"criterion mesh needs a finite positive r_max, got {r_max}")
     radii = np.linspace(r_max / n_r, r_max, n_r)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    s, ric_tt = scalar_and_ric_tt(spec, *np.meshgrid(radii, thetas, indexing="ij"))
-    return radii, quotient_criterion(s, ric_tt, spec.signature)
+    return radii, Geometry(spec, *np.meshgrid(radii, thetas, indexing="ij"), order=2)
 
 
 def curvature_profile(spec, r_max, n_r=64, n_theta=32):
     """Running infima of S + g(T,T) Ric(T,T) over annuli |p| >= r on a sample grid."""
-    radii, crit = criterion_mesh(spec, r_max, n_r, n_theta)
-    return CurvatureProfile.from_minima(radii, np.min(crit, axis=1), n_theta)
+    radii, geo = criterion_mesh(spec, r_max, n_r, n_theta)
+    return CurvatureProfile.from_minima(radii, np.min(quotient_criterion(geo), axis=1), n_theta)
 
 
 def completeness_verdict(profile):

@@ -4,6 +4,7 @@ The point-level analyses take a ``Geometry``, one point or a batch, and return
 values of its batch shape: a one-point call is a view of the batched one.
 The packet holds the paper's closed forms in (omega, S, X(omega), Y(omega)), and
 ``spectrum_vs_eigensolve_residual`` holds its spectrum to the Geometry's ``ric_frame``.
+``quotient_criterion`` reads S + g(T,T) Ric(T,T) off a Geometry of either signature.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFinite, TwistZero
-from .frame_calculus import Geometry, g_tt
+from .frame_calculus import g_tt
 
 TWIST_FLOOR = 1e-12
 
@@ -86,21 +87,15 @@ def ricci_tt(geo):
     return geo.ric.value[0, 0]
 
 
-def scalar_and_ric_tt(spec, r, theta):
-    """Batch evaluation of (S, Ric(T,T)) over point arrays (profile sweeps)."""
-    geo = Geometry(spec, r, theta, order=2)
-    return np.asarray(geo.scalar.value), np.asarray(ricci_tt(geo))
-
-
-def quotient_criterion(s, ric_tt, signature):
-    """S + g(T,T) Ric(T,T): twice the Gaussian curvature of the quotient by T, both signatures."""
-    return s + g_tt(signature) * ric_tt
+def quotient_criterion(geo):
+    """S + g(T,T) Ric(T,T) of a Geometry: twice the Gaussian curvature of its quotient by T."""
+    return geo.scalar.value + g_tt(geo.spec.signature) * ricci_tt(geo)
 
 
 def gaussian_identity_residual(geo):
     """| -phi_rr/phi - (S + g(T,T) Ric(T,T))/2 |, the quotient Gaussian-curvature law."""
     lhs = -geo.phi.d(2, 0) / geo.phi.value
-    rhs = 0.5 * quotient_criterion(geo.scalar.value, ricci_tt(geo), geo.spec.signature)
+    rhs = 0.5 * quotient_criterion(geo)
     return np.abs(lhs - rhs)
 
 

@@ -1,11 +1,11 @@
-"""Every CLI command at its defaults on five specs, in text and jsonl, one file set per run.
+"""Every CLI command at its defaults on six specs, in text and jsonl, one file set per run.
 
     PYTHONPATH=src python tests/cli_matrix.py OUTDIR
 
 writes the 24 x 24 hopf (R = 2) grid CSV and the spec files into OUTDIR, runs each
-command in process on hopf (R = 2), that grid, nil, cf_family (B = 0.3, C = 1) and
-hopf's Lorentzian partner (R = 2, ``signature = lorentzian``), 60 runs, and writes
-``OUTDIR/<spec>.<command>.<format>.{out,err,code}``.  Run it once against
+command in process on hopf (R = 2), that grid, nil, cf_family (B = 0.3, C = 1) and the
+Lorentzian partners of hopf (R = 2) and of that cf_family (``signature = lorentzian``),
+72 runs, and writes ``OUTDIR/<spec>.<command>.<format>.{out,err,code}``.  Run it once against
 each of two source trees (point PYTHONPATH at each ``src``); ``diff -r`` between the
 two output directories shows every report that changed, to the byte, and
 
@@ -32,7 +32,8 @@ from killing3.cli import _RUNNERS, main
 
 SPECS = {"hopf": "catalog = hopf\nR = 2", "grid": "grid_csv = hopf.csv",
          "nil": "catalog = nil", "cf_family": "catalog = cf_family\nB = 0.3\nC = 1",
-         "hopf_lorentzian": "catalog = hopf\nR = 2\nsignature = lorentzian"}
+         "hopf_lorentzian": "catalog = hopf\nR = 2\nsignature = lorentzian",
+         "cf_family_lorentzian": "catalog = cf_family\nB = 0.3\nC = 1\nsignature = lorentzian"}
 
 
 def hopf_grid_csv():

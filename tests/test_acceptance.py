@@ -21,7 +21,6 @@ from killing3.cotton_york import (FLAT, NOT_FLAT, cotton_york,
                                   cotton_york_norms, flatness_verdict)
 from killing3.curvature_engine import (curvature_packet,
                                        gaussian_identity_residual,
-                                       scalar_and_ric_tt,
                                        spectrum_vs_eigensolve_residual)
 from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import lorentz_relations_check, to_lorentz
@@ -181,8 +180,7 @@ def test_criterion_09_lorentz_bridge():
         for p in sample_points(_box_for(name), 20, 42):
             res_ric, res_s = lorentz_relations_check(Geometry(spec, *p))
             worst = max(worst, res_ric, res_s)
-    s_l, _ = scalar_and_ric_tt(
-        to_lorentz(catalog("hopf", {"R": 1.0})).lorentzian, 0.6, 0.3)
+    s_l = Geometry(to_lorentz(catalog("hopf", {"R": 1.0})).lorentzian, 0.6, 0.3, 2).scalar.value
     ok = worst < 1e-8 and abs(float(s_l) - 10.0) < 1e-8
     _verdict(9, ok, f"max residual {worst:.2e}, hopf S_L = {float(s_l):.10f}, tol 1e-8")
 

@@ -567,6 +567,18 @@ def test_riemannian_commands_refuse_a_lorentzian_spec(tmp_path, capsys, command)
                                  "`lorentz` on the Riemannian spec for the Lorentzian relations\n")
 
 
+def test_family_refuses_a_lorentzian_spec(tmp_path, capsys, monkeypatch):
+    # family sweeps the built metric, which is Riemannian: on the Lorentzian spec it printed
+    # that metric's audit, verdict Flat, and exited 0
+    monkeypatch.setattr(killing3.cli, "solve_omega_ode",
+                        lambda params: pytest.fail("the twist ODE was solved"))
+    spec = _write_spec(tmp_path, "catalog = cf_family\nB = 0.3\nC = 1\nsignature = lorentzian")
+    assert main(["family", "--spec", spec, "--points", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("killing3: family checks the Riemannian identities; run "
+                                 "`lorentz` on the Riemannian spec for the Lorentzian relations\n")
+
+
 def test_family_command(tmp_path):
     spec = _write_spec(tmp_path,
                        "catalog = cf_family\nB = 0\nC = 1\nomega0 = 0\nsign = 1")

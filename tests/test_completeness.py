@@ -79,6 +79,17 @@ def test_empty_mesh_is_refused(n_r, n_theta):
         lorentz_completeness(pair, 2.9, n_r, n_theta)
 
 
+@pytest.mark.parametrize("r_max", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_bad_r_max_is_refused(r_max):
+    # a NaN r_max read Inconclusive from a NaN tail; r_max <= 0 gave descending radii,
+    # which from_minima does not take, and read CompleteCriterion on nil
+    pair = to_lorentz(catalog("nil"))
+    with pytest.raises(BadParams, match="finite positive r_max"):
+        curvature_profile(pair.riemannian, r_max)
+    with pytest.raises(BadParams, match="finite positive r_max"):
+        lorentz_completeness(pair, r_max)
+
+
 def test_profile_refinement_consistency():
     coarse = curvature_profile(catalog("hyperbolic"), 4.0, n_r=32, n_theta=8)
     fine = curvature_profile(catalog("hyperbolic"), 4.0, n_r=32, n_theta=64)

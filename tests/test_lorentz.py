@@ -4,11 +4,11 @@ import pytest
 from cli_matrix import hopf_grid_csv
 from test_sym_oracle import CASES
 
-from killing3 import LORENTZIAN, RIEMANNIAN, cli
+from killing3 import LORENTZIAN, RIEMANNIAN, cli, fields
 from killing3.completeness_probe import COMPLETE, curvature_profile
 from killing3.conformal_family import wpde_residual
-from killing3.curvature_engine import (hamilton_inequality, scalar_and_ric_tt,
-                                       spectrum_vs_eigensolve_residual)
+from killing3.curvature_engine import (gaussian_identity_residual, hamilton_inequality,
+                                       ricci_tt, spectrum_vs_eigensolve_residual)
 from killing3.errors import AlreadyLorentzian, DomainError
 from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import (flip_residual, lorentz_completeness,
@@ -152,7 +152,8 @@ def test_relations_all_catalogs():
 
 def test_hopf_lorentz_scalar():
     pair = to_lorentz(catalog("hopf", {"R": 1.0}))
-    s_l, ric_l = scalar_and_ric_tt(pair.lorentzian, 0.6, 0.3)
+    geo = Geometry(pair.lorentzian, 0.6, 0.3, 2)
+    s_l, ric_l = geo.scalar.value, ricci_tt(geo)
     assert float(s_l) == pytest.approx(10.0, rel=1e-10)
     assert float(ric_l) == pytest.approx(2.0, rel=1e-10)
 
@@ -193,13 +194,37 @@ def test_completeness_agreement():
         assert lprof.inf_values.tobytes() == profile.inf_values.tobytes()
 
 
-def test_quotient_gaussian_curvature_identity():
-    # Gaussian curvature of the quotient = (S_L - Ric_L(T,T)) / 2
+def test_lorentz_completeness_evaluates_one_mesh(monkeypatch):
+    # the Lorentzian criterion is read off the partner of the Riemannian mesh: one build,
+    # and phi, h and k evaluated once each
+    calls, builds = [], []
+    jet, init = fields.ScalarField.jet, Geometry.__init__
+    monkeypatch.setattr(fields.ScalarField, "jet",
+                        lambda field, *args: calls.append(field) or jet(field, *args))
+    monkeypatch.setattr(Geometry, "__init__",
+                        lambda geo, *a, **kw: builds.append(geo) or init(geo, *a, **kw))
     spec = catalog("hyperbolic")
-    pair = to_lorentz(spec)
-    s_l, ric_l = scalar_and_ric_tt(pair.lorentzian, 0.8, 0.0)
-    gauss = -float(spec.phi.jet(0.8, 0.0).d(2, 0) / spec.phi.value(0.8, 0.0))
-    assert gauss == pytest.approx(0.5 * (float(s_l) - float(ric_l)), abs=1e-10)
+    lorentz_completeness(to_lorentz(spec), 5.0)
+    assert sorted(map(id, calls)) == sorted(map(id, (spec.phi, spec.h, spec.k)))
+    assert len(builds) == 1
+
+
+#: every catalog at its defaults, and the specs of the partner test above
+IDENTITY_SPECS = {f"{name}_default": catalog(name) for name in CATALOG_NAMES} | PARTNER_SPECS
+
+
+def test_quotient_gaussian_curvature_identity():
+    # Gaussian curvature of the quotient = (S_L - Ric_L(T,T)) / 2 at a batch of points, on the
+    # partner of a Riemannian Geometry, as lorentz_completeness reads it
+    rng = np.random.default_rng(3)
+    r, theta = rng.uniform(0.3, 1.1, 16), rng.uniform(0.0, 6.2, 16)
+    for name, spec in IDENTITY_SPECS.items():
+        partner = Geometry(spec, r, theta).partner
+        assert partner.spec.signature == LORENTZIAN, name
+        assert np.max(gaussian_identity_residual(partner)) < 1e-10, name
+        gauss = -partner.phi.d(2, 0) / partner.phi.value
+        s_l, ric_l = partner.scalar.value, ricci_tt(partner)
+        np.testing.assert_allclose(gauss, 0.5 * (s_l - ric_l), rtol=0.0, atol=1e-10, err_msg=name)
 
 
 def test_signature_flag_propagates():
