@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature_engine import christoffels, quotient_criterion
-from .errors import (BadParams, BlowUp, DomainError, EmptyGrid, EmptyProfile, NotUnitLength,
-                     StepFailure)
+from .errors import (BadParams, BlowUp, DomainError, EmptyGrid, EmptyProfile, NonFinite,
+                     NotUnitLength, StepFailure)
 from .frame_calculus import PHI_CUTOFF, Geometry
 from .metric_family import metric_components
 
@@ -58,7 +58,11 @@ class CurvatureProfile:
 
     @classmethod
     def from_minima(cls, radii, ring_min, n_theta):
-        """Profile from the minimum of S + g(T,T) Ric(T,T) at each radius (ascending radii)."""
+        """Profile from the minimum of S + g(T,T) Ric(T,T) at each radius (ascending radii);
+        NonFinite names the first radius whose minimum is not finite."""
+        bad = ~np.isfinite(ring_min)
+        if np.any(bad):
+            raise NonFinite(f"non-finite criterion at r = {radii[np.argmax(bad)]:.6g}")
         inf_values = np.minimum.accumulate(ring_min[::-1])[::-1]  # suffix infima
         tail = ring_min[-max(1, len(radii) // 4):]
         scale = max(float(np.max(np.abs(tail))), 1.0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature_engine import curvature_packet
-from .errors import EmptyGrid
+from .errors import EmptyGrid, NonFinite
 from .fields import GRID_SAMPLED
 from .frame_calculus import Geometry
 
@@ -98,6 +98,10 @@ def flatness_verdict(geo):
     cy_max = float(np.max(norms))
 
     y = pk.ric_of_T.flatness_form
+    bad = ~(np.isfinite(y) & np.isfinite(norms))
+    if np.any(bad):  # the fit's SVD would not converge
+        r, theta = geo.point_at(int(np.argmax(bad)))
+        raise NonFinite(f"non-finite curvature at (r, theta) = ({r:.6g}, {theta:.6g})")
     grid_sampled = _is_grid_sampled(geo.spec)
     const_tol = CONST_OMEGA_TOL_GRID if grid_sampled else CONST_OMEGA_TOL
     omega_scale = max(1.0, float(np.max(np.abs(omegas))))

@@ -19,9 +19,9 @@ m = (X - iY)/sqrt(2).  The frame connection C_ijk = g(nabla_{e_i} e_j, e_k)
 gives the divergences and the shear as index reads, and the spin coefficients
 as fixed elementwise combinations of its entries, since T, m and mbar have
 constant coefficients in (T, X, Y); the twist stays on the Lie bracket,
-independent of the Christoffel symbols.  A changed frame is a Geometry subclass
-that overrides one stage (the rotated frame ``frame``, the conformally rescaled
-metric ``coframe``), and every later stage follows from it.
+independent of the Christoffel symbols.  A changed frame is a ``derived`` Geometry
+given one stage (the rotated frame ``frame``, the conformally rescaled metric
+``coframe``), and every later stage follows from it.
 """
 
 from __future__ import annotations
@@ -179,16 +179,23 @@ class Geometry:
     def scalar(self):
         return contract("bc,bc->", self.ginv, self.ric)
 
+    def derived(self, order, **stages):
+        """A Geometry at these points to ``order`` (at most this one's): this one's fields and
+        coframe, truncated, its spec and eta, then ``stages`` set, from which every later stage
+        follows.  No field is evaluated and the domain is not checked again."""
+        twin, order = Geometry.__new__(Geometry), min(order, self.order)
+        vars(twin).update({f: getattr(self, f).truncated(order) for f in ("phi", "h", "k")},
+                          coframe=tuple(m.truncated(order) for m in self.coframe),
+                          spec=self.spec, _eta=self._eta, r=self.r, theta=self.theta, order=order)
+        vars(twin).update(stages)
+        return twin
+
     @stage
     def partner(self):
         """The other signature's Geometry at these points, to order min(n, 2) for values of S and
-        Ric: this one's fields and coframe, truncated, with eta negated; no field is evaluated."""
-        twin, order, eta = Geometry.__new__(Geometry), min(self.order, 2), -self._eta
-        vars(twin).update({f: getattr(self, f).truncated(order) for f in ("phi", "h", "k")},
-                          coframe=tuple(m.truncated(order) for m in self.coframe), _eta=eta,
-                          spec=self.spec.with_signature(LORENTZIAN if eta < 0 else RIEMANNIAN),
-                          r=self.r, theta=self.theta, order=order)
-        return twin
+        Ric: this one derived with eta negated."""
+        return self.derived(2, _eta=-self._eta, spec=self.spec.with_signature(
+            LORENTZIAN if self._eta > 0 else RIEMANNIAN))
 
     # -- canonical frame -----------------------------------------------------
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import jets
 from .errors import EmptyGrid, NotUnitLength
-from .frame_calculus import Geometry, g_tt, stage
+from .frame_calculus import g_tt
 
 _RSQRT2 = 1.0 / np.sqrt(2.0)
 UNIT_TOL = 1e-9
@@ -232,33 +232,21 @@ class RotatedFrame:
         return np.max([np.abs(v) for v in self.law_residuals.values()], axis=0)
 
 
-class _RotatedGeometry(Geometry):
-    """Geometry of the frame turned by an angle field a: m* = e^{ia} m."""
-
-    def __init__(self, spec, r, theta, angle_field, order=None):
-        super().__init__(spec, r, theta, order)
-        self.angle = angle_field.jet(self.r, self.theta, self.order)
-
-    @stage
-    def frame(self):
-        """T, X* = cos a X + sin a Y and Y* = cos a Y - sin a X."""
-        t, x, y = Geometry.frame.func(self)
-        c, s, legs = jets.cos(self.angle), jets.sin(self.angle), jets.stack([x, y])
-        return (t, jets.contract("i,ia->a", jets.stack([c, s]), legs),
-                jets.contract("i,ia->a", jets.stack([-s, c]), legs))
-
-
 def rotate_frame(geo, angle_field):
     """Recompute spin coefficients in the rotated frame m* = e^{i theta} m.
 
     ``angle_field`` is a ScalarField giving the rotation angle over (r, theta).
-    The rotated coefficients are the ``spin`` of a Geometry whose frame stage
-    is turned by the angle.  The residuals compare them against the predicted
+    The rotated coefficients are the ``spin`` of ``geo`` derived with its frame
+    turned by the angle.  The residuals compare them against the predicted
     transformation laws (kappa scales by the phase, sigma by its square,
     rho is invariant, epsilon and beta pick up derivative terms).
     """
-    rot = _RotatedGeometry(geo.spec, geo.r, geo.theta, angle_field, geo.order)
-    t, m, th = geo.frame[0], geo.m_leg[0], rot.angle
+    th = angle_field.jet(geo.r, geo.theta, geo.order)
+    (t, x, y), m = geo.frame, geo.m_leg[0]
+    c, s, legs = jets.cos(th), jets.sin(th), jets.stack([x, y])
+    # T, X* = cos a X + sin a Y and Y* = cos a Y - sin a X
+    rot = geo.derived(geo.order, frame=(t, jets.contract("i,ia->a", jets.stack([c, s]), legs),
+                                        jets.contract("i,ia->a", jets.stack([-s, c]), legs)))
     kappa_s, rho_s, sigma_s, eps_s, beta_s = (j.value for j in rot.spin)
     kappa, rho, sigma, eps, beta = (j.value for j in geo.spin)
     ph = np.exp(1j * th.value)
@@ -275,19 +263,12 @@ def rotate_frame(geo, angle_field):
     return RotatedFrame(coefficients=coeffs, law_residuals=laws)
 
 
-class _ConformalGeometry(Geometry):
-    """Geometry of e^{2f} g with the rescaled unit field e^{-f} T."""
-
-    def __init__(self, spec, r, theta, f_field, order=None):
-        super().__init__(spec, r, theta, order)
-        self._f = f_field.jet(self.r, self.theta, self.order)
-
-    @stage
-    def coframe(self):
-        """e^f E and e^-f F: the metric, its inverse and the frame follow."""
-        e, f = Geometry.coframe.func(self)
-        return (jets.contract(",ab->ab", jets.exp(self._f), e),
-                jets.contract(",ab->ab", jets.exp(-self._f), f))
+def _rescaled(geo, f):
+    """``geo`` derived for e^{2f} g, f a jet: the coframe (e^f E, e^-f F) gives the metric, its
+    inverse and the rescaled unit field e^{-f} T."""
+    e, inv = geo.coframe
+    return geo.derived(geo.order, coframe=(jets.contract(",ab->ab", jets.exp(f), e),
+                                           jets.contract(",ab->ab", jets.exp(-f), inv)))
 
 
 @dataclass(frozen=True)
@@ -302,8 +283,8 @@ class ConformalCheck:
 
 def conformal_rescale_check(geo, f_field):
     """Verify twist and shear scale by e^{-f} under g -> e^{2f} g, T -> e^{-f} T."""
-    conf = _ConformalGeometry(geo.spec, geo.r, geo.theta, f_field, geo.order)
-    scale = np.exp(-f_field.value(geo.r, geo.theta))
+    f = f_field.jet(geo.r, geo.theta, geo.order)
+    conf, scale = _rescaled(geo, f), np.exp(-f.value)
     w, w_t = geo.omega.value, conf.omega.value
     sh, sh_t = geo.shear.value, conf.shear.value
     return ConformalCheck(

@@ -505,6 +505,18 @@ def test_main_overflowing_metric_exit_3(tmp_path, capsys, command, text, fmt):
     assert err.startswith("killing3: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize("command", ["analyze", "verify", "flatness", "lorentz"])
+def test_nan_field_grid_exit_3(tmp_path, capsys, command, fmt):
+    # past r ~ 710 hyperbolic's phi = cosh r has a NaN value row, which Geometry lets
+    # through: flatness handed it to the (B, C) fit and ended in LinAlgError's traceback
+    spec = _write_spec(tmp_path, "catalog = hyperbolic")
+    assert main([command, "--spec", spec, "--grid", "800:900,0:1", "--format", fmt]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("killing3: ") and len(err.strip().splitlines()) == 1
+
+
 def _nan_in_first_state(integrate):
     def wrapped(*args):
         traj = integrate(*args)

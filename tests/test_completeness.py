@@ -9,8 +9,8 @@ from killing3.completeness_probe import (COMPLETE, INCOMPLETE, INCONCLUSIVE,
                                          curvature_profile, integrate_geodesic,
                                          integrate_quotient_geodesic,
                                          make_state, projection_residual)
-from killing3.errors import (BadParams, BlowUp, EmptyGrid, EmptyProfile, NotUnitLength,
-                            StepFailure)
+from killing3.errors import (BadParams, BlowUp, EmptyGrid, EmptyProfile, NonFinite,
+                             NotUnitLength, StepFailure)
 from killing3.fields import constant, from_expr
 from killing3.curvature_engine import christoffels
 from killing3.frame_calculus import Geometry
@@ -88,6 +88,17 @@ def test_bad_r_max_is_refused(r_max):
         curvature_profile(pair.riemannian, r_max)
     with pytest.raises(BadParams, match="finite positive r_max"):
         lorentz_completeness(pair, r_max)
+
+
+@pytest.mark.parametrize("profile", [
+    lambda pair: curvature_profile(pair.riemannian, 5e4),
+    lambda pair: lorentz_completeness(pair, 5e4)], ids=["riemannian", "lorentzian"])
+def test_non_finite_profile_is_refused(profile):
+    # past r ~ 710 hyperbolic's phi = cosh r has a NaN value row, and every radius of this
+    # mesh (from 781.25) lies there: the NaN tail read Inconclusive
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFinite, match=r"^non-finite criterion at r = 781\.25$"):
+            profile(to_lorentz(catalog("hyperbolic")))
 
 
 def test_profile_refinement_consistency():

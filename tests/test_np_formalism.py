@@ -6,7 +6,7 @@ from killing3.errors import EmptyGrid, NotUnitLength
 from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import to_lorentz
 from killing3.metric_family import MetricSpec, catalog, frame_gram_residual
-from killing3.np_formalism import (_ConformalGeometry, conformal_rescale_check, killing_test,
+from killing3.np_formalism import (_rescaled, conformal_rescale_check, killing_test,
                                    kinematics, rotate_frame,
                                    spin_coefficients, structure_residuals)
 
@@ -155,6 +155,25 @@ def test_rotated_frame_is_the_same_pipeline(name):
                                    rtol=0, atol=1e-12, err_msg=key)
 
 
+@pytest.mark.parametrize("name", ["hopf", "nil", "cf_family"])
+def test_rotated_and_rescaled_geometries_reuse_the_fields(monkeypatch, name):
+    # each call evaluates its own field (the angle, f) once and builds no Geometry: the
+    # rotated and the rescaled Geometry take geo's fields and coframe
+    geo = Geometry(catalog(name), np.array([0.4, 0.8]), np.array([0.1, 1.0]))
+    calls = []
+    jet, init = fields.ScalarField.jet, Geometry.__init__
+    monkeypatch.setattr(fields.ScalarField, "jet",
+                        lambda self, *a, **k: calls.append("jet") or jet(self, *a, **k))
+    monkeypatch.setattr(Geometry, "__init__",
+                        lambda self, *a, **k: calls.append("init") or init(self, *a, **k))
+    angle = fields.from_expr(lambda r, t: 0.3 * jets.sin(r) + 0.2 * r * t)
+    f = fields.from_expr(lambda r, t: 0.2 * r + 0.3 * jets.sin(t))
+    for check in (lambda: rotate_frame(geo, angle), lambda: conformal_rescale_check(geo, f)):
+        calls.clear()
+        check()
+        assert calls == ["jet"]
+
+
 def test_conformal_rescaling_laws():
     rng = np.random.default_rng(11)
     for name in ("hopf", "hyperbolic"):
@@ -168,7 +187,7 @@ def test_conformal_rescaling_laws():
             assert cc.residual_omega < 1e-10
             assert cc.residual_shear < 1e-10
             # the rescaled metric and frame come from one rescaled coframe
-            conf = _ConformalGeometry(spec, geo.r, geo.theta, f, geo.order)
+            conf = _rescaled(geo, f.jet(geo.r, geo.theta, geo.order))
             assert frame_gram_residual(conf) <= 1e-13
             np.testing.assert_allclose(conf.g.value,
                                        np.exp(2.0 * f.value(geo.r, geo.theta)) * geo.g.value,
