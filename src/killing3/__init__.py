@@ -8,7 +8,7 @@ specified by the scalar profile triple (phi, h, k).  Modules:
 * ``frame_calculus``        the signatures and g(T, T); the batched Geometry: domain check,
                             metric, connection, Ricci, frame data
 * ``metric_family``         the (phi, h, k) spec, catalog metrics, CSV grids, the frame's Gram audit
-* ``curvature_engine``      Christoffels, Ricci operator and its spectrum
+* ``curvature_engine``      Christoffels, Ricci operator, its spectrum and curvature signs
 * ``np_formalism``          spin coefficients, kinematics, structure equations
 * ``cotton_york``           conformal-flatness tests and the (B, C) fit
 * ``conformal_family``      the twist ODE and conformally flat built metrics
@@ -26,8 +26,7 @@ from .completeness_probe import (CurvatureProfile, GeodesicState,
 from .cotton_york import (CottonYorkMatrix, FlatnessFit, cotton_york,
                           flatness_verdict, tmg_residual)
 from .curvature_engine import (CurvaturePacket, RicciOfT, christoffels,
-                               curvature_packet, gaussian_identity_residual,
-                               hamilton_inequality)
+                               curvature_packet, gaussian_identity_residual)
 from .errors import Killing3Error
 from .fields import ScalarField, constant, from_expr, from_grid
 from .frame_calculus import LORENTZIAN, RIEMANNIAN, Geometry
@@ -51,10 +50,10 @@ __all__ = [
     "build_cf_metric", "catalog", "christoffels", "completeness_verdict",
     "conformal_rescale_check", "constant", "cotton_york", "curvature_packet",
     "curvature_profile", "flatness_verdict", "from_expr", "from_grid",
-    "gaussian_identity_residual", "hamilton_inequality",
-    "integrate_geodesic", "killing_test", "kinematics", "load_grid_csv",
-    "lorentz_completeness", "lorentz_relations_check", "make_state",
-    "metric_components", "projection_residual", "rotate_frame",
+    "gaussian_identity_residual", "integrate_geodesic", "killing_test",
+    "kinematics", "load_grid_csv", "lorentz_completeness",
+    "lorentz_relations_check", "make_state", "metric_components",
+    "projection_residual", "rotate_frame",
     "solve_omega_ode", "spin_coefficients", "structure_residuals",
     "tmg_residual", "to_lorentz", "wpde_residual",
 ]

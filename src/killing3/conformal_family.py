@@ -97,19 +97,14 @@ class OmegaSolution:
         wrrrr = -0.5 * wrr * (3.0 * (w * w) + b2) - 3.0 * w * (wr * wr)
         return w, wr, wrr, wrrr, wrrrr
 
-    def _jet_from_stack(self, r, order, shift):
+    def jets(self, r, order):
+        """The r-jets of omega and omega_r at r, both from one evaluation of the solution."""
         stack = self._stack(r)
-        c = np.zeros((NCOEFFS[order],) + r.shape)
+        c = np.zeros((2, NCOEFFS[order]) + r.shape)
         for k, (i, j) in enumerate(INDEX[:NCOEFFS[order]]):
             if j == 0:
-                c[k] = stack[i + shift]
-        return Jet2(c, order)
-
-    def omega_field(self):
-        return ScalarField(lambda r, t, o: self._jet_from_stack(r, o, 0))
-
-    def omega_r_field(self):
-        return ScalarField(lambda r, t, o: self._jet_from_stack(r, o, 1))
+                c[:, k] = stack[i], stack[i + 1]
+        return Jet2(c[0], order), Jet2(c[1], order)
 
 
 def _agm(m1):
@@ -209,18 +204,16 @@ def build_cf_metric(params):
         raise PhiVanishes(f"omega_r changes sign inside r range ({lo}, {hi})")
 
     h_theta = params.h_theta or fields.constant(1.0)
-    omega_f = sol.omega_field()
-    omega_r_f = sol.omega_r_field()
 
     def phi_jet(r, theta, order):
         # omega_r keeps the sign of omega_r(0) on the arc, so sign * omega_r > 0
-        return h_theta.jet(r, theta, order) * omega_r_f.jet(r, theta, order) * params.omega_r0_sign
+        return h_theta.jet(r, theta, order) * sol.jets(r, order)[1] * params.omega_r0_sign
 
     def h_frame_jet(r, theta, order):
         # (phi * h)_r = -omega * phi integrates to h = -omega^2 / (2 omega_r);
         # the sign and the h(theta) factor cancel, matching the catalog twist convention
-        w = omega_f.jet(r, theta, order)
-        return -(w * w) / (2.0 * omega_r_f.jet(r, theta, order))
+        w, w_r = sol.jets(r, order)
+        return -(w * w) / (2.0 * w_r)
 
     meta = {"B": params.B, "C": params.C, "omega0": params.omega0,
             "sign": params.omega_r0_sign, "r_range": (float(lo), float(hi))}

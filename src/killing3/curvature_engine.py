@@ -2,8 +2,9 @@
 
 The point-level analyses take a ``Geometry``, one point or a batch, and return
 values of its batch shape: a one-point call is a view of the batched one.
-The packet holds the paper's closed forms in (omega, S, X(omega), Y(omega)), and
-``spectrum_vs_eigensolve_residual`` holds its spectrum to the Geometry's ``ric_frame``.
+The packet holds the paper's closed forms in (omega, S, X(omega), Y(omega)); its spectrum
+gives the Ricci and sectional curvature signs, and ``spectrum_vs_eigensolve_residual``
+holds it to the Geometry's ``ric_frame``.
 ``quotient_criterion`` reads S + g(T,T) Ric(T,T) off a Geometry of either signature.
 """
 
@@ -13,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFinite, TwistZero
+from .errors import NonFinite
 from .frame_calculus import g_tt
-
-TWIST_FLOOR = 1e-12
 
 
 def christoffels(geo):
@@ -48,10 +47,21 @@ class CurvaturePacket:
     """Closed-form curvature data of a Geometry; every value has the geometry's batch shape."""
 
     scalar_S: np.ndarray
-    spectrum: tuple           # (lam1, lam2, lam3) closed forms, lam1 >= lam2
+    spectrum: tuple           # (lam1, lam2, lam3) closed forms, lam1 >= lam3 >= lam2
     omega: np.ndarray
     grad_omega_sq: np.ndarray
     ric_of_T: RicciOfT
+
+    # min and max, not lam2 and lam1: where eigenvalues tie, the closed forms round either way
+    @property
+    def ricci_positive(self):
+        """Every Ricci eigenvalue > 0: Hamilton's condition on a compact 3-manifold."""
+        return np.min(self.spectrum, axis=0) > 0.0
+
+    @property
+    def sectional_positive(self):
+        """Every sectional curvature S/2 - lam_k > 0."""
+        return np.max(self.spectrum, axis=0) < self.scalar_S / 2.0
 
 
 def spectrum_closed_form(omega, scalar_s, grad_omega_sq):
@@ -63,7 +73,7 @@ def spectrum_closed_form(omega, scalar_s, grad_omega_sq):
     lam1 = scalar_s / 4.0 + w2 / 8.0 + root / 2.0
     lam2 = scalar_s / 4.0 + w2 / 8.0 - root / 2.0
     lam3 = scalar_s / 2.0 - w2 / 4.0
-    return (lam1, lam2, lam3), delta
+    return lam1, lam2, lam3
 
 
 def curvature_packet(geo):
@@ -72,10 +82,9 @@ def curvature_packet(geo):
     omega, s = geo.omega.value, geo.scalar.value
     xw, yw = (d.value for d in geo.omega_xy)
     grad_sq = xw * xw + yw * yw
-    spectrum, _ = spectrum_closed_form(omega, s, grad_sq)
     return CurvaturePacket(
         scalar_S=s,
-        spectrum=spectrum,
+        spectrum=spectrum_closed_form(omega, s, grad_sq),
         omega=omega,
         grad_omega_sq=grad_sq,
         ric_of_T=RicciOfT(omega * omega / 2.0, -yw / 2.0, xw / 2.0),
@@ -97,39 +106,6 @@ def gaussian_identity_residual(geo):
     lhs = -geo.phi.d(2, 0) / geo.phi.value
     rhs = 0.5 * quotient_criterion(geo)
     return np.abs(lhs - rhs)
-
-
-@dataclass(frozen=True)
-class HamiltonVerdict:
-    """The inequality at each point of a Geometry; values have its batch shape."""
-
-    scalar_S: np.ndarray
-    rhs: np.ndarray
-    holds: np.ndarray
-    rhs_strict: np.ndarray
-    holds_strict: np.ndarray
-
-
-def hamilton_inequality(geo):
-    """Positivity test S > 2|Ric(T)|^2 / Ric(T,T) - Ric(T,T) at geo's points.
-
-    Also reports the strict variant S > 2|grad omega|^2/omega^2 + omega^2
-    needed when no Ricci eigenvalue may exceed the sum of the others.
-    Returns the HamiltonVerdict and whether the inequality holds everywhere.
-    """
-    pk = curvature_packet(geo)
-    omega, s, ric_tt = pk.omega, pk.scalar_S, pk.ric_of_T.t_component
-    undefined = (np.abs(omega) < TWIST_FLOOR) | (ric_tt <= 0.0)
-    if np.any(undefined):
-        p = geo.point_at(int(np.argmax(undefined)))
-        raise TwistZero(f"twist vanishes at {p}; inequality undefined")
-    w2 = omega * omega
-    rhs = 2.0 * pk.ric_of_T.norm_sq / ric_tt - ric_tt
-    rhs_strict = 2.0 * pk.grad_omega_sq / w2 + w2
-    verdict = HamiltonVerdict(scalar_S=s, rhs=rhs,
-                              holds=s > rhs, rhs_strict=rhs_strict,
-                              holds_strict=s > rhs_strict)
-    return verdict, bool(np.all(verdict.holds))
 
 
 def spectrum_vs_eigensolve_residual(geo):

@@ -21,10 +21,6 @@ class NotUnitLength(Killing3Error):
     """A vector field required to be unit length is not."""
 
 
-class TwistZero(Killing3Error):
-    """The twist vanishes where an omega-quotient is required."""
-
-
 class UnknownCatalogName(Killing3Error):
     """Catalog lookup with an unrecognized name."""
 

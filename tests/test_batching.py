@@ -24,8 +24,7 @@ from killing3.cli import _RUNNERS, RunConfig
 from killing3.conformal_family import wpde_residual
 from killing3.cotton_york import cotton_york, flatness_verdict, tmg_residual
 from killing3.curvature_engine import (christoffels, curvature_packet,
-                                       gaussian_identity_residual,
-                                       hamilton_inequality, ricci_tt,
+                                       gaussian_identity_residual, ricci_tt,
                                        spectrum_vs_eigensolve_residual)
 from killing3.frame_calculus import Geometry
 from killing3.jets import NCOEFFS
@@ -89,7 +88,8 @@ ANALYSES = {
     "christoffels": christoffels,
     "rotate_frame": _rotate_frame,
     "conformal_rescale_check": lambda geo: conformal_rescale_check(geo, CONFORMAL_F),
-    "hamilton_inequality": lambda geo: hamilton_inequality(geo)[0],
+    "ricci_positive": lambda geo: curvature_packet(geo).ricci_positive,
+    "sectional_positive": lambda geo: curvature_packet(geo).sectional_positive,
 }
 
 
@@ -134,23 +134,6 @@ def test_flatness_batch_matches_pointwise(name):
     _close(batch.scalar_S, [pk.scalar_S for pk in packets])
     _close(batch.grad_omega_sq, [pk.grad_omega_sq for pk in packets])
     _close(batch.ric_of_T.norm_sq, [pk.ric_of_T.norm_sq for pk in packets])
-
-
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_hamilton_batch_matches_pointwise(name):
-    spec, pts = SPECS[name](), _points()
-    verdict, ok = hamilton_inequality(Geometry(spec, *np.transpose(pts)))
-    assert verdict.holds.shape == (len(pts),)
-    for i, p in enumerate(pts):
-        pk = curvature_packet(Geometry(spec, *p))
-        ric_tt = pk.omega**2 / 2.0
-        rhs = 2.0 * pk.ric_of_T.norm_sq / ric_tt - ric_tt
-        rhs_strict = 2.0 * pk.grad_omega_sq / pk.omega**2 + pk.omega**2
-        _close([verdict.scalar_S[i], verdict.rhs[i], verdict.rhs_strict[i]],
-               [pk.scalar_S, rhs, rhs_strict])
-        assert verdict.holds[i] == (pk.scalar_S > rhs)
-        assert verdict.holds_strict[i] == (pk.scalar_S > rhs_strict)
-    assert ok == all(verdict.holds)
 
 
 def _tilted_field(spec):

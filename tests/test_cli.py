@@ -217,6 +217,8 @@ def test_jsonl_roundtrip(tmp_path):
     assert again.summary == json.loads(json.dumps(report.summary))
     assert len(again.records) == len(report.records)
     assert again.verdict == report.verdict
+    # blank and whitespace-only lines are skipped
+    assert load_jsonl_report(text.replace("\n", "\n\n  \n")) == again
 
 
 def test_report_summary_is_max_of_records(tmp_path):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from killing3.conformal_family import (SEPARATRIX_GAP, FamilyParams, _agm, _ellipf, _ellipj,
-                                       build_cf_metric, solve_omega_ode, wpde_residual)
+from killing3 import conformal_family
+from killing3.conformal_family import (SEPARATRIX_GAP, FamilyParams, OmegaSolution, _agm,
+                                       _ellipf, _ellipj, build_cf_metric, solve_omega_ode,
+                                       wpde_residual)
 from killing3.curvature_engine import curvature_packet
-from killing3.errors import InadmissibleParams, PhiVanishes
+from killing3.errors import EnergyDriftExceeded, InadmissibleParams, PhiVanishes
 from killing3.frame_calculus import Geometry
 from killing3.metric_family import catalog
 from killing3 import fields, jets
@@ -35,6 +37,13 @@ def test_zero_energy_rest_solution():
     assert np.max(np.abs(sol.omega)) == 0.0
     assert sol.energy_drift == 0.0
     assert sol.period is None
+
+
+def test_solution_off_its_energy_surface_is_refused():
+    # omega = 1, omega_r = 0 has energy (1 + 0)^2 / 4 = 1/4, not C + B^2 = 1
+    params = FamilyParams(B=0.0, C=1.0)
+    with pytest.raises(EnergyDriftExceeded, match="^energy drift 7.500e-01 exceeds 1e-08$"):
+        OmegaSolution(params, lambda r: (np.ones_like(r), 0.0 * r), 5.0, np.empty(0), None)
 
 
 def test_turning_points_B0_C1():
@@ -220,6 +229,21 @@ def test_build_cf_metric_scalar_curvature_law():
             w = sol._eval(r)[0].item()
             assert pk.scalar_S == pytest.approx(2.5 * w**2 + 2.0 * B, abs=1e-7)
             assert pk.omega == pytest.approx(w, abs=1e-9)
+
+
+def test_one_twist_evaluation_per_field_jet(monkeypatch):
+    # phi and h each take omega and omega_r from one evaluation of the closed form
+    spec = build_cf_metric(FamilyParams(B=0.3, C=1.0))
+    calls = []
+
+    def counted(u, m1):
+        calls.append(np.shape(u))
+        return _ellipj(u, m1)
+
+    monkeypatch.setattr(conformal_family, "_ellipj", counted)
+    r = np.linspace(-1.0, 1.0, 5)
+    Geometry(spec, r, np.zeros(5))
+    assert calls == [(5,), (5,)]
 
 
 def test_build_rejects_zero_omega_r():

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from killing3.curvature_engine import (christoffels, curvature_packet,
-                                       gaussian_identity_residual,
-                                       hamilton_inequality, spectrum_closed_form,
+                                       gaussian_identity_residual, spectrum_closed_form,
                                        spectrum_vs_eigensolve_residual)
-from killing3.errors import NonFinite, TwistZero
+from killing3.errors import NonFinite
 from killing3.frame_calculus import Geometry
 from killing3.jets import Jet2
 from killing3.lorentz_bridge import to_lorentz
@@ -179,7 +178,7 @@ def test_bisection_oracle_with_tiny_householder_vector():
 @given(st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4))
 def test_closed_form_spectrum_against_bisection_oracle(entries):
     omega, s, x_omega, y_omega = entries
-    lams, _ = spectrum_closed_form(omega, s, x_omega**2 + y_omega**2)
+    lams = spectrum_closed_form(omega, s, x_omega**2 + y_omega**2)
     oracle = bisect_eigenvalues(
         _closed_form_ricci((omega * omega / 2.0, -y_omega / 2.0, x_omega / 2.0), s, omega))
     np.testing.assert_allclose(oracle, np.sort(lams), atol=1e-8)
@@ -203,19 +202,48 @@ def test_gaussian_identity(catalogs):
             assert np.max(res) < 1e-10, (name, s.signature)
 
 
-def test_hamilton_inequality_hopf_vs_nil():
-    verdict, ok = hamilton_inequality(Geometry(catalog("hopf", {"R": 1.0}),
-                                               [0.5, 0.9], [0.1, 2.0]))
-    assert ok and np.all(verdict.holds) and np.all(verdict.holds_strict)
-    # nil fails the strict variant: S = -1/2 < omega^2 = 1
-    verdict, ok = hamilton_inequality(Geometry(catalog("nil", {"omega0": 1.0}),
-                                               0.5, 0.1))
-    assert not verdict.holds_strict
+TWISTING = {
+    "hopf R=1": catalog("hopf", {"R": 1.0}), "hopf R=2": catalog("hopf", {"R": 2.0}),
+    "nil": catalog("nil"), "cf B=0.3 C=1": catalog("cf_family", {"B": 0.3, "C": 1.0}),
+    "cf B=-0.5 C=2": catalog("cf_family", {"B": -0.5, "C": 2.0}),
+    "cf B=-1 C=1": catalog("cf_family", {"B": -1.0, "C": 1.0}),
+}
 
 
-def test_hamilton_requires_twist():
-    with pytest.raises(TwistZero):
-        hamilton_inequality(Geometry(catalog("flat"), 0.5, 0.1))
+def _sign_geometry(spec, n=400):
+    """A Geometry at n seeded points of spec's r range (cf_family's arc, else 0.1 to 1.4)."""
+    lo, hi = spec.params.get("r_range", (0.1, 1.4))
+    u, v = np.random.default_rng(5).random((2, n))
+    return Geometry(spec, lo + (hi - lo) * u, 2.0 * np.pi * v)
+
+
+@pytest.mark.parametrize("name", sorted(TWISTING))
+def test_curvature_signs_match_hamilton_forms_and_eigensolve(name):
+    geo = _sign_geometry(TWISTING[name])
+    pk = curvature_packet(geo)
+    # Hamilton's two forms divide by omega^2, nonzero here; Ric(T) is the T row of the frame Ricci
+    rf = geo.ric_frame.value
+    ric_tt, ric_t_sq = rf[0, 0], np.sum(rf[0] * rf[0], axis=0)
+    s, w2 = pk.scalar_S, pk.omega * pk.omega
+    assert np.min(w2) > 0.0
+    np.testing.assert_array_equal(pk.ricci_positive, s > 2.0 * ric_t_sq / ric_tt - ric_tt)
+    np.testing.assert_array_equal(pk.sectional_positive, s > 2.0 * pk.grad_omega_sq / w2 + w2)
+    # the signs of an eigensolve of that Ricci: least eigenvalue > 0, greatest < S/2
+    eig = np.linalg.eigvalsh(np.moveaxis(rf, (0, 1), (-2, -1)))
+    np.testing.assert_array_equal(pk.ricci_positive, eig[:, 0] > 0.0)
+    np.testing.assert_array_equal(pk.sectional_positive, eig[:, 2] < s / 2.0)
+    # hopf is a round S^3, nil has S = -omega^2/2 < 0, and cf_family is positive in part
+    for flags in (pk.ricci_positive, pk.sectional_positive):
+        if name.startswith("cf"):
+            assert 0.0 < np.mean(flags) < 1.0
+        else:
+            assert np.all(flags == name.startswith("hopf"))
+
+
+@pytest.mark.parametrize("name", ["flat", "hyperbolic"])
+def test_curvature_signs_without_twist_read_false(name):
+    pk = curvature_packet(_sign_geometry(catalog(name), n=20))
+    assert not np.any(pk.ricci_positive) and not np.any(pk.sectional_positive)
 
 
 def test_fd_ricci_cross_check_hopf():

@@ -162,6 +162,15 @@ def test_step_size_underflow_raises_scipys_message():
     assert ours is None and theirs.status == -1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_initial_state_raises_scipys_message(bad):
+    args = (lambda t, y: -y, (0.0, 1.0), [1.0, bad], 1e-8, 1e-10, None, _never)
+    with pytest.raises(ValueError) as theirs:
+        _scipy(*args)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(theirs.value))}$"):
+        DOP853(*args, np.inf)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
            st.lists(st.floats(-2.0, 2.0), min_size=n * n, max_size=n * n),

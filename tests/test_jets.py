@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from killing3 import fields, jets
-from killing3.conformal_family import FamilyParams, solve_omega_ode
+from killing3.conformal_family import FamilyParams, build_cf_metric
 from killing3.errors import JetOrderError
 from killing3.jets import INDEX, MAX_ORDER, NCOEFFS, Jet2, contract, variables
 
@@ -78,6 +78,14 @@ def test_batch_coefficients():
         jrk, jtk = variables(rv, tv)
         single = sample_expr(jrk, jtk)
         np.testing.assert_allclose(out.coeffs[:, k], single.coeffs, atol=1e-13)
+
+
+def test_jet_from_a_list_and_its_repr():
+    # rows value, d/dr, d/dtheta of r + 2 theta at two points
+    j = Jet2([[0.5, 1.0], [1.0, 1.0], [2.0, 2.0]], np.int64(1))
+    assert type(j.coeffs) is np.ndarray and type(j.order) is int and j.coeffs.shape == (3, 2)
+    np.testing.assert_array_equal((j * j).d(0, 1), [2.0, 4.0])
+    assert repr(j) == "Jet2(order=1, value=array([0.5, 1. ]))"
 
 
 def test_complex_arithmetic_and_conj():
@@ -288,10 +296,10 @@ R_NODES, THETA_NODES = np.linspace(0.1, 1.3, 8), np.linspace(-0.5, 2.5, 8)
 
 
 def _fields():
-    omega = solve_omega_ode(FamilyParams(B=0.0, C=1.0))
+    cf = build_cf_metric(FamilyParams(B=0.0, C=1.0))
     return {"analytic": fields.from_expr(sample_expr), "constant": fields.constant(2.5),
             "grid": fields.sample_to_grid(fields.from_expr(sample_expr), R_NODES, THETA_NODES),
-            "cf omega": omega.omega_field(), "cf omega_r": omega.omega_r_field()}
+            "cf phi": cf.phi, "cf h": cf.h}
 
 
 def test_field_jets_carry_ncoeffs_rows():

@@ -7,8 +7,8 @@ from test_sym_oracle import CASES
 from killing3 import LORENTZIAN, RIEMANNIAN, cli, fields
 from killing3.completeness_probe import COMPLETE, curvature_profile
 from killing3.conformal_family import wpde_residual
-from killing3.curvature_engine import (gaussian_identity_residual, hamilton_inequality,
-                                       ricci_tt, spectrum_vs_eigensolve_residual)
+from killing3.curvature_engine import (gaussian_identity_residual, ricci_tt,
+                                       spectrum_vs_eigensolve_residual)
 from killing3.errors import AlreadyLorentzian, DomainError
 from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import (flip_residual, lorentz_completeness,
@@ -113,12 +113,6 @@ def test_cotton_york_matrix_refuses_lorentzian_geometry():
     with pytest.raises(DomainError, match="^the Cotton-York matrix is defined for the "
                                           "Riemannian case$"):
         _hopf_partner().cotton_york_matrix
-
-
-def test_hamilton_inequality_refuses_lorentzian_geometry():
-    with pytest.raises(DomainError, match="^the curvature packet is defined for the "
-                                          "Riemannian case$"):
-        hamilton_inequality(_hopf_partner())
 
 
 def test_wpde_residual_refuses_lorentzian_geometry():

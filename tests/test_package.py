@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -12,6 +13,26 @@ def test_star_import_resolves_every_exported_name():
     exec("from killing3 import *", namespace)  # AttributeError on a stale name
     assert set(killing3.__all__) <= namespace.keys()
     assert len(set(killing3.__all__)) == len(killing3.__all__)
+
+
+def test_every_error_class_is_raised():
+    """Each class of killing3.errors is raised in src/, or is the base of one that is."""
+    src = Path(killing3.__file__).parent
+    raised = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    classes = {node.name: [b.id for b in node.bases]
+               for node in ast.parse((src / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    live = set()
+    for name in raised & classes.keys():
+        while name in classes:  # the class and its bases up to Exception
+            live.add(name)
+            (name,) = classes[name]
+    assert sorted(classes.keys() - live) == []
 
 
 _NUMPY_ONLY = r'''
