@@ -22,7 +22,7 @@ from .conformal_family import (FamilyParams, OmegaSolution, build_cf_metric,
 from .completeness_probe import (CurvatureProfile, GeodesicState,
                                  GeodesicTrajectory, completeness_verdict,
                                  curvature_profile, integrate_geodesic,
-                                 make_state, projection_residual)
+                                 make_state)
 from .cotton_york import (CottonYorkMatrix, FlatnessFit, cotton_york,
                           flatness_verdict, tmg_residual)
 from .curvature_engine import (CurvaturePacket, RicciOfT, christoffels,
@@ -53,7 +53,7 @@ __all__ = [
     "gaussian_identity_residual", "integrate_geodesic", "killing_test",
     "kinematics", "load_grid_csv", "lorentz_completeness",
     "lorentz_relations_check", "make_state", "metric_components",
-    "projection_residual", "rotate_frame",
+    "rotate_frame",
     "solve_omega_ode", "spin_coefficients", "structure_residuals",
     "tmg_residual", "to_lorentz", "wpde_residual",
 ]

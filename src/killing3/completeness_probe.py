@@ -7,8 +7,9 @@ read off the order-2 Geometry of one (radius, theta) mesh.  On a finite window t
 necessarily an extrapolation, so verdicts carry the tail estimate and window for the
 user to judge.
 
-Geodesics carry two exact first integrals -- the Killing momentum c = g(T, y')
-and the speed g(y', y') -- whose drift is the integration quality report.
+Geodesics carry two exact first integrals, the Killing momentum c = g(T, y') and the
+speed g(y', y').  The Killing-reduced system holds c fixed by construction, so the speed
+drift is the integration quality report; the c drift is rounding.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_engine import christoffels, quotient_criterion
+from .curvature_engine import quotient_criterion
 from .errors import (BadParams, BlowUp, DomainError, EmptyGrid, EmptyProfile, NonFinite,
                      NotUnitLength, StepFailure)
-from .frame_calculus import PHI_CUTOFF, Geometry
+from .frame_calculus import PHI_CUTOFF, Geometry, g_tt
 from .metric_family import metric_components
 
 COMPLETE = "CompleteCriterion"
@@ -37,7 +38,7 @@ TOL_ZERO, TOL_INCOMPLETE = 1e-6, 1e-5
 UNIT_TOL = 1e-8
 #: relative oscillation of the tail quartile beyond which no verdict is given
 OSCILLATION_TOL = 0.2
-#: right-hand-side calls after which a geodesic ends in StepFailure (hopf's default: 3899)
+#: right-hand-side calls after which a geodesic ends in StepFailure (hopf's default: 3785)
 MAX_RHS_CALLS = 100_000
 
 
@@ -159,19 +160,42 @@ class GeodesicTrajectory:
                             self.c_drift[i], self.speed_drift[i]])
 
 
-def _integrate(spec, rhs, y0, length, step_tol, n_samples, what, at):
-    """The one DOP853 solve of a geodesic; ``y[at:at + 2]`` is its (r, theta).
+def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401):
+    """Integrate the geodesic as the Killing-reduced system; see GeodesicTrajectory.
+
+    The conserved c = g(T, y') removes t: (r, theta) follow a magnetic geodesic of the
+    quotient dr^2 + phi^2 dtheta^2 in the field c dA, A = -k dr - phi h dtheta, and t'
+    = c / g(T,T) + k r' + phi h theta'.  The state is y = (t, r, theta, r', theta'); the
+    trajectory reports (t, r, theta, t', r', theta') with t' rebuilt at the samples.
+    ``init`` must be unit speed to UNIT_TOL; build it with make_state.  theta runs on the
+    universal cover (unbounded) during integration.
 
     A terminal event stops it where phi falls to 10 PHI_CUTOFF.  Leaving the domain is
     BlowUp; a step-size underflow, or a right-hand side called MAX_RHS_CALLS times, is
     StepFailure; a zero or non-finite length is BadParams.
     """
+    if abs(init.speed - 1.0) > UNIT_TOL:
+        raise NotUnitLength(f"initial speed {init.speed} is not 1")
     if not (np.isfinite(length) and length != 0.0):
         raise BadParams(f"geodesic length must be finite and nonzero, got {length}")
+    c = init.conserved_c
+    c_t = c * g_tt(spec.signature)  # c / g(T,T), as g(T,T) = +-1
+
+    def rhs(_, y):
+        # the Geometry evaluates the order-1 field jets and tests the domain; no stage is read
+        geo = Geometry(spec, y[1], y[2], order=1)
+        (phi, phi_r, phi_th), (h, h_r, _), (k, _, k_th) = (
+            f.coeffs for f in (geo.phi, geo.h, geo.k))
+        vr, vth = y[3], y[4]
+        pp_r, cf = phi * phi_r, c * (k_th - (phi_r * h + phi * h_r))  # c F, F = k_th - (phi h)_r
+        return np.array([c_t + k * vr + phi * h * vth, vr, vth, pp_r * vth * vth + cf * vth,
+                         (-2.0 * pp_r * vr * vth - phi * phi_th * vth * vth - cf * vr)
+                         / (phi * phi)])
 
     def domain_exit(_, y):
-        return float(spec.phi.value(y[at], y[at + 1])) - 10.0 * PHI_CUTOFF
+        return float(spec.phi.value(y[1], y[2])) - 10.0 * PHI_CUTOFF
 
+    y0 = np.array([init.t, init.r, init.theta, *init.velocities[1:]])
     try:
         # trial steps may overshoot the numeric range; inf/nan right-hand sides
         # just make the controller shrink the step, so silence the warnings
@@ -179,73 +203,16 @@ def _integrate(spec, rhs, y0, length, step_tol, n_samples, what, at):
             sol = solve_ivp(rhs, (0.0, length), y0, step_tol, step_tol * 1e-2,
                             np.linspace(0.0, length, n_samples), domain_exit, MAX_RHS_CALLS)
     except DomainError as exc:
-        # a trial step reached phi <= PHI_CUTOFF, or an overflowing metric,
-        # before the event fired
-        raise BlowUp(f"{what} left the admissible domain: {exc}") from exc
+        # a trial step reached phi <= PHI_CUTOFF, or left a grid field's box, before the
+        # event fired
+        raise BlowUp(f"geodesic left the admissible domain: {exc}") from exc
     except StepFailure as exc:
-        raise StepFailure(f"{what} {exc}") from None
+        raise StepFailure(f"geodesic {exc}") from None
     if sol.status == 1:
-        raise BlowUp(f"{what} left the admissible domain at s = {sol.t_event}")
-    return sol
-
-
-def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401):
-    """Integrate the geodesic equation in (t, r, theta); see GeodesicTrajectory.
-
-    ``init`` must be unit speed to UNIT_TOL; build it with make_state.
-    theta runs on the universal cover (unbounded) during integration.
-    """
-    if abs(init.speed - 1.0) > UNIT_TOL:
-        raise NotUnitLength(f"initial speed {init.speed} is not 1")
-
-    def rhs(_, y):
-        gam, v = christoffels(Geometry(spec, y[1], y[2], order=1)), y[3:]
-        # a fresh array each call: DOP853 keeps it; row c of the acceleration is
-        # -v @ gam[c] @ v bit for bit, which (-v @ gam) @ v is not
-        return np.concatenate((v, np.vecdot(-v @ gam, v)))
-
-    y0 = np.array([init.t, init.r, init.theta, *init.velocities])
-    sol = _integrate(spec, rhs, y0, length, step_tol, n_samples, "geodesic", 1)
-    states = sol.y.T
-    g = Geometry(spec, states[:, 1], states[:, 2], order=0).g.value
-    v = sol.y[3:]
+        raise BlowUp(f"geodesic left the admissible domain at s = {sol.t_event}")
+    states = np.insert(sol.y, 3, rhs(None, sol.y)[0], axis=0).T  # t' from the batched rhs
+    g, v = metric_components(spec, sol.y[1:3]), states.T[3:]
     c_vals = np.einsum("b...,b...->...", g[0], v)
     speed_vals = np.einsum("ab...,a...,b...->...", g, v, v)
     stats = {"nfev": sol.nfev, "steps": sol.steps, "rejected_steps": sol.rejected_steps}
     return GeodesicTrajectory(sol.t, states, c_vals, speed_vals, stats)
-
-
-def integrate_quotient_geodesic(spec, init2d, length, step_tol=1e-10,
-                                n_samples=401):
-    """Geodesic of the quotient surface dr^2 + phi^2 dtheta^2.
-
-    ``init2d`` = (r, theta, vr, vtheta).  Exact 2D Christoffel symbols of the
-    warped metric are used, independent of the 3D pipeline.
-    """
-
-    def rhs(_, y):
-        r, theta, vr, vth = y
-        j = spec.phi.jet(r, theta, 1)
-        phi, phi_r, phi_th = j.value, j.d(1, 0), j.d(0, 1)   # numpy scalars: phi = 0 gives inf/nan
-        ar = phi * phi_r * vth**2
-        ath = -2.0 * (phi_r / phi) * vr * vth - (phi_th / phi) * vth**2
-        return [vr, vth, ar, ath]
-
-    sol = _integrate(spec, rhs, list(init2d), length, step_tol, n_samples,
-                     "quotient geodesic", 0)
-    return sol.t, sol.y.T
-
-
-def projection_residual(spec, init, length, step_tol=1e-10, n_samples=201):
-    """Max deviation between a horizontal (c = 0) geodesic and its quotient image."""
-    if abs(init.conserved_c) > 1e-10:
-        raise NotUnitLength("projection consistency requires g(T, y') = 0")
-    traj = integrate_geodesic(spec, init, length, step_tol, n_samples)
-    r0, th0 = init.r, init.theta
-    vr0, vth0 = init.velocities[1], init.velocities[2]
-    _, quot = integrate_quotient_geodesic(spec, (r0, th0, vr0, vth0),
-                                          length, step_tol, n_samples)
-    n = min(len(traj.states), len(quot))
-    dr = traj.states[:n, 1] - quot[:n, 0]
-    dth = traj.states[:n, 2] - quot[:n, 1]
-    return float(np.max(np.hypot(dr, dth))), traj

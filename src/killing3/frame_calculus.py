@@ -60,7 +60,9 @@ class Geometry:
     Tensors are tensor-valued jets indexed in coordinates (t, r, theta): ``g``
     and ``ginv`` are [a][b], ``gamma`` is [c][a][b] = Gamma^c_{ab}, ``ric`` is
     [b][c]; frame legs are rank-1 jets.  DomainError names the first point of
-    the batch where phi <= PHI_CUTOFF or the metric entries overflow.
+    the batch where phi <= PHI_CUTOFF, tested on construction, or where the metric
+    entries overflow, tested by the ``coframe`` stage that first forms them, so that a
+    geodesic right-hand side, which reads only the field jets, is not refused there.
     """
 
     def __init__(self, spec, r, theta, order=None):
@@ -73,21 +75,17 @@ class Geometry:
         self.phi = spec.phi.jet(self.r, self.theta, self.order)
         self.h = spec.h.jet(self.r, self.theta, self.order)
         self.k = spec.k.jet(self.r, self.theta, self.order)
-        phi, h, k = self.phi.value, self.h.value, self.k.value
-        # g_rr = 1 + k^2 and g_thth = phi^2 (1 + h^2) bound every other metric
-        # entry.  NaN passes both tests: a geodesic trial step can land where a
-        # field is NaN, and the NaN acceleration makes the step controller
-        # shrink the step, where a DomainError would end the integration.
-        with np.errstate(over="ignore", invalid="ignore"):
-            low = phi <= PHI_CUTOFF
-            bad = low | (1.0 + k * k + phi * phi * (1.0 + h * h) == np.inf)  # the sum is >= 1
-        if np.count_nonzero(bad):
-            low, bad = (np.broadcast_to(x, self.r.shape) for x in (low, bad))
-            i = int(np.argmax(bad))
-            what = f"phi <= {PHI_CUTOFF}" if low.flat[i] else "metric entries overflow"
-            r, theta = self.point_at(i)
-            raise DomainError(f"{what} at (r, theta) = ({r:.6g}, {theta:.6g})")
+        # NaN passes this test and coframe's: a geodesic trial step can land where a
+        # field is NaN, and the NaN acceleration makes the step controller shrink the
+        # step, where a DomainError would end the integration
+        self._refuse(self.phi.value <= PHI_CUTOFF, f"phi <= {PHI_CUTOFF}")
         self._eta = g_tt(spec.signature)
+
+    def _refuse(self, bad, what):
+        """DomainError naming the first point of the batch where ``bad`` holds, if any."""
+        if np.count_nonzero(bad):
+            r, theta = self.point_at(int(np.argmax(np.broadcast_to(bad, self.r.shape))))
+            raise DomainError(f"{what} at (r, theta) = ({r:.6g}, {theta:.6g})")
 
     def riemannian_only(self, what):
         """DomainError on the Lorentzian partner, where ``what`` has no formula here."""
@@ -127,7 +125,12 @@ class Geometry:
     @stage
     def coframe(self):
         """Matrix jets E = [[1, -k, -phi h], [0, 1, 0], [0, 0, phi]] and
-        F = E^-1 = [[1, k, h], [0, 1, 0], [0, 0, 1/phi]]."""
+        F = E^-1 = [[1, k, h], [0, 1, 0], [0, 0, 1/phi]]; DomainError where the metric entries
+        overflow, which g_rr = 1 + k^2 and g_thth = phi^2 (1 + h^2) bound."""
+        phi, h, k = self.phi.value, self.h.value, self.k.value
+        with np.errstate(over="ignore", invalid="ignore"):  # the sum is >= 1
+            over = 1.0 + k * k + phi * phi * (1.0 + h * h) == np.inf
+        self._refuse(over, "metric entries overflow")
         e, f = np.zeros((2, NCOEFFS[self.order], 3, 3) + self.r.shape)
         e[0, 0, 0] = e[0, 1, 1] = f[0, 0, 0] = f[0, 1, 1] = 1.0
         e[:, 0, 1], e[:, 2, 2] = -self.k.coeffs, self.phi.coeffs

@@ -4,12 +4,15 @@ Everything here recomputes quantities through a route that shares as little
 code as possible with the library: plain central finite differences on the
 coordinate metric matrix, a bisection eigenvalue solver, and direct
 integral/series checks.  Accuracy is limited (FD steps), so oracle
-tolerances are looser than the library's analytic-jet tolerances.
+tolerances are looser than the library's analytic-jet tolerances.  The geodesic
+oracle is the 3-D equation y'' = -Gamma(y', y') on the library's Christoffel
+symbols, solved by scipy: the route the Killing-reduced geodesic replaced.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
-from killing3 import LORENTZIAN
+from killing3 import LORENTZIAN, Geometry, christoffels
 
 
 def fd_metric(spec, r, theta):
@@ -147,3 +150,22 @@ def bisect_eigenvalues(m, lo=None, hi=None, tol=1e-12):
                 a = mid
         lams.append(0.5 * (a + b))
     return np.array(lams)
+
+
+def gamma_rhs(spec):
+    """The 3-D geodesic right-hand side (t, r, theta, v) -> (v, -Gamma^c_ab v^a v^b)."""
+    def rhs(_, y):
+        gam, v = christoffels(Geometry(spec, y[1], y[2], order=1)), y[3:]
+        return np.concatenate((v, -np.einsum("cab,a,b->c", gam, v, v)))
+    return rhs
+
+
+def gamma_geodesic(spec, init, length, step_tol=1e-10, n_samples=401):
+    """Samples (s, (n, 6) states) of the 3-D geodesic from a GeodesicState, by scipy's DOP853
+    at the library's tolerances."""
+    s = np.linspace(0.0, length, n_samples)
+    y0 = [init.t, init.r, init.theta, *init.velocities]
+    sol = solve_ivp(gamma_rhs(spec), (0.0, length), y0, method="DOP853", rtol=step_tol,
+                    atol=step_tol * 1e-2, t_eval=s)
+    assert sol.status == 0, sol.message
+    return sol.t, sol.y.T

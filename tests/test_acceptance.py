@@ -15,7 +15,7 @@ from killing3.cli import sample_points
 from killing3.completeness_probe import (COMPLETE, INCOMPLETE, CurvatureProfile,
                                          completeness_verdict,
                                          curvature_profile, integrate_geodesic,
-                                         make_state, projection_residual)
+                                         make_state)
 from killing3.conformal_family import FamilyParams, solve_omega_ode
 from killing3.cotton_york import (FLAT, NOT_FLAT, cotton_york,
                                   cotton_york_norms, flatness_verdict)
@@ -27,6 +27,7 @@ from killing3.lorentz_bridge import lorentz_relations_check, to_lorentz
 from killing3.metric_family import catalog, to_grid_sampled
 from killing3.np_formalism import (conformal_rescale_check, killing_test,
                                    rotate_frame, structure_residuals)
+from oracles import gamma_geodesic
 
 GRID_BOX = (0.25, 1.3, 0.0, 6.28)
 CF_BOX = (-1.3, 1.3, 0.0, 6.28)
@@ -186,20 +187,21 @@ def test_criterion_09_lorentz_bridge():
 
 
 def test_criterion_10_geodesic_conservation():
-    """Drift of g(T,y') and speed < 1e-8 over length 100 (hyperbolic, hopf);
-    quotient projection residual < 1e-6 over length 20."""
+    """Drift of g(T,y') and speed < 1e-8 over length 100 (hyperbolic, hopf); the horizontal
+    hopf geodesic within 1e-6 of the 3-D geodesic equation's solve over length 20."""
     hyp = catalog("hyperbolic")
     t1 = integrate_geodesic(hyp, make_state(hyp, (0.0, 0.5, 0.2),
                                             (0.3, 0.8, 0.4)), 100.0)
     hopf = catalog("hopf", {"R": 1.0})
     st = make_state(hopf, (0.0, np.pi / 4, 0.0), (-1.0, 0.0, 2.0))
     t2 = integrate_geodesic(hopf, st, 100.0)
-    proj, _ = projection_residual(hopf, st, 20.0)
+    _, oracle = gamma_geodesic(hopf, st, 20.0, n_samples=81)  # t2's samples up to s = 20
+    proj = np.max(np.hypot(*(t2.states[:81, 1:3] - oracle[:, 1:3]).T))
     drift = max(t1.max_c_drift, t1.max_speed_drift,
                 t2.max_c_drift, t2.max_speed_drift)
     ok = drift < 1e-8 and proj < 1e-6
     _verdict(10, ok, f"max drift {drift:.2e} (tol 1e-8), "
-                     f"projection {proj:.2e} (tol 1e-6)")
+                     f"3-D oracle gap {proj:.2e} (tol 1e-6)")
 
 
 def test_criterion_11_completeness_criterion():

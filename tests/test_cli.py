@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 from cli_matrix import compare, run_matrix
+from conftest import GEODESIC_PINS
 from hypothesis import given, settings, strategies as st
 
 import killing3
@@ -645,24 +646,21 @@ def test_cf_family_with_negative_omega_r_sign(tmp_path, command):
 
 def test_default_hopf_geodesic_step_count(tmp_path, solver_nfev):
     # pins the right-hand side to the last bit: a mathematically equal but
-    # reordered contraction (an einsum form) moves the adaptive steps and drifts
+    # reordered expression moves the adaptive steps and drifts
     spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
     _, code = run(RunConfig(command="geodesic", spec_path=spec))
-    assert code == 0 and solver_nfev == [3899]
+    assert code == 0 and solver_nfev == [GEODESIC_PINS["hopf"]["nfev"]]
 
 
-@pytest.mark.parametrize("text, nfev, c_drift, speed_drift", [
-    ("catalog = nil", 1136, 1.71294534112576e-10, 6.956668574531476e-11),
-    ("catalog = cf_family\nB = 0.3\nC = 1", 5432, 7.347733532725442e-11, 7.921663325305417e-11),
-    ("catalog = hopf\nR = 2\nsignature = lorentzian", 5633, 9.68717328575508e-11,
-     2.1176127518174326e-10)])
-def test_default_geodesic_step_counts_and_drifts(tmp_path, solver_nfev, text, nfev, c_drift,
-                                                 speed_drift):
+@pytest.mark.parametrize("name", ["nil", "cf_family", "hopf_lorentzian"])
+def test_default_geodesic_step_counts_and_drifts(tmp_path, solver_nfev, name):
     # the same last-bit pin on a constant, an elliptic and a Lorentzian field
-    report, code = run(RunConfig(command="geodesic", spec_path=_write_spec(tmp_path, text)))
-    assert code == 0 and solver_nfev == [nfev]
-    assert (report.summary["max_c_drift"], report.summary["max_speed_drift"]) == (c_drift,
-                                                                                  speed_drift)
+    pin = GEODESIC_PINS[name]
+    spec = _write_spec(tmp_path, pin["spec"])
+    report, code = run(RunConfig(command="geodesic", spec_path=spec))
+    assert code == 0 and solver_nfev == [pin["nfev"]]
+    assert (report.summary["max_c_drift"], report.summary["max_speed_drift"]) == (
+        pin["c_drift"], pin["speed_drift"])
 
 
 @pytest.mark.parametrize("out", ["missing/r.txt", "a_directory"])
@@ -679,7 +677,7 @@ def test_geodesic_summary_reports_solver_statistics(tmp_path):
     spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
     report, code = run(RunConfig(command="geodesic", spec_path=spec))
     stats = {key: report.summary[key] for key in ("nfev", "steps", "rejected_steps")}
-    assert code == 0 and stats["nfev"] == 3899
+    assert code == 0 and stats["nfev"] == GEODESIC_PINS["hopf"]["nfev"]
     # 2 calls start the solve, 12 make a step try, 3 more a step's dense output
     dense, rest = divmod(stats["nfev"] - 2 - 12 * (stats["steps"] + stats["rejected_steps"]), 3)
     assert rest == 0 and 0 < dense <= stats["steps"]

@@ -3,19 +3,19 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from conftest import GEODESIC_PINS
 from killing3 import completeness_probe, jets
+from killing3.cli import parse_metric_spec
 from killing3.completeness_probe import (COMPLETE, INCOMPLETE, INCONCLUSIVE,
                                          CurvatureProfile, GeodesicState, completeness_verdict,
-                                         curvature_profile, integrate_geodesic,
-                                         integrate_quotient_geodesic,
-                                         make_state, projection_residual)
+                                         curvature_profile, integrate_geodesic, make_state)
 from killing3.errors import (BadParams, BlowUp, EmptyGrid, EmptyProfile, NonFinite,
-                             NotUnitLength, StepFailure)
-from killing3.fields import constant, from_expr
-from killing3.curvature_engine import christoffels
+                             NotUnitLength)
+from killing3.fields import ScalarField, from_expr
 from killing3.frame_calculus import Geometry
 from killing3.lorentz_bridge import lorentz_completeness, to_lorentz
 from killing3.metric_family import CATALOG_NAMES, MetricSpec, catalog
+from oracles import fd_metric, gamma_geodesic, gamma_rhs
 
 
 def test_hyperbolic_profile_constant():
@@ -162,25 +162,21 @@ def test_hopf_equatorial_geodesic_period():
 
 
 def test_projection_consistency_hopf():
+    # the horizontal (c = 0) geodesic is the quotient's geodesic; it follows the 3-D one
     spec = catalog("hopf", {"R": 1.0})
     st = make_state(spec, (0.0, np.pi / 4, 0.0), (-1.0, 0.0, 2.0))
-    res, traj = projection_residual(spec, st, 20.0)
-    assert res < 1e-6
+    traj = integrate_geodesic(spec, st, 20.0, n_samples=201)
+    _, oracle = gamma_geodesic(spec, st, 20.0, n_samples=201)
+    assert np.max(np.hypot(*(traj.states[:, 1:3] - oracle[:, 1:3]).T)) < 1e-6
     assert traj.max_c_drift < 1e-8
 
 
-def test_projection_requires_horizontal():
-    spec = catalog("hopf", {"R": 1.0})
-    st = make_state(spec, (0.0, np.pi / 4, 0.0), (1.0, 0.0, 0.0))
-    with pytest.raises(NotUnitLength):
-        projection_residual(spec, st, 5.0)
-
-
 def test_quotient_geodesic_standalone():
-    # radial lines are geodesics of dr^2 + phi^2 dtheta^2
-    s, states = integrate_quotient_geodesic(catalog("hyperbolic"),
-                                            (0.3, 1.0, 1.0, 0.0), 5.0)
-    np.testing.assert_allclose(states[:, 0], 0.3 + s, atol=1e-10)
+    # radial lines are geodesics of dr^2 + phi^2 dtheta^2, and a horizontal start stays so
+    spec = catalog("hyperbolic")
+    traj = integrate_geodesic(spec, make_state(spec, (0.0, 0.3, 1.0), (0.0, 1.0, 0.0)), 5.0)
+    np.testing.assert_allclose(traj.states[:, 1], 0.3 + traj.s, atol=1e-10)
+    np.testing.assert_array_equal(traj.states[:, [0, 2, 3]], [[0.0, 1.0, 0.0]] * len(traj.s))
 
 
 def test_blowup_on_domain_exit():
@@ -192,23 +188,12 @@ def test_blowup_on_domain_exit():
 
 
 @pytest.mark.parametrize("length", [0.0, np.nan, np.inf])
-@pytest.mark.parametrize("quotient", [False, True])
-def test_zero_or_non_finite_length_refused(quotient, length):
+@pytest.mark.parametrize("lorentzian", [False, True])
+def test_zero_or_non_finite_length_refused(lorentzian, length):
     spec = catalog("hopf", {"R": 2.0})
+    spec = to_lorentz(spec).lorentzian if lorentzian else spec
     with pytest.raises(BadParams, match="^geodesic length must be finite and nonzero, got "):
-        if quotient:
-            integrate_quotient_geodesic(spec, (0.8, 0.0, 0.6, 0.3), length)
-        else:
-            integrate_geodesic(spec, make_state(spec, (0.0, 0.8, 0.0), (0.3, 0.8, 0.4)), length)
-
-
-def test_quotient_geodesic_where_phi_underflows_ends_in_step_failure():
-    # phi = exp(1/(1 - r)) overflows as r -> 1 and underflows to 0 just past it: the
-    # quotient right-hand side divides numpy zeros to nan, and the step size underflows
-    spec = MetricSpec(from_expr(lambda r, t: jets.exp(1 / (1 - r))), constant(0.0), constant(0.0))
-    with pytest.raises(StepFailure, match=r"^quotient geodesic integration failed: Required "
-                                          r"step size is less than spacing between numbers\.$"):
-        integrate_quotient_geodesic(spec, (0.5, 0.0, 0.6, 0.3), 5.0)
+        integrate_geodesic(spec, make_state(spec, (0.0, 0.8, 0.0), (0.3, 0.8, 0.4)), length)
 
 
 def test_hyperbolic_runs_long_matching_verdict():
@@ -233,16 +218,16 @@ def test_trajectory_csv_roundtrip(tmp_path):
 
 def test_criterion_10_hyperbolic_orbit_step_count(solver_nfev):
     # the hyperbolic orbit of acceptance criterion 10 moves its step count and its speed
-    # drift (6.08e-10 against a 1e-8 gate) with the last bit of the right-hand side
-    hyp = catalog("hyperbolic")
+    # drift (5.8e-9 against a 1e-8 gate) with the last bit of the right-hand side
+    hyp, pin = catalog("hyperbolic"), GEODESIC_PINS["hyperbolic"]
     traj = integrate_geodesic(hyp, make_state(hyp, (0.0, 0.5, 0.2), (0.3, 0.8, 0.4)), 100.0)
-    assert solver_nfev == [1337]
-    assert traj.max_speed_drift == 6.077470748877545e-10
+    assert solver_nfev == [pin["nfev"]]
+    assert (traj.max_c_drift, traj.max_speed_drift) == (pin["c_drift"], pin["speed_drift"])
 
 
 def test_rhs_geometry_jet_budget(monkeypatch):
-    """Jets built for the width-1, order-1 Christoffel symbols of one geodesic
-    right-hand-side call: per-call dispatch is most of the geodesic's time."""
+    """Jets built for the width-1, order-1 Christoffel symbols: per-call dispatch is most of
+    the time of a small Geometry."""
     from killing3 import jets
 
     built = []
@@ -261,8 +246,9 @@ class _Captured(Exception):
     pass
 
 
-def _geodesic_rhs(monkeypatch, spec):
-    """The right-hand side integrate_geodesic hands its solver, caught before the solve."""
+def _geodesic_rhs(monkeypatch, spec, init):
+    """The right-hand side integrate_geodesic hands its solver from ``init``, caught before the
+    solve."""
     rhs = []
 
     def capture(fun, *args):
@@ -271,12 +257,12 @@ def _geodesic_rhs(monkeypatch, spec):
 
     monkeypatch.setattr(completeness_probe, "solve_ivp", capture)
     with pytest.raises(_Captured):
-        integrate_geodesic(spec, GeodesicState(0.0, 0.5, 0.0, np.zeros(3), 0.0, 1.0), 1.0)
+        integrate_geodesic(spec, init, 1.0)
     return rhs[0]
 
 
 def _rhs_specs():
-    """Every catalog, each one's Lorentzian partner and a theta-dependent triple."""
+    """Every catalog, each one's Lorentzian partner and a theta-dependent triple with k != 0."""
     specs = [catalog(name) for name in CATALOG_NAMES]
     specs += [to_lorentz(spec).lorentzian for spec in specs]
     return specs + [MetricSpec(from_expr(lambda r, t: 1.0 + 0.2 * jets.sin(r) * jets.cos(t)),
@@ -284,18 +270,52 @@ def _rhs_specs():
                                from_expr(lambda r, t: 0.1 * r * jets.sin(t)))]
 
 
-def test_rhs_acceleration_is_the_per_row_contraction_bit_for_bit(monkeypatch):
-    # the geodesic's step control follows the last bit of the acceleration (criterion 10)
-    rng = np.random.default_rng(2021)
+def test_reduced_rhs_is_the_gamma_acceleration():
+    # at random states (t, r, theta, v), c = g(T, v), the reduced right-hand side gives
+    # t' = v_t and the (r, theta) rows of -Gamma(v, v) from the 3-D Christoffel symbols
+    rng, worst = np.random.default_rng(2021), 0.0
     for spec in _rhs_specs():
-        rhs = _geodesic_rhs(monkeypatch, spec)
-        for _ in range(100):
-            y = np.concatenate([rng.normal(size=1), rng.uniform([0.2, 0.0], [1.2, 6.0]),
-                                rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)])
-            gam, v = christoffels(Geometry(spec, y[1], y[2], order=1)), y[3:]
-            rows = np.array([-v @ gam[c] @ v for c in range(3)])
-            out = rhs(0.0, y)
-            assert out[:3].tobytes() == v.tobytes() and out[3:].tobytes() == rows.tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            for _ in range(100):
+                y = np.concatenate([rng.normal(size=1), rng.uniform([0.2, 0.0], [1.2, 6.0]),
+                                    rng.normal(size=3) * 10.0 ** rng.uniform(-3, 3)])
+                v, c = y[3:], float(fd_metric(spec, y[1], y[2])[0] @ y[3:])
+                rhs = _geodesic_rhs(mp, spec, GeodesicState(*y[:3], v, c, 1.0))
+                out, acc = rhs(0.0, np.delete(y, 3)), gamma_rhs(spec)(0.0, y)[3:]
+                assert out[1:3].tobytes() == v[1:].tobytes()
+                scale = max(np.max(np.abs(acc)), v @ v)
+                worst = max(worst, abs(out[0] - v[0]) / np.max(np.abs(v)),
+                            np.max(np.abs(out[3:] - acc[1:])) / scale)
+    assert worst < 1e-13
+
+
+@pytest.mark.parametrize("name", ["hopf", "nil", "cf_family", "hopf_lorentzian"])
+def test_reduced_geodesic_follows_the_gamma_oracle(name):
+    pin = GEODESIC_PINS[name]
+    spec = parse_metric_spec(pin["spec"])
+    st = make_state(spec, (0.0, 0.7, 0.0), (0.3, 0.8, 0.4))
+    traj = integrate_geodesic(spec, st, 20.0)
+    s, oracle = gamma_geodesic(spec, st, 20.0)
+    assert np.array_equal(traj.s, s)
+    assert np.max(np.abs(traj.states[:, :3] - oracle[:, :3])) < 1e-8
+
+
+def test_rhs_builds_one_geometry_and_reads_no_stage(monkeypatch):
+    # the reduced system takes phi, h and k's order-1 jets from the Geometry, which checks
+    # the domain, and no Christoffel symbol or other stage
+    spec = catalog("hopf", {"R": 2.0})
+    rhs = _geodesic_rhs(monkeypatch, spec, make_state(spec, (0.0, 0.7, 0.0), (0.3, 0.8, 0.4)))
+    builds, stages, fields = [], [], []
+    init, jet = Geometry.__init__, ScalarField.jet
+    monkeypatch.setattr(Geometry, "__init__", lambda geo, *a, **kw: builds.append(a[1:]) or
+                        init(geo, *a, **kw))
+    monkeypatch.setattr(ScalarField, "jet", lambda f, *a: fields.append(a) or jet(f, *a))
+    for name, stage in vars(Geometry).items():
+        if isinstance(stage, cached_property):
+            monkeypatch.setattr(stage, "func", lambda geo, f=stage.func, name=name:
+                                stages.append(name) or f(geo))
+    rhs(0.0, np.array([0.0, 0.7, 0.1, 0.8, 0.4]))
+    assert builds == [(0.7, 0.1)] and stages == [] and len(fields) == 3
 
 
 def test_geometry_stages_are_cached_properties_computed_once(monkeypatch):

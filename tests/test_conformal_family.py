@@ -251,6 +251,15 @@ def test_build_rejects_zero_omega_r():
         build_cf_metric(FamilyParams(B=0.0, C=0.0))
 
 
+def test_build_rejects_omega_r_the_closed_form_zeroes():
+    # just over the hump omega = 0 of B < 0, m1 = C / (C + s^2) falls below SEPARATRIX_GAP:
+    # the closed form rests at omega0 = 0 with omega_r = 0, though omega_r(0) = sqrt C > 1e-8
+    params = FamilyParams(B=-1.0, C=1e-15)
+    assert params.omega_r0 > 1e-8
+    with pytest.raises(PhiVanishes, match=r"^omega_r changes sign inside r range \(0\.0, 0\.0\)$"):
+        build_cf_metric(params)
+
+
 def test_wpde_residual_values():
     spec = catalog("cf_family", {"B": 0.0, "C": 1.0})
     for p in [(0.3, 0.7), (-0.9, 2.0), (1.2, 4.4)]:

@@ -158,9 +158,21 @@ def test_domain_error_at_degenerate_phi():
      "metric entries overflow at (r, theta) = (0.4, 0.5)"),
 ])
 def test_geometry_names_first_bad_point(name, params, r, message):
+    # phi is tested on construction, the overflow where the coframe first forms the entries
     with pytest.raises(DomainError) as exc:
-        Geometry(catalog(name, params), r, 0.5)
+        Geometry(catalog(name, params), r, 0.5).g
     assert str(exc.value) == message
+
+
+def test_overflow_is_refused_by_the_coframe_not_the_construction():
+    # a geodesic trial stage of criterion 10's hyperbolic orbit lands at r = 453.489, where
+    # phi = cosh r is finite and phi^2 is not: the right-hand side reads only the field jets
+    with np.errstate(over="ignore"):
+        geo = Geometry(catalog("hyperbolic"), 453.489, 0.5, order=1)
+        assert np.isfinite(geo.phi.value) and geo.phi.value ** 2 == np.inf
+        with pytest.raises(DomainError, match=r"^metric entries overflow at \(r, theta\) = "
+                                              r"\(453\.489, 0\.5\)$"):
+            geo.g
 
 
 def test_nan_field_value_builds_a_geometry():
