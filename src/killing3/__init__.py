@@ -7,13 +7,14 @@ specified by the scalar profile triple (phi, h, k).  Modules:
 * ``jets`` / ``fields``     exact derivative-carrying scalar and tensor jets
 * ``frame_calculus``        the signatures and g(T, T); the batched Geometry: domain check,
                             metric, connection, Ricci, frame data
-* ``metric_family``         the (phi, h, k) spec, catalog metrics, CSV grids, the frame's Gram audit
-* ``curvature_engine``      Christoffels, Ricci operator, its spectrum and curvature signs
+* ``metric_family``         the (phi, h, k) spec, its Lorentzian partner, catalog, CSV grids, audits
+* ``curvature_engine``      Christoffels, Ricci spectrum, curvature signs, cross-signature relations
 * ``np_formalism``          spin coefficients, kinematics, structure equations
 * ``cotton_york``           conformal-flatness tests and the (B, C) fit
 * ``conformal_family``      the twist ODE and conformally flat built metrics
-* ``completeness_probe``    curvature-profile criterion and geodesics
-* ``lorentz_bridge``        the Lorentzian partner metric and its relations
+* ``completeness_probe``    curvature-profile criterion of either signature and geodesics
+* ``dop853``                the Dormand-Prince 8(5,3) integrator the geodesics run on
+* ``errors``                the exception hierarchy
 * ``cli``                   the ``killing3`` command-line front end
 """
 
@@ -22,18 +23,17 @@ from .conformal_family import (FamilyParams, OmegaSolution, build_cf_metric,
 from .completeness_probe import (CurvatureProfile, GeodesicState,
                                  GeodesicTrajectory, completeness_verdict,
                                  curvature_profile, integrate_geodesic,
-                                 make_state)
+                                 lorentz_completeness, make_state)
 from .cotton_york import (CottonYorkMatrix, FlatnessFit, cotton_york,
                           flatness_verdict, tmg_residual)
-from .curvature_engine import (CurvaturePacket, RicciOfT, christoffels,
-                               curvature_packet, gaussian_identity_residual)
+from .curvature_engine import (CurvaturePacket, RicciOfT, christoffels, curvature_packet,
+                               gaussian_identity_residual, lorentz_relations_check)
 from .errors import Killing3Error
 from .fields import ScalarField, constant, from_expr, from_grid
 from .frame_calculus import LORENTZIAN, RIEMANNIAN, Geometry
 from .jets import Jet2
-from .lorentz_bridge import (SignaturePair, lorentz_completeness,
-                             lorentz_relations_check, to_lorentz)
-from .metric_family import MetricSpec, catalog, load_grid_csv, metric_components
+from .metric_family import (MetricSpec, SignaturePair, catalog, load_grid_csv,
+                            metric_components, to_lorentz)
 from .np_formalism import (KinematicData, SpinCoefficients, StructureResiduals,
                            conformal_rescale_check, killing_test, kinematics,
                            rotate_frame, spin_coefficients,

@@ -38,12 +38,12 @@ from .cotton_york import (FLAT, INCONCLUSIVE, NOT_FLAT, cotton_york,
 from .completeness_probe import integrate_geodesic, make_state
 from .conformal_family import FamilyParams, build_cf_metric, solve_omega_ode
 from .curvature_engine import (curvature_packet, gaussian_identity_residual,
-                               spectrum_vs_eigensolve_residual)
+                               lorentz_relations_check, spectrum_vs_eigensolve_residual)
 from .errors import (BadParams, Killing3Error, NonFinite, ParseError,
                      UnknownCatalogName)
 from .frame_calculus import LORENTZIAN, RIEMANNIAN, Geometry
-from .lorentz_bridge import flip_residual, lorentz_relations_check, timelike_residual, to_lorentz
-from .metric_family import CATALOG_PARAMS, catalog, frame_gram_residual, load_grid_csv
+from .metric_family import (CATALOG_PARAMS, catalog, flip_residual, frame_gram_residual,
+                            load_grid_csv, timelike_residual, to_lorentz)
 from .np_formalism import kinematics, structure_residuals
 
 #: the sampling box (r_min, r_max, theta_min, theta_max)

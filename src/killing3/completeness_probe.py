@@ -5,7 +5,8 @@ holds iff the lim inf over |p| >= r of S + g(T,T) Ric(T,T), twice the quotient's
 Gaussian curvature (S_L - Ric_L(T,T) for a timelike T), is <= 0 as r grows.  It is
 read off the order-2 Geometry of one (radius, theta) mesh.  On a finite window this is
 necessarily an extrapolation, so verdicts carry the tail estimate and window for the
-user to judge.
+user to judge.  ``lorentz_completeness`` reads it off the mesh's ``partner``, which shares
+its field jets and coframe but runs the full Christoffel pipeline: a genuine cross-check.
 
 Geodesics carry two exact first integrals, the Killing momentum c = g(T, y') and the
 speed g(y', y').  The Killing-reduced system holds c fixed by construction, so the speed
@@ -88,6 +89,19 @@ def curvature_profile(spec, r_max, n_r=64, n_theta=32):
     """Running infima of S + g(T,T) Ric(T,T) over annuli |p| >= r on a sample grid."""
     radii, geo = criterion_mesh(spec, r_max, n_r, n_theta)
     return CurvatureProfile.from_minima(radii, np.min(quotient_criterion(geo), axis=1), n_theta)
+
+
+def lorentz_completeness(pair, r_max, n_r=64, n_theta=32):
+    """Verdict from the partner's criterion S_L + g(T,T) Ric_L(T,T) = S_L - Ric_L(T,T).
+
+    Also reports the max pointwise disagreement with the same criterion on the Riemannian
+    mesh that the partner is read from, S_R + Ric_R(T,T), which should vanish identically.
+    """
+    radii, geo = criterion_mesh(pair.riemannian, r_max, n_r, n_theta)
+    crit_l = quotient_criterion(geo.partner)
+    agreement = float(np.max(np.abs(crit_l - quotient_criterion(geo))))
+    profile = CurvatureProfile.from_minima(radii, np.min(crit_l, axis=1), n_theta)
+    return completeness_verdict(profile), profile, agreement
 
 
 def completeness_verdict(profile):

@@ -148,7 +148,8 @@ def solve_omega_ode(params):
     a cn(lam r + u0 | m), a^2 = alpha, lam^2 = sqrt E,
     m1 = -beta / (alpha - beta), period 4K/lam.  C < 0 < E, B < 0: omega = +-a dn(lam r + u0 | m)
     in the well of omega0, lam = a/2, m1 = beta / alpha, period 2K/lam; its m1 = 0 limit
-    C = 0 is the sech separatrix, with no period.  Otherwise omega rests at omega0.
+    C = 0 is the sech separatrix, with no period.  Otherwise omega rests at omega0, and an
+    orbit through the hump omega0 = 0 with m1 below SEPARATRIX_GAP is refused.
     """
     B, C, E = params.B, params.C, params.energy
     w0, wr0 = params.omega0, params.omega_r0
@@ -161,6 +162,9 @@ def solve_omega_ode(params):
         m1 = 0.0 if m1 < SEPARATRIX_GAP else m1
         swings = C > 0.0 and m1 > 0.0
     if not (swings or (B < 0.0 < E and w0 != 0.0)):
+        if wr0 != 0.0:  # only C > 0 > B, omega0 = 0: the orbit leaves the hump omega = 0
+            raise InadmissibleParams(f"m1 = C/(C + s^2) = {float(-beta / (alpha - beta))} is below "
+                                     f"SEPARATRIX_GAP = {SEPARATRIX_GAP}: too near the separatrix")
         return OmegaSolution(params, lambda r: (np.full_like(r, w0), 0.0 * r), 50.0, np.empty(0), None)
     if swings:
         # cos am(u0) = omega0 / a and sin am(u0) = -omega_r0 / (a lam dn(u0))
@@ -199,9 +203,6 @@ def build_cf_metric(params):
     alive = sol.r_samples[sol.omega_r * params.omega_r0_sign > PHI_CUTOFF]
     lo = 0.95 * max(tp[tp < 0], default=alive.min(initial=0.0))
     hi = 0.95 * min(tp[tp > 0], default=alive.max(initial=0.0))
-    wr_lo, wr_hi = sol._eval([lo, hi])[1]
-    if wr_lo * params.omega_r0 <= 0.0 or wr_hi * params.omega_r0 <= 0.0:
-        raise PhiVanishes(f"omega_r changes sign inside r range ({lo}, {hi})")
 
     h_theta = params.h_theta or fields.constant(1.0)
 

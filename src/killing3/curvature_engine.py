@@ -6,6 +6,8 @@ The packet holds the paper's closed forms in (omega, S, X(omega), Y(omega)); its
 gives the Ricci and sectional curvature signs, and ``spectrum_vs_eigensolve_residual``
 holds it to the Geometry's ``ric_frame``.
 ``quotient_criterion`` reads S + g(T,T) Ric(T,T) off a Geometry of either signature.
+The Lorentzian ``partner`` shares its field jets and coframe, but its curvature runs the
+full Christoffel pipeline, so ``lorentz_relations_check`` is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .frame_calculus import g_tt
+from .metric_family import to_lorentz
 
 
 def christoffels(geo):
@@ -99,6 +102,15 @@ def ricci_tt(geo):
 def quotient_criterion(geo):
     """S + g(T,T) Ric(T,T) of a Geometry: twice the Gaussian curvature of its quotient by T."""
     return geo.scalar.value + g_tt(geo.spec.signature) * ricci_tt(geo)
+
+
+def lorentz_relations_check(geo):
+    """Residuals of Ric_L(T,T) = Ric_R(T,T) and S_L = S_R + 2 Ric_R(T,T) at the points of the
+    Riemannian ``geo``, the Lorentzian side read from ``geo.partner``."""
+    to_lorentz(geo.spec)  # AlreadyLorentzian on a Lorentzian geo
+    s_r, s_l = geo.scalar.value, geo.partner.scalar.value
+    ric_r, ric_l = ricci_tt(geo), ricci_tt(geo.partner)
+    return np.abs(ric_l - ric_r), np.abs(s_l - (s_r + 2.0 * ric_r))
 
 
 def gaussian_identity_residual(geo):

@@ -3,7 +3,8 @@
 A MetricSpec holds the triple and the signature; the metric, its frame and
 the test of where the metric is defined are computed only by
 ``frame_calculus.Geometry``, which ``metric_components`` and
-``frame_gram_residual`` read.
+``frame_gram_residual`` read.  A Geometry's Lorentzian ``partner``, g_R - 2 (T^b)^2, shares its
+field jets and coframe, but forms its own metric and curvature: the audits are genuine cross-checks.
 
 Every spec with t-independent (phi, h, k) carries T = d/dt as a unit Killing
 field; the catalog collects the exact workhorse examples (flat space, the
@@ -26,9 +27,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import fields, jets
-from .errors import BadParams, UnknownCatalogName
+from .errors import AlreadyLorentzian, BadParams, UnknownCatalogName
 from .fields import ScalarField
-from .frame_calculus import RIEMANNIAN, Geometry, g_tt
+from .frame_calculus import LORENTZIAN, RIEMANNIAN, Geometry, g_tt
 
 #: the parameters each catalog metric accepts, with their defaults
 CATALOG_PARAMS = {
@@ -67,6 +68,32 @@ def frame_gram_residual(geo):
     e = jets.stack(geo.frame).value
     gram = np.einsum("ia...,ab...,jb...->...ij", e, geo.g.value, e)
     return np.max(np.abs(gram - np.diag([g_tt(geo.spec.signature), 1.0, 1.0])), axis=(-2, -1))
+
+
+@dataclass(frozen=True)
+class SignaturePair:
+    riemannian: MetricSpec
+    lorentzian: MetricSpec
+
+
+def to_lorentz(spec):
+    if spec.signature == LORENTZIAN:
+        raise AlreadyLorentzian(f"spec {spec.name!r} is already Lorentzian")
+    return SignaturePair(riemannian=spec,
+                         lorentzian=spec.with_signature(LORENTZIAN))
+
+
+def flip_residual(geo, partner):
+    """Max |g_L - (g_R - 2 T^b x T^b)| per point, T^b = g_R(T, .), g_L the partner's E^T eta E."""
+    g_r = geo.g.value
+    flip = g_r - 2.0 * np.einsum("a...,b...->ab...", g_r[0], g_r[0])
+    return np.max(np.abs(partner.g.value - flip), axis=(0, 1))
+
+
+def timelike_residual(partner):
+    """|g_L^-1(T^b, T^b) + 1|, T^b = g_L(T, .): the partner's g^-1 (from F) against g (from E)."""
+    t_flat = partner.g.value[0]
+    return np.abs(np.einsum("a...,ab...,b...->...", t_flat, partner.ginv.value, t_flat) + 1.0)
 
 
 # -- catalog -----------------------------------------------------------------

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from killing3 import fields, jets
+from killing3 import fields, jets, lorentz_relations_check, to_lorentz
 from killing3.cli import sample_points
 from killing3.completeness_probe import (COMPLETE, INCOMPLETE, CurvatureProfile,
                                          completeness_verdict,
@@ -23,7 +23,6 @@ from killing3.curvature_engine import (curvature_packet,
                                        gaussian_identity_residual,
                                        spectrum_vs_eigensolve_residual)
 from killing3.frame_calculus import Geometry
-from killing3.lorentz_bridge import lorentz_relations_check, to_lorentz
 from killing3.metric_family import catalog, to_grid_sampled
 from killing3.np_formalism import (conformal_rescale_check, killing_test,
                                    rotate_frame, structure_residuals)

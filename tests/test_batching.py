@@ -19,7 +19,7 @@ from cli_matrix import hopf_grid_csv
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killing3 import RIEMANNIAN, fields, jets
+from killing3 import RIEMANNIAN, fields, jets, lorentz_relations_check, to_lorentz
 from killing3.cli import _RUNNERS, RunConfig
 from killing3.conformal_family import wpde_residual
 from killing3.cotton_york import cotton_york, flatness_verdict, tmg_residual
@@ -28,10 +28,9 @@ from killing3.curvature_engine import (christoffels, curvature_packet,
                                        spectrum_vs_eigensolve_residual)
 from killing3.frame_calculus import Geometry
 from killing3.jets import NCOEFFS
-from killing3.lorentz_bridge import (flip_residual, lorentz_relations_check,
-                                     timelike_residual, to_lorentz)
-from killing3.metric_family import (CATALOG_NAMES, MetricSpec, catalog, frame_gram_residual,
-                                    load_grid_csv, to_grid_sampled)
+from killing3.metric_family import (CATALOG_NAMES, MetricSpec, catalog, flip_residual,
+                                    frame_gram_residual, load_grid_csv, timelike_residual,
+                                    to_grid_sampled)
 from killing3.np_formalism import (conformal_rescale_check, killing_test,
                                    kinematics, rotate_frame, spin_coefficients,
                                    structure_residuals)

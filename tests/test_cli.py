@@ -621,6 +621,17 @@ def test_family_on_the_separatrix(tmp_path):
     assert summary["C_fit"] == pytest.approx(0.0, abs=1e-6)
 
 
+def test_family_too_near_the_separatrix_exit_2(tmp_path, capsys):
+    # omega_r(0) = sqrt C > 0 at the hump omega0 = 0: refused, where it once exited 3 with a
+    # PhiVanishes that said omega_r changes sign inside r range (0.0, 0.0)
+    spec = _write_spec(tmp_path, "catalog = cf_family\nB = -1\nC = 1e-15")
+    assert main(["family", "--spec", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert err.startswith("killing3: m1 = C/(C + s^2) = 2.4999999999999987e-16 is below "
+                          "SEPARATRIX_GAP = 1e-15")
+
+
 @pytest.mark.parametrize("command", ["family", "analyze"])
 @pytest.mark.parametrize("sign", ["1.7", "-1.2", "0", "0.5"])
 def test_cf_family_sign_other_than_one_or_minus_one_exit_2(tmp_path, capsys, command, sign):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import GEODESIC_PINS
-from killing3 import completeness_probe, jets
+from killing3 import completeness_probe, jets, lorentz_completeness, to_lorentz
 from killing3.cli import parse_metric_spec
 from killing3.completeness_probe import (COMPLETE, INCOMPLETE, INCONCLUSIVE,
                                          CurvatureProfile, GeodesicState, completeness_verdict,
@@ -13,7 +13,6 @@ from killing3.errors import (BadParams, BlowUp, EmptyGrid, EmptyProfile, NonFini
                              NotUnitLength)
 from killing3.fields import ScalarField, from_expr
 from killing3.frame_calculus import Geometry
-from killing3.lorentz_bridge import lorentz_completeness, to_lorentz
 from killing3.metric_family import CATALOG_NAMES, MetricSpec, catalog
 from oracles import fd_metric, gamma_geodesic, gamma_rhs
 

@@ -252,12 +252,16 @@ def test_build_rejects_zero_omega_r():
 
 
 def test_build_rejects_omega_r_the_closed_form_zeroes():
-    # just over the hump omega = 0 of B < 0, m1 = C / (C + s^2) falls below SEPARATRIX_GAP:
-    # the closed form rests at omega0 = 0 with omega_r = 0, though omega_r(0) = sqrt C > 1e-8
-    params = FamilyParams(B=-1.0, C=1e-15)
-    assert params.omega_r0 > 1e-8
-    with pytest.raises(PhiVanishes, match=r"^omega_r changes sign inside r range \(0\.0, 0\.0\)$"):
-        build_cf_metric(params)
+    # just over the hump omega = 0 of B = -1, m1 = C / (C + s^2) ~ C / 4 falls below SEPARATRIX_GAP:
+    # the closed form would rest at omega0 = 0 with omega_r = 0, though omega_r(0) = sqrt C > 1e-8
+    for C, m1 in [(1e-15, "2.4999999999999987e-16"), (4e-15, "9.999999999999971e-16")]:
+        params = FamilyParams(B=-1.0, C=C)
+        assert params.omega_r0 > 1e-8
+        with pytest.raises(InadmissibleParams, match=rf"^m1 = C/\(C \+ s\^2\) = {m1} is below "
+                                                     r"SEPARATRIX_GAP = 1e-15: too near the"):
+            solve_omega_ode(params)
+    # m1 = 1.25e-15 is at or above the gap: the orbit swings, with a period
+    assert solve_omega_ode(FamilyParams(B=-1.0, C=5e-15)).period == pytest.approx(74.18, abs=0.01)
 
 
 def test_wpde_residual_values():

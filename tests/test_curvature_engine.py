@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from killing3 import to_lorentz
 from killing3.curvature_engine import (christoffels, curvature_packet,
                                        gaussian_identity_residual, spectrum_closed_form,
                                        spectrum_vs_eigensolve_residual)
 from killing3.errors import NonFinite
 from killing3.frame_calculus import Geometry
 from killing3.jets import Jet2
-from killing3.lorentz_bridge import to_lorentz
 from killing3.metric_family import catalog
 from oracles import (bisect_eigenvalues, fd_christoffels, fd_metric, fd_ricci, fd_riemann,
                      fd_scalar)

@@ -4,17 +4,16 @@ import pytest
 from cli_matrix import hopf_grid_csv
 from test_sym_oracle import CASES
 
-from killing3 import LORENTZIAN, RIEMANNIAN, cli, fields
+from killing3 import (LORENTZIAN, RIEMANNIAN, cli, fields, lorentz_completeness,
+                      lorentz_relations_check, to_lorentz)
 from killing3.completeness_probe import COMPLETE, curvature_profile
 from killing3.conformal_family import wpde_residual
 from killing3.curvature_engine import (gaussian_identity_residual, ricci_tt,
                                        spectrum_vs_eigensolve_residual)
 from killing3.errors import AlreadyLorentzian, DomainError
 from killing3.frame_calculus import Geometry
-from killing3.lorentz_bridge import (flip_residual, lorentz_completeness,
-                                     lorentz_relations_check, timelike_residual,
-                                     to_lorentz)
-from killing3.metric_family import CATALOG_NAMES, catalog, load_grid_csv, metric_components
+from killing3.metric_family import (CATALOG_NAMES, catalog, flip_residual, load_grid_csv,
+                                    metric_components, timelike_residual)
 
 POINTS = [(0.35, 0.4), (0.8, 2.1), (1.1, 5.0)]
 

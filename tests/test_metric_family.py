@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killing3 import LORENTZIAN, RIEMANNIAN, fields, jets
+from killing3 import LORENTZIAN, RIEMANNIAN, fields, jets, to_lorentz
 from killing3.errors import BadParams, DomainError, UnknownCatalogName
 from killing3.frame_calculus import Geometry, g_tt
-from killing3.lorentz_bridge import to_lorentz
 from killing3.metric_family import (CATALOG_NAMES, GRID_CSV_HEADER, MetricSpec,
                                     catalog, frame_gram_residual, load_grid_csv,
                                     metric_components, to_grid_sampled)

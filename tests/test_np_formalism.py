@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from killing3 import fields, jets
+from killing3 import fields, jets, to_lorentz
 from killing3.errors import EmptyGrid, NotUnitLength
 from killing3.frame_calculus import Geometry
-from killing3.lorentz_bridge import to_lorentz
 from killing3.metric_family import MetricSpec, catalog, frame_gram_residual
 from killing3.np_formalism import (_rescaled, conformal_rescale_check, killing_test,
                                    kinematics, rotate_frame,

@@ -17,6 +17,14 @@ def test_star_import_resolves_every_exported_name():
     assert len(set(killing3.__all__)) == len(killing3.__all__)
 
 
+def test_package_docstring_names_every_module():
+    """Each src/killing3 module other than __init__ has a bullet in killing3.__doc__'s list."""
+    listed = {name for line in killing3.__doc__.splitlines() if line.startswith("* ")
+              for name in line.split("  ")[0].split("``")[1::2]}  # the name column
+    modules = {path.stem for path in Path(killing3.__file__).parent.glob("*.py")}
+    assert listed == modules - {"__init__"}
+
+
 def test_every_error_class_is_raised():
     """Each class of killing3.errors is raised in src/, or is the base of one that is."""
     src = Path(killing3.__file__).parent

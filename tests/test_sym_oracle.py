@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from killing3 import LORENTZIAN, fields, jets
+from killing3 import LORENTZIAN, fields, jets, lorentz_relations_check
 from killing3.cotton_york import cotton_york
 from killing3.curvature_engine import christoffels, curvature_packet, ricci_tt
 from killing3.frame_calculus import Geometry
-from killing3.lorentz_bridge import lorentz_relations_check
 from killing3.metric_family import MetricSpec, catalog
 from sym_oracle import Derivation, r, theta
 
