@@ -110,7 +110,8 @@ def parse_metric_spec(text):
         if entries:
             key, (_, ln2) = next(iter(entries.items()))
             raise ParseError(f"unexpected key {key!r} with grid_csv", line=ln2)
-        spec = load_grid_csv(path)
+        with open(path) as fh:
+            spec = load_grid_csv(fh.read())
     else:
         if "catalog" not in entries:
             raise ParseError("missing `catalog = <name>` (or grid_csv)")

@@ -140,9 +140,3 @@ def from_grid(r_nodes, theta_nodes, values):
     """Grid-sampled field; ``values[i, j]`` at ``(r_nodes[i], theta_nodes[j])`` (see from_grids)."""
     return from_grids(r_nodes, theta_nodes, [values])[0]
 
-
-def sample_to_grid(field_like, r_nodes, theta_nodes):
-    """Sample an analytic field on a rectangular grid (for grid-path testing)."""
-    rr, tt = np.meshgrid(np.asarray(r_nodes, float), np.asarray(theta_nodes, float),
-                         indexing="ij")
-    return from_grid(r_nodes, theta_nodes, field_like.jet(rr, tt, 0).value)

@@ -75,9 +75,9 @@ class Geometry:
         self.phi = spec.phi.jet(self.r, self.theta, self.order)
         self.h = spec.h.jet(self.r, self.theta, self.order)
         self.k = spec.k.jet(self.r, self.theta, self.order)
-        # NaN passes this test and coframe's: a geodesic trial step can land where a
-        # field is NaN, and the NaN acceleration makes the step controller shrink the
-        # step, where a DomainError would end the integration
+        # an overflowing phi = inf passes this test, and coframe refuses it: a geodesic
+        # trial step can land there, and its non-finite acceleration makes the step
+        # controller shrink the step, where a DomainError would end the integration
         self._refuse(self.phi.value <= PHI_CUTOFF, f"phi <= {PHI_CUTOFF}")
         self._eta = g_tt(spec.signature)
 

@@ -258,21 +258,18 @@ def _series(f, terms):
 
     The terms are the Taylor coefficients F^(m)(f0)/m! of a function F.  u has
     no value, so u^m has no derivative below order m: the higher powers vanish
-    in an order-n jet, and at order 0 the series is terms[0].  reciprocal, sqrt
-    and log expand in f/f0 (derivative coefficients O(f'/f)), which keeps them
-    finite for huge |f0|, where the raw coefficients 1/f0^k underflow while the
-    jet products overflow.
+    in an order-n jet.  The value row is set to terms[0] = F(f0) last, at every order, so
+    an infinite term leaves F(f0) there, not u's zero value row times inf (NaN).  reciprocal,
+    sqrt and log expand in f/f0 (derivative coefficients O(f'/f)), which keeps them finite
+    for huge |f0|, where the raw coefficients 1/f0^k underflow while the jet products overflow.
     """
     u = Jet2(f.coeffs.copy(), f.order)
     u.coeffs[0] = 0.0
-    if u.order == 0:
-        return u + terms[0]
-    c = u.coeffs * terms[1]
-    c[0] += terms[0]
-    out, power = Jet2(c, u.order), u
+    out, power = Jet2(u.coeffs * terms[1], u.order), u
     for term in terms[2:u.order + 1]:
         power = power * u
         out = out + power * term
+    out.coeffs[0] = terms[0]
     return out
 
 

@@ -149,12 +149,9 @@ GRID_CSV_HEADER = ["r", "theta", "phi", "h", "k"]
 _LOADTXT = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 2}
 
 
-def load_grid_csv(text_or_path):
-    """Grid-sampled MetricSpec from CSV `r,theta,phi,h,k` (rectangular, row-major in theta)."""
-    if isinstance(text_or_path, str) and "\n" not in text_or_path:
-        with open(text_or_path) as fh:
-            text_or_path = fh.read()
-    header, *lines = text_or_path.splitlines() or [""]
+def load_grid_csv(text):
+    """Grid-sampled MetricSpec from CSV text, not a path: `r,theta,phi,h,k` on a full grid."""
+    header, *lines = text.splitlines() or [""]
     if [c.strip() for c in next(csv.reader([header]), [])] != GRID_CSV_HEADER:
         raise BadParams(f"grid CSV must start with header {','.join(GRID_CSV_HEADER)}")
     if not any(lines):  # no data row: loadtxt would warn
@@ -187,12 +184,8 @@ def load_grid_csv(text_or_path):
 
 
 def to_grid_sampled(spec, r_nodes, theta_nodes):
-    """Resample an analytic spec through the grid-jet path (cross-validation)."""
-    return MetricSpec(
-        fields.sample_to_grid(spec.phi, r_nodes, theta_nodes),
-        fields.sample_to_grid(spec.h, r_nodes, theta_nodes),
-        fields.sample_to_grid(spec.k, r_nodes, theta_nodes),
-        spec.signature,
-        spec.name + "_grid",
-        dict(spec.params),
-    )
+    """The spec's triple sampled on a grid and fit as one, as load_grid_csv does (cross-checks)."""
+    rr, tt = np.meshgrid(r_nodes, theta_nodes, indexing="ij")  # field jets read them as floats
+    phi, h, k = fields.from_grids(r_nodes, theta_nodes,
+                                  [f.jet(rr, tt, 0).value for f in (spec.phi, spec.h, spec.k)])
+    return MetricSpec(phi, h, k, spec.signature, spec.name + "_grid", dict(spec.params))

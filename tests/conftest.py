@@ -20,6 +20,20 @@ GEODESIC_PINS = {
                    "c_drift": 0.0, "speed_drift": 5.819362880465917e-09},
 }
 
+#: The one-line stderr of ``analyze``, ``verify``, ``flatness`` and ``lorentz`` on hyperbolic
+#: past phi = cosh r's range, by ``--grid`` band.  On 800:900 phi overflows and the coframe
+#: refuses the point by name; on 354.5:355 phi^2 is finite and the curvature is not.
+HYPERBOLIC_BANDS = {
+    "800:900,0:1": dict.fromkeys(
+        ["analyze", "verify", "flatness", "lorentz"],
+        "DomainError: metric entries overflow at (r, theta) = (855.131, 0.151768)"),
+    "354.5:355,0:1": {
+        "analyze": "NonFinite: the analyze report holds non-finite numbers",
+        "verify": "NonFinite: Ricci on the frame has non-finite entries",
+        "flatness": "NonFinite: non-finite curvature at (r, theta) = (354.776, 0.151768)",
+        "lorentz": "NonFinite: the lorentz report holds non-finite numbers"},
+}
+
 
 @pytest.fixture
 def solver_nfev(monkeypatch):

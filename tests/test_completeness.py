@@ -9,8 +9,8 @@ from killing3.cli import parse_metric_spec
 from killing3.completeness_probe import (COMPLETE, INCOMPLETE, INCONCLUSIVE,
                                          CurvatureProfile, GeodesicState, completeness_verdict,
                                          curvature_profile, integrate_geodesic, make_state)
-from killing3.errors import (BadParams, BlowUp, EmptyGrid, EmptyProfile, NonFinite,
-                             NotUnitLength)
+from killing3.errors import (BadParams, BlowUp, DomainError, EmptyGrid, EmptyProfile,
+                             NonFinite, NotUnitLength)
 from killing3.fields import ScalarField, from_expr
 from killing3.frame_calculus import Geometry
 from killing3.metric_family import CATALOG_NAMES, MetricSpec, catalog
@@ -90,14 +90,19 @@ def test_bad_r_max_is_refused(r_max):
 
 
 @pytest.mark.parametrize("profile", [
-    lambda pair: curvature_profile(pair.riemannian, 5e4),
-    lambda pair: lorentz_completeness(pair, 5e4)], ids=["riemannian", "lorentzian"])
+    lambda pair, r_max: curvature_profile(pair.riemannian, r_max),
+    lambda pair, r_max: lorentz_completeness(pair, r_max)], ids=["riemannian", "lorentzian"])
 def test_non_finite_profile_is_refused(profile):
-    # past r ~ 710 hyperbolic's phi = cosh r has a NaN value row, and every radius of this
-    # mesh (from 781.25) lies there: the NaN tail read Inconclusive
+    # past r ~ 710 hyperbolic's phi = cosh r is inf, and every radius of the r_max = 5e4 mesh
+    # (from 781.25) lies there: the coframe refuses it.  At r = 355 phi^2 is finite and the
+    # curvature is not: the non-finite tail read Inconclusive
+    pair = to_lorentz(catalog("hyperbolic"))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFinite, match=r"^non-finite criterion at r = 781\.25$"):
-            profile(to_lorentz(catalog("hyperbolic")))
+        with pytest.raises(DomainError, match=r"^metric entries overflow at \(r, theta\) = "
+                                              r"\(781\.25, 0\)$"):
+            profile(pair, 5e4)
+        with pytest.raises(NonFinite, match=r"^non-finite criterion at r = 355$"):
+            profile(pair, 355.0)
 
 
 def test_profile_refinement_consistency():

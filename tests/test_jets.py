@@ -143,6 +143,15 @@ def test_tan_third_derivative():
     assert t.d(3, 0) == pytest.approx(fd, rel=2e-3)
 
 
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+@pytest.mark.parametrize("name", ["cosh", "exp"])
+def test_overflowing_value_row_is_inf_not_nan(name, order):
+    # the value row is F(f0) at every order, not u's zero value row times an infinite term
+    jr, _ = variables(13340.0, 0.0, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert getattr(jets, name)(jr).value == np.inf
+
+
 # -- the Leibniz product kernel ------------------------------------------------
 
 #: tensor subscripts over operand ranks 0, 1 and 2
@@ -298,7 +307,8 @@ R_NODES, THETA_NODES = np.linspace(0.1, 1.3, 8), np.linspace(-0.5, 2.5, 8)
 def _fields():
     cf = build_cf_metric(FamilyParams(B=0.0, C=1.0))
     return {"analytic": fields.from_expr(sample_expr), "constant": fields.constant(2.5),
-            "grid": fields.sample_to_grid(fields.from_expr(sample_expr), R_NODES, THETA_NODES),
+            "grid": fields.from_grid(R_NODES, THETA_NODES, fields.from_expr(sample_expr).value(
+                *np.meshgrid(R_NODES, THETA_NODES, indexing="ij"))),
             "cf phi": cf.phi, "cf h": cf.h}
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from killing3 import LORENTZIAN, RIEMANNIAN, fields, jets, to_lorentz
+from killing3.cli import parse_metric_spec
 from killing3.errors import BadParams, DomainError, UnknownCatalogName
 from killing3.frame_calculus import Geometry, g_tt
 from killing3.metric_family import (CATALOG_NAMES, GRID_CSV_HEADER, MetricSpec,
@@ -165,21 +166,26 @@ def test_geometry_names_first_bad_point(name, params, r, message):
 
 def test_overflow_is_refused_by_the_coframe_not_the_construction():
     # a geodesic trial stage of criterion 10's hyperbolic orbit lands at r = 453.489, where
-    # phi = cosh r is finite and phi^2 is not: the right-hand side reads only the field jets
-    with np.errstate(over="ignore"):
-        geo = Geometry(catalog("hyperbolic"), 453.489, 0.5, order=1)
-        assert np.isfinite(geo.phi.value) and geo.phi.value ** 2 == np.inf
-        with pytest.raises(DomainError, match=r"^metric entries overflow at \(r, theta\) = "
-                                              r"\(453\.489, 0\.5\)$"):
-            geo.g
+    # phi = cosh r is finite and phi^2 is not, and one can land at r = 13340, where phi is
+    # inf: the right-hand side reads only the field jets, and its non-finite acceleration
+    # must shrink the step, not end the integration
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, phi_is_finite in [(453.489, True), (13340.0, False)]:
+            geo = Geometry(catalog("hyperbolic"), r, 0.5, order=1)
+            assert np.isfinite(geo.phi.value) == phi_is_finite and geo.phi.value ** 2 == np.inf
+            with pytest.raises(DomainError, match=r"^metric entries overflow at \(r, theta\) = "
+                                                  rf"\({r:g}, 0\.5\)$"):
+                geo.g
 
 
 def test_nan_field_value_builds_a_geometry():
-    # cosh(13340) has a NaN value jet.  A geodesic trial step can land there,
-    # and its NaN acceleration must shrink the step, not end the integration.
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = Geometry(catalog("hyperbolic"), [0.5, 13340.0], 0.0, order=1).g.value
-    assert np.isnan(g[2, 2, 1]) and np.all(np.isfinite(g[..., 0]))
+    # a trial stage summed from an infinite stage can land at r = NaN, where phi's value is
+    # NaN.  Its NaN acceleration must shrink the step, not end the integration.
+    with np.errstate(invalid="ignore"):
+        geo = Geometry(catalog("hyperbolic"), [0.5, np.nan], 0.0, order=1)
+        g = geo.g.value
+    assert np.isnan(geo.phi.value[1]) and np.isnan(g[2, 2, 1])
+    assert np.all(np.isfinite(g[..., 0]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -239,17 +245,25 @@ def test_grid_csv_accepts_what_csv_reader_read(tmp_path, variant):
     elif variant == "quoted":
         text = "\n".join(lines[:1] + [",".join(f'"{c}"' for c in ln.split(","))
                                       for ln in lines[1:]])
-    if variant == "file_crlf":
+    if variant == "file_crlf":  # read by the spec parser, which opens the file
         path = tmp_path / "grid.csv"
         path.write_bytes(text.encode())
-        text = str(path)
-    np.testing.assert_array_equal(_grid_values(load_grid_csv(text)),
+        spec = parse_metric_spec(f"grid_csv = {path}")
+    else:
+        spec = load_grid_csv(text)
+    np.testing.assert_array_equal(_grid_values(spec),
                                   _grid_values(load_grid_csv(_grid_csv_text())))
 
 
 def test_grid_csv_rejects_bad_header():
     with pytest.raises(BadParams):
         load_grid_csv("a,b,c\n1,2,3")
+
+
+def test_grid_csv_is_text_not_a_path():
+    # a header with no row is CSV text too, never a file name
+    with pytest.raises(BadParams, match="^grid CSV rows must hold 5 finite numbers each$"):
+        load_grid_csv("r,theta,phi,h,k")
 
 
 def test_grid_csv_rejects_ragged():
@@ -269,6 +283,18 @@ def test_grid_csv_refusal_names_the_file_line(case, line):
         lines.insert(3, "")
     with pytest.raises(BadParams, match=f"^grid CSV line {line}: "):
         load_grid_csv("\n".join(lines))
+
+
+def test_to_grid_sampled_fits_the_triple_once(monkeypatch):
+    calls, from_grids = [], fields.from_grids
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return from_grids(*args)
+
+    monkeypatch.setattr(fields, "from_grids", counted)
+    to_grid_sampled(catalog("hopf"), np.linspace(0.2, 1.2, 8), np.linspace(0.0, 6.0, 8))
+    assert calls == [3]
 
 
 def test_to_grid_sampled_matches_analytic():
