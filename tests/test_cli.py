@@ -659,8 +659,9 @@ def test_default_hopf_geodesic_step_count(tmp_path, solver_nfev):
     # pins the right-hand side to the last bit: a mathematically equal but
     # reordered expression moves the adaptive steps and drifts
     spec = _write_spec(tmp_path, "catalog = hopf\nR = 2")
-    _, code = run(RunConfig(command="geodesic", spec_path=spec))
+    report, code = run(RunConfig(command="geodesic", spec_path=spec))
     assert code == 0 and solver_nfev == [GEODESIC_PINS["hopf"]["nfev"]]
+    assert tuple(report.records[-1]["state"]) == GEODESIC_PINS["hopf"]["last"]
 
 
 @pytest.mark.parametrize("name", ["nil", "cf_family", "hopf_lorentzian"])
@@ -672,6 +673,7 @@ def test_default_geodesic_step_counts_and_drifts(tmp_path, solver_nfev, name):
     assert code == 0 and solver_nfev == [pin["nfev"]]
     assert (report.summary["max_c_drift"], report.summary["max_speed_drift"]) == (
         pin["c_drift"], pin["speed_drift"])
+    assert tuple(report.records[-1]["state"]) == pin["last"]
 
 
 @pytest.mark.parametrize("out", ["missing/r.txt", "a_directory"])

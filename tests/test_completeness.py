@@ -227,6 +227,7 @@ def test_criterion_10_hyperbolic_orbit_step_count(solver_nfev):
     traj = integrate_geodesic(hyp, make_state(hyp, (0.0, 0.5, 0.2), (0.3, 0.8, 0.4)), 100.0)
     assert solver_nfev == [pin["nfev"]]
     assert (traj.max_c_drift, traj.max_speed_drift) == (pin["c_drift"], pin["speed_drift"])
+    assert tuple(traj.states[-1].tolist()) == pin["last"]
 
 
 def test_rhs_geometry_jet_budget(monkeypatch):
