@@ -196,12 +196,16 @@ def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401):
     c_t = c * g_tt(spec.signature)  # c / g(T,T), as g(T,T) = +-1
 
     def rhs(_, y):
-        # the Geometry evaluates the order-1 field jets and tests the domain; no stage is read
-        geo = Geometry(spec, y[1], y[2], order=1)
-        (phi, phi_r, phi_th), (h, h_r, _), (k, _, k_th) = (
-            f.coeffs for f in (geo.phi, geo.h, geo.k))
-        vr, vth = y[3], y[4]
+        # the Geometry evaluates the order-1 field jets and tests the domain; no stage is read.
+        # Python floats make the same IEEE operations as numpy scalars, at less dispatch
+        _, r, theta, vr, vth = y.tolist()
+        geo = Geometry(spec, r, theta, order=1)
+        phi, phi_r, phi_th = geo.phi.coeffs.tolist()
+        h, h_r, _ = geo.h.coeffs.tolist()
+        k, _, k_th = geo.k.coeffs.tolist()
         pp_r, cf = phi * phi_r, c * (k_th - (phi_r * h + phi * h_r))  # c F, F = k_th - (phi h)_r
+        # a float division by zero raises where numpy gives inf, but phi * phi >= 1e-16 here:
+        # the Geometry refuses phi <= PHI_CUTOFF
         return np.array([c_t + k * vr + phi * h * vth, vr, vth, pp_r * vth * vth + cf * vth,
                          (-2.0 * pp_r * vr * vth - phi * phi_th * vth * vth - cf * vr)
                          / (phi * phi)])
@@ -224,7 +228,9 @@ def integrate_geodesic(spec, init, length, step_tol=1e-10, n_samples=401):
         raise StepFailure(f"geodesic {exc}") from None
     if sol.status == 1:
         raise BlowUp(f"geodesic left the admissible domain at s = {sol.t_event}")
-    states = np.insert(sol.y, 3, rhs(None, sol.y)[0], axis=0).T  # t' from the batched rhs
+    geo, (vr, vth) = Geometry(spec, sol.y[1], sol.y[2], order=1), sol.y[3:]
+    t_dot = c_t + geo.k.value * vr + geo.phi.value * geo.h.value * vth  # as rhs forms it
+    states = np.insert(sol.y, 3, t_dot, axis=0).T
     g, v = metric_components(spec, sol.y[1:3]), states.T[3:]
     c_vals = np.einsum("b...,b...->...", g[0], v)
     speed_vals = np.einsum("ab...,a...,b...->...", g, v, v)

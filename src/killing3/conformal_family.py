@@ -116,11 +116,12 @@ def _agm(m1):
     return np.pi / (2.0 * a[-1]), a, c
 
 
-def _ellipj(u, m1):
-    """sn, cn, dn(u | m) by the AGM and descending Landen transformations (DLMF 22.20(ii))."""
+def _ellipj(u, m1, agm):
+    """sn, cn, dn(u | m) by the AGM, agm = _agm(m1), and descending Landen transformations
+    (DLMF 22.20(ii))."""
     if m1 == 0.0:
         return np.tanh(u), 1.0 / np.cosh(u), 1.0 / np.cosh(u)
-    _, a, c = _agm(m1)
+    _, a, c = agm
     phi = 2.0 ** (len(a) - 1) * a[-1] * u
     for a_n, c_n in zip(a[:0:-1], c[:0:-1]):
         phi = 0.5 * (phi + np.arcsin(c_n / a_n * np.sin(phi)))
@@ -175,13 +176,15 @@ def solve_omega_ode(params):
         amp = np.sign(w0) * np.sqrt(alpha)
         lam = 0.5 * abs(amp)
         am0 = 0.5 * np.arctan2(-np.sign(w0) * wr0, 0.5 * (w0 * w0 + 2.0 * B))
-    u0, K = _ellipf(am0, m1), _agm(m1)[0] if m1 > 0.0 else np.inf
+    agm = _agm(m1) if m1 > 0.0 else (np.inf,)  # K, and the sequences every evaluation reads
+    u0, K = _ellipf(am0, m1), agm[0]
     half = 2.0 * K if swings else K  # the advance of u from one turning point to the next
 
     def evaluate(r):
         u = lam * r + u0
         # u mod the period 4K; on the separatrix (K = inf), sech 300 is already 1e-130
-        sn, cn, dn = _ellipj(np.mod(u, 4.0 * K) if m1 > 0.0 else np.clip(u, -300.0, 300.0), m1)
+        u = np.mod(u, 4.0 * K) if m1 > 0.0 else np.clip(u, -300.0, 300.0)
+        sn, cn, dn = _ellipj(u, m1, agm)
         f, g = (cn, dn) if swings else (dn, (1.0 - m1) * cn)
         return amp * f, -amp * lam * sn * g
 

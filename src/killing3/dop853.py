@@ -107,7 +107,8 @@ class DOP853:
         h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (
             0.01 / max(d1, d2)) ** (1 / 8)
         self.h_abs = min(100 * h0, h1, length)
-        self.K_extended = np.empty((16, y.size))   # stages; the first 13 make a step
+        self.K_extended = K = np.empty((16, y.size))   # stages; the first 13 make a step
+        self._rows = [(C[s], K[:s].T, A[s, :s]) for s in range(16)]   # each stage's operands
         # scipy's solve_ivp loop: step, find the event's root, sample the step at t_eval
         forward, t_eval = t_bound > t, np.asarray(t_eval)
         t_eval, i_eval = (t_eval, 0) if forward else (t_eval[::-1], len(t_eval))
@@ -138,9 +139,10 @@ class DOP853:
 
     def _stages(self, t, y, h, stages):
         """K[s] = fun(t + C[s] h, y + h K[:s]^T A[s, :s]) for s in stages, in order."""
-        K = self.K_extended
+        K, rows = self.K_extended, self._rows
         for s in stages:
-            K[s] = self._fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
+            c, k_t, a = rows[s]
+            K[s] = self._fun(t + c * h, y + k_t.dot(a) * h)  # np.dot without its dispatch
 
     def _step(self):
         """One accepted step, retrying smaller steps."""

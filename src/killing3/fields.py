@@ -55,18 +55,19 @@ def from_expr(expr):
     """Analytic field from a jet expression, e.g. ``lambda r, t: jets.sin(r) * t``."""
 
     def jet_fn(r, theta, order):
-        jr, jt = jets.variables(r, theta, order)
-        out = expr(jr, jt)
-        if not isinstance(out, Jet2):
-            out = Jet2.constant(np.asarray(out, dtype=float), order, batch_like=jr.value)
-        return out
+        out = expr(*jets.variables(r, theta, order))
+        if isinstance(out, Jet2):
+            return out
+        return Jet2.constant(np.asarray(out, dtype=float), order, batch_like=r)
 
     return ScalarField(jet_fn, ANALYTIC)
 
 
 def constant(value):
     def jet_fn(r, theta, order):
-        return Jet2.constant(float(value), order, batch_like=r)
+        c = np.zeros((NCOEFFS[order],) + r.shape)
+        c[0] = value
+        return Jet2(c, order)
 
     return ScalarField(jet_fn, ANALYTIC)
 

@@ -78,14 +78,15 @@ class Geometry:
         # an overflowing phi = inf passes this test, and coframe refuses it: a geodesic
         # trial step can land there, and its non-finite acceleration makes the step
         # controller shrink the step, where a DomainError would end the integration
-        self._refuse(self.phi.value <= PHI_CUTOFF, f"phi <= {PHI_CUTOFF}")
+        self._refuse(self.phi.value <= PHI_CUTOFF, "phi <= %r", PHI_CUTOFF)
         self._eta = g_tt(spec.signature)
 
-    def _refuse(self, bad, what):
-        """DomainError naming the first point of the batch where ``bad`` holds, if any."""
-        if np.count_nonzero(bad):
+    def _refuse(self, bad, what, *args):
+        """DomainError naming the first point of the batch where ``bad`` holds, if any, and
+        ``what % args``, formatted only then."""
+        if bad if self.r.ndim == 0 else np.count_nonzero(bad):  # a width-1 bool tests directly
             r, theta = self.point_at(int(np.argmax(np.broadcast_to(bad, self.r.shape))))
-            raise DomainError(f"{what} at (r, theta) = ({r:.6g}, {theta:.6g})")
+            raise DomainError(f"{what % args} at (r, theta) = ({r:.6g}, {theta:.6g})")
 
     def riemannian_only(self, what):
         """DomainError on the Lorentzian partner, where ``what`` has no formula here."""

@@ -246,29 +246,32 @@ class Jet2:
 
 def variables(r, theta, order=MAX_ORDER):
     """Coordinate jets (r, theta); accepts scalars or equally-shaped arrays."""
-    c = np.zeros((2, NCOEFFS[order]) + np.shape(r))
+    c = np.zeros((2, NCOEFFS[order]) + getattr(r, "shape", ()))  # np.shape's dispatch is slower
     c[0, 0], c[1, 0] = r, theta
-    if order > 0:
-        c[0, _POS[(1, 0)]] = c[1, _POS[(0, 1)]] = 1.0
+    if order:  # rows 1 and 2 hold d/dr and d/dtheta
+        c[0, 1] = c[1, 2] = 1.0
     return Jet2(c[0], order), Jet2(c[1], order)
 
 
 def _series(f, terms):
     """sum_m terms[m] u^m of u = f - f0, over the powers m <= f.order only.
 
-    The terms are the Taylor coefficients F^(m)(f0)/m! of a function F.  u has
-    no value, so u^m has no derivative below order m: the higher powers vanish
-    in an order-n jet.  The value row is set to terms[0] = F(f0) last, at every order, so
-    an infinite term leaves F(f0) there, not u's zero value row times inf (NaN).  reciprocal,
-    sqrt and log expand in f/f0 (derivative coefficients O(f'/f)), which keeps them finite
-    for huge |f0|, where the raw coefficients 1/f0^k underflow while the jet products overflow.
+    The terms are the Taylor coefficients F^(m)(f0)/m! of a function F, and only the first
+    f.order + 1 are read, so the callers form no others.  u has no value, so u^m has no
+    derivative below order m: the higher powers vanish in an order-n jet.  The value row is
+    set to terms[0] = F(f0) last, at every order, so an infinite term leaves F(f0) there, not
+    u's zero value row times inf (NaN).  reciprocal, sqrt and log expand in f/f0 (derivative
+    coefficients O(f'/f)), which keeps them finite for huge |f0|, where the raw coefficients
+    1/f0^k underflow while the jet products overflow.
     """
-    u = Jet2(f.coeffs.copy(), f.order)
-    u.coeffs[0] = 0.0
-    out, power = Jet2(u.coeffs * terms[1], u.order), u
-    for term in terms[2:u.order + 1]:
-        power = power * u
-        out = out + power * term
+    u = f.coeffs.copy()
+    u[0] = 0.0
+    out = Jet2(u * terms[1], f.order)
+    if f.order > 1:
+        u = power = Jet2(u, f.order)
+        for term in terms[2:f.order + 1]:
+            power = power * u
+            out = out + power * term
     out.coeffs[0] = terms[0]
     return out
 
@@ -287,25 +290,25 @@ def log(f):
 
 def exp(f):
     v = np.exp(f.value)
-    return _series(f, [v, v, v / 2.0, v / 6.0])
+    return _series(f, [v, v] if f.order < 2 else [v, v, v / 2.0, v / 6.0])
 
 
 def sin(f):
-    s, c = np.sin(f.value), np.cos(f.value)
-    return _series(f, [s, c, -s / 2.0, -c / 6.0])
+    s, c = np.sin(v := f.value), np.cos(v)
+    return _series(f, [s, c] if f.order < 2 else [s, c, -s / 2.0, -c / 6.0])
 
 
 def cos(f):
-    s, c = np.sin(f.value), np.cos(f.value)
-    return _series(f, [c, -s, -c / 2.0, s / 6.0])
+    s, c = np.sin(v := f.value), np.cos(v)
+    return _series(f, [c, -s] if f.order < 2 else [c, -s, -c / 2.0, s / 6.0])
 
 
 def tan(f):
     t = np.tan(f.value)
     s2 = 1.0 + t * t  # sec^2
-    return _series(f, [t, s2, t * s2, s2 * (4 * t * t + 2 * s2) / 6.0])
+    return _series(f, [t, s2] if f.order < 2 else [t, s2, t * s2, s2 * (4 * t * t + 2 * s2) / 6.0])
 
 
 def cosh(f):
-    s, c = np.sinh(f.value), np.cosh(f.value)
-    return _series(f, [c, s, c / 2.0, s / 6.0])
+    s, c = np.sinh(v := f.value), np.cosh(v)
+    return _series(f, [c, s] if f.order < 2 else [c, s, c / 2.0, s / 6.0])

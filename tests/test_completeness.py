@@ -294,6 +294,26 @@ def test_reduced_rhs_is_the_gamma_acceleration():
     assert worst < 1e-13
 
 
+
+@pytest.mark.parametrize("spec", _rhs_specs(), ids=lambda spec: spec.name + spec.signature[0])
+def test_trajectory_t_dot_is_the_scalar_rhs_bit_for_bit(monkeypatch, spec):
+    # the batched rebuild of t' at the samples forms the scalar right-hand side's expression
+    st = make_state(spec, (0.0, 0.7, 0.1), (0.3, 0.8, 0.4))
+    traj = integrate_geodesic(spec, st, 2.0, n_samples=21)
+    rhs = _geodesic_rhs(monkeypatch, spec, st)
+    for row in traj.states:
+        assert rhs(0.0, np.delete(row, 3))[0].tobytes() == row[3].tobytes()
+
+
+def test_rhs_at_infinite_phi_is_non_finite_and_does_not_raise(monkeypatch):
+    # a trial stage past cosh's overflow (phi = inf) passes the Geometry's phi test and gives a
+    # non-finite acceleration, so the step controller only shrinks the step there
+    hyp = catalog("hyperbolic")
+    rhs = _geodesic_rhs(monkeypatch, hyp, make_state(hyp, (0.0, 0.5, 0.2), (0.3, 0.8, 0.4)))
+    with np.errstate(over="ignore", invalid="ignore"):  # as integrate_geodesic runs its solve
+        out = rhs(0.0, np.array([0.0, 13340.0, 0.2, 1.0, 0.5]))
+    assert out[1:3].tolist() == [1.0, 0.5] and not np.any(np.isfinite(out[3:]))
+
 @pytest.mark.parametrize("name", ["hopf", "nil", "cf_family", "hopf_lorentzian"])
 def test_reduced_geodesic_follows_the_gamma_oracle(name):
     pin = GEODESIC_PINS[name]

@@ -391,6 +391,66 @@ def test_elementary_jets_of_lower_order_are_truncations(name, r, theta, a, b):
         assert np.array_equal(out.coeffs, full.coeffs[:NCOEFFS[order]]), (name, order)
 
 
+
+def _series_of_four_terms(f, terms):
+    """sum_m terms[m] u^m, u = f - f0, the value row then set to terms[0]: the four Taylor
+    terms formed at every order, the powers of u summed up to f.order."""
+    u = Jet2(f.coeffs.copy(), f.order)
+    u.coeffs[0] = 0.0
+    out, power = Jet2(u.coeffs * terms[1], u.order), u
+    for term in terms[2:u.order + 1]:
+        power = power * u
+        out = out + power * term
+    out.coeffs[0] = terms[0]
+    return out
+
+
+def _elementary_reference(name, f):
+    v = f.value
+    if name in ("reciprocal", "sqrt", "log"):  # expanded in f / f0
+        g = f * (1.0 / v)
+        if name == "reciprocal":
+            return _series_of_four_terms(g, [1.0, -1.0, 1.0, -1.0]) * (1.0 / v)
+        if name == "sqrt":
+            return _series_of_four_terms(g, [1.0, 0.5, -0.125, 0.0625]) * np.sqrt(v)
+        return _series_of_four_terms(g, [np.log(v), 1.0, -0.5, 1.0 / 3.0])
+    s, c, t, e = np.sin(v), np.cos(v), np.tan(v), np.exp(v)
+    sh, ch, s2 = np.sinh(v), np.cosh(v), 1.0 + t * t
+    return _series_of_four_terms(f, {
+        "sin": [s, c, -s / 2.0, -c / 6.0], "cos": [c, -s, -c / 2.0, s / 6.0],
+        "tan": [t, s2, t * s2, s2 * (4 * t * t + 2 * s2) / 6.0],
+        "exp": [e, e, e / 2.0, e / 6.0], "cosh": [ch, sh, ch / 2.0, sh / 6.0]}[name])
+
+
+def _warned(fn):
+    """fn's result and the set of warning messages it raised."""
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn()
+    return out, {str(w.message) for w in caught}
+
+
+EDGE_VALUES = [0.0, 0.7, 1e300, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+@pytest.mark.parametrize("name", ELEMENTARY)
+def test_elementary_jets_match_the_four_term_series_bit_for_bit(name, order):
+    # an order-n jet forms only the Taylor terms it reads; its coefficients are those of the
+    # series that forms all four, at every point alone and as one batch, and it raises no
+    # warning that the four-term series does not
+    rows = np.array([1.0, 0.3, -1.1, 0.7, 0.2, -0.4, 0.9, 0.1, -0.3, 0.5])[:NCOEFFS[order]]
+    batch = np.repeat(rows[:, None], len(EDGE_VALUES), axis=1)
+    batch[0] = EDGE_VALUES
+    points = [Jet2(batch[:, i].copy(), order) for i in range(len(EDGE_VALUES))]
+    for f in points + [Jet2(batch, order)]:
+        out, warned = _warned(lambda: getattr(jets, name)(f))
+        ref, ref_warned = _warned(lambda: _elementary_reference(name, f))
+        assert out.order == order and out.coeffs.tobytes() == ref.coeffs.tobytes(), f.value
+        assert warned <= ref_warned, (f.value, warned - ref_warned)
+
 def test_order_one_christoffels_make_four_jet_products(monkeypatch):
     from killing3.curvature_engine import christoffels
     from killing3.frame_calculus import Geometry
