@@ -294,7 +294,6 @@ def test_reduced_rhs_is_the_gamma_acceleration():
     assert worst < 1e-13
 
 
-
 @pytest.mark.parametrize("spec", _rhs_specs(), ids=lambda spec: spec.name + spec.signature[0])
 def test_trajectory_t_dot_is_the_scalar_rhs_bit_for_bit(monkeypatch, spec):
     # the batched rebuild of t' at the samples forms the scalar right-hand side's expression
@@ -313,6 +312,7 @@ def test_rhs_at_infinite_phi_is_non_finite_and_does_not_raise(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):  # as integrate_geodesic runs its solve
         out = rhs(0.0, np.array([0.0, 13340.0, 0.2, 1.0, 0.5]))
     assert out[1:3].tolist() == [1.0, 0.5] and not np.any(np.isfinite(out[3:]))
+
 
 @pytest.mark.parametrize("name", ["hopf", "nil", "cf_family", "hopf_lorentzian"])
 def test_reduced_geodesic_follows_the_gamma_oracle(name):

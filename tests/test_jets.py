@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from math import comb
 
 import numpy as np
@@ -391,7 +392,6 @@ def test_elementary_jets_of_lower_order_are_truncations(name, r, theta, a, b):
         assert np.array_equal(out.coeffs, full.coeffs[:NCOEFFS[order]]), (name, order)
 
 
-
 def _series_of_four_terms(f, terms):
     """sum_m terms[m] u^m, u = f - f0, the value row then set to terms[0]: the four Taylor
     terms formed at every order, the powers of u summed up to f.order."""
@@ -414,18 +414,24 @@ def _elementary_reference(name, f):
         if name == "sqrt":
             return _series_of_four_terms(g, [1.0, 0.5, -0.125, 0.0625]) * np.sqrt(v)
         return _series_of_four_terms(g, [np.log(v), 1.0, -0.5, 1.0 / 3.0])
-    s, c, t, e = np.sin(v), np.cos(v), np.tan(v), np.exp(v)
-    sh, ch, s2 = np.sinh(v), np.cosh(v), 1.0 + t * t
-    return _series_of_four_terms(f, {
-        "sin": [s, c, -s / 2.0, -c / 6.0], "cos": [c, -s, -c / 2.0, s / 6.0],
-        "tan": [t, s2, t * s2, s2 * (4 * t * t + 2 * s2) / 6.0],
-        "exp": [e, e, e / 2.0, e / 6.0], "cosh": [ch, sh, ch / 2.0, sh / 6.0]}[name])
+    if name in ("sin", "cos"):
+        s, c = np.sin(v), np.cos(v)
+        terms = [s, c, -s / 2.0, -c / 6.0] if name == "sin" else [c, -s, -c / 2.0, s / 6.0]
+    elif name == "tan":
+        t = np.tan(v)
+        s2 = 1.0 + t * t
+        terms = [t, s2, t * s2, s2 * (4 * t * t + 2 * s2) / 6.0]
+    elif name == "exp":
+        e = np.exp(v)
+        terms = [e, e, e / 2.0, e / 6.0]
+    else:
+        sh, ch = np.sinh(v), np.cosh(v)
+        terms = [ch, sh, ch / 2.0, sh / 6.0]
+    return _series_of_four_terms(f, terms)
 
 
 def _warned(fn):
     """fn's result and the set of warning messages it raised."""
-    import warnings
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         out = fn()
@@ -450,6 +456,7 @@ def test_elementary_jets_match_the_four_term_series_bit_for_bit(name, order):
         ref, ref_warned = _warned(lambda: _elementary_reference(name, f))
         assert out.order == order and out.coeffs.tobytes() == ref.coeffs.tobytes(), f.value
         assert warned <= ref_warned, (f.value, warned - ref_warned)
+
 
 def test_order_one_christoffels_make_four_jet_products(monkeypatch):
     from killing3.curvature_engine import christoffels
